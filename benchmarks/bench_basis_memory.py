@@ -1,20 +1,16 @@
-"""Measure the ROADMAP's per-site-block basis-memory idea.
+"""Measure per-block basis memory on the operator's rolling-horizon dispatch.
 
-Two warm-start strategies exist for structural splices on a mutable HiGHS
-model:
+Every dispatch step swaps the expiring window step for a fresh one.  Two
+warm-start strategies exist for that splice on a mutable HiGHS model:
 
-* **per-shape reuse** (the default): after a swap, restore the last optimal
-  basis of any siting with the same *shape* (site count, small count);
-* **per-site-block memory**: project the previous basis across the splice
-  and transplant the *leaving* block's statuses onto the *entering* block
-  (sites are structurally identical, so the statuses line up).
+* **projection**: pad the previous basis across the splice (the appended
+  block enters nonbasic);
+* **per-block memory**: transplant the *expiring* block's statuses onto the
+  *appended* block (steps are structurally identical, so the statuses line
+  up) — ``DispatchConfig.carry_block_status``.
 
-This script measures both on the two swap-heavy workloads in the repository:
-the siting annealer's scripted swap mix (``IncrementalSitingEvaluator``
-``basis_mode="shape"`` vs ``"site-block"``) and the operator's rolling-
-horizon dispatch loop, where every step swaps the expiring window step for a
-fresh one (``DispatchConfig.carry_block_status``).  Objectives must agree to
-1e-9 between modes — only iterations and wall-clock may differ.
+Realized costs must agree to 1e-9 between modes — only iterations and
+wall-clock may differ.
 
 Usage::
 
@@ -33,84 +29,9 @@ import numpy as np
 BENCH_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(BENCH_DIR.parent / "src"))
 
-from repro.core.problem import EnergySources, SitingProblem, StorageMode  # noqa: E402
-from repro.core.parameters import FrameworkParameters  # noqa: E402
-from repro.core.provisioning import (  # noqa: E402
-    IncrementalSitingEvaluator,
-    ProvisioningCompiler,
-)
-from repro.energy.profiles import EpochGrid, ProfileBuilder  # noqa: E402
 from repro.operator import OperateConfig, ReplayHarness, SiteAsset, TrafficModel  # noqa: E402
-from repro.weather.locations import build_world_catalog  # noqa: E402
 
 ROUNDS = 3
-
-
-def _siting_problem(num_locations: int = 20) -> SitingProblem:
-    catalog = build_world_catalog(num_locations=num_locations, seed=11)
-    builder = ProfileBuilder(catalog)
-    grid = EpochGrid.from_seasons(days_per_season=1, hours_per_epoch=3)
-    profiles = builder.build_all(grid)
-    params = FrameworkParameters().with_updates(
-        total_capacity_kw=50_000.0, min_green_fraction=0.5
-    )
-    return SitingProblem(
-        profiles=profiles,
-        params=params,
-        sources=EnergySources.SOLAR_AND_WIND,
-        storage=StorageMode.NET_METERING,
-    )
-
-
-def _swap_sequence(names, rounds: int = 40):
-    """A swap-heavy move mix: rotate one of three sited locations per move."""
-    sitings = []
-    base = [names[0], names[1], names[2]]
-    for k in range(rounds):
-        rotated = list(base)
-        rotated[k % 3] = names[3 + (k % (len(names) - 3))]
-        sitings.append({name: "large" for name in rotated})
-    return sitings
-
-
-def bench_siting_modes() -> dict:
-    problem = _siting_problem()
-    names = [profile.name for profile in problem.profiles]
-    moves = _swap_sequence(names)
-    results = {}
-    objectives = {}
-    for mode in ("shape", "site-block"):
-        best = None
-        for _ in range(ROUNDS):
-            evaluator = IncrementalSitingEvaluator(
-                ProvisioningCompiler(problem), basis_mode=mode
-            )
-            iterations = 0
-            costs = []
-            started = time.perf_counter()
-            for siting in moves:
-                result = evaluator.evaluate(siting)
-                costs.append(result.monthly_cost)
-            elapsed = time.perf_counter() - started
-            # simplex iteration count comes from the model's last info; track
-            # via the solve results instead: sum what HiGHS reported.
-            if best is None or elapsed < best["elapsed_s"]:
-                best = {"elapsed_s": elapsed, "moves": len(moves)}
-            objectives[mode] = costs
-        results[mode] = {
-            "elapsed_s": round(best["elapsed_s"], 4),
-            "ms_per_move": round(1000.0 * best["elapsed_s"] / best["moves"], 3),
-        }
-        print(
-            f"siting swaps [{mode:>10}]: {best['elapsed_s']:.3f}s "
-            f"({results[mode]['ms_per_move']:.2f} ms/move)"
-        )
-    deltas = np.abs(
-        np.asarray(objectives["shape"]) - np.asarray(objectives["site-block"])
-    ) / np.maximum(1.0, np.abs(objectives["shape"]))
-    if float(deltas.max()) > 1e-9:
-        raise AssertionError(f"basis modes disagree on objectives: {deltas.max()}")
-    return results
 
 
 def bench_dispatch_modes(steps: int = 96, horizon_hours: int = 24) -> dict:
@@ -172,10 +93,7 @@ def bench_dispatch_modes(steps: int = 96, horizon_hours: int = 24) -> dict:
 
 
 def main() -> dict:
-    record = {
-        "siting_swap_mix": bench_siting_modes(),
-        "dispatch_slide_mix": bench_dispatch_modes(),
-    }
+    record = {"dispatch_slide_mix": bench_dispatch_modes()}
     print(json.dumps(record, indent=2))
     return record
 

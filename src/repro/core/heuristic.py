@@ -16,7 +16,7 @@ The implementation mirrors those steps and, like the paper's tool, runs the
 expensive parts concurrently when the hardware allows it:
 
 * the *filter* prices candidate locations in chunks (optionally across a
-  thread pool), each chunk reusing one warm-started HiGHS context — the
+  thread pool), each chunk reusing one warm-started HiGHS model — the
   pricing LPs all share the same structure, so the previous optimal basis
   cuts the simplex work roughly in half;
 * the *search* runs its annealing chains either sequentially (each chain
@@ -61,9 +61,7 @@ from repro.core.single_site import (
     split_chunks,
 )
 from repro.core.solution import NetworkPlan
-from repro.lpsolver import SolverOptions
-from repro.lpsolver.highs_backend import AVAILABLE as _HIGHS_DIRECT_AVAILABLE
-from repro.lpsolver.highs_backend import HighsSolveContext
+from repro.lpsolver import MutableHighsModel, SolverOptions
 from repro.parallel.executors import (
     EXECUTOR_KINDS,
     ExecutorFactory,
@@ -141,17 +139,9 @@ class SearchSettings:
     #: Stage-2 filter pricing: solve each pricing chunk as one block-diagonal
     #: mega-LP (:func:`~repro.core.screening.price_batch`) instead of per-site
     #: warm-started solves.  ``None`` (default) auto-enables whenever the
-    #: direct HiGHS backend can solve the stacked form; False forces the
+    #: pricing grid can be templated (at least two epochs); False forces the
     #: per-site path.
     filter_batch: Optional[bool] = None
-    #: Warm-start strategy of the incremental evaluator's structural moves:
-    #: ``"shape"`` restores the last optimal basis of any same-shape siting;
-    #: ``"site-block"`` transplants each leaving site's basis statuses onto
-    #: the entering site (the ROADMAP's per-site-block basis memory —
-    #: measured faster on swap-heavy mixes by
-    #: ``benchmarks/bench_basis_memory.py``, but "shape" stays the default
-    #: pending equal results on the full search trajectories).
-    basis_mode: str = "shape"
 
     def __post_init__(self) -> None:
         if self.keep_locations < 1:
@@ -172,10 +162,6 @@ class SearchSettings:
             raise ValueError("refine_tolerance cannot be negative")
         if self.refine_max_rounds < 1:
             raise ValueError("the refinement loop needs at least one round")
-        if self.basis_mode not in ("shape", "site-block"):
-            raise ValueError(
-                f"unknown basis mode {self.basis_mode!r}; expected 'shape' or 'site-block'"
-            )
         unknown = set(self.move_weights) - set(MOVES)
         if unknown:
             raise ValueError(f"unknown neighbour moves: {sorted(unknown)}")
@@ -231,11 +217,11 @@ class HeuristicSolver:
         self._cache_hits = 0
         self._cross_chain_hits = 0
         self._evaluations = 0
-        # Basis warm-start contexts for the annealing loop, keyed by siting
+        # Warm-start HiGHS models for the annealing loop, keyed by siting
         # shape (site count, small-class count).  Only used while the chains
-        # run sequentially: contexts are not thread-safe, and cold solves keep
+        # run sequentially: models are not thread-safe, and cold solves keep
         # the parallel search's results independent of chain scheduling.
-        self._sa_contexts: Dict[Tuple[int, int], HighsSolveContext] = {}
+        self._sa_models: Dict[Tuple[int, int], MutableHighsModel] = {}
         self._sa_warm_starts = False
         # Persistent mutable-model evaluator for the sequential search; moves
         # become column/row deltas with projected-basis warm starts.
@@ -298,7 +284,7 @@ class HeuristicSolver:
         (its exact cost is at least its bound), so the pruning never changes
         the result, only the work.  Exact pricing solves each size-capped
         chunk either as one block-diagonal mega-LP or through one
-        warm-started HiGHS context per chunk; both the chunk split and the
+        warm-started HiGHS model per chunk; both the chunk split and the
         round schedule depend only on the candidate data, so shortlists are
         bit-identical across serial, thread and process execution.
 
@@ -332,11 +318,7 @@ class HeuristicSolver:
         use_batch = (
             settings.filter_batch
             if settings.filter_batch is not None
-            else (
-                _HIGHS_DIRECT_AVAILABLE
-                and pricing_problem.num_epochs >= 2
-                and self.solver_options.backend in ("auto", "highs-direct")
-            )
+            else pricing_problem.num_epochs >= 2
         )
         profiles = pricing_problem.profiles
         sitings = [
@@ -447,7 +429,7 @@ class HeuristicSolver:
         (:func:`~repro.core.single_site.pricing_chunk_count` — the split
         depends only on the round's size, never on the executor or worker
         count) and each chunk is priced either as one block-diagonal stack or
-        through its own warm-started context, on the configured executor.
+        through its own warm-started HiGHS model, on the configured executor.
         Rows come back in ``sitings`` order for every executor kind.
         """
         num_chunks = pricing_chunk_count(
@@ -536,23 +518,21 @@ class HeuristicSolver:
                     # the chain's moves as column/row deltas.
                     result = self._sa_incremental.evaluate(siting)
                 else:
-                    context = None
-                    if self._sa_warm_starts and _HIGHS_DIRECT_AVAILABLE:
+                    highs = None
+                    if self._sa_warm_starts:
                         shape = (
                             len(siting),
                             sum(1 for c in siting.values() if c == "small"),
                         )
-                        context = self._sa_contexts.get(shape)
-                        if context is None:
-                            context = self._sa_contexts.setdefault(
-                                shape, HighsSolveContext()
-                            )
+                        highs = self._sa_models.get(shape)
+                        if highs is None:
+                            highs = self._sa_models.setdefault(shape, MutableHighsModel())
                     result = solve_provisioning(
                         self.problem,
                         siting,
                         options=self.solver_options,
                         compiler=self._compiler,
-                        solver_context=context,
+                        highs=highs,
                     )
             except BaseException as error:  # propagate to all waiters
                 future.set_exception(error)
@@ -601,14 +581,12 @@ class HeuristicSolver:
         if (
             parallel  # the evaluator is single-threaded; parallel chains solve cold
             or not use_incremental
-            or not IncrementalSitingEvaluator.supported(problem, self.solver_options)
+            or not IncrementalSitingEvaluator.supported(problem)
         ):
             self._sa_incremental = None
         elif self._sa_incremental is None:
             self._sa_incremental = IncrementalSitingEvaluator(
-                self._compiler,
-                options=self.solver_options,
-                basis_mode=settings.basis_mode,
+                self._compiler, options=self.solver_options
             )
         best_siting = self._initial_siting(candidates)
         best_result = self.evaluate(best_siting)

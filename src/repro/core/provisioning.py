@@ -15,18 +15,14 @@ This closes a loophole in the figure's aggregate form in which simultaneous
 charge/discharge could inflate the green numerator, and matches the intent
 described in Sections II-B and IV.
 
-Two model builders emit the identical LP:
-
-* the **vectorized** builder (default) emits each per-epoch constraint family
-  — power balance, battery dynamics, net-metering bank, migration coupling —
-  as one :meth:`~repro.lpsolver.model.Model.add_linear_block` call of COO
-  triplets, with the per-site triplet skeleton cached by a
-  :class:`ProvisioningCompiler` so the annealing search pays assembly costs
-  only once per ``(location, size class)`` pair it visits;
-* the **scalar** builder keeps the original readable
-  ``for t in range(num_epochs)`` object-API construction, selected with
-  ``backend="scalar"`` and used by the differential tests to pin the fast
-  path to the reference formulation.
+The builder emits each per-epoch constraint family — power balance, battery
+dynamics, net-metering bank, migration coupling — as one
+:meth:`~repro.lpsolver.model.Model.add_linear_block` call of COO triplets,
+with the per-site triplet skeleton cached by a :class:`ProvisioningCompiler`
+so the annealing search pays assembly costs only once per
+``(location, size class)`` pair it visits.  The readable per-epoch
+object-API construction of the same LP lives in the test suite, where the
+differential tests pin this builder against it.
 
 Plan extraction is lazy: :class:`ProvisioningResult` materialises the
 :class:`NetworkPlan` on first access of ``.plan``, so the thousands of
@@ -51,7 +47,6 @@ from repro.lpsolver import (
     Model,
     RowFormLP,
     SolverOptions,
-    Variable,
 )
 from repro.lpsolver import highs_backend
 from repro.lpsolver import validate as lp_validate
@@ -71,16 +66,12 @@ _EPOCH_FAMILIES = (
     "net_level",
 )
 
-#: Default model-construction backend; ``"scalar"`` keeps the readable
-#: object-API builder for differential testing.
-DEFAULT_BACKEND = "vectorized"
-
 
 @dataclass
 class _SiteLayout:
     """Index layout of one site's variables inside the model's vector.
 
-    Both builders register variables in the same order, so the layout is
+    Sites register their variables in a fixed order, so the layout is
     fully determined by the site's base offset and the number of epochs:
     ``[capacity, solar, wind, battery]`` followed by the ten per-epoch
     families of ``_EPOCH_FAMILIES``.
@@ -103,28 +94,6 @@ class _SiteLayout:
     @property
     def num_variables(self) -> int:
         return 4 + len(_EPOCH_FAMILIES) * self.num_epochs
-
-
-@dataclass
-class _SiteVariables:
-    """Handles to the LP variables of one sited location (scalar builder)."""
-
-    profile: LocationProfile
-    size_class: str
-    capacity: Variable
-    solar: Variable
-    wind: Variable
-    battery: Variable
-    compute: List[Variable]
-    migrate: List[Variable]
-    brown: List[Variable]
-    green_direct: List[Variable]
-    battery_charge: List[Variable]
-    battery_discharge: List[Variable]
-    battery_level: List[Variable]
-    net_charge: List[Variable]
-    net_discharge: List[Variable]
-    net_level: List[Variable]
 
 
 @dataclass
@@ -512,7 +481,7 @@ class ProvisioningCompiler:
         use_net_metering = problem.storage is StorageMode.NET_METERING
         inf = float("inf")
 
-        # Local variable layout mirrors _SiteLayout / the scalar builder.
+        # Local variable layout mirrors _SiteLayout.
         cap, sol, wnd, bat = 0, 1, 2, 3
         fam = {
             family: 4 + k * T + t for k, family in enumerate(_EPOCH_FAMILIES)
@@ -1185,6 +1154,11 @@ class ProvisioningCompiler:
 class ProvisioningModelBuilder:
     """Builds the Fig. 1 constraints for a given siting decision.
 
+    Constraints are emitted as blocked COO triplets through a
+    :class:`ProvisioningCompiler`: a templated row form goes straight to
+    HiGHS, and the :class:`Model` is only materialised if someone asks for
+    it (or the epoch grid cannot be templated).
+
     Parameters
     ----------
     problem:
@@ -1197,10 +1171,6 @@ class ProvisioningModelBuilder:
         ``totalCapacity / n`` compute capacity so that the failure of ``n - 1``
         datacenters leaves ``S/n`` servers, the paper's stricter availability
         condition.
-    backend:
-        ``"vectorized"`` (default) emits blocked constraints through a
-        :class:`ProvisioningCompiler`; ``"scalar"`` uses the original
-        per-epoch object-API loops.  Both compile to the same LP.
     compiler:
         Optional shared :class:`ProvisioningCompiler` whose per-site skeleton
         cache should be reused (the heuristic passes one per search).
@@ -1211,7 +1181,6 @@ class ProvisioningModelBuilder:
         problem: SitingProblem,
         siting: Mapping[str, str],
         enforce_spread: bool = True,
-        backend: Optional[str] = None,
         compiler: Optional[ProvisioningCompiler] = None,
     ) -> None:
         if not siting:
@@ -1219,13 +1188,9 @@ class ProvisioningModelBuilder:
         for name, size_class in siting.items():
             if size_class not in ("small", "large"):
                 raise ValueError(f"unknown size class {size_class!r} for {name!r}")
-        backend = backend or DEFAULT_BACKEND
-        if backend not in ("vectorized", "scalar"):
-            raise ValueError(f"unknown provisioning builder backend {backend!r}")
         self.problem = problem
         self.siting = dict(siting)
         self.enforce_spread = enforce_spread
-        self.backend = backend
         if compiler is not None and compiler.problem is not problem:
             raise ValueError("the shared compiler was built for a different problem")
         self.compiler = compiler or ProvisioningCompiler(problem)
@@ -1233,19 +1198,11 @@ class ProvisioningModelBuilder:
         self.sites: List[_SiteLayout] = []
         self._model: Optional[Model] = None
         self._row_form: Optional[RowFormLP] = None
-        if backend == "vectorized":
-            if highs_backend.AVAILABLE:
-                # Fast path: templated row-form assembly straight to HiGHS; the
-                # Model object is only materialised if someone asks for it.
-                fast = self.compiler.compile_row_form(siting, enforce_spread)
-                if fast is not None:
-                    self._row_form, self.sites = fast
-            if self._row_form is None:
-                self._model, self.sites = self.compiler.compile(siting, enforce_spread)
+        fast = self.compiler.compile_row_form(siting, enforce_spread)
+        if fast is not None:
+            self._row_form, self.sites = fast
         else:
-            self._model = Model(name="provisioning", sense="min")
-            self._objective_terms: List[LinearExpression | float] = []
-            self._build_scalar()
+            self._model, self.sites = self.compiler.compile(siting, enforce_spread)
 
     @property
     def model(self) -> Model:
@@ -1256,253 +1213,23 @@ class ProvisioningModelBuilder:
                 self.sites = layouts
         return self._model
 
-    # -- scalar model construction (reference implementation) ----------------------
-    def _build_scalar(self) -> None:
-        problem = self.problem
-        params = problem.params
-        epochs = problem.epochs
-        num_epochs = epochs.num_epochs
-        weights = epochs.epoch_weights_hours()
-        profiles = self.compiler._profiles
-
-        scalar_sites: List[_SiteVariables] = []
-        for name, size_class in self.siting.items():
-            profile = profiles.get(name)
-            if profile is None:
-                raise KeyError(f"siting refers to unknown location {name!r}")
-            base = self.model.num_variables
-            scalar_sites.append(self._add_site(profile, size_class, num_epochs))
-            self.sites.append(
-                _SiteLayout(
-                    profile=profile, size_class=size_class, base=base, num_epochs=num_epochs
-                )
-            )
-
-        # Constraint 2: the network must provide the requested compute power in
-        # every epoch.
-        for epoch in range(num_epochs):
-            total_compute = LinearExpression.sum(site.compute[epoch] for site in scalar_sites)
-            self.model.add_constraint(
-                total_compute >= params.total_capacity_kw, name=f"total_capacity[{epoch}]"
-            )
-
-        # Constraint 3: minimum share of green energy, enforced either over the
-        # whole year (the paper's main formulation) or in every epoch (the
-        # stricter variant studied in the technical report).
-        if params.min_green_fraction > 0:
-            if problem.green_enforcement is GreenEnforcement.PER_EPOCH:
-                for epoch in range(num_epochs):
-                    green_terms = []
-                    demand_terms = []
-                    for site in scalar_sites:
-                        used_green = (
-                            site.green_direct[epoch]
-                            + site.battery_discharge[epoch]
-                            + site.net_discharge[epoch]
-                        )
-                        green_terms.append(used_green)
-                        demand_terms.append(self._power_demand(site, epoch))
-                    self.model.add_constraint(
-                        LinearExpression.sum(green_terms)
-                        - params.min_green_fraction * LinearExpression.sum(demand_terms)
-                        >= 0.0,
-                        name=f"min_green_fraction[{epoch}]",
-                    )
-            else:
-                green_terms = []
-                demand_terms = []
-                for site in scalar_sites:
-                    for epoch in range(num_epochs):
-                        used_green = (
-                            site.green_direct[epoch]
-                            + site.battery_discharge[epoch]
-                            + site.net_discharge[epoch]
-                        )
-                        green_terms.append(weights[epoch] * used_green)
-                        demand_terms.append(weights[epoch] * self._power_demand(site, epoch))
-                total_green = LinearExpression.sum(green_terms)
-                total_demand = LinearExpression.sum(demand_terms)
-                self.model.add_constraint(
-                    total_green - params.min_green_fraction * total_demand >= 0.0,
-                    name="min_green_fraction",
-                )
-
-        # Availability spread: every sited DC keeps at least S/n servers.
-        if self.enforce_spread and len(scalar_sites) > 0:
-            floor = params.total_capacity_kw / len(scalar_sites)
-            for site in scalar_sites:
-                self.model.add_constraint(
-                    site.capacity >= floor, name=f"capacity_spread[{site.profile.name}]"
-                )
-
-        self.model.set_objective(LinearExpression.sum(self._objective_terms))
-
-    def _add_site(
-        self, profile: LocationProfile, size_class: str, num_epochs: int
-    ) -> _SiteVariables:
-        problem = self.problem
-        params = problem.params
-        epochs = problem.epochs
-        weights = epochs.epoch_weights_hours()
-        epoch_hours = np.broadcast_to(
-            np.asarray(epochs.epoch_hours, dtype=float), (num_epochs,)
-        )
-        model = self.model
-        name = profile.name
-
-        allow_solar = problem.sources.allows_solar
-        allow_wind = problem.sources.allows_wind
-        use_batteries = problem.storage is StorageMode.BATTERIES
-        use_net_metering = problem.storage is StorageMode.NET_METERING
-
-        capacity = model.add_variable(f"capacity[{name}]")
-        solar = model.add_variable(f"solar[{name}]", upper=float("inf") if allow_solar else 0.0)
-        wind = model.add_variable(f"wind[{name}]", upper=float("inf") if allow_wind else 0.0)
-        battery = model.add_variable(
-            f"battery[{name}]", upper=float("inf") if use_batteries else 0.0
-        )
-
-        def per_epoch(prefix: str, upper: float = float("inf")) -> List[Variable]:
-            return [
-                model.add_variable(f"{prefix}[{name},{t}]", upper=upper)
-                for t in range(num_epochs)
-            ]
-
-        compute = per_epoch("compute")
-        migrate = per_epoch("migrate")
-        brown_cap = params.brown_plant_cap_fraction * profile.near_plant_capacity_kw
-        brown = per_epoch("brown", upper=max(0.0, brown_cap))
-        green_direct = per_epoch("green_direct")
-        storage_upper = float("inf") if use_batteries else 0.0
-        battery_charge = per_epoch("battery_charge", upper=storage_upper)
-        battery_discharge = per_epoch("battery_discharge", upper=storage_upper)
-        battery_level = per_epoch("battery_level", upper=float("inf") if use_batteries else 0.0)
-        net_upper = float("inf") if use_net_metering else 0.0
-        net_charge = per_epoch("net_charge", upper=net_upper)
-        net_discharge = per_epoch("net_discharge", upper=net_upper)
-        net_level = per_epoch("net_level", upper=net_upper)
-
-        site = _SiteVariables(
-            profile=profile,
-            size_class=size_class,
-            capacity=capacity,
-            solar=solar,
-            wind=wind,
-            battery=battery,
-            compute=compute,
-            migrate=migrate,
-            brown=brown,
-            green_direct=green_direct,
-            battery_charge=battery_charge,
-            battery_discharge=battery_discharge,
-            battery_level=battery_level,
-            net_charge=net_charge,
-            net_discharge=net_discharge,
-            net_level=net_level,
-        )
-
-        # Size-class consistency: the construction price per kW assumed in the
-        # objective is only valid within the class's power range.
-        total_power_per_kw = profile.max_pue
-        if size_class == "small":
-            model.add_constraint(
-                total_power_per_kw * capacity <= params.small_dc_threshold_kw,
-                name=f"small_dc[{name}]",
-            )
-
-        for t in range(num_epochs):
-            previous = (t - 1) % num_epochs
-            # Migration overhead: load that left this site since the previous
-            # epoch still consumes energy here during this epoch.
-            model.add_constraint(
-                migrate[t] >= compute[previous] - compute[t], name=f"migration[{name},{t}]"
-            )
-            # Constraint 1: provisioned capacity covers compute plus incoming load.
-            model.add_constraint(
-                capacity >= compute[t] + migrate[t], name=f"capacity_cover[{name},{t}]"
-            )
-            demand = self._power_demand(site, t)
-            # Constraint 5: demand is met by direct green, storage draws and brown.
-            supply = green_direct[t] + battery_discharge[t] + net_discharge[t] + brown[t]
-            self.model.add_constraint(supply - demand >= 0.0, name=f"power_balance[{name},{t}]")
-            # Green energy only counts toward the requirement when it actually
-            # serves load: what is delivered (directly or from storage) in an
-            # epoch cannot exceed that epoch's demand.  Surplus production is
-            # curtailed (or, with net metering, banked for later).
-            delivered = green_direct[t] + battery_discharge[t] + net_discharge[t]
-            self.model.add_constraint(
-                demand - delivered >= 0.0, name=f"green_delivery_cap[{name},{t}]"
-            )
-            # Green allocation: direct use plus storage charging cannot exceed production.
-            production = profile.solar_alpha[t] * solar + profile.wind_beta[t] * wind
-            self.model.add_constraint(
-                production - green_direct[t] - battery_charge[t] - net_charge[t] >= 0.0,
-                name=f"green_allocation[{name},{t}]",
-            )
-            if use_batteries:
-                # Constraints 6-7: battery level dynamics (cyclic over the year).
-                model.add_constraint(
-                    battery_level[t]
-                    == battery_level[previous]
-                    + params.battery_efficiency * battery_charge[t] * epoch_hours[t]
-                    - battery_discharge[t] * epoch_hours[t],
-                    name=f"battery_dynamics[{name},{t}]",
-                )
-                model.add_constraint(
-                    battery_level[t] <= battery, name=f"battery_capacity[{name},{t}]"
-                )
-            if use_net_metering:
-                # Constraints 8-9: net-metered energy bank (cyclic over the year).
-                model.add_constraint(
-                    net_level[t]
-                    == net_level[previous]
-                    + net_charge[t] * epoch_hours[t]
-                    - net_discharge[t] * epoch_hours[t],
-                    name=f"net_dynamics[{name},{t}]",
-                )
-
-        # Objective contribution of this site.
-        coefficients = self.cost_model.linear_coefficients(profile, size_class)
-        self._objective_terms.append(coefficients["fixed"])
-        self._objective_terms.append(coefficients["capacity_kw"] * capacity)
-        self._objective_terms.append(coefficients["solar_kw"] * solar)
-        self._objective_terms.append(coefficients["wind_kw"] * wind)
-        self._objective_terms.append(coefficients["battery_kwh"] * battery)
-        for t in range(num_epochs):
-            self._objective_terms.append(
-                coefficients["brown_kwh_year"] * weights[t] * brown[t]
-            )
-            if use_net_metering:
-                self._objective_terms.append(
-                    coefficients["net_discharge_kwh_year"] * weights[t] * net_discharge[t]
-                )
-                self._objective_terms.append(
-                    coefficients["net_charge_kwh_year"] * weights[t] * net_charge[t]
-                )
-        return site
-
-    def _power_demand(self, site: _SiteVariables, t: int) -> LinearExpression:
-        """``powDemand(d, t)``: (compute + migration overhead) * PUE."""
-        migration_factor = self.problem.params.migration_factor
-        pue = site.profile.pue[t]
-        demand = site.compute[t] + migration_factor * site.migrate[t]
-        return pue * demand
-
     # -- solving ------------------------------------------------------------------------------
     def solve(
-        self, options: Optional[SolverOptions] = None, context: Optional[object] = None
+        self,
+        options: Optional[SolverOptions] = None,
+        highs: Optional[highs_backend.MutableHighsModel] = None,
     ) -> ProvisioningResult:
-        """Solve the LP; the resulting :class:`NetworkPlan` extracts lazily."""
+        """Solve the LP; the resulting :class:`NetworkPlan` extracts lazily.
+
+        ``highs`` is a long-lived HiGHS handle whose basis warm-starts
+        structurally identical solves.
+        """
         options = options or SolverOptions()
-        if (
-            self._row_form is not None
-            and options.backend in ("auto", "highs-direct")
-            and highs_backend.AVAILABLE
-        ):
-            result = highs_backend.solve_row_form(self._row_form, options, context)
+        if self._row_form is not None:
+            result = highs_backend.solve_row_form(self._row_form, options, highs)
             dims = (self._row_form.shape[1], self._row_form.shape[0])
         else:
-            result = self.model.solve(options, context=context)
+            result = self.model.solve(options, highs=highs)
             dims = (self.model.num_variables, self.model.num_constraints)
         if not result.is_optimal:
             return ProvisioningResult(
@@ -1559,12 +1286,7 @@ class IncrementalSitingEvaluator:
         compiler: ProvisioningCompiler,
         enforce_spread: bool = True,
         options: Optional[SolverOptions] = None,
-        basis_mode: str = "shape",
     ) -> None:
-        if not highs_backend.AVAILABLE:  # pragma: no cover - guarded by callers
-            raise RuntimeError("the direct HiGHS backend is not available in this SciPy")
-        if basis_mode not in ("shape", "site-block"):
-            raise ValueError(f"unknown basis mode {basis_mode!r}; expected 'shape' or 'site-block'")
         problem = compiler.problem
         if problem.num_epochs < 2:
             raise ValueError("the incremental evaluator needs at least two epochs")
@@ -1593,23 +1315,13 @@ class IncrementalSitingEvaluator:
         #: transfers across location mixes far better than padding newly
         #: spliced columns nonbasic — structural moves restore the shape's
         #: stored (native) basis, pure value edits keep the carried basis.
-        #: ``basis_mode="site-block"`` instead transplants each *leaving*
-        #: site's statuses onto the entering site (the ROADMAP's per-site-
-        #: block basis-memory idea; measured by
-        #: ``benchmarks/bench_basis_memory.py`` — per-shape reuse wins on the
-        #: swap-heavy mixes, so it stays the default).
-        self.basis_mode = basis_mode
-        self._shape_bases: Dict[Tuple[int, int], object] = {}
+        self._shape_bases: Dict[Tuple[int, int], highs_backend.BasisSnapshot] = {}
         self.solves = 0
 
     @staticmethod
-    def supported(problem: SitingProblem, options: SolverOptions) -> bool:
+    def supported(problem: SitingProblem) -> bool:
         """Whether the incremental path can serve this problem's evaluations."""
-        return (
-            highs_backend.AVAILABLE
-            and problem.num_epochs >= 2
-            and options.backend in ("auto", "highs-direct")
-        )
+        return problem.num_epochs >= 2
 
     # -- model mutation -----------------------------------------------------------
     def _append_site(self, name: str, size_class: str) -> None:
@@ -1686,18 +1398,8 @@ class IncrementalSitingEvaluator:
     def _apply(self, siting: Mapping[str, str]) -> bool:
         """Mutate the model to ``siting``; True when sites were spliced."""
         removed = [i for i, (name, _) in enumerate(self._sites) if name not in siting]
-        captured_blocks: List[Tuple[np.ndarray, np.ndarray]] = []
         if removed:
             coupling, R, n = self._coupling, self._block_rows, self._num_vars
-            if self.basis_mode == "site-block":
-                # Remember the leaving blocks' statuses so an entering site
-                # can inherit them (site blocks are structurally identical).
-                for i in removed:
-                    captured = self._model.capture_block_status(
-                        i * n, (i + 1) * n, coupling + i * R, coupling + (i + 1) * R
-                    )
-                    if captured is not None:
-                        captured_blocks.append(captured)
             col_ranges = [np.arange(i * n, (i + 1) * n, dtype=np.int64) for i in removed]
             row_ranges = [
                 np.arange(coupling + i * R, coupling + (i + 1) * R, dtype=np.int64)
@@ -1726,19 +1428,11 @@ class IncrementalSitingEvaluator:
             self._sites[index] = (name, new_class)
         current = {name for name, _ in self._sites}
         added = False
-        appended_indices: List[int] = []
         for name, size_class in siting.items():
             if name not in current:
                 self._append_site(name, size_class)
                 self._sites.append((name, size_class))
-                appended_indices.append(len(self._sites) - 1)
                 added = True
-        if captured_blocks and appended_indices:
-            coupling, R, n = self._coupling, self._block_rows, self._num_vars
-            for captured, index in zip(captured_blocks, appended_indices):
-                self._model.overlay_block_status(
-                    index * n, captured[0], coupling + index * R, captured[1]
-                )
         # New blocks carry a zero floor placeholder and the floor value
         # itself depends on the site count, so floors must be reset whenever
         # a site was spliced in or out — including swaps, where the count is
@@ -1761,13 +1455,13 @@ class IncrementalSitingEvaluator:
             len(self._sites),
             sum(1 for _, size_class in self._sites if size_class == "small"),
         )
-        if structural and self.basis_mode == "shape":
+        if structural:
             stored = self._shape_bases.get(shape)
             if stored is not None:
                 self._model.restore_basis(stored)
         result = self._model.solve(self.options)
         self.solves += 1
-        if result.is_optimal and self.basis_mode == "shape":
+        if result.is_optimal:
             snapshot = self._model.basis_snapshot()
             if snapshot is not None:
                 self._shape_bases[shape] = snapshot
@@ -1880,20 +1574,20 @@ def solve_provisioning(
     siting: Mapping[str, str],
     options: Optional[SolverOptions] = None,
     enforce_spread: bool = True,
-    backend: Optional[str] = None,
     compiler: Optional[ProvisioningCompiler] = None,
-    solver_context: Optional[object] = None,
+    highs: Optional[highs_backend.MutableHighsModel] = None,
 ) -> ProvisioningResult:
     """Convenience wrapper: build and solve the fixed-siting LP in one call.
 
     ``compiler`` shares a per-site skeleton cache across calls on the same
-    problem; ``solver_context`` enables HiGHS basis reuse across structurally
-    identical solves (see :class:`~repro.lpsolver.HighsSolveContext`).
+    problem; ``highs`` (a long-lived
+    :class:`~repro.lpsolver.highs_backend.MutableHighsModel`) enables basis
+    reuse across structurally identical solves.
     """
     builder = ProvisioningModelBuilder(
-        problem, siting, enforce_spread=enforce_spread, backend=backend, compiler=compiler
+        problem, siting, enforce_spread=enforce_spread, compiler=compiler
     )
-    return builder.solve(options, context=solver_context)
+    return builder.solve(options, highs=highs)
 
 
 def cheapest_size_classes(problem: SitingProblem, names: List[str]) -> Dict[str, str]:

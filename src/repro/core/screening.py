@@ -59,9 +59,8 @@ import numpy as np
 
 from repro.core.costs import CostModel
 from repro.core.problem import SitingProblem, StorageMode
-from repro.lpsolver import SolverOptions
+from repro.lpsolver import MutableHighsModel, SolverOptions
 from repro.lpsolver import highs_backend
-from repro.lpsolver.highs_backend import HighsSolveContext
 
 __all__ = ["ScreenResult", "screen_lower_bounds", "price_batch", "price_per_site"]
 
@@ -205,26 +204,21 @@ def price_batch(
 
     Returns ``(location, monthly_cost, feasible)`` rows in ``sitings`` order —
     the same rows :func:`~repro.parallel.work.run_pricing_chunk` produces.
-    The stacked solve requires the direct HiGHS backend and a templatable
-    grid; when unavailable, or when the stack does not solve to optimality
-    (a single infeasible site makes the whole stack infeasible), the chunk
-    falls back to per-site warm-started solves, which classify each site
-    individually.
+    The stacked solve requires a templatable grid; when the grid cannot be
+    templated, or when the stack does not solve to optimality (a single
+    infeasible site makes the whole stack infeasible), the chunk falls back
+    to per-site warm-started solves, which classify each site individually.
     """
     from repro.core.provisioning import ProvisioningCompiler
 
     if compiler is None:
         compiler = ProvisioningCompiler(problem)
-    if highs_backend.AVAILABLE and options.backend in ("auto", "highs-direct"):
-        compiled = compiler.compile_batch(sitings, enforce_spread=False)
-        if compiled is not None:
-            result = highs_backend.solve_row_form(compiled.row_form, options)
-            if result.is_optimal:
-                costs = compiled.site_costs(result.x)
-                return [
-                    (name, float(cost), True)
-                    for name, cost in zip(compiled.names, costs)
-                ]
+    compiled = compiler.compile_batch(sitings, enforce_spread=False)
+    if compiled is not None:
+        result = highs_backend.solve_row_form(compiled.row_form, options)
+        if result.is_optimal:
+            costs = compiled.site_costs(result.x)
+            return [(name, float(cost), True) for name, cost in zip(compiled.names, costs)]
     return price_per_site(problem, sitings, options, compiler)
 
 
@@ -236,16 +230,17 @@ def price_per_site(
 ) -> List[Tuple[str, float, bool]]:
     """Per-site warm-started pricing (the exact unbatched path).
 
-    One fresh :class:`HighsSolveContext` carries the optimal basis across the
-    structurally identical single-site LPs of the chunk, exactly like the
-    pre-batching filter did; used both as the ``batch=False`` pricing path
-    and as the fallback when a stacked solve fails.
+    One fresh :class:`~repro.lpsolver.MutableHighsModel` carries the optimal
+    basis across the structurally identical single-site LPs of the chunk,
+    exactly like the pre-batching filter did; used both as the
+    ``batch=False`` pricing path and as the fallback when a stacked solve
+    fails.
     """
     from repro.core.provisioning import ProvisioningCompiler, solve_provisioning
 
     if compiler is None:
         compiler = ProvisioningCompiler(problem)
-    context = HighsSolveContext() if highs_backend.AVAILABLE else None
+    highs = MutableHighsModel()
     rows: List[Tuple[str, float, bool]] = []
     for name, size_class in sitings:
         result = solve_provisioning(
@@ -254,7 +249,7 @@ def price_per_site(
             options=options,
             enforce_spread=False,
             compiler=compiler,
-            solver_context=context,
+            highs=highs,
         )
         rows.append((name, result.monthly_cost, result.feasible))
     return rows

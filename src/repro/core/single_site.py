@@ -8,7 +8,7 @@ location-filtering score of the heuristic solver (Section II-C).
 
 The pricing LPs of a sweep are structurally identical (same epoch grid, same
 scenario switches, one site), so sweeps accept a shared
-:class:`~repro.lpsolver.HighsSolveContext` whose basis carry-over roughly
+:class:`~repro.lpsolver.MutableHighsModel` whose basis carry-over roughly
 halves the per-location solve time, and :meth:`SingleSiteAnalyzer.cost_distribution`
 can fan chunks out over a thread pool (``workers=...``).
 """
@@ -24,9 +24,7 @@ from repro.core.problem import EnergySources, GreenEnforcement, SitingProblem, S
 from repro.core.provisioning import ProvisioningResult, solve_provisioning
 from repro.core.solution import NetworkPlan
 from repro.energy.profiles import LocationProfile
-from repro.lpsolver import SolverOptions
-from repro.lpsolver.highs_backend import AVAILABLE as _HIGHS_DIRECT_AVAILABLE
-from repro.lpsolver.highs_backend import HighsSolveContext
+from repro.lpsolver import MutableHighsModel, SolverOptions
 from repro.parallel.executors import ExecutorFactory, result_with_serial_fallback
 
 
@@ -217,13 +215,12 @@ class SingleSiteAnalyzer:
         min_green_fraction: float = 0.0,
         sources: EnergySources = EnergySources.SOLAR_AND_WIND,
         storage: StorageMode = StorageMode.NET_METERING,
-        solver_context: Optional[HighsSolveContext] = None,
+        highs: Optional[MutableHighsModel] = None,
     ) -> SingleSiteCost:
         """Cost of one datacenter of ``capacity_kw`` at ``profile``'s location.
 
-        ``solver_context`` warm-starts HiGHS from the previous pricing LP's
-        basis; pass one context per sequential sweep (contexts are not
-        thread-safe).
+        ``highs`` warm-starts HiGHS from the previous pricing LP's basis;
+        pass one model per sequential sweep (models are not thread-safe).
         """
         if capacity_kw <= 0:
             raise ValueError("the datacenter capacity must be positive")
@@ -238,7 +235,7 @@ class SingleSiteAnalyzer:
             {profile.name: size_class},
             options=self.solver_options,
             enforce_spread=False,
-            solver_context=solver_context,
+            highs=highs,
         )
         configuration = self._configuration_label(min_green_fraction, sources_used)
         return SingleSiteCost(
@@ -272,8 +269,8 @@ class SingleSiteAnalyzer:
 
         ``batch`` prices each chunk as one block-diagonal mega-LP
         (:func:`~repro.core.screening.price_batch`) instead of per-site
-        warm-started solves; ``None`` auto-enables it whenever the direct
-        HiGHS backend is available.  Batched costs are slim (``result`` is
+        warm-started solves; ``None`` auto-enables it for every sweep of more
+        than one location.  Batched costs are slim (``result`` is
         ``None``); use :meth:`cost_at` when a plan is needed.
 
         ``screen_top_k`` returns only the ``k`` cheapest feasible locations,
@@ -285,15 +282,7 @@ class SingleSiteAnalyzer:
         workers = max(1, workers or 1)
         factory = ExecutorFactory(kind=executor, max_workers=workers)
         profiles = list(profiles)
-        use_batch = (
-            batch
-            if batch is not None
-            else (
-                _HIGHS_DIRECT_AVAILABLE
-                and len(profiles) > 1
-                and self.solver_options.backend in ("auto", "highs-direct")
-            )
-        )
+        use_batch = batch if batch is not None else len(profiles) > 1
         if screen_top_k is not None:
             if screen_top_k < 1:
                 raise ValueError("screen_top_k must be at least 1")
@@ -311,11 +300,10 @@ class SingleSiteAnalyzer:
             )
 
         def price_chunk(chunk: Sequence[LocationProfile]) -> List[SingleSiteCost]:
-            context = HighsSolveContext() if _HIGHS_DIRECT_AVAILABLE else None
+            highs = MutableHighsModel()
             return [
                 self.cost_at(
-                    profile, capacity_kw, min_green_fraction, sources, storage,
-                    solver_context=context,
+                    profile, capacity_kw, min_green_fraction, sources, storage, highs=highs
                 )
                 for profile in chunk
             ]

@@ -15,13 +15,13 @@ Two constraint-building styles compose freely:
   whole per-epoch constraint family in one call and is what keeps the
   provisioning hot path out of Python-level dict arithmetic.
 
-Continuous LPs are solved by the direct HiGHS backend
-(:mod:`repro.lpsolver.highs_backend`), which feeds the compiled
-:class:`RowFormLP` straight into SciPy's bundled HiGHS bindings and supports
-basis warm-starting across structurally identical solves via
-:class:`HighsSolveContext`.  ``SolverOptions(backend="linprog")`` forces the
-``scipy.optimize.linprog`` wrapper (used for differential testing), and
-models with integer variables go to ``scipy.optimize.milp``.
+Every continuous LP is solved by SciPy's bundled HiGHS bindings through
+:func:`repro.lpsolver.highs_backend.solve_row_form`, which loads the compiled
+:class:`RowFormLP` into a :class:`MutableHighsModel` — the one HiGHS handle,
+which also carries the basis across structurally identical solves and edits
+a loaded LP in place.  Those bindings are required: importing this package
+raises a clear :class:`ImportError` when the installed SciPy lacks them.
+Models with integer variables go to ``scipy.optimize.milp``.
 
 Typical usage::
 
@@ -59,7 +59,7 @@ from repro.lpsolver.expressions import (
     VariableKind,
 )
 from repro.lpsolver.batch import stack_block_diagonal
-from repro.lpsolver.highs_backend import HighsSolveContext
+from repro.lpsolver.highs_backend import MutableHighsModel
 from repro.lpsolver.model import CompiledModel, Model, ModelError, RowFormLP
 from repro.lpsolver.result import SolveResult, SolveStatus, SolverStatusError
 from repro.lpsolver.solvers import SolverOptions, solve_model
@@ -73,12 +73,12 @@ __all__ = [
     "CompiledModel",
     "Constraint",
     "ConstraintSense",
-    "HighsSolveContext",
     "LPValidationError",
     "LinearConstraintBlock",
     "LinearExpression",
     "Model",
     "ModelError",
+    "MutableHighsModel",
     "RowFormLP",
     "SolveResult",
     "SolveStatus",

@@ -1,46 +1,46 @@
-"""Direct HiGHS backend for continuous LPs.
+"""The one HiGHS handle every continuous LP is solved through.
 
-``scipy.optimize.linprog`` adds several milliseconds of validation and
+SciPy's ``linprog`` wrapper adds several milliseconds of validation and
 conversion overhead per call, which dominates when the siting heuristic
 solves thousands of small provisioning LPs.  SciPy ships the HiGHS python
 bindings it uses internally (``scipy.optimize._highspy``); this module feeds
 a :class:`~repro.lpsolver.model.RowFormLP` straight into a ``HighsLp`` —
 CSC arrays, row bounds and column bounds, no dense intermediates and no
-input re-validation.
-
-The backend is optional: when the bundled bindings are missing (old SciPy),
-:data:`AVAILABLE` is False and :func:`repro.lpsolver.solvers.solve_model`
-falls back to ``linprog`` transparently.
+input re-validation.  Those bindings are a hard requirement, checked once
+when this module is imported (:data:`SCIPY_REQUIREMENT`).
 
 Warm starts
 -----------
-A :class:`HighsSolveContext` keeps the HiGHS instance and the optimal basis
-of the previous solve.  When the next LP has the same shape — e.g. the
-location filter pricing the *same* single-site model structure at every
-candidate location — the stored basis is installed before ``run`` and the
-dual simplex typically re-converges in a handful of iterations (~2x faster
-end-to-end on the pricing sweep).  A context must only ever be used from one
-thread at a time; concurrent sweeps should create one context per worker.
+:func:`solve_row_form` loads a row form into a :class:`MutableHighsModel`.
+Given a long-lived model, the optimal basis of its previous solve is
+re-installed whenever the new LP has the same shape — e.g. the location
+filter pricing the *same* single-site model structure at every candidate
+location — and the dual simplex typically re-converges in a handful of
+iterations (~2x faster end-to-end on the pricing sweep).  Without a model
+the solve is one-shot and cold.
 
 In-place mutation
 -----------------
-:class:`MutableHighsModel` goes one step further: instead of re-passing the
-whole LP for every solve (``passModel`` throws away the scaled matrix and the
-simplex factorisation, a fixed ~1 ms on the provisioning LPs), the loaded
-model is *edited* between solves through HiGHS's modification API — add or
-delete column and row ranges, change costs, bounds and single coefficients.
-The previous optimal basis is carried across structural edits by explicit
+Instead of re-passing the whole LP for every solve (``passModel`` throws
+away the scaled matrix and the simplex factorisation, a fixed ~1 ms on the
+provisioning LPs), a loaded :class:`MutableHighsModel` can be *edited*
+between solves through HiGHS's modification API — add or delete column and
+row ranges, change costs, bounds and single coefficients.  The previous
+optimal basis is carried across structural edits by explicit
 padding/projection: retained columns and rows keep their statuses, new
 columns enter nonbasic at a finite bound and new rows enter with a basic
 slack.  When deletions make the projected basis non-square it is installed
 as an "alien" basis that HiGHS repairs, which is still far cheaper than a
 cold start.  The siting search uses this to express its add/remove/swap
 moves as deltas on one persistent per-chain model.
+
+A model must only ever be used from one thread at a time; concurrent sweeps
+create one model per worker.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -48,68 +48,42 @@ from repro.lpsolver import validate as _validate
 from repro.lpsolver.model import RowFormLP
 from repro.lpsolver.result import SolveResult, SolveStatus, SolverStatusError  # noqa: F401
 
-try:  # pragma: no cover - exercised implicitly by every solve
+if TYPE_CHECKING:
+    from repro.lpsolver.solvers import SolverOptions
+
+#: The SciPy releases verified to ship the private HiGHS bindings used here.
+SCIPY_REQUIREMENT = "scipy>=1.17.1,<1.18"
+
+try:
     import scipy.optimize._highspy._core as _core
-    from scipy.optimize._highspy import _highs_options as _options_mod
+except ImportError as error:  # pragma: no cover - exercised by a subprocess test
+    raise ImportError(
+        "repro solves every LP through SciPy's bundled HiGHS bindings "
+        f"(scipy.optimize._highspy._core), which this SciPy lacks; install {SCIPY_REQUIREMENT}"
+    ) from error
 
-    AVAILABLE = True
-except Exception:  # pragma: no cover - old/api-shifted scipy
-    _core = None
-    _options_mod = None
-    AVAILABLE = False
-
-
-class HighsSolveContext:
-    """Reusable HiGHS instance with basis carry-over between solves.
-
-    Reusing the basis is only attempted when the new LP has exactly the same
-    number of columns and rows as the previous one; otherwise the solver
-    starts cold.  The objective value of a warm-started solve is identical to
-    a cold solve (the LP optimum is unique in value), only the time to reach
-    it changes.
-    """
-
-    def __init__(self) -> None:
-        if not AVAILABLE:  # pragma: no cover - guarded by callers
-            raise RuntimeError("the direct HiGHS backend is not available in this SciPy")
-        self._highs = _core._Highs()
-        self._highs.setOptionValue("output_flag", False)
-        self._basis = None
-        self._shape: Optional[Tuple[int, int]] = None
-
-    def take_basis(self, shape: Tuple[int, int]) -> Optional[Any]:
-        """Return the stored basis when it matches ``shape``, else None."""
-        if self._basis is not None and self._shape == shape:
-            return self._basis
-        return None
-
-    def store_basis(self, shape: Tuple[int, int], basis: Any) -> None:
-        self._basis = basis
-        self._shape = shape
+_STATUS_MAP = {
+    _core.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+    _core.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+    _core.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
+    _core.HighsModelStatus.kUnboundedOrInfeasible: SolveStatus.UNBOUNDED,
+    _core.HighsModelStatus.kTimeLimit: SolveStatus.ITERATION_LIMIT,
+    _core.HighsModelStatus.kIterationLimit: SolveStatus.ITERATION_LIMIT,
+}
+#: Basis statuses indexed by their integer value, for fast int -> enum
+#: conversion when (re)installing a projected basis.
+_BASIS_STATUSES = sorted(_core.HighsBasisStatus.__members__.values(), key=lambda s: int(s))
+_BASIC = int(_core.HighsBasisStatus.kBasic)
+_LOWER = int(_core.HighsBasisStatus.kLower)
+_UPPER = int(_core.HighsBasisStatus.kUpper)
+_ZERO = int(_core.HighsBasisStatus.kZero)
 
 
-if AVAILABLE:
-    _STATUS_MAP = {
-        _core.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
-        _core.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
-        _core.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
-        _core.HighsModelStatus.kUnboundedOrInfeasible: SolveStatus.UNBOUNDED,
-        _core.HighsModelStatus.kTimeLimit: SolveStatus.ITERATION_LIMIT,
-        _core.HighsModelStatus.kIterationLimit: SolveStatus.ITERATION_LIMIT,
-    }
-    #: Basis statuses indexed by their integer value, for fast int -> enum
-    #: conversion when (re)installing a projected basis.
-    _BASIS_STATUSES = sorted(
-        _core.HighsBasisStatus.__members__.values(), key=lambda s: int(s)
-    )
-    _BASIC = int(_core.HighsBasisStatus.kBasic)
-    _LOWER = int(_core.HighsBasisStatus.kLower)
-    _UPPER = int(_core.HighsBasisStatus.kUpper)
-    _ZERO = int(_core.HighsBasisStatus.kZero)
-else:  # pragma: no cover
-    _STATUS_MAP = {}
-    _BASIS_STATUSES = []
-    _BASIC = _LOWER = _UPPER = _ZERO = 0
+class BasisSnapshot(NamedTuple):
+    """A native HiGHS basis and the ``(num_cols, num_rows)`` it was taken at."""
+
+    basis: Any
+    shape: Tuple[int, int]
 
 
 def _build_lp(row_form: RowFormLP) -> Any:
@@ -134,7 +108,7 @@ def _build_lp(row_form: RowFormLP) -> Any:
 def solve_row_form(
     row_form: RowFormLP,
     options: "SolverOptions",
-    context: Optional[HighsSolveContext] = None,
+    model: Optional["MutableHighsModel"] = None,
     check: bool = False,
 ) -> SolveResult:
     """Solve a continuous LP in row form with HiGHS directly.
@@ -142,53 +116,26 @@ def solve_row_form(
     Integrality declarations are ignored (callers route MILPs to
     ``scipy.optimize.milp``; the heuristic deliberately solves relaxations).
 
+    ``model`` is a long-lived :class:`MutableHighsModel` to load the LP
+    into: the basis of its last optimal solve warm-starts this one when the
+    shapes match and is kept until a later solve is optimal.  Without one
+    the solve runs on a throwaway model and never fetches a basis.
+
     With ``check=True`` a non-optimal status raises
     :class:`~repro.lpsolver.result.SolverStatusError` instead of returning a
     ``nan`` objective — for callers that cannot tolerate silently acting on a
     failed solve.  The siting search keeps ``check=False``: infeasible
     candidate sitings are a legitimate outcome there, not an error.
     """
-    highs = context._highs if context is not None else _core._Highs()
-    if context is None:
-        highs.setOptionValue("output_flag", False)
-    # Contexts are reused across calls that may carry different options, so
-    # every option is (re)set explicitly — nothing may leak between solves.
-    highs.setOptionValue("presolve", "choose" if options.presolve else "off")
-    highs.setOptionValue(
-        "time_limit", float(options.time_limit) if options.time_limit is not None else float("inf")
-    )
-
-    shape = (row_form.num_variables, row_form.num_rows)
-    highs.passModel(_build_lp(row_form))
-    if context is not None:
-        basis = context.take_basis(shape)
-        if basis is not None:
-            highs.setBasis(basis)
-    highs.run()
-
-    raw_status = highs.getModelStatus()
-    status = _STATUS_MAP.get(raw_status, SolveStatus.ERROR)
-    message = highs.modelStatusToString(raw_status)
-    iterations = int(getattr(highs.getInfo(), "simplex_iteration_count", 0) or 0)
-
-    if status is SolveStatus.OPTIMAL:
-        x = np.asarray(highs.getSolution().col_value, dtype=float)
-        raw = float(highs.getObjectiveValue())
-        objective = (-raw if row_form.maximise else raw) + row_form.objective_constant
-        if context is not None:
-            context.store_basis(shape, highs.getBasis())
-    else:
-        x = None
-        objective = float("nan")
-    result = SolveResult(
-        status=status,
-        objective=objective,
-        message=message,
-        solver="highs-direct",
-        iterations=iterations,
-        x=x,
-    )
-    return result.raise_for_status() if check else result
+    if model is None:
+        model = MutableHighsModel()
+        model.load(row_form)
+        return model._run(options, "highs-direct", check, row_form, keep_basis=False)
+    warm = model.basis_snapshot()
+    model.load(row_form)
+    if warm is not None:
+        model.restore_basis(warm)
+    return model._run(options, "highs-direct", check, row_form)
 
 
 class MutableHighsModel:
@@ -212,37 +159,44 @@ class MutableHighsModel:
     """
 
     def __init__(self) -> None:
-        if not AVAILABLE:  # pragma: no cover - guarded by callers
-            raise RuntimeError("the direct HiGHS backend is not available in this SciPy")
         self._highs = _core._Highs()
         self._highs.setOptionValue("output_flag", False)
         self.num_cols = 0
         self.num_rows = 0
-        # The basis travels in two forms.  ``_basis_obj`` is the native
+        # The basis travels in two forms.  ``_native`` is the native
         # HighsBasis of the last optimal solve (or one restored by the
-        # caller): installing it costs nothing in Python.  ``_col_status``/
+        # caller) with the shape it was taken at: installing it costs
+        # nothing in Python.  ``_col_status``/
         # ``_row_status`` are int arrays used only to *project* the basis
         # across structural edits — they are derived lazily from the native
         # object on the first edit, padded/filtered as columns and rows come
         # and go, and converted back (the slow path) only when a projected
         # basis actually has to be installed.
-        self._basis_obj = None
+        self._native: Optional[BasisSnapshot] = None
         self._projection_dirty = False
         self._col_status: Optional[np.ndarray] = None
         self._row_status: Optional[np.ndarray] = None
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        """``(num_cols, num_rows)`` of the loaded model."""
+        return (self.num_cols, self.num_rows)
+
+    def _drop_basis(self) -> None:
+        self._native = None
+        self._projection_dirty = False
+        self._col_status = None
+        self._row_status = None
 
     def _ensure_status_arrays(self) -> bool:
         """Materialise the int status arrays from the native basis object."""
         if self._col_status is not None and self._row_status is not None:
             return True
-        if self._basis_obj is None:
+        if self._native is None or self._native.shape != self.shape:
             return False
-        self._col_status = np.fromiter(
-            (int(s) for s in self._basis_obj.col_status), dtype=np.int32
-        )
-        self._row_status = np.fromiter(
-            (int(s) for s in self._basis_obj.row_status), dtype=np.int32
-        )
+        basis = self._native.basis
+        self._col_status = np.fromiter((int(s) for s in basis.col_status), dtype=np.int32)
+        self._row_status = np.fromiter((int(s) for s in basis.row_status), dtype=np.int32)
         return True
 
     # -- structural edits -------------------------------------------------------
@@ -257,10 +211,7 @@ class MutableHighsModel:
             )
         self._highs.passModel(_build_lp(row_form))
         self.num_rows, self.num_cols = row_form.shape
-        self._basis_obj = None
-        self._projection_dirty = False
-        self._col_status = None
-        self._row_status = None
+        self._drop_basis()
 
     def add_cols(
         self,
@@ -395,25 +346,23 @@ class MutableHighsModel:
         self._row_status[row_start : row_start + len(row_status)] = row_status
         self._projection_dirty = True
 
-    def basis_snapshot(self) -> Optional[Any]:
-        """The native basis of the last optimal solve (None when cold)."""
-        return self._basis_obj if not self._projection_dirty else None
+    def basis_snapshot(self) -> Optional[BasisSnapshot]:
+        """The native basis of the last optimal solve (None when cold or edited)."""
+        return self._native if not self._projection_dirty else None
 
-    def restore_basis(self, basis: Any) -> None:
+    def restore_basis(self, snapshot: BasisSnapshot) -> None:
         """Adopt a stored native basis (e.g. from an earlier same-shape model).
 
-        The basis must match the model's current dimensions; the caller
-        guarantees compatibility (site blocks are structurally identical, so
-        a same-shape basis transfers across different location mixes the same
-        way :class:`HighsSolveContext` reuses bases across the pricing
-        sweep).  Installing a native object costs nothing in Python, unlike
-        the projected-array path.
+        The snapshot is installed at the next solve only when its shape
+        matches the model's dimensions then; otherwise that solve starts
+        cold.  It stays the carried basis until a solve is optimal, so a
+        failed solve in between does not lose it.  Site blocks are
+        structurally identical, so a same-shape basis transfers across
+        different location mixes; installing a native object costs nothing
+        in Python, unlike the projected-array path.
         """
-        if len(basis.col_status) == self.num_cols and len(basis.row_status) == self.num_rows:
-            self._basis_obj = basis
-            self._projection_dirty = False
-            self._col_status = None
-            self._row_status = None
+        self._drop_basis()
+        self._native = snapshot
 
     def clear_basis(self) -> None:
         """Drop every carried basis so the next solve starts cold.
@@ -423,13 +372,8 @@ class MutableHighsModel:
         culprit for a spurious non-optimal status, and clearing it is far
         cheaper than rebuilding the whole model.
         """
-        self._basis_obj = None
-        self._projection_dirty = False
-        self._col_status = None
-        self._row_status = None
-        clear = getattr(self._highs, "clearSolver", None)
-        if clear is not None:
-            clear()
+        self._drop_basis()
+        self._highs.clearSolver()
 
     # -- solving ----------------------------------------------------------------
     def install_basis(self) -> None:
@@ -441,8 +385,8 @@ class MutableHighsModel:
         HiGHS repairs it instead of rejecting it.
         """
         if not self._projection_dirty:
-            if self._basis_obj is not None:
-                self._highs.setBasis(self._basis_obj)
+            if self._native is not None and self._native.shape == self.shape:
+                self._highs.setBasis(self._native.basis)
             return
         if (
             self._col_status is None
@@ -450,10 +394,7 @@ class MutableHighsModel:
             or len(self._col_status) != self.num_cols
             or len(self._row_status) != self.num_rows
         ):  # pragma: no cover - projection drifted; fall back to cold
-            self._basis_obj = None
-            self._projection_dirty = False
-            self._col_status = None
-            self._row_status = None
+            self._drop_basis()
             return
         basis = _core.HighsBasis()
         basis.col_status = [_BASIS_STATUSES[s] for s in self._col_status]
@@ -477,6 +418,24 @@ class MutableHighsModel:
             # dimension bookkeeping vs the actual HiGHS model, and basis
             # padding/projection lengths after ranged adds/deletes.
             _validate.validate_mutable_model(self, "MutableHighsModel.solve")
+        return self._run(options, "highs-mutable", check)
+
+    def _run(
+        self,
+        options: "SolverOptions",
+        solver: str,
+        check: bool,
+        row_form: Optional[RowFormLP] = None,
+        keep_basis: bool = True,
+    ) -> SolveResult:
+        """Install the carried basis, run HiGHS and collect the result.
+
+        ``row_form`` (the LP just loaded) maps the raw objective back to the
+        model's sense and constant; ``keep_basis=False`` skips fetching the
+        optimal basis for one-shot solves that never reuse it.
+        """
+        # Models are reused across calls that may carry different options, so
+        # every option is (re)set explicitly — nothing may leak between solves.
         self._highs.setOptionValue("presolve", "choose" if options.presolve else "off")
         self._highs.setOptionValue(
             "time_limit",
@@ -487,14 +446,17 @@ class MutableHighsModel:
         raw_status = self._highs.getModelStatus()
         status = _STATUS_MAP.get(raw_status, SolveStatus.ERROR)
         message = self._highs.modelStatusToString(raw_status)
-        iterations = int(getattr(self._highs.getInfo(), "simplex_iteration_count", 0) or 0)
+        iterations = int(self._highs.getInfo().simplex_iteration_count)
         if status is SolveStatus.OPTIMAL:
             x = np.asarray(self._highs.getSolution().col_value, dtype=float)
             objective = float(self._highs.getObjectiveValue())
-            self._basis_obj = self._highs.getBasis()
-            self._projection_dirty = False
-            self._col_status = None
-            self._row_status = None
+            if row_form is not None:
+                objective = (-objective if row_form.maximise else objective) + (
+                    row_form.objective_constant
+                )
+            if keep_basis:
+                self._drop_basis()
+                self._native = BasisSnapshot(self._highs.getBasis(), self.shape)
         else:
             x = None
             objective = float("nan")
@@ -502,7 +464,7 @@ class MutableHighsModel:
             status=status,
             objective=objective,
             message=message,
-            solver="highs-mutable",
+            solver=solver,
             iterations=iterations,
             x=x,
         )

@@ -11,9 +11,9 @@ objective.  Constraints come in two flavours that can be mixed freely:
   families at once.
 
 Compilation produces :mod:`scipy.sparse` matrices directly — either the
-``A_ub``/``A_eq`` split consumed by ``scipy.optimize.linprog``/``milp``
+``A_ub``/``A_eq`` split consumed by ``scipy.optimize.milp``
 (:meth:`Model.to_matrices`) or the single row-bounded form
-``row_lower <= A x <= row_upper`` consumed by the direct HiGHS backend
+``row_lower <= A x <= row_upper`` loaded into HiGHS
 (:meth:`Model.to_row_form`).  The model can also check candidate solutions
 for feasibility, which the heuristic solver uses to validate provisioning
 plans.
@@ -22,7 +22,7 @@ plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -37,6 +37,10 @@ from repro.lpsolver.expressions import (
     VariableKind,
 )
 from repro.lpsolver.result import SolveResult
+
+if TYPE_CHECKING:
+    from repro.lpsolver.highs_backend import MutableHighsModel
+    from repro.lpsolver.solvers import SolverOptions
 
 
 class ModelError(ValueError):
@@ -412,17 +416,19 @@ class Model:
 
     # -- solving and checking ------------------------------------------------------
     def solve(
-        self, options: Optional["SolverOptions"] = None, context: Optional[object] = None
+        self,
+        options: Optional["SolverOptions"] = None,
+        highs: Optional["MutableHighsModel"] = None,
     ) -> SolveResult:
-        """Solve the model with the direct HiGHS or SciPy backends.
+        """Solve the model with HiGHS (continuous) or ``scipy.optimize.milp``.
 
-        ``context`` may be a
-        :class:`~repro.lpsolver.highs_backend.HighsSolveContext` to reuse the
+        ``highs`` may be a long-lived
+        :class:`~repro.lpsolver.highs_backend.MutableHighsModel` to reuse the
         previous optimal basis across structurally identical solves.
         """
         from repro.lpsolver.solvers import solve_model
 
-        return solve_model(self, options, context=context)
+        return solve_model(self, options, highs=highs)
 
     def check_solution(self, values: Mapping[int, float], tolerance: float = 1e-6) -> List[str]:
         """Return a list of violated constraint/bound descriptions (empty if feasible)."""
@@ -463,7 +469,7 @@ class Model:
 
 @dataclass
 class CompiledModel:
-    """Matrix form of a model, ready for ``linprog``/``milp``.
+    """Matrix form of a model, ready for ``milp``.
 
     ``a_ub``/``a_eq`` are :class:`scipy.sparse.csr_matrix` (or ``None`` when
     the model has no rows of that kind).

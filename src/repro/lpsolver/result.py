@@ -64,8 +64,9 @@ class SolveResult:
     message:
         Backend diagnostic message.
     solver:
-        Which backend produced the result (``"highs-direct"``, ``"linprog"``
-        or ``"milp"``).
+        Which path produced the result: ``"highs-direct"`` (a row form
+        solved by :func:`~repro.lpsolver.highs_backend.solve_row_form`),
+        ``"highs-mutable"`` (an edited model) or ``"milp"``.
     iterations:
         Iteration count reported by the backend, if any.
     x:

@@ -1,9 +1,9 @@
-"""Solver backends for the LP/MILP modelling layer.
+"""Solve entry point of the LP/MILP modelling layer.
 
-Continuous models are routed to the direct HiGHS backend
-(:mod:`repro.lpsolver.highs_backend`) when available, falling back to
-``scipy.optimize.linprog``; models with integer variables go to
-``scipy.optimize.milp``.  Constraint matrices stay sparse end-to-end.
+Continuous models go to SciPy's bundled HiGHS through
+:func:`repro.lpsolver.highs_backend.solve_row_form`; models with integer
+variables go to ``scipy.optimize.milp``.  Constraint matrices stay sparse
+end-to-end.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.lpsolver.result import SolveResult, SolveStatus
 
 @dataclass
 class SolverOptions:
-    """Knobs shared across the HiGHS/linprog/milp backends.
+    """Knobs shared by the HiGHS and MILP solves.
 
     Attributes
     ----------
@@ -35,31 +35,13 @@ class SolverOptions:
         Solve the LP relaxation even when the model declares integer variables.
         Used by the heuristic solver, which fixes the integer siting decisions
         itself and only needs the continuous provisioning sub-problem.
-    backend:
-        ``"auto"`` (direct HiGHS when available, else linprog),
-        ``"highs-direct"`` (require the direct backend) or ``"linprog"``
-        (force the scipy.optimize.linprog wrapper; useful for differential
-        testing of the two code paths).
     """
 
     time_limit: Optional[float] = None
     mip_gap: float = 1e-4
     presolve: bool = True
     force_continuous: bool = False
-    backend: str = "auto"
 
-    def __post_init__(self) -> None:
-        if self.backend not in ("auto", "highs-direct", "linprog"):
-            raise ValueError(f"unknown solver backend {self.backend!r}")
-
-
-_LINPROG_STATUS = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.ITERATION_LIMIT,
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-    4: SolveStatus.ERROR,
-}
 
 _MILP_STATUS = {
     0: SolveStatus.OPTIMAL,
@@ -73,66 +55,18 @@ _MILP_STATUS = {
 def solve_model(
     model: Model,
     options: Optional[SolverOptions] = None,
-    context: Optional["highs_backend.HighsSolveContext"] = None,
+    highs: Optional["highs_backend.MutableHighsModel"] = None,
 ) -> SolveResult:
     """Solve ``model`` and return a :class:`SolveResult`.
 
-    ``context`` (a :class:`~repro.lpsolver.highs_backend.HighsSolveContext`)
-    enables basis reuse across structurally identical continuous solves; it is
-    ignored by the linprog/milp fallbacks.
+    ``highs`` (a long-lived :class:`~repro.lpsolver.highs_backend.MutableHighsModel`)
+    enables basis reuse across structurally identical continuous solves; the
+    MILP solve ignores it.
     """
     options = options or SolverOptions()
-    use_milp = model.is_mixed_integer and not options.force_continuous
-    if use_milp:
+    if model.is_mixed_integer and not options.force_continuous:
         return _solve_milp(model.to_matrices(), options)
-    if options.backend == "highs-direct" and not highs_backend.AVAILABLE:
-        raise RuntimeError("the direct HiGHS backend is unavailable in this SciPy build")
-    if options.backend in ("auto", "highs-direct") and highs_backend.AVAILABLE:
-        return highs_backend.solve_row_form(model.to_row_form(), options, context)
-    return _solve_linprog(model.to_matrices(), options)
-
-
-def _finalise(
-    compiled: CompiledModel,
-    status: SolveStatus,
-    x: Optional[np.ndarray],
-    message: str,
-    solver: str,
-    iterations: int,
-) -> SolveResult:
-    if status is SolveStatus.OPTIMAL and x is not None:
-        raw = float(np.dot(compiled.cost, x))
-        objective = (-raw if compiled.maximise else raw) + compiled.objective_constant
-        x = np.asarray(x, dtype=float)
-    else:
-        objective = float("nan")
-        x = None
-    return SolveResult(
-        status=status,
-        objective=objective,
-        message=message,
-        solver=solver,
-        iterations=iterations,
-        x=x,
-    )
-
-
-def _solve_linprog(compiled: CompiledModel, options: SolverOptions) -> SolveResult:
-    bounds = np.column_stack([compiled.lower, compiled.upper])
-    result = optimize.linprog(
-        c=compiled.cost,
-        A_ub=compiled.a_ub,
-        b_ub=compiled.b_ub,
-        A_eq=compiled.a_eq,
-        b_eq=compiled.b_eq,
-        bounds=bounds,
-        method="highs",
-        options={"presolve": options.presolve},
-    )
-    status = _LINPROG_STATUS.get(result.status, SolveStatus.ERROR)
-    iterations = int(getattr(result, "nit", 0) or 0)
-    x = result.x if result.x is not None else None
-    return _finalise(compiled, status, x, str(result.message), "linprog", iterations)
+    return highs_backend.solve_row_form(model.to_row_form(), options, highs)
 
 
 def _solve_milp(compiled: CompiledModel, options: SolverOptions) -> SolveResult:
@@ -156,5 +90,18 @@ def _solve_milp(compiled: CompiledModel, options: SolverOptions) -> SolveResult:
         options=milp_options,
     )
     status = _MILP_STATUS.get(result.status, SolveStatus.ERROR)
-    x = result.x if result.x is not None else None
-    return _finalise(compiled, status, x, str(result.message), "milp", 0)
+    if status is SolveStatus.OPTIMAL and result.x is not None:
+        x: Optional[np.ndarray] = np.asarray(result.x, dtype=float)
+        raw = float(np.dot(compiled.cost, x))
+        objective = (-raw if compiled.maximise else raw) + compiled.objective_constant
+    else:
+        x = None
+        objective = float("nan")
+    return SolveResult(
+        status=status,
+        objective=objective,
+        message=str(result.message),
+        solver="milp",
+        iterations=0,
+        x=x,
+    )

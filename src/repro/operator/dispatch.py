@@ -127,7 +127,7 @@ class DispatchConfig:
     #: :class:`DispatchError`.  Decisions taken this way are flagged
     #: ``degraded`` so replays complete with an honest record.
     greedy_fallback: bool = True
-    incremental: Optional[bool] = None     #: None = auto (when HiGHS direct is available)
+    incremental: Optional[bool] = None     #: None = True; False cold-rebuilds every step
     #: Transplant the expiring step's basis statuses onto the appended step
     #: (per-block basis memory).  The slide is a pure block swap, and the
     #: transplant beats plain projection on it — 2614 vs 3732 simplex
@@ -185,8 +185,13 @@ class DispatchDecision:
 
     @property
     def moved_kw(self) -> float:
-        """Total load shifted away from its previous site this step."""
-        return float(self.migrate_kw.sum())
+        """Total load shifted away from its previous site this step.
+
+        The migrate columns are bounded at zero, but the solver may return
+        them a round-off below it; the total is clamped so such noise never
+        reads as a negative move (non-negative totals pass through unchanged).
+        """
+        return max(float(self.migrate_kw.sum()), 0.0)
 
 
 class DispatchError(RuntimeError):
@@ -196,10 +201,10 @@ class DispatchError(RuntimeError):
 class RollingDispatcher:
     """Sliding-window dispatcher over one persistent mutable HiGHS model.
 
-    Not thread-safe; one dispatcher per replay.  The fallback path (HiGHS
-    direct backend unavailable, or ``incremental=False``) cold-builds the
-    window row form every step — same LP, same numbers, no warm starts —
-    and counts each build in ``stats["cold_loads"]``.
+    Not thread-safe; one dispatcher per replay.  With ``incremental=False``
+    the dispatcher cold-builds the window row form every step — same LP,
+    same numbers, no warm starts — and counts each build in
+    ``stats["cold_loads"]``.
     """
 
     def __init__(
@@ -227,13 +232,7 @@ class RollingDispatcher:
         self._K = len(self._tiers)
         self._ncols_step = 1 + 8 * self._N + (self._K - 1)
         self._nrows_step = 2 + 5 * self._N + (self._K if self._tiered else 0)
-        self.incremental = (
-            self.config.incremental
-            if self.config.incremental is not None
-            else highs_backend.AVAILABLE
-        )
-        if self.incremental and not highs_backend.AVAILABLE:
-            raise RuntimeError("incremental dispatch requires the direct HiGHS backend")
+        self.incremental = self.config.incremental is not False
         self._model = highs_backend.MutableHighsModel() if self.incremental else None
         # Current window state (kept for slides, RHS refreshes and rebuilds).
         self._start_step: Optional[int] = None
@@ -522,12 +521,6 @@ class RollingDispatcher:
             row_lower[2 + 5 * d + 1] = min(float(self._load_kw[d]), cap)
         row_upper[1] = self._wan_upper()
 
-    def _solve_cold_row_form(self, row_form: RowFormLP):
-        """Solve a window row form cold (HiGHS direct, else linprog)."""
-        if highs_backend.AVAILABLE:
-            return highs_backend.solve_row_form(row_form, self.options)
-        return _linprog_row_form(row_form, self.options)
-
     # -- window lifecycle --------------------------------------------------------
     def _set_window(
         self,
@@ -709,7 +702,7 @@ class RollingDispatcher:
             if warm and result is not None and result.status is SolveStatus.OPTIMAL:
                 self.stats["warm_solves"] += 1
         elif not outage:
-            result = self._solve_cold_row_form(self._build_row_form())
+            result = highs_backend.solve_row_form(self._build_row_form(), self.options)
         self.stats["lp_solves"] += 1
         if result is not None:
             self.stats["simplex_iterations"] += int(result.iterations)
@@ -778,48 +771,10 @@ class RollingDispatcher:
         """
         if self._start_step is None:
             raise RuntimeError("rebuild_window() before start()")
-        result = self._solve_cold_row_form(self._build_row_form())
+        result = highs_backend.solve_row_form(self._build_row_form(), self.options)
         if result.status is not SolveStatus.OPTIMAL:
             raise DispatchError(
                 f"rebuilt window LP at step {self._start_step} not optimal: "
                 f"{result.status.value}: {result.message}"
             )
         return float(result.objective)
-
-
-def _linprog_row_form(row_form: RowFormLP, options: SolverOptions):
-    """Solve a row form with scipy.optimize.linprog (no-HiGHS fallback)."""
-    from scipy import optimize, sparse
-
-    matrix = row_form.matrix.tocsr()
-    lower, upper = row_form.row_lower, row_form.row_upper
-    eq = np.isfinite(lower) & (lower == upper)
-    ub = np.isfinite(upper) & ~eq
-    lb = np.isfinite(lower) & ~eq
-    a_ub_parts, b_ub_parts = [], []
-    if np.any(ub):
-        a_ub_parts.append(matrix[ub])
-        b_ub_parts.append(upper[ub])
-    if np.any(lb):
-        a_ub_parts.append(-matrix[lb])
-        b_ub_parts.append(-lower[lb])
-    result = optimize.linprog(
-        c=row_form.cost,
-        A_ub=sparse.vstack(a_ub_parts).tocsr() if a_ub_parts else None,
-        b_ub=np.concatenate(b_ub_parts) if b_ub_parts else None,
-        A_eq=matrix[eq] if np.any(eq) else None,
-        b_eq=lower[eq] if np.any(eq) else None,
-        bounds=np.column_stack([row_form.lower, row_form.upper]),
-        method="highs",
-    )
-    from repro.lpsolver.result import SolveResult
-
-    status = SolveStatus.OPTIMAL if result.status == 0 else SolveStatus.ERROR
-    return SolveResult(
-        status=status,
-        objective=float(result.fun) if result.status == 0 else float("nan"),
-        message=str(result.message),
-        solver="linprog",
-        iterations=int(getattr(result, "nit", 0) or 0),
-        x=np.asarray(result.x, dtype=float) if result.status == 0 else None,
-    )

@@ -1,8 +1,8 @@
 """Picklable work descriptors for process-pool execution.
 
-Process workers cannot share the parent's live solver state: compiled HiGHS
-handles, :class:`~repro.lpsolver.highs_backend.MutableHighsModel` instances
-and warm-start contexts are all process-local.  What *does* cross the
+Process workers cannot share the parent's live solver state: HiGHS handles
+(:class:`~repro.lpsolver.highs_backend.MutableHighsModel` instances and the
+bases they carry) are process-local.  What *does* cross the
 pickling boundary is plain data — :class:`~repro.core.problem.SitingProblem`
 objects (numpy series and dataclasses), the compiler's per-site skeletons and
 ``_SkeletonTemplate`` slot data, :class:`~repro.scenarios.spec.ScenarioSpec`
@@ -12,8 +12,8 @@ with a per-process memo:
 
 * :class:`PricingChunkTask` — one contiguous chunk of the filter-pricing /
   single-site sweep, carrying the pricing problem restricted to the chunk's
-  locations.  The worker builds a fresh warm-start context per chunk, exactly
-  like the thread path, so scores are bit-identical for any executor.
+  locations.  The worker builds a fresh warm-start HiGHS model per chunk,
+  exactly like the thread path, so scores are bit-identical for any executor.
 * :class:`ChainTask` — one annealing chain, carrying the search problem
   (restricted to the filtered candidates), the search settings and the shared
   start siting.  Chains of the same search share a per-process
@@ -138,11 +138,10 @@ def run_pricing_chunk(task: PricingChunkTask) -> List[Tuple[str, float, bool]]:
     """Price one chunk; returns ``(location, monthly_cost, feasible)`` rows."""
     mark_process_worker()
     from repro.core.provisioning import ProvisioningCompiler, solve_provisioning
-    from repro.lpsolver.highs_backend import AVAILABLE as _HIGHS_DIRECT_AVAILABLE
-    from repro.lpsolver.highs_backend import HighsSolveContext
+    from repro.lpsolver import MutableHighsModel
 
     compiler = ProvisioningCompiler(task.problem)
-    context = HighsSolveContext() if _HIGHS_DIRECT_AVAILABLE else None
+    highs = MutableHighsModel()
     rows: List[Tuple[str, float, bool]] = []
     for name, size_class in task.sitings:
         result = solve_provisioning(
@@ -151,7 +150,7 @@ def run_pricing_chunk(task: PricingChunkTask) -> List[Tuple[str, float, bool]]:
             options=task.options,
             enforce_spread=False,
             compiler=compiler,
-            solver_context=context,
+            highs=highs,
         )
         rows.append((name, result.monthly_cost, result.feasible))
     return rows

@@ -37,11 +37,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.provisioning import ProvisioningCompiler
-from repro.lpsolver import SolverOptions, SolverStatusError
+from repro.lpsolver import SolverOptions, SolverStatusError, highs_backend
 from repro.lpsolver.batch import stack_block_diagonal
 from repro.robust.stochastic import (
     _sizing_tuples,
-    _solve_row_form,
     build_ensemble_row_form,
     extract_ensemble_solution,
     solve_ensemble_lp,
@@ -220,7 +219,7 @@ def evaluate_contingencies(
         blocks.append(row_form)
         layouts.append(layout)
     stacked, col_offsets, _ = stack_block_diagonal(blocks)
-    result = _solve_row_form(stacked, options)
+    result = highs_backend.solve_row_form(stacked, options, check=True)
     costs = np.empty(S + 1)
     unserved = np.empty(S + 1)
     for i, (block, layout) in enumerate(zip(blocks, layouts)):

@@ -121,15 +121,6 @@ def _unserved_cost(site_costs: Sequence[np.ndarray], num_epochs: int, penalty_x:
     return per_epoch
 
 
-def _solve_row_form(row_form: RowFormLP, options: SolverOptions):
-    """Solve a row form, raising ``SolverStatusError`` on non-optimal."""
-    if highs_backend.AVAILABLE:
-        return highs_backend.solve_row_form(row_form, options, check=True)
-    from repro.operator.dispatch import _linprog_row_form
-
-    return _linprog_row_form(row_form, options).raise_for_status()
-
-
 def build_ensemble_row_form(
     compilers: Sequence[ProvisioningCompiler],
     siting: Mapping[str, str],
@@ -422,7 +413,7 @@ def solve_ensemble_lp(
         unserved_energy_budget=unserved_energy_budget,
         normalize_weights=normalize_weights,
     )
-    result = _solve_row_form(row_form, options)
+    result = highs_backend.solve_row_form(row_form, options, check=True)
     return extract_ensemble_solution(
         result.x,
         layout,

@@ -19,9 +19,11 @@ not a new script.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.parameters import FrameworkParameters
@@ -44,6 +46,26 @@ SPEC_SCHEMA_VERSION = 2
 EXECUTION_ONLY_SEARCH_KEYS = ("executor", "max_workers")
 
 
+#: Root of the ``repro`` package whose sources :func:`code_fingerprint` hashes.
+_PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over every ``*.py`` file of the ``repro`` package (path and contents).
+
+    Cached, so the package sources are read once per process.
+    """
+    root = _PACKAGE_ROOT
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def code_fingerprint() -> Dict[str, str]:
     """Identifiers of the code that produces artifact records.
 
@@ -51,22 +73,19 @@ def code_fingerprint() -> Dict[str, str]:
     point whose fingerprint does not match the running code is recomputed
     instead of silently replaying numbers an older solver produced.  The
     fingerprint names everything that can change results without changing
-    the spec — the package version, the LP backend actually in use and the
-    scientific stack underneath it.
+    the spec — the ``repro`` sources themselves (any edit moves the digest)
+    and the scientific stack underneath them.
     """
     import numpy
     import scipy
 
-    from repro import __version__
-    from repro.lpsolver import highs_backend
-
     return {
-        "package_version": __version__,
+        "source_digest": source_digest(),
         "spec_schema": str(SPEC_SCHEMA_VERSION),
-        "solver_backend": "highs-direct" if highs_backend.AVAILABLE else "linprog",
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
     }
+
 
 _SOURCES_VALUES = tuple(member.value for member in EnergySources)
 _STORAGE_VALUES = tuple(member.value for member in StorageMode)

@@ -2,13 +2,14 @@
 
 Three independent model-construction routes must produce the same LP:
 
-* the **scalar** builder (readable per-epoch object-API loops, the reference
-  implementation of the Fig. 1 constraints),
-* the **vectorized** builder's Model route (blocked COO triplets), and
+* the **scalar** oracle (readable per-epoch object-API loops, the reference
+  implementation of the Fig. 1 constraints, kept in ``tests/lp_oracles.py``),
+* the production builder's Model route (blocked COO triplets), and
 * the **templated row-form** route (cached CSC pattern, values only).
 
 The tests compare canonicalized constraint matrices entry-for-entry and the
-optimal objectives of representative provisioning problems, plus the
+optimal objectives of representative provisioning problems (the oracle
+solved through ``linprog``, production through HiGHS directly), plus the
 behavioural guarantees the heuristic relies on: the siting-evaluation memo
 returns the identical result object, and parallel annealing chains are
 deterministic under a fixed seed.
@@ -30,7 +31,8 @@ from repro.core.provisioning import (
     ProvisioningModelBuilder,
     solve_provisioning,
 )
-from repro.lpsolver import SolverOptions
+
+from lp_oracles import ScalarProvisioningBuilder
 
 
 def _canonical_rows(model):
@@ -60,8 +62,8 @@ class TestBuilderEquivalence:
     def test_identical_matrices(self, two_site_problem, storage, enforcement):
         problem = _scenario(two_site_problem, storage, enforcement)
         siting = {problem.profiles[0].name: "large", problem.profiles[1].name: "small"}
-        scalar = ProvisioningModelBuilder(problem, siting, backend="scalar")
-        vectorized = ProvisioningModelBuilder(problem, siting, backend="vectorized")
+        scalar = ScalarProvisioningBuilder(problem, siting)
+        vectorized = ProvisioningModelBuilder(problem, siting)
         assert scalar.model.num_variables == vectorized.model.num_variables
         assert scalar.model.num_constraints == vectorized.model.num_constraints
         np.testing.assert_allclose(
@@ -86,14 +88,10 @@ class TestBuilderEquivalence:
     def test_identical_objectives(self, two_site_problem, storage, enforcement):
         problem = _scenario(two_site_problem, storage, enforcement)
         siting = {profile.name: "large" for profile in problem.profiles}
-        scalar = solve_provisioning(problem, siting, backend="scalar")
-        vectorized = solve_provisioning(problem, siting, backend="vectorized")
-        linprog = solve_provisioning(
-            problem, siting, options=SolverOptions(backend="linprog")
-        )
-        assert scalar.feasible and vectorized.feasible and linprog.feasible
+        scalar = ScalarProvisioningBuilder(problem, siting).solve()
+        vectorized = solve_provisioning(problem, siting)
+        assert scalar.feasible and vectorized.feasible
         assert vectorized.monthly_cost == pytest.approx(scalar.monthly_cost, rel=1e-6)
-        assert linprog.monthly_cost == pytest.approx(scalar.monthly_cost, rel=1e-6)
         # The extracted plans price to the same total through the cost model.
         assert vectorized.plan.total_monthly_cost == pytest.approx(
             scalar.plan.total_monthly_cost, rel=1e-6
@@ -145,8 +143,8 @@ class TestBuilderEquivalence:
             storage=StorageMode.BATTERIES,
         )
         siting = {profiles[0].name: "large", profiles[1].name: "large"}
-        scalar = ProvisioningModelBuilder(problem, siting, backend="scalar")
-        vectorized = ProvisioningModelBuilder(problem, siting, backend="vectorized")
+        scalar = ScalarProvisioningBuilder(problem, siting)
+        vectorized = ProvisioningModelBuilder(problem, siting)
         np.testing.assert_allclose(
             _canonical_rows(scalar.model),
             _canonical_rows(vectorized.model),

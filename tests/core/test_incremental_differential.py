@@ -21,11 +21,6 @@ from repro.core import (
 )
 from repro.core.problem import GreenEnforcement
 from repro.core.provisioning import IncrementalSitingEvaluator, ProvisioningCompiler
-from repro.lpsolver import highs_backend
-
-pytestmark = pytest.mark.skipif(
-    not highs_backend.AVAILABLE, reason="direct HiGHS backend unavailable"
-)
 
 SCENARIOS = [
     (StorageMode.NET_METERING, GreenEnforcement.ANNUAL),

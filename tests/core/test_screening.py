@@ -34,7 +34,6 @@ from repro.core.single_site import (
     single_site_size_class,
 )
 from repro.lpsolver import stack_block_diagonal
-from repro.lpsolver.highs_backend import AVAILABLE as HIGHS_AVAILABLE
 
 
 def _pricing_problem(problem):
@@ -168,7 +167,6 @@ class TestBatchPricing:
         with pytest.raises(ValueError):
             stack_block_diagonal([])
 
-    @pytest.mark.skipif(not HIGHS_AVAILABLE, reason="needs the direct HiGHS backend")
     @pytest.mark.parametrize("capacity,green,sources,storage", SCENARIOS)
     def test_batch_matches_per_site(
         self, all_profiles, params, solver_options, capacity, green, sources, storage

@@ -9,9 +9,10 @@ from repro.lpsolver import (
     LinearExpression,
     Model,
     ModelError,
-    SolverOptions,
 )
 from repro.lpsolver.blocks import make_block
+
+from lp_oracles import linprog_solve
 
 
 class TestMakeBlock:
@@ -128,8 +129,9 @@ class TestBlockCompilation:
 
     def test_backends_agree(self):
         model, _ = self._cover_model()
-        direct = model.solve(SolverOptions(backend="auto"))
-        linprog = model.solve(SolverOptions(backend="linprog"))
+        direct = model.solve()
+        linprog = linprog_solve(model.to_row_form())
+        assert direct.solver == "highs-direct" and linprog.solver == "linprog"
         assert direct.objective == pytest.approx(linprog.objective, abs=1e-9)
 
     def test_check_solution_covers_block_rows(self):

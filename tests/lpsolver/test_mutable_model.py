@@ -13,10 +13,6 @@ import pytest
 from repro.lpsolver import ConstraintSense, LinearExpression, Model, SolverOptions
 from repro.lpsolver import highs_backend
 
-pytestmark = pytest.mark.skipif(
-    not highs_backend.AVAILABLE, reason="direct HiGHS backend unavailable"
-)
-
 
 def _reference_model(c, rows, bounds):
     """min c @ x subject to row constraints; all variables >= 0."""

@@ -1,8 +1,17 @@
 """Tests for the SciPy/HiGHS solving backends."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from repro.lpsolver import Model, SolveStatus, SolverOptions, solve_model
+import repro
+from repro.lpsolver import Model, MutableHighsModel, SolveStatus, SolverOptions, solve_model
+from repro.lpsolver.highs_backend import SCIPY_REQUIREMENT, solve_row_form
 
 
 class TestLinearPrograms:
@@ -15,7 +24,7 @@ class TestLinearPrograms:
         model.set_objective(x + y)
         result = model.solve()
         assert result.is_optimal
-        assert result.solver in ("highs-direct", "linprog")  # continuous backends
+        assert result.solver == "highs-direct"  # the one continuous solve path
         # Optimum at the intersection of the two constraints: x=1.6, y=1.2.
         assert result.value(x) == pytest.approx(1.6, abs=1e-6)
         assert result.value(y) == pytest.approx(1.2, abs=1e-6)
@@ -110,7 +119,7 @@ class TestMixedIntegerPrograms:
         model.add_constraint(2 * n >= 5)
         model.set_objective(n)
         result = solve_model(model, SolverOptions(force_continuous=True))
-        assert result.solver in ("highs-direct", "linprog")  # continuous backends
+        assert result.solver == "highs-direct"  # the one continuous solve path
         assert result.value(n) == pytest.approx(2.5, abs=1e-6)
 
     def test_milp_infeasible(self):
@@ -155,3 +164,78 @@ class TestResultHelpers:
         result = model.solve()
         named = result.values_by_name({"x": x, "y": y})
         assert named == {"x": pytest.approx(1.0), "y": pytest.approx(4.0)}
+
+
+def _cover_lp(rhs, extra_row=None):
+    """min sum(x) s.t. x_i >= rhs_i, optionally one more row on x_0."""
+    model = Model("cover")
+    xs = [model.add_variable(f"x{i}") for i in range(len(rhs))]
+    for x, bound in zip(xs, rhs):
+        model.add_constraint(x >= bound)
+    if extra_row is not None:
+        model.add_constraint(xs[0] <= extra_row)
+    model.set_objective(sum(xs[1:], xs[0]))
+    return model.to_row_form()
+
+
+#: Presolve would solve these tiny LPs outright; without it a cold solve
+#: takes simplex iterations and a warm start visibly takes none.
+NO_PRESOLVE = SolverOptions(presolve=False)
+
+
+class TestSolveRowFormWarmStarts:
+    def test_one_shot_and_handle_solves_agree(self):
+        row_form = _cover_lp([1.0, 2.0, 3.0])
+        highs = MutableHighsModel()
+        cold = solve_row_form(row_form, NO_PRESOLVE)
+        warm = solve_row_form(row_form, NO_PRESOLVE, highs)
+        assert cold.solver == warm.solver == "highs-direct"
+        assert cold.objective == warm.objective == pytest.approx(6.0)
+        np.testing.assert_array_equal(cold.x, warm.x)
+        assert highs.basis_snapshot() is not None
+
+    def test_same_shape_resolve_reuses_the_basis(self):
+        assert solve_row_form(_cover_lp([1.5, 2.0, 3.0]), NO_PRESOLVE).iterations > 0
+        highs = MutableHighsModel()
+        solve_row_form(_cover_lp([1.0, 2.0, 3.0]), NO_PRESOLVE, highs)
+        again = solve_row_form(_cover_lp([1.5, 2.0, 3.0]), NO_PRESOLVE, highs)
+        assert again.objective == pytest.approx(6.5)
+        assert again.iterations == 0
+
+    def test_failed_solve_of_another_shape_keeps_the_basis(self):
+        highs = MutableHighsModel()
+        solve_row_form(_cover_lp([1.0, 2.0, 3.0]), NO_PRESOLVE, highs)
+        stored = highs.basis_snapshot()
+        infeasible = solve_row_form(
+            _cover_lp([1.0, 2.0, 3.0], extra_row=0.5), NO_PRESOLVE, highs
+        )
+        assert infeasible.status is SolveStatus.INFEASIBLE
+        assert highs.basis_snapshot() is stored
+        again = solve_row_form(_cover_lp([1.0, 2.0, 3.0]), NO_PRESOLVE, highs)
+        assert again.objective == pytest.approx(6.0)
+        assert again.iterations == 0
+
+
+class TestHighsRequired:
+    def test_missing_bindings_raise_a_clear_import_error(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            sys.modules["scipy.optimize._highspy._core"] = None  # hide the bindings
+            try:
+                import repro.lpsolver
+            except ImportError as error:
+                print(error)
+            else:
+                raise SystemExit("repro.lpsolver imported without the HiGHS bindings")
+            """
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert "scipy.optimize._highspy._core" in result.stdout
+        assert SCIPY_REQUIREMENT in result.stdout

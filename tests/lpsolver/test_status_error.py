@@ -12,10 +12,6 @@ from repro.lpsolver import (
     highs_backend,
 )
 
-pytestmark = pytest.mark.skipif(
-    not highs_backend.AVAILABLE, reason="direct HiGHS backend unavailable"
-)
-
 
 def _model(rows, sense="min", upper=np.inf):
     """min x0 + x1 subject to ``rows`` over two nonnegative variables."""

@@ -10,17 +10,12 @@ which the LP/rebuild counters pin down.
 import numpy as np
 import pytest
 
-from repro.lpsolver import highs_backend
 from repro.operator.dispatch import (
     DispatchConfig,
     RollingDispatcher,
     SiteAsset,
 )
 from repro.operator.traffic import TrafficModel
-
-pytestmark = pytest.mark.skipif(
-    not highs_backend.AVAILABLE, reason="direct HiGHS backend unavailable"
-)
 
 
 def _sites(needed, battery_kwh=200.0, capacity_kw=700.0):

@@ -9,7 +9,6 @@ demand, keep the battery inside its envelope, and stay under the WAN budget.
 import numpy as np
 import pytest
 
-from repro.lpsolver import highs_backend
 from repro.operator import (
     DemandSurge,
     FaultSpec,
@@ -21,10 +20,6 @@ from repro.operator import (
     SolverOutage,
     TrafficModel,
     WanDegradation,
-)
-
-pytestmark = pytest.mark.skipif(
-    not highs_backend.AVAILABLE, reason="direct HiGHS backend unavailable"
 )
 
 SITE_NAMES = ("alpha", "beta", "gamma")

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.lpsolver import highs_backend
 from repro.operator import (
     FaultSpec,
     GreedyFallbackDispatcher,
@@ -143,7 +142,6 @@ class TestShedTierValidation:
         assert dispatch.shed_tiers == ((0.6, 20.0), (0.4, 5.0))
 
 
-@pytest.mark.skipif(not highs_backend.AVAILABLE, reason="direct HiGHS backend unavailable")
 class TestSolverOutageReplay:
     def _harness(self, faults=None, steps=24, horizon=8, **config_kwargs):
         config = OperateConfig(steps=steps, horizon_hours=horizon, **config_kwargs)

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.lpsolver import highs_backend
 from repro.operator import (
     DemandSurge,
     FaultSpec,
@@ -17,10 +16,6 @@ from repro.operator import (
     TrafficModel,
     WanDegradation,
     fragility,
-)
-
-pytestmark = pytest.mark.skipif(
-    not highs_backend.AVAILABLE, reason="direct HiGHS backend unavailable"
 )
 
 SITE_NAMES = ("alpha", "beta", "gamma")

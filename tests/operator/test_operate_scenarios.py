@@ -1,10 +1,15 @@
 """The operate workflow end to end: spec, runner, CLI, executor determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.tool import PlacementTool
+from repro.operator.dispatch import DispatchDecision
+from repro.operator.replay import OperateConfig, operate_plan
 from repro.scenarios import (
     ExperimentRunner,
     OPERATE_DEFAULTS,
@@ -159,3 +164,36 @@ class TestOperateCli:
     def test_cli_unknown_scenario(self, capsys):
         exit_code = cli_main(["operate", "--scenario", "operate-fig99", "--no-cache"])
         assert exit_code == 1
+
+
+def _decision(migrate_kw):
+    zeros = np.zeros(len(migrate_kw))
+    return DispatchDecision(
+        step=0, objective=0.0, compute_kw=zeros, migrate_kw=np.asarray(migrate_kw),
+        brown_kw=zeros, green_direct_kw=zeros, charge_kw=zeros, discharge_kw=zeros,
+        level_kwh=zeros, export_kw=zeros, unserved_kw=0.0,
+    )
+
+
+class TestSolverRoundOffMoves:
+    """Migrate columns are bounded at 0 but may come back a round-off below."""
+
+    @pytest.mark.parametrize(
+        "migrate_kw,moved_kw",
+        [([-3.64e-12, 0.0], 0.0), ([0.0, 0.0], 0.0), ([1.5, 2.25], 3.75)],
+    )
+    def test_only_round_off_below_zero_is_clamped(self, migrate_kw, moved_kw):
+        assert _decision(migrate_kw).moved_kw == moved_kw
+
+    def test_operate_fig06_week_with_round_off_moves_completes(self):
+        # This week's LP once returned a step's migrate total as -3.64e-12,
+        # and the replay died with "the moved power cannot be negative".
+        spec = get_scenario("operate-fig06").build().base
+        plan = PlacementTool.from_spec(spec).plan_spec(spec).plan
+        config = OperateConfig(**dict(spec.operate_knobs(), traffic_seed=387, start_hour=3192))
+        record = operate_plan(plan, config, total_capacity_kw=spec.total_capacity_kw)
+        assert math.isfinite(record["forecast_cost_usd"])
+        assert math.isfinite(record["oracle_cost_usd"])
+        for policy in ("forecast", "oracle"):
+            assert record[policy]["moved_kw"] >= 0.0
+            assert not record[policy]["degraded"]

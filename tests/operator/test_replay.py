@@ -5,17 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.lpsolver import highs_backend
 from repro.operator import (
     OperateConfig,
     ReplayHarness,
     SiteAsset,
     TrafficModel,
     regret,
-)
-
-pytestmark = pytest.mark.skipif(
-    not highs_backend.AVAILABLE, reason="direct HiGHS backend unavailable"
 )
 
 

@@ -12,7 +12,8 @@ import json
 from repro.cli import main
 from repro.scenarios import ExperimentRunner, ScenarioSpec
 from repro.scenarios.runner import ARTIFACT_SCHEMA_VERSION, clear_artifact_cache
-from repro.scenarios.spec import code_fingerprint
+from repro.scenarios import spec as spec_module
+from repro.scenarios.spec import code_fingerprint, source_digest
 
 TINY_SEARCH = {
     "keep_locations": 4,
@@ -49,7 +50,7 @@ class TestFingerprintedArtifacts:
         first = ExperimentRunner(cache_dir=tmp_path).run_point(tiny_spec())
         [artifact] = list(tmp_path.glob("point-*.json"))
         payload = json.loads(artifact.read_text())
-        payload["fingerprint"]["package_version"] = "0.0.0-older-solver"
+        payload["fingerprint"]["source_digest"] = "0" * 64  # an older source tree
         artifact.write_text(json.dumps(payload))
 
         fresh = ExperimentRunner(cache_dir=tmp_path).run_point(tiny_spec())
@@ -58,6 +59,43 @@ class TestFingerprintedArtifacts:
         # The rewrite stamps the current fingerprint back onto disk.
         stored = json.loads(artifact.read_text())
         assert stored["fingerprint"] == code_fingerprint()
+
+    def test_edited_sources_recompute_cached_points(self, tmp_path, monkeypatch):
+        first = ExperimentRunner(cache_dir=tmp_path).run_point(tiny_spec())
+        assert ExperimentRunner(cache_dir=tmp_path).run_point(tiny_spec()).from_cache
+        # The same spec under edited solver code must not replay the old record.
+        monkeypatch.setattr(spec_module, "source_digest", lambda: "edited-sources")
+        fresh = ExperimentRunner(cache_dir=tmp_path).run_point(tiny_spec())
+        assert not fresh.from_cache
+        assert fresh.record == first.record
+        assert code_fingerprint()["source_digest"] == "edited-sources"
+
+    def test_source_digest_tracks_file_contents(self, tmp_path, monkeypatch):
+        package = tmp_path / "pkg"
+        (package / "sub").mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\n")
+        (package / "sub" / "b.py").write_text("y = 2\n")
+        (package / "notes.txt").write_text("not source")
+        monkeypatch.setattr(spec_module, "_PACKAGE_ROOT", package)
+        source_digest.cache_clear()
+        try:
+            before = source_digest()
+            assert source_digest() == before  # cached
+            source_digest.cache_clear()
+            assert source_digest() == before  # and deterministic
+            (package / "notes.txt").write_text("edited, still not source")
+            source_digest.cache_clear()
+            assert source_digest() == before
+            (package / "sub" / "b.py").write_text("y = 3\n")
+            source_digest.cache_clear()
+            assert source_digest() != before
+        finally:
+            source_digest.cache_clear()  # the next caller hashes the real package
+
+    def test_fingerprint_hashes_the_package_sources(self):
+        fingerprint = code_fingerprint()
+        assert set(fingerprint) == {"source_digest", "spec_schema", "numpy", "scipy"}
+        assert len(fingerprint["source_digest"]) == 64
 
     def test_old_schema_is_recomputed(self, tmp_path):
         ExperimentRunner(cache_dir=tmp_path).run_point(tiny_spec())
