@@ -15,17 +15,19 @@ Section II-C of the paper makes the MILP tractable in three steps:
 The implementation mirrors those steps and, like the paper's tool, runs the
 expensive parts concurrently when the hardware allows it:
 
-* the *filter* prices candidate locations in chunks (optionally across a
-  thread pool), each chunk reusing one warm-started HiGHS model — the
-  pricing LPs all share the same structure, so the previous optimal basis
-  cuts the simplex work roughly in half;
+* the *filter* prices candidate locations in chunks through
+  :func:`~repro.core.single_site.priced_in_chunks` (on a thread or process
+  pool when the executor allows), each chunk solved as one block-diagonal
+  stack or through one warm-started HiGHS model;
 * the *search* runs its annealing chains either sequentially (each chain
   starting from the best siting found so far, the role of the paper's
   periodic synchronisation) or as parallel chains that explore independently
-  from the shared starting point and synchronise at the end.  Parallel mode
-  is deterministic for a fixed seed: each chain owns its RNG, provisioning
-  LPs are solved cold (no cross-chain solver state), and the evaluation memo
-  is a table of futures so exactly one chain computes each unique siting.
+  from the shared starting point and synchronise at the end.  Parallel
+  chains always ship as picklable :class:`~repro.parallel.work.ChainTask`
+  descriptors, whatever the executor kind; each chain owns its RNG and
+  evaluation memo and solves its LPs cold, so the outcome is deterministic
+  for a fixed seed, and the parent replays the chains' memo requests to
+  report shared-memo hit counts.
 
 Every provisioning evaluation is memoized by its frozen siting — the
 annealing moves revisit states constantly — and all evaluations share one
@@ -37,9 +39,7 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,12 +53,9 @@ from repro.core.provisioning import (
 from repro.core.screening import price_batch, price_per_site, screen_lower_bounds
 from repro.core.single_site import (
     priced_in_chunks,
-    pricing_chunk_count,
     scoring_parameters,
     scoring_sources,
-    single_site_row_estimate,
     single_site_size_class,
-    split_chunks,
 )
 from repro.core.solution import NetworkPlan
 from repro.lpsolver import MutableHighsModel, SolverOptions
@@ -68,10 +65,10 @@ from repro.parallel.executors import (
     result_with_serial_fallback,
 )
 from repro.parallel.work import (
-    BatchPricingTask,
+    ChainOutcomePayload,
     ChainTask,
     new_token,
-    run_batch_pricing_chunk,
+    release_chain_context,
     run_chain_task,
 )
 
@@ -96,13 +93,15 @@ class SearchSettings:
     move_weights: Dict[str, float] = field(
         default_factory=lambda: {"add": 1.0, "remove": 1.0, "swap": 2.0, "resize": 1.0, "merge": 0.5}
     )
-    #: Run annealing chains on a thread pool.  ``None`` (default) means
-    #: sequential, where chain *k* starts from the best siting of chains
-    #: ``0..k-1`` — the two modes explore different trajectories, so the
-    #: default never depends on the machine's CPU count and a fixed seed
-    #: reproduces the same siting everywhere.  Set True to explore chains
-    #: independently in parallel (also deterministic for a fixed seed, for
-    #: any worker count — but along the parallel trajectory).
+    #: Run annealing chains independently on the configured executor, each
+    #: shipped as a :class:`~repro.parallel.work.ChainTask`.  ``None``
+    #: (default) means sequential, where chain *k* starts from the best
+    #: siting of chains ``0..k-1`` — the two modes explore different
+    #: trajectories, so the default never depends on the machine's CPU count
+    #: and a fixed seed reproduces the same siting everywhere.  Set True to
+    #: explore chains independently in parallel (also deterministic for a
+    #: fixed seed, for any executor and worker count — but along the
+    #: parallel trajectory).
     parallel_chains: Optional[bool] = None
     #: Worker cap for the filter pricing pass and the parallel chains
     #: (``None`` = CPUs available to this process, honouring container CPU
@@ -211,30 +210,31 @@ class HeuristicSolver:
         self._compiler = compiler or ProvisioningCompiler(problem)
         # The memo key is the canonical sorted (location, class) tuple, so
         # any move order that reaches the same siting hits the same entry.
-        self._cache: Dict[Tuple[Tuple[str, str], ...], Future] = {}
+        # One thread drives each solver (parallel chains run on their own
+        # solvers), so the memo is a plain dict.
+        self._cache: Dict[Tuple[Tuple[str, str], ...], ProvisioningResult] = {}
         self._cache_owner: Dict[Tuple[Tuple[str, str], ...], Optional[int]] = {}
-        self._cache_lock = threading.Lock()
         self._cache_hits = 0
         self._cross_chain_hits = 0
         self._evaluations = 0
         # Warm-start HiGHS models for the annealing loop, keyed by siting
         # shape (site count, small-class count).  Only used while the chains
-        # run sequentially: models are not thread-safe, and cold solves keep
-        # the parallel search's results independent of chain scheduling.
+        # run sequentially: parallel chains solve cold, which keeps their
+        # results independent of where and in which order they run.
         self._sa_models: Dict[Tuple[int, int], MutableHighsModel] = {}
         self._sa_warm_starts = False
         # Persistent mutable-model evaluator for the sequential search; moves
         # become column/row deltas with projected-basis warm starts.
         self._sa_incremental: Optional[IncrementalSitingEvaluator] = None
-        # Process-pool chain tasks of this search share one worker-side
-        # problem/compiler rebuild, keyed by this token.
+        # The chain tasks of this search share one problem/compiler rebuild
+        # per executing process, keyed by this token.
         self._chain_token = new_token("chains")
         # Diagnostics of the last filter pass (candidate count, exact
         # pricings, screen-survival rate); merged into the solution stats.
         self._filter_stats: Dict[str, float] = {}
-        # When set (by process-pool chain workers), every canonical siting
-        # key that reaches the memo is appended, in request order; the parent
-        # replays the logs to reproduce the shared-memo hit accounting.
+        # When set (by chain tasks), every canonical siting key that reaches
+        # the memo is appended, in request order; the parent replays the logs
+        # to reproduce the shared-memo hit accounting.
         self._request_log: Optional[List[Tuple[Tuple[str, str], ...]]] = None
 
     # -- worker accounting ---------------------------------------------------------
@@ -243,10 +243,6 @@ class HeuristicSolver:
         return ExecutorFactory(
             kind=self.settings.executor, max_workers=self.settings.max_workers
         )
-
-    def _workers(self, upper: int) -> int:
-        """Concurrency to use, bounded by settings, available CPUs and the task size."""
-        return self._factory().workers(upper)
 
     @property
     def evaluations(self) -> int:
@@ -356,12 +352,16 @@ class HeuristicSolver:
         round_size = max(4 * keep, 64) if bounds is not None else max(1, len(pending))
         while pending:
             take, pending = pending[:round_size], pending[round_size:]
-            rows = self._price_filter_round(
+            # The pricers are this module's bindings, so profilers that
+            # patch them here see every chunk.
+            rows = priced_in_chunks(
                 pricing_problem,
                 [sitings[i] for i in take],
-                factory,
                 use_batch,
-                pricing_compiler,
+                self.solver_options,
+                factory,
+                compiler=pricing_compiler,
+                price=price_batch if use_batch else price_per_site,
             )
             priced += len(take)
             for index, (name, cost, feasible) in zip(take, rows):
@@ -415,72 +415,16 @@ class HeuristicSolver:
                 selected.append(name)
         return selected
 
-    def _price_filter_round(
-        self,
-        pricing_problem: SitingProblem,
-        sitings: List[Tuple[str, str]],
-        factory: ExecutorFactory,
-        use_batch: bool,
-        compiler: ProvisioningCompiler,
-    ) -> List[Tuple[str, float, bool]]:
-        """Exactly price one round of ``(location, size_class)`` candidates.
-
-        The round is split into size-capped chunks
-        (:func:`~repro.core.single_site.pricing_chunk_count` — the split
-        depends only on the round's size, never on the executor or worker
-        count) and each chunk is priced either as one block-diagonal stack or
-        through its own warm-started HiGHS model, on the configured executor.
-        Rows come back in ``sitings`` order for every executor kind.
-        """
-        num_chunks = pricing_chunk_count(
-            len(sitings), single_site_row_estimate(pricing_problem)
-        )
-        if factory.effective_kind == "process" and len(sitings) > 1:
-            chunks = split_chunks(sitings, num_chunks)
-            tasks = [
-                BatchPricingTask(
-                    problem=pricing_problem.restricted_to([name for name, _ in chunk]),
-                    sitings=tuple(chunk),
-                    options=self.solver_options,
-                    batch=use_batch,
-                )
-                for chunk in chunks
-            ]
-            rows: List[Tuple[str, float, bool]] = []
-            with factory.create(len(tasks)) as pool:
-                futures = [pool.submit(run_batch_pricing_chunk, task) for task in tasks]
-                for future, task in zip(futures, tasks):
-                    rows.extend(
-                        result_with_serial_fallback(future, run_batch_pricing_chunk, task)
-                    )
-            return rows
-
-        def run_chunk(chunk: List[Tuple[str, str]]) -> List[Tuple[str, float, bool]]:
-            if use_batch:
-                return price_batch(
-                    pricing_problem, chunk, self.solver_options, compiler=compiler
-                )
-            return price_per_site(
-                pricing_problem, chunk, self.solver_options, compiler=compiler
-            )
-
-        return priced_in_chunks(
-            sitings, run_chunk, num_chunks=num_chunks, workers=self._workers(num_chunks)
-        )
-
     # -- step 2: fixed-siting evaluation ----------------------------------------------
     def evaluate(
         self, siting: Dict[str, str], chain: Optional[int] = None
     ) -> ProvisioningResult:
         """Solve (and memoize) the provisioning LP for a siting decision.
 
-        The memo is a table of futures keyed by the canonical sorted
-        ``(location, class)`` tuple — different move orders reaching the same
-        siting hit the same entry.  The first caller of a siting computes it,
-        concurrent callers of the same siting block on the same future.
-        Results are therefore independent of chain scheduling, which is what
-        keeps the parallel search deterministic.  ``chain`` attributes memo
-        hits: a hit on an entry another chain computed counts as cross-chain.
+        The memo is keyed by the canonical sorted ``(location, class)`` tuple
+        — different move orders reaching the same siting hit the same entry.
+        ``chain`` attributes memo hits: a hit on an entry another chain
+        computed counts as cross-chain.
         """
         if len(siting) < self.problem.min_datacenters:
             return ProvisioningResult(
@@ -495,51 +439,38 @@ class HeuristicSolver:
         key = tuple(sorted(siting.items()))
         if self._request_log is not None:
             self._request_log.append(key)
-        with self._cache_lock:
-            future = self._cache.get(key)
-            owner = future is None
-            if owner:
-                future = Future()
-                self._cache[key] = future
-                self._cache_owner[key] = chain
-                self._evaluations += 1
-            else:
-                self._cache_hits += 1
-                owner_chain = self._cache_owner.get(key)
-                # Only chain-to-chain sharing counts: the initial siting is
-                # evaluated outside any chain (chain=None) and must not
-                # inflate the cross-chain stat of single-chain runs.
-                if chain is not None and owner_chain is not None and owner_chain != chain:
-                    self._cross_chain_hits += 1
-        if owner:
-            try:
-                if self._sa_incremental is not None:
-                    # Sequential search: the persistent mutable model follows
-                    # the chain's moves as column/row deltas.
-                    result = self._sa_incremental.evaluate(siting)
-                else:
-                    highs = None
-                    if self._sa_warm_starts:
-                        shape = (
-                            len(siting),
-                            sum(1 for c in siting.values() if c == "small"),
-                        )
-                        highs = self._sa_models.get(shape)
-                        if highs is None:
-                            highs = self._sa_models.setdefault(shape, MutableHighsModel())
-                    result = solve_provisioning(
-                        self.problem,
-                        siting,
-                        options=self.solver_options,
-                        compiler=self._compiler,
-                        highs=highs,
-                    )
-            except BaseException as error:  # propagate to all waiters
-                future.set_exception(error)
-                raise
-            future.set_result(result)
-            return result
-        return future.result()
+        cached = self._cache.get(key)
+        if cached is not None:
+            self._cache_hits += 1
+            owner = self._cache_owner[key]
+            # Only chain-to-chain sharing counts: the initial siting is
+            # evaluated outside any chain (chain=None) and must not inflate
+            # the cross-chain stat of single-chain runs.
+            if chain is not None and owner is not None and owner != chain:
+                self._cross_chain_hits += 1
+            return cached
+        if self._sa_incremental is not None:
+            # Sequential search: the persistent mutable model follows the
+            # chain's moves as column/row deltas.
+            result = self._sa_incremental.evaluate(siting)
+        else:
+            highs = None
+            if self._sa_warm_starts:
+                shape = (len(siting), sum(1 for c in siting.values() if c == "small"))
+                highs = self._sa_models.get(shape)
+                if highs is None:
+                    highs = self._sa_models[shape] = MutableHighsModel()
+            result = solve_provisioning(
+                self.problem,
+                siting,
+                options=self.solver_options,
+                compiler=self._compiler,
+                highs=highs,
+            )
+        self._cache[key] = result
+        self._cache_owner[key] = chain
+        self._evaluations += 1
+        return result
 
     # -- step 3: simulated annealing ----------------------------------------------------
     def solve(self) -> HeuristicSolution:
@@ -571,9 +502,7 @@ class HeuristicSolver:
 
         search_started = time.perf_counter()
         factory = self._factory()
-        chain_workers = factory.workers(settings.num_chains)
         parallel = bool(settings.parallel_chains) and settings.num_chains > 1
-        process_chains = parallel and factory.effective_kind == "process"
         self._sa_warm_starts = not parallel
         use_incremental = (
             settings.incremental_lp if settings.incremental_lp is not None else True
@@ -592,27 +521,22 @@ class HeuristicSolver:
         best_result = self.evaluate(best_siting)
         history: List[Tuple[int, float]] = [(0, best_result.monthly_cost)]
 
-        if process_chains:
-            # Chains cross the pickling boundary: each worker rebuilds the
-            # problem/compiler once per process and runs the identical chain
-            # trajectory (cold solves, chain-seeded RNG), so the merged
-            # costs and sitings are bit-identical to the thread path.  Only
-            # a picklable outcome payload returns; the winning siting is
-            # re-evaluated in the parent (one LP, same cold solve) to attach
-            # a plan-bearing result.
-            payloads = self._run_chains_process(best_siting, candidates, factory)
+        if parallel:
+            # All chains explore independently from the shared initial best
+            # and synchronise at the end; the merge prefers lower cost, ties
+            # broken by chain index, so the outcome is reproducible for a
+            # fixed seed on every executor kind.
             winner: Optional[Dict[str, str]] = None
             best_cost = best_result.monthly_cost
             # Replay every chain's memo-request sequence against shared-memo
             # accounting: a key is an evaluation the first time any chain (or
             # the parent, for the start siting) requests it and a hit after
-            # that.  The totals are order-independent, so they equal the
-            # thread/serial paths' counts bit for bit — records built from
-            # them never depend on the executor kind.
+            # that.  The totals depend only on the chains' request logs, so
+            # they never depend on the executor kind or worker count.
             seen: Dict[Tuple[Tuple[str, str], ...], Optional[int]] = {
                 key: None for key in self._cache
             }
-            for payload in payloads:
+            for payload in self._run_chain_tasks(best_siting, candidates, factory):
                 offset = payload.chain * settings.max_iterations
                 history.extend(
                     (offset + iteration, cost) for iteration, cost in payload.improvements
@@ -633,7 +557,7 @@ class HeuristicSolver:
                 best_siting = winner
                 # Solve once more, outside the memo (the replay already
                 # accounted for this siting), purely to attach a plan; the
-                # reported cost stays the worker's value, which was computed
+                # reported cost stays the chain's value, which was computed
                 # in the chain's own evaluation order — re-solving under the
                 # merged (sorted) site order could differ in the last
                 # floating-point bits.
@@ -650,30 +574,6 @@ class HeuristicSolver:
                     message=parent_result.message,
                     extractor=lambda: parent_result.plan,
                 )
-        elif parallel:
-            # All chains explore independently from the shared initial best and
-            # synchronise at the end; the merge prefers lower cost, ties broken
-            # by chain index, so the outcome is reproducible for a fixed seed.
-            with factory.create(settings.num_chains) as pool:
-                outcomes = list(
-                    pool.map(
-                        # This branch only ever sees thread/serial factories —
-                        # the process path ships picklable ChainTask
-                        # descriptors through _run_chains_process instead, and
-                        # the closure captures live LP state that must never
-                        # cross a pickle boundary.
-                        lambda chain: self._run_chain(chain, best_siting, best_result, candidates),  # reprolint: ok(PKL001) thread/serial-only branch
-
-                        range(settings.num_chains),
-                    )
-                )
-            for outcome in outcomes:
-                offset = outcome.chain * settings.max_iterations
-                history.extend(
-                    (offset + iteration, cost) for iteration, cost in outcome.improvements
-                )
-                if outcome.best_result.monthly_cost < best_result.monthly_cost - 1e-6:
-                    best_siting, best_result = outcome.best_siting, outcome.best_result
         else:
             # Sequential chains: each starts from the best state found so far,
             # which plays the role of the paper's periodic synchronisation
@@ -705,8 +605,8 @@ class HeuristicSolver:
                 **self._filter_stats,
                 "search_seconds": search_seconds,
                 "parallel_chains": float(parallel),
-                "process_chains": float(process_chains),
-                "chain_workers": float(min(chain_workers, settings.num_chains)),
+                "process_chains": float(parallel and factory.effective_kind == "process"),
+                "chain_workers": float(factory.workers(settings.num_chains)),
                 "incremental_lp": float(self._sa_incremental is not None),
                 "memo_hit_rate": self._cache_hits / requests if requests else 0.0,
                 "memo_cross_chain_hits": float(self._cross_chain_hits),
@@ -789,23 +689,25 @@ class HeuristicSolver:
             stats=stats,
         )
 
-    def _run_chains_process(
+    def _run_chain_tasks(
         self,
         start_siting: Dict[str, str],
         candidates: Sequence[str],
         factory: ExecutorFactory,
-    ):
-        """Fan the annealing chains out over a process pool.
+    ) -> List[ChainOutcomePayload]:
+        """Run each annealing chain as a :class:`~repro.parallel.work.ChainTask`.
 
-        Each :class:`~repro.parallel.work.ChainTask` ships the problem
-        restricted to the filtered candidates, the parent compiler's compiled
-        skeletons/templates (plain arrays — never HiGHS handles) and the
-        shared start siting *in its original insertion order*: the neighbour
-        moves draw from ``list(siting)``, so the dict order is part of the
-        chain's deterministic trajectory.  Chain tasks are submitted and
-        collected in chain order; a chain that raises propagates when its
-        future is collected, after every other chain future has been resolved
-        by the pool (no waiter deadlocks, and the parent memo stays clean).
+        The same descriptors run on serial, thread and process executors.
+        Each ships the problem restricted to the filtered candidates, the
+        parent compiler's compiled skeletons/templates (plain arrays — never
+        HiGHS handles) and the shared start siting *in its original insertion
+        order*: the neighbour moves draw from ``list(siting)``, so the dict
+        order is part of the chain's deterministic trajectory.  Chain tasks
+        are submitted and collected in chain order; a chain that raises
+        propagates when its future is collected, and leaving the pool's
+        context waits for every other chain first.  Chains that ran in this
+        process (serial, thread, broken pool) leave their problem/compiler
+        rebuild in the per-process memo; it is released on the way out.
         """
         settings = self.settings
         worker_settings = replace(
@@ -826,12 +728,15 @@ class HeuristicSolver:
             )
             for chain in range(settings.num_chains)
         ]
-        with factory.create(len(tasks)) as pool:
-            futures = [pool.submit(run_chain_task, task) for task in tasks]
-            return [
-                result_with_serial_fallback(future, run_chain_task, task)
-                for future, task in zip(futures, tasks)
-            ]
+        try:
+            with factory.create(len(tasks)) as pool:
+                futures = [pool.submit(run_chain_task, task) for task in tasks]
+                return [
+                    result_with_serial_fallback(future, run_chain_task, task)
+                    for future, task in zip(futures, tasks)
+                ]
+        finally:
+            release_chain_context(self._chain_token)
 
     def _run_chain(
         self,

@@ -275,10 +275,10 @@ class ProvisioningResult:
 
     @property
     def plan(self) -> Optional[NetworkPlan]:
-        # Snapshot the extractor: results are shared across threads through
-        # the siting memo, and two concurrent first reads must both see a
-        # callable (duplicate extraction is harmless; both produce the same
-        # plan from the same solve vector).
+        # Snapshot the extractor: a result may be read from several threads,
+        # and two concurrent first reads must both see a callable (duplicate
+        # extraction is harmless; both produce the same plan from the same
+        # solve vector).
         extractor = self._extractor
         if self._plan is None and extractor is not None:
             self._plan = extractor()

@@ -203,7 +203,7 @@ def price_batch(
     """Price ``(location, size_class)`` pairs with one block-diagonal solve.
 
     Returns ``(location, monthly_cost, feasible)`` rows in ``sitings`` order —
-    the same rows :func:`~repro.parallel.work.run_pricing_chunk` produces.
+    the same rows :func:`price_per_site` produces.
     The stacked solve requires a templatable grid; when the grid cannot be
     templated, or when the stack does not solve to optimality (a single
     infeasible site makes the whole stack infeasible), the chunk falls back

@@ -9,23 +9,33 @@ location-filtering score of the heuristic solver (Section II-C).
 The pricing LPs of a sweep are structurally identical (same epoch grid, same
 scenario switches, one site), so sweeps accept a shared
 :class:`~repro.lpsolver.MutableHighsModel` whose basis carry-over roughly
-halves the per-location solve time, and :meth:`SingleSiteAnalyzer.cost_distribution`
-can fan chunks out over a thread pool (``workers=...``).
+halves the per-location solve time, and :func:`priced_in_chunks` — the one
+pricing fan-out of both the Fig. 6 sweep and the heuristic's filter — prices
+chunks of locations on the configured executor.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.parameters import FrameworkParameters
 from repro.core.problem import EnergySources, GreenEnforcement, SitingProblem, StorageMode
-from repro.core.provisioning import ProvisioningResult, solve_provisioning
+from repro.core.provisioning import (
+    ProvisioningCompiler,
+    ProvisioningResult,
+    solve_provisioning,
+)
+from repro.core.screening import price_batch, price_per_site
 from repro.core.solution import NetworkPlan
 from repro.energy.profiles import LocationProfile
 from repro.lpsolver import MutableHighsModel, SolverOptions
-from repro.parallel.executors import ExecutorFactory, result_with_serial_fallback
+from repro.parallel.executors import (
+    ExecutorFactory,
+    SerialExecutor,
+    result_with_serial_fallback,
+)
+from repro.parallel.work import BatchPricingTask, run_batch_pricing_chunk
 
 
 def scoring_parameters(
@@ -124,22 +134,64 @@ def split_chunks(items, num_chunks: int) -> list:
     return [list(items[i : i + chunk_size]) for i in range(0, len(items), chunk_size)]
 
 
-def priced_in_chunks(items, price_chunk, num_chunks: int, workers: int) -> list:
-    """Price ``items`` in contiguous chunks, optionally on a thread pool.
+def priced_in_chunks(
+    problem: SitingProblem,
+    sitings: Sequence[Tuple[str, str]],
+    batch: bool,
+    options: SolverOptions,
+    factory: ExecutorFactory,
+    compiler: Optional[ProvisioningCompiler] = None,
+    price: Optional[Callable[..., List[Tuple[str, float, bool]]]] = None,
+) -> List[Tuple[str, float, bool]]:
+    """Exactly price ``(location, size_class)`` pairs of ``problem`` in chunks.
 
-    ``price_chunk`` maps a list of items to a list of results (creating its
-    own warm-start solver context per chunk); the per-chunk results are
-    concatenated in chunk order, which preserves the original item order by
-    construction.  The chunk split comes from :func:`split_chunks`, so scores
-    are identical no matter how many threads execute them.
+    The one pricing fan-out behind the heuristic's filter and
+    :meth:`SingleSiteAnalyzer.cost_distribution`.  The pairs are split into
+    :func:`pricing_chunk_count` contiguous chunks and each chunk is priced as
+    one block-diagonal stack (``batch``,
+    :func:`~repro.core.screening.price_batch`) or through one warm-started
+    HiGHS model (:func:`~repro.core.screening.price_per_site`).  On a process
+    factory each chunk ships as a
+    :class:`~repro.parallel.work.BatchPricingTask`; otherwise the chunks run
+    in-process on ``factory.create`` and share ``compiler``.  A lone chunk
+    is always priced in the caller: one LP stack is not worth a pool.
+    ``price`` replaces the in-process pricer, so a caller can route the
+    chunks through its own module's binding of those functions.
+
+    Rows come back as ``(location, monthly_cost, feasible)`` in ``sitings``
+    order.  The chunk split depends only on the sweep size, never on the
+    executor kind or worker count, so the rows are bit-identical across
+    serial, thread and process execution.
     """
-    chunks = split_chunks(items, num_chunks)
+    num_chunks = pricing_chunk_count(len(sitings), single_site_row_estimate(problem))
+    chunks = split_chunks(sitings, num_chunks)
     if not chunks:
         return []
-    if workers <= 1 or len(chunks) == 1:
-        return [result for chunk in chunks for result in price_chunk(chunk)]
-    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as executor:
-        return [result for chunk_results in executor.map(price_chunk, chunks) for result in chunk_results]
+    calls: List[Tuple[Any, ...]]
+    if len(chunks) > 1 and factory.effective_kind == "process":
+        calls = [
+            (
+                run_batch_pricing_chunk,
+                BatchPricingTask(
+                    problem=problem.restricted_to([name for name, _ in chunk]),
+                    sitings=tuple(chunk),
+                    options=options,
+                    batch=batch,
+                ),
+            )
+            for chunk in chunks
+        ]
+    else:
+        shared = compiler or ProvisioningCompiler(problem)
+        pricer = price or (price_batch if batch else price_per_site)
+        calls = [(pricer, problem, chunk, options, shared) for chunk in chunks]
+    rows: List[Tuple[str, float, bool]] = []
+    pool = factory.create(len(calls)) if len(calls) > 1 else SerialExecutor()
+    with pool:
+        futures = [pool.submit(*call) for call in calls]
+        for future, call in zip(futures, calls):
+            rows.extend(result_with_serial_fallback(future, *call))
+    return rows
 
 
 @dataclass
@@ -224,23 +276,19 @@ class SingleSiteAnalyzer:
         """
         if capacity_kw <= 0:
             raise ValueError("the datacenter capacity must be positive")
-        sources_used = scoring_sources(min_green_fraction, sources)
-        params = scoring_parameters(self.params, capacity_kw, min_green_fraction)
-        problem = SitingProblem(
-            profiles=[profile], params=params, sources=sources_used, storage=storage
+        problem, sitings = self._pricing_problem(
+            [profile], capacity_kw, min_green_fraction, sources, storage
         )
-        size_class = single_site_size_class(capacity_kw, profile, params)
         result = solve_provisioning(
             problem,
-            {profile.name: size_class},
+            dict(sitings),
             options=self.solver_options,
             enforce_spread=False,
             highs=highs,
         )
-        configuration = self._configuration_label(min_green_fraction, sources_used)
         return SingleSiteCost(
             profile=profile,
-            configuration=configuration,
+            configuration=self._configuration_label(min_green_fraction, problem.sources),
             monthly_cost=result.monthly_cost,
             feasible=result.feasible,
             result=result,
@@ -256,61 +304,47 @@ class SingleSiteAnalyzer:
         workers: Optional[int] = None,
         executor: str = "thread",
         batch: Optional[bool] = None,
-        screen_top_k: Optional[int] = None,
     ) -> List[SingleSiteCost]:
         """Single-site costs for many locations (the Fig. 6 distribution).
 
-        ``workers`` > 1 prices location chunks on a thread pool (or, with
-        ``executor="process"``, a process pool — the chunks cross the
-        pickling boundary of :mod:`repro.parallel.work` and the returned
-        costs carry no live LP result, only the numbers).  Chunk splits
+        The sweep goes through :func:`priced_in_chunks`: ``workers`` > 1
+        prices location chunks on a thread pool (or, with
+        ``executor="process"``, a process pool whose chunks cross the
+        pickling boundary of :mod:`repro.parallel.work`).  Chunk splits
         depend only on the sweep size, and results keep the order of
-        ``profiles`` for every executor kind.
+        ``profiles``, so costs are bit-identical for every executor kind and
+        worker count.
 
         ``batch`` prices each chunk as one block-diagonal mega-LP
         (:func:`~repro.core.screening.price_batch`) instead of per-site
         warm-started solves; ``None`` auto-enables it for every sweep of more
-        than one location.  Batched costs are slim (``result`` is
+        than one location.  The returned costs are slim (``result`` is
         ``None``); use :meth:`cost_at` when a plan is needed.
-
-        ``screen_top_k`` returns only the ``k`` cheapest feasible locations,
-        in ascending cost order, using the vectorized admissible screen of
-        :func:`~repro.core.screening.screen_lower_bounds` to avoid pricing
-        candidates that provably cannot make the top ``k`` — the selection
-        is exact, only the work is reduced.
         """
-        workers = max(1, workers or 1)
-        factory = ExecutorFactory(kind=executor, max_workers=workers)
         profiles = list(profiles)
-        use_batch = batch if batch is not None else len(profiles) > 1
-        if screen_top_k is not None:
-            if screen_top_k < 1:
-                raise ValueError("screen_top_k must be at least 1")
-            return self._cost_distribution_top_k(
-                profiles, capacity_kw, min_green_fraction, sources, storage,
-                factory, use_batch, screen_top_k,
+        if not profiles:
+            return []
+        problem, sitings = self._pricing_problem(
+            profiles, capacity_kw, min_green_fraction, sources, storage
+        )
+        rows = priced_in_chunks(
+            problem,
+            sitings,
+            batch if batch is not None else len(profiles) > 1,
+            self.solver_options,
+            ExecutorFactory(kind=executor, max_workers=max(1, workers or 1)),
+        )
+        configuration = self._configuration_label(min_green_fraction, problem.sources)
+        return [
+            SingleSiteCost(
+                profile=profile,
+                configuration=configuration,
+                monthly_cost=cost,
+                feasible=feasible,
             )
-        if use_batch and len(profiles) > 1:
-            return self._cost_distribution_batch(
-                profiles, capacity_kw, min_green_fraction, sources, storage, factory
-            )
-        if factory.effective_kind == "process" and len(profiles) > 1:
-            return self._cost_distribution_process(
-                profiles, capacity_kw, min_green_fraction, sources, storage, factory
-            )
+            for profile, (_, cost, feasible) in zip(profiles, rows)
+        ]
 
-        def price_chunk(chunk: Sequence[LocationProfile]) -> List[SingleSiteCost]:
-            highs = MutableHighsModel()
-            return [
-                self.cost_at(
-                    profile, capacity_kw, min_green_fraction, sources, storage, highs=highs
-                )
-                for profile in chunk
-            ]
-
-        return priced_in_chunks(profiles, price_chunk, num_chunks=workers, workers=workers)
-
-    # -- two-stage machinery -------------------------------------------------------
     def _pricing_problem(
         self,
         profiles: List[LocationProfile],
@@ -330,200 +364,6 @@ class SingleSiteAnalyzer:
             for profile in profiles
         ]
         return problem, sitings
-
-    def _price_rows(
-        self,
-        problem: SitingProblem,
-        sitings: List[Tuple[str, str]],
-        factory: ExecutorFactory,
-        use_batch: bool,
-        compiler=None,
-    ) -> List[Tuple[str, float, bool]]:
-        """Price ``sitings`` in size-capped chunks on the configured executor.
-
-        The chunk split depends only on the sweep size (never the executor or
-        worker count) and results come back in ``sitings`` order, so costs
-        are bit-identical across serial, thread and process execution.
-        """
-        from repro.core.screening import price_batch, price_per_site
-
-        num_chunks = pricing_chunk_count(len(sitings), single_site_row_estimate(problem))
-        chunks = split_chunks(sitings, num_chunks)
-        if factory.effective_kind == "process" and len(chunks) > 1:
-            from repro.parallel.work import BatchPricingTask, run_batch_pricing_chunk
-
-            tasks = [
-                BatchPricingTask(
-                    problem=problem.restricted_to([name for name, _ in chunk]),
-                    sitings=tuple(chunk),
-                    options=self.solver_options,
-                    batch=use_batch,
-                )
-                for chunk in chunks
-            ]
-            rows: List[Tuple[str, float, bool]] = []
-            with factory.create(len(tasks)) as pool:
-                futures = [pool.submit(run_batch_pricing_chunk, task) for task in tasks]
-                for future, task in zip(futures, tasks):
-                    rows.extend(
-                        result_with_serial_fallback(future, run_batch_pricing_chunk, task)
-                    )
-            return rows
-
-        from repro.core.provisioning import ProvisioningCompiler
-
-        shared_compiler = compiler or ProvisioningCompiler(problem)
-
-        def run_chunk(chunk: List[Tuple[str, str]]) -> List[Tuple[str, float, bool]]:
-            if use_batch:
-                return price_batch(
-                    problem, chunk, self.solver_options, compiler=shared_compiler
-                )
-            return price_per_site(
-                problem, chunk, self.solver_options, compiler=shared_compiler
-            )
-
-        return priced_in_chunks(
-            sitings, run_chunk, num_chunks=num_chunks, workers=factory.workers(num_chunks)
-        )
-
-    def _cost_distribution_batch(
-        self,
-        profiles: List[LocationProfile],
-        capacity_kw: float,
-        min_green_fraction: float,
-        sources: EnergySources,
-        storage: StorageMode,
-        factory: ExecutorFactory,
-    ) -> List[SingleSiteCost]:
-        """The sweep priced through block-diagonal chunk solves (slim results)."""
-        problem, sitings = self._pricing_problem(
-            profiles, capacity_kw, min_green_fraction, sources, storage
-        )
-        configuration = self._configuration_label(min_green_fraction, problem.sources)
-        rows = self._price_rows(problem, sitings, factory, use_batch=True)
-        by_name = {profile.name: profile for profile in profiles}
-        return [
-            SingleSiteCost(
-                profile=by_name[name],
-                configuration=configuration,
-                monthly_cost=cost,
-                feasible=feasible,
-            )
-            for name, cost, feasible in rows
-        ]
-
-    def _cost_distribution_top_k(
-        self,
-        profiles: List[LocationProfile],
-        capacity_kw: float,
-        min_green_fraction: float,
-        sources: EnergySources,
-        storage: StorageMode,
-        factory: ExecutorFactory,
-        use_batch: bool,
-        top_k: int,
-    ) -> List[SingleSiteCost]:
-        """Exact top-k of the cost distribution with screened pricing.
-
-        Candidates are priced in ascending order of their admissible lower
-        bound; once ``top_k`` feasible costs are known, any candidate whose
-        bound exceeds the current k-th cheapest cost provably cannot enter
-        the top k and is never priced.
-        """
-        from repro.core.screening import screen_lower_bounds
-
-        problem, sitings = self._pricing_problem(
-            profiles, capacity_kw, min_green_fraction, sources, storage
-        )
-        configuration = self._configuration_label(min_green_fraction, problem.sources)
-        screen = screen_lower_bounds(problem, dict(sitings))
-        bounds = screen.lower_bounds
-        pending = [int(i) for i in screen.order if not screen.certified_infeasible[i]]
-        feasible_rows: List[Tuple[str, float, bool]] = []
-        round_size = max(2 * top_k, 32)
-        while pending:
-            take, pending = pending[:round_size], pending[round_size:]
-            rows = self._price_rows(
-                problem, [sitings[i] for i in take], factory, use_batch
-            )
-            feasible_rows.extend(row for row in rows if row[2])
-            if pending:
-                costs = sorted(cost for _, cost, _ in feasible_rows)
-                if len(costs) >= top_k:
-                    cut = costs[top_k - 1]
-                    pending = [i for i in pending if bounds[i] <= cut]
-            round_size *= 2
-        feasible_rows.sort(key=lambda row: (row[1], row[0]))
-        by_name = {profile.name: profile for profile in profiles}
-        return [
-            SingleSiteCost(
-                profile=by_name[name],
-                configuration=configuration,
-                monthly_cost=cost,
-                feasible=True,
-            )
-            for name, cost, _ in feasible_rows[:top_k]
-        ]
-
-    def _cost_distribution_process(
-        self,
-        profiles: List[LocationProfile],
-        capacity_kw: float,
-        min_green_fraction: float,
-        sources: EnergySources,
-        storage: StorageMode,
-        factory: ExecutorFactory,
-    ) -> List[SingleSiteCost]:
-        """The sweep fanned out over a process pool.
-
-        Mirrors :meth:`cost_at` exactly — same pricing problem, same size
-        classes, fresh warm-start context per chunk — so the costs are bit
-        for bit those of the thread path; only the returned objects are slim
-        (``result`` is ``None``, the LP lives and dies in the worker).
-        """
-        from repro.core.problem import SitingProblem
-        from repro.parallel.work import PricingChunkTask, run_pricing_chunk
-
-        sources_used = scoring_sources(min_green_fraction, sources)
-        params = scoring_parameters(self.params, capacity_kw, min_green_fraction)
-        configuration = self._configuration_label(min_green_fraction, sources_used)
-        chunks = split_chunks(profiles, factory.workers(len(profiles)))
-        tasks = [
-            PricingChunkTask(
-                problem=SitingProblem(
-                    profiles=list(chunk),
-                    params=params,
-                    sources=sources_used,
-                    storage=storage,
-                ),
-                sitings=tuple(
-                    (
-                        profile.name,
-                        single_site_size_class(capacity_kw, profile, params),
-                    )
-                    for profile in chunk
-                ),
-                options=self.solver_options,
-            )
-            for chunk in chunks
-        ]
-        by_name = {profile.name: profile for profile in profiles}
-        costs: List[SingleSiteCost] = []
-        with factory.create(len(tasks)) as pool:
-            futures = [pool.submit(run_pricing_chunk, task) for task in tasks]
-            for future, task in zip(futures, tasks):
-                rows = result_with_serial_fallback(future, run_pricing_chunk, task)
-                for name, cost, feasible in rows:
-                    costs.append(
-                        SingleSiteCost(
-                            profile=by_name[name],
-                            configuration=configuration,
-                            monthly_cost=cost,
-                            feasible=feasible,
-                        )
-                    )
-        return costs
 
     @staticmethod
     def _configuration_label(min_green_fraction: float, sources: EnergySources) -> str:

@@ -13,18 +13,17 @@ from repro.parallel.executors import (
     in_process_worker,
     mark_process_worker,
     result_with_serial_fallback,
-    run_task_inline,
 )
 from repro.parallel.work import (
+    BatchPricingTask,
     ChainOutcomePayload,
     ChainTask,
-    PricingChunkTask,
     ServePointTask,
     SweepPointTask,
     cache_stats,
     new_token,
+    run_batch_pricing_chunk,
     run_chain_task,
-    run_pricing_chunk,
     run_serve_point,
     run_sweep_point,
 )
@@ -37,16 +36,15 @@ __all__ = [
     "in_process_worker",
     "mark_process_worker",
     "result_with_serial_fallback",
-    "run_task_inline",
+    "BatchPricingTask",
     "ChainOutcomePayload",
     "ChainTask",
-    "PricingChunkTask",
     "ServePointTask",
     "SweepPointTask",
     "cache_stats",
     "new_token",
+    "run_batch_pricing_chunk",
     "run_chain_task",
-    "run_pricing_chunk",
     "run_serve_point",
     "run_sweep_point",
 ]

@@ -7,9 +7,9 @@ points — dispatches through one :class:`ExecutorFactory`, selected by an
 
 ``"thread"``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap to start and
-    able to share in-process caches (the siting memo, compiled skeletons),
-    but CPU-bound LP *assembly* in pure Python serializes on the GIL; the
-    HiGHS solve itself releases it.
+    able to share in-process caches (compiled skeletons, the per-process
+    task memo), but CPU-bound LP *assembly* in pure Python serializes on the
+    GIL; the HiGHS solve itself releases it.
 ``"process"``
     A :class:`~concurrent.futures.ProcessPoolExecutor` for true multi-core
     scaling.  Work is shipped as picklable descriptors (see
@@ -35,9 +35,11 @@ from typing import Any, Callable, Optional
 #: The supported executor kinds, in the order they appear in help texts.
 EXECUTOR_KINDS = ("thread", "process", "serial")
 
-#: Set in process-pool workers (via the pool initializer and again at task
-#: entry, so it holds under both fork and spawn start methods).  Nested
-#: process pools inside workers are legal on CPython >= 3.9 but only
+#: Set in process-pool workers, only by the pool initializer (every process
+#: pool passes ``initializer=mark_process_worker``; the initializer runs in
+#: the child under both fork and spawn start methods).  Task functions never
+#: set it, so a task run inline or on a thread leaves the parent unmarked.
+#: Nested process pools inside workers are legal on CPython >= 3.9 but only
 #: oversubscribe the machine, so factories inside a worker downgrade
 #: ``"process"`` to ``"serial"`` — results are identical by construction.
 _IN_PROCESS_WORKER = False
@@ -51,22 +53,6 @@ def mark_process_worker() -> None:
 
 def in_process_worker() -> bool:
     return _IN_PROCESS_WORKER
-
-
-def run_task_inline(fn: Callable[..., Any], *args: Any) -> Any:
-    """Run a pool task function in the calling process, leaving no worker mark.
-
-    Task entry points (:func:`~repro.parallel.work.run_pricing_chunk` and
-    friends) call :func:`mark_process_worker` unconditionally; executing one
-    inline for a fallback must not permanently flag the *parent* as a worker
-    — that would silently downgrade every later process pool to serial.
-    """
-    global _IN_PROCESS_WORKER
-    saved = _IN_PROCESS_WORKER
-    try:
-        return fn(*args)
-    finally:
-        _IN_PROCESS_WORKER = saved
 
 
 def result_with_serial_fallback(future: Future, fn: Callable[..., Any], *args: Any) -> Any:
@@ -83,7 +69,7 @@ def result_with_serial_fallback(future: Future, fn: Callable[..., Any], *args: A
     try:
         return future.result()
     except BrokenProcessPool:
-        return run_task_inline(fn, *args)
+        return fn(*args)
 
 
 def available_cpu_count() -> int:

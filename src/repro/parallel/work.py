@@ -10,10 +10,11 @@ dictionaries — so each fan-out site ships a small frozen *task* describing
 the work and the worker rebuilds whatever solver machinery it needs, lazily,
 with a per-process memo:
 
-* :class:`PricingChunkTask` — one contiguous chunk of the filter-pricing /
+* :class:`BatchPricingTask` — one contiguous chunk of the filter-pricing /
   single-site sweep, carrying the pricing problem restricted to the chunk's
-  locations.  The worker builds a fresh warm-start HiGHS model per chunk,
-  exactly like the thread path, so scores are bit-identical for any executor.
+  locations.  The worker prices it exactly like the in-process chunks of
+  :func:`~repro.core.single_site.priced_in_chunks`, so scores are
+  bit-identical for any executor.
 * :class:`ChainTask` — one annealing chain, carrying the search problem
   (restricted to the filtered candidates), the search settings and the shared
   start siting.  Chains of the same search share a per-process
@@ -43,8 +44,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.parallel.executors import mark_process_worker
 
 #: Upper bound on per-process memo entries (problems, compilers, runners);
 #: old entries are evicted least-recently-used so long-lived workers serving
@@ -119,53 +118,15 @@ def reset_worker_caches() -> None:
 
 
 @dataclass(frozen=True)
-class PricingChunkTask:
-    """One chunk of structurally-identical single-site pricing LPs.
-
-    ``problem`` is the *pricing* problem restricted to the chunk's locations;
-    ``sitings`` lists ``(location, size_class)`` in chunk order.  The chunk
-    split is decided by the parent (a fixed chunk count, independent of the
-    worker count), so basis carry-over sequences — and therefore scores, bit
-    for bit — match the thread and serial paths.
-    """
-
-    problem: Any  # SitingProblem
-    sitings: Tuple[Tuple[str, str], ...]
-    options: Any  # SolverOptions
-
-
-def run_pricing_chunk(task: PricingChunkTask) -> List[Tuple[str, float, bool]]:
-    """Price one chunk; returns ``(location, monthly_cost, feasible)`` rows."""
-    mark_process_worker()
-    from repro.core.provisioning import ProvisioningCompiler, solve_provisioning
-    from repro.lpsolver import MutableHighsModel
-
-    compiler = ProvisioningCompiler(task.problem)
-    highs = MutableHighsModel()
-    rows: List[Tuple[str, float, bool]] = []
-    for name, size_class in task.sitings:
-        result = solve_provisioning(
-            task.problem,
-            {name: size_class},
-            options=task.options,
-            enforce_spread=False,
-            compiler=compiler,
-            highs=highs,
-        )
-        rows.append((name, result.monthly_cost, result.feasible))
-    return rows
-
-
-@dataclass(frozen=True)
 class BatchPricingTask:
     """One chunk of single-site pricing LPs solved as a block-diagonal stack.
 
     The two-stage filter's exact-pricing stage: the chunk's LPs are stacked
     into one mega-LP (:func:`~repro.core.screening.price_batch`) so one HiGHS
     solve prices the whole chunk; ``batch=False`` selects the per-site
-    warm-started path instead (same rows, same order).  As with
-    :class:`PricingChunkTask`, the parent decides the chunk split from the
-    sweep size alone, so results are bit-identical across executors.
+    warm-started path instead (same rows, same order).  The parent decides
+    the chunk split from the sweep size alone, so results are bit-identical
+    across executors.
     """
 
     problem: Any  # SitingProblem, restricted to the chunk's locations
@@ -176,7 +137,6 @@ class BatchPricingTask:
 
 def run_batch_pricing_chunk(task: BatchPricingTask) -> List[Tuple[str, float, bool]]:
     """Price one chunk (stacked or per-site); returns ``(location, cost, feasible)``."""
-    mark_process_worker()
     from repro.core.provisioning import ProvisioningCompiler
     from repro.core.screening import price_batch, price_per_site
 
@@ -217,10 +177,10 @@ class ChainOutcomePayload:
 
     ``requests`` is the ordered sequence of canonical siting keys the chain
     asked its evaluation memo for (start evaluation excluded).  The parent
-    replays the sequences of all chains against shared-memo accounting, so
-    the reported ``evaluations``/``cache_hits`` — and therefore the sweep
-    records built from them — are bit-identical to the serial and thread
-    paths, where the chains genuinely share one memo.
+    replays the sequences of all chains, in chain order, against one
+    shared memo's accounting, so the reported ``evaluations``, ``cache_hits``
+    and cross-chain hits — and the sweep records built from them — never
+    depend on which executor ran the chains.
     """
 
     chain: int
@@ -244,9 +204,19 @@ def _chain_context(task: ChainTask) -> Tuple[Any, Any]:
     return _cached(("chain", task.token), build)
 
 
+def release_chain_context(token: str) -> None:
+    """Drop this process's problem/compiler rebuild for the chains of ``token``.
+
+    Chains run in the parent on serial and thread executors (and after a
+    broken pool), so the parent releases a search's rebuild once its chains
+    are collected; process workers keep theirs until it ages out.
+    """
+    with _cache_lock:
+        _cache.pop(("chain", token), None)
+
+
 def run_chain_task(task: ChainTask) -> ChainOutcomePayload:
     """Run one annealing chain against a per-process rebuilt problem."""
-    mark_process_worker()
     from repro.core.heuristic import HeuristicSolver
 
     problem, compiler = _chain_context(task)
@@ -313,7 +283,6 @@ def _runner_for(
 
 def run_sweep_point(task: SweepPointTask) -> Tuple[Dict[str, Any], bool]:
     """Evaluate one sweep point; returns ``(record, from_cache)``."""
-    mark_process_worker()
     from repro.scenarios.spec import ScenarioSpec
 
     runner = _runner_for(task.token, task.cache_dir, task.base_params, task.solver_options)
@@ -351,7 +320,6 @@ def run_serve_point(task: ServePointTask) -> Tuple[Dict[str, Any], bool, Dict[st
     it by ``pid`` and keeps only the latest snapshot per worker, so summing
     across pids never double-counts.
     """
-    mark_process_worker()
     from repro.scenarios.spec import ScenarioSpec
 
     runner = _runner_for(task.token, task.cache_dir, task.base_params, task.solver_options)

@@ -328,8 +328,6 @@ class ExperimentRunner:
         """
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.parallel.executors import run_task_inline
-
         pending: List[Tuple[str, ScenarioSpec]] = []
         for key, spec in to_submit:
             cached = self._load_artifact(key)
@@ -369,7 +367,7 @@ class ExperimentRunner:
                         record, from_cache = task_future.result()
                     except BrokenProcessPool:
                         self.process_fallbacks += 1
-                        record, from_cache = run_task_inline(run_sweep_point, task)
+                        record, from_cache = run_sweep_point(task)
                 except BaseException as error:
                     with self._lock:
                         if self._memo.get(key) is future:

@@ -46,7 +46,6 @@ from repro.parallel.executors import (
     EXECUTOR_KINDS,
     available_cpu_count,
     mark_process_worker,
-    run_task_inline,
 )
 from repro.parallel.work import ServePointTask, new_token, run_serve_point
 from repro.scenarios.runner import ExperimentRunner
@@ -288,9 +287,7 @@ class PlanServer:
                 # inline — degraded to slower, never to failed.
                 self.metrics.process_fallbacks += 1
                 self._restart_pool()
-                return await loop.run_in_executor(
-                    None, run_task_inline, run_serve_point, task
-                )
+                return await loop.run_in_executor(None, run_serve_point, task)
         return await loop.run_in_executor(self._pool, self._solve_local, spec)
 
     def _restart_pool(self) -> None:

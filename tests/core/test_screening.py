@@ -258,20 +258,3 @@ class TestCostDistributionTwoStage:
                     full.monthly_cost, rel=1e-7
                 )
             assert slim.result is None  # batched sweeps are slim
-
-    def test_screen_top_k_matches_brute_force(
-        self, all_profiles, params, solver_options
-    ):
-        analyzer = SingleSiteAnalyzer(params=params, solver_options=solver_options)
-        full = analyzer.cost_distribution(
-            all_profiles, min_green_fraction=0.5, batch=False
-        )
-        expected = sorted(
-            ((cost.monthly_cost, cost.name) for cost in full if cost.feasible)
-        )[:5]
-        top = analyzer.cost_distribution(
-            all_profiles, min_green_fraction=0.5, screen_top_k=5
-        )
-        assert [(pytest.approx(cost, rel=1e-7), name) for cost, name in expected] == [
-            (site.monthly_cost, site.name) for site in top
-        ]

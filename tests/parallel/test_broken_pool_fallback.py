@@ -5,21 +5,35 @@ A worker killed by a signal or the OOM killer breaks the whole
 ``BrokenProcessPool`` even though the work itself is healthy.  The fan-out
 sites must re-run the affected tasks inline in the parent — and running a
 task inline must not leave the parent flagged as a pool worker, which would
-silently downgrade every later process pool to serial.
+silently downgrade every later process pool to serial.  Only the process
+pool's initializer marks workers; task functions never do.
 """
 
 import os
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.core import (
+    EnergySources,
+    HeuristicSolver,
+    SearchSettings,
+    SitingProblem,
+    StorageMode,
+)
+from repro.lpsolver import SolverOptions
 from repro.parallel import (
+    BatchPricingTask,
+    ChainTask,
     ExecutorFactory,
+    SerialExecutor,
+    executors,
     in_process_worker,
-    mark_process_worker,
+    new_token,
     result_with_serial_fallback,
-    run_task_inline,
+    run_batch_pricing_chunk,
+    run_chain_task,
 )
 from repro.scenarios import ExperimentRunner, ScenarioSpec
 
@@ -51,20 +65,50 @@ def _poison(value):
     return ("inline", value)
 
 
-class TestRunTaskInline:
-    def test_worker_mark_does_not_leak_into_the_parent(self):
-        assert not in_process_worker()
-        result = run_task_inline(lambda: (mark_process_worker(), "ok")[1])  # reprolint: ok(PKL001) serial executor runs inline; nothing is pickled
-        assert result == "ok"
-        assert not in_process_worker()
+class TestTasksInTheParent:
+    """Pool tasks run on serial or thread executors never mark the parent."""
 
-    def test_exceptions_propagate_and_still_restore_the_mark(self):
-        def boom():
-            mark_process_worker()
-            raise RuntimeError("inline task failed")
+    @pytest.fixture()
+    def tasks(self, all_profiles, params, monkeypatch):
+        # Restore the mark after the test even if a task leaks it.
+        monkeypatch.setattr(executors, "_IN_PROCESS_WORKER", False)
+        problem = SitingProblem(
+            profiles=all_profiles,
+            params=params.with_updates(total_capacity_kw=50_000.0, min_green_fraction=0.5),
+            sources=EnergySources.SOLAR_AND_WIND,
+            storage=StorageMode.NET_METERING,
+        )
+        settings = SearchSettings(
+            keep_locations=4, max_iterations=3, patience=3, seed=3, executor="serial"
+        )
+        solver = HeuristicSolver(problem, settings)
+        candidates = solver.filter_locations()
+        options = SolverOptions()
+        chain = ChainTask(
+            token=new_token("test-chains"),
+            problem=problem.restricted_to(candidates),
+            settings=settings,
+            options=options,
+            chain=0,
+            start_siting=tuple(solver._initial_siting(candidates).items()),
+            candidates=tuple(candidates),
+        )
+        pricing = BatchPricingTask(
+            problem=problem.restricted_to(candidates[:2]),
+            sitings=tuple((name, "large") for name in candidates[:2]),
+            options=options,
+        )
+        return [(run_chain_task, chain), (run_batch_pricing_chunk, pricing)]
 
-        with pytest.raises(RuntimeError, match="inline task failed"):
-            run_task_inline(boom)  # reprolint: ok(PKL001) serial executor runs inline; nothing is pickled
+    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    def test_worker_mark_stays_off(self, tasks, kind):
+        assert not in_process_worker()
+        pool = SerialExecutor() if kind == "serial" else ThreadPoolExecutor(max_workers=2)
+        with pool:
+            futures = [pool.submit(fn, task) for fn, task in tasks]
+            results = [future.result() for future in futures]
+        assert results[0].chain == 0
+        assert [row[0] for row in results[1]] == [name for name, _ in tasks[1][1].sitings]
         assert not in_process_worker()
 
 

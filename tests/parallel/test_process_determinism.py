@@ -17,6 +17,7 @@ from repro.core import (
     SitingProblem,
     StorageMode,
 )
+from repro.parallel.work import cache_stats, reset_worker_caches
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,19 @@ class TestProcessChains:
         # evaluations/cache_hits never depend on the executor kind.
         assert process.evaluations == serial.evaluations == thread.evaluations
         assert process.cache_hits == serial.cache_hits == thread.cache_hits
+        assert (
+            process.stats["memo_cross_chain_hits"]
+            == serial.stats["memo_cross_chain_hits"]
+            == thread.stats["memo_cross_chain_hits"]
+        )
+
+    def test_in_process_chains_release_their_rebuild(self, search_problem):
+        # Serial and thread chains run in the parent; once solve() returns,
+        # the parent's per-process memo holds no chain problem/compiler.
+        reset_worker_caches()
+        solve(search_problem, "serial", 1)
+        solve(search_problem, "thread", 2)
+        assert cache_stats()["memo_entries"] == 0
 
     def test_independent_of_worker_count(self, search_problem):
         two = solve(search_problem, "process", 2)
@@ -103,3 +117,41 @@ class TestProcessCostDistribution:
         # worker, only the numbers cross back.
         assert all(cost.result is None for cost in process)
         assert all(cost.plan is None for cost in process)
+
+    def test_single_location_on_process_factory(self, all_profiles):
+        # One location is one chunk, priced in the caller: the in-process
+        # call (with its lock-holding compiler) never reaches a process pool.
+        analyzer = SingleSiteAnalyzer()
+
+        def costs(executor):
+            return [
+                (c.name, c.monthly_cost, c.feasible)
+                for c in analyzer.cost_distribution(
+                    all_profiles[:1], workers=2, executor=executor
+                )
+            ]
+
+        assert costs("process") == costs("serial")
+
+    def test_per_site_costs_independent_of_workers(self, all_profiles):
+        # The per-site (batch=False) sweep splits chunks by sweep size, never
+        # by the worker count, so its warm-start sequences and costs match.
+        # A green share makes the warm-started optima depend on the order of
+        # the LPs in a chunk, so a worker-count split would move their bits.
+        analyzer = SingleSiteAnalyzer()
+
+        def costs(workers, executor="thread"):
+            return [
+                (c.name, c.monthly_cost, c.feasible)
+                for c in analyzer.cost_distribution(
+                    all_profiles,
+                    min_green_fraction=0.5,
+                    workers=workers,
+                    executor=executor,
+                    batch=False,
+                )
+            ]
+
+        reference = costs(1)
+        assert costs(3) == reference
+        assert costs(3, executor="process") == reference

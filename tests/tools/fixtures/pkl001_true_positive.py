@@ -8,10 +8,10 @@ def dispatch(pool, items):
         return item + 1
 
     mapped = list(pool.map(local_worker, items))  # line 10
-    task = PricingChunkTask(problem=lambda: None, sitings=(), options=None)  # line 11
+    task = BatchPricingTask(problem=lambda: None, sitings=(), options=None)  # line 11
     return futures, mapped, task
 
 
-class PricingChunkTask:  # minimal stand-in so the fixture parses standalone
+class BatchPricingTask:  # minimal stand-in so the fixture parses standalone
     def __init__(self, problem, sitings, options):
         self.problem = problem

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from tools.reprolint import Config, RULES, lint_file, lint_paths, load_config, main
-from tools.reprolint.config import config_from_table
+from tools.reprolint.config import DEFAULT_DESCRIPTOR_CLASSES, config_from_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -152,7 +152,15 @@ class TestConfig:
         assert config.select == ("SET001",)
         assert config.exclude == ("build",)
         # Unconfigured keys keep their defaults.
-        assert "PricingChunkTask" in config.descriptor_classes
+        assert "BatchPricingTask" in config.descriptor_classes
+
+    def test_default_descriptors_match_pyproject_and_work_module(self):
+        import repro.parallel.work as work
+
+        config = load_config(os.path.join(os.path.dirname(__file__), "..", "..", "pyproject.toml"))
+        assert config.descriptor_classes == DEFAULT_DESCRIPTOR_CLASSES
+        for name in DEFAULT_DESCRIPTOR_CLASSES:
+            assert isinstance(getattr(work, name, None), type), name
 
     def test_repo_pyproject_excludes_fixtures(self):
         config = load_config(os.path.join(os.path.dirname(__file__), "..", "..", "pyproject.toml"))

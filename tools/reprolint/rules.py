@@ -411,9 +411,7 @@ class ContractVisitor(ast.NodeVisitor):
     def _check_executor_call(self, node: ast.Call) -> None:
         """PKL001: lambdas / local defs handed to ``submit``/``map``."""
         func = node.func
-        is_boundary = (
-            isinstance(func, ast.Attribute) and func.attr in ("submit", "map")
-        ) or (isinstance(func, ast.Name) and func.id == "run_task_inline")
+        is_boundary = isinstance(func, ast.Attribute) and func.attr in ("submit", "map")
         if not is_boundary:
             return
         for arg in node.args:
