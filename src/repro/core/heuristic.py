@@ -58,7 +58,7 @@ from repro.core.single_site import (
     single_site_size_class,
 )
 from repro.core.solution import NetworkPlan
-from repro.lpsolver import MutableHighsModel, SolverOptions
+from repro.lpsolver import SolverOptions
 from repro.parallel.executors import (
     EXECUTOR_KINDS,
     ExecutorFactory,
@@ -114,11 +114,6 @@ class SearchSettings:
     #: are bit-identical across all three for any worker count; only the
     #: ``parallel_chains`` trajectory switch does.
     executor: str = "thread"
-    #: Evaluate sequential-search moves on a persistent mutable HiGHS model
-    #: (column/row deltas + projected-basis warm starts) instead of
-    #: rebuilding the LP per move.  ``None`` (default) auto-enables whenever
-    #: the direct backend supports the problem; False forces rebuilds.
-    incremental_lp: Optional[bool] = None
     #: Adaptive epoch grid: > 1 runs the filter and annealing search on a
     #: grid whose epochs are this factor coarser, then re-solves the best
     #: siting on selectively refined grids (only the epochs where the plan
@@ -136,11 +131,10 @@ class SearchSettings:
     #: with the screen on or off.  ``None`` (default) enables it.
     filter_screen: Optional[bool] = None
     #: Stage-2 filter pricing: solve each pricing chunk as one block-diagonal
-    #: mega-LP (:func:`~repro.core.screening.price_batch`) instead of per-site
-    #: warm-started solves.  ``None`` (default) auto-enables whenever the
-    #: pricing grid can be templated (at least two epochs); False forces the
-    #: per-site path.
-    filter_batch: Optional[bool] = None
+    #: mega-LP (:func:`~repro.core.screening.price_batch`, default) or, when
+    #: False, by per-site warm-started solves
+    #: (:func:`~repro.core.screening.price_per_site`).
+    filter_batch: bool = True
 
     def __post_init__(self) -> None:
         if self.keep_locations < 1:
@@ -217,14 +211,10 @@ class HeuristicSolver:
         self._cache_hits = 0
         self._cross_chain_hits = 0
         self._evaluations = 0
-        # Warm-start HiGHS models for the annealing loop, keyed by siting
-        # shape (site count, small-class count).  Only used while the chains
-        # run sequentially: parallel chains solve cold, which keeps their
-        # results independent of where and in which order they run.
-        self._sa_models: Dict[Tuple[int, int], MutableHighsModel] = {}
-        self._sa_warm_starts = False
         # Persistent mutable-model evaluator for the sequential search; moves
-        # become column/row deltas with projected-basis warm starts.
+        # become column/row deltas with projected-basis warm starts.  Parallel
+        # chains (and the start siting of a parallel run) solve cold, which
+        # keeps their results independent of where and in which order they run.
         self._sa_incremental: Optional[IncrementalSitingEvaluator] = None
         # The chain tasks of this search share one problem/compiler rebuild
         # per executing process, keyed by this token.
@@ -311,11 +301,7 @@ class HeuristicSolver:
         use_screen = (
             settings.filter_screen if settings.filter_screen is not None else True
         )
-        use_batch = (
-            settings.filter_batch
-            if settings.filter_batch is not None
-            else pricing_problem.num_epochs >= 2
-        )
+        use_batch = settings.filter_batch
         profiles = pricing_problem.profiles
         sitings = [
             (profile.name, single_site_size_class(share_kw, profile, pricing_params))
@@ -454,18 +440,8 @@ class HeuristicSolver:
             # chain's moves as column/row deltas.
             result = self._sa_incremental.evaluate(siting)
         else:
-            highs = None
-            if self._sa_warm_starts:
-                shape = (len(siting), sum(1 for c in siting.values() if c == "small"))
-                highs = self._sa_models.get(shape)
-                if highs is None:
-                    highs = self._sa_models[shape] = MutableHighsModel()
             result = solve_provisioning(
-                self.problem,
-                siting,
-                options=self.solver_options,
-                compiler=self._compiler,
-                highs=highs,
+                self.problem, siting, options=self.solver_options, compiler=self._compiler
             )
         self._cache[key] = result
         self._cache_owner[key] = chain
@@ -503,15 +479,7 @@ class HeuristicSolver:
         search_started = time.perf_counter()
         factory = self._factory()
         parallel = bool(settings.parallel_chains) and settings.num_chains > 1
-        self._sa_warm_starts = not parallel
-        use_incremental = (
-            settings.incremental_lp if settings.incremental_lp is not None else True
-        )
-        if (
-            parallel  # the evaluator is single-threaded; parallel chains solve cold
-            or not use_incremental
-            or not IncrementalSitingEvaluator.supported(problem)
-        ):
+        if parallel:  # the evaluator is single-threaded; parallel chains solve cold
             self._sa_incremental = None
         elif self._sa_incremental is None:
             self._sa_incremental = IncrementalSitingEvaluator(
@@ -607,7 +575,6 @@ class HeuristicSolver:
                 "parallel_chains": float(parallel),
                 "process_chains": float(parallel and factory.effective_kind == "process"),
                 "chain_workers": float(factory.workers(settings.num_chains)),
-                "incremental_lp": float(self._sa_incremental is not None),
                 "memo_hit_rate": self._cache_hits / requests if requests else 0.0,
                 "memo_cross_chain_hits": float(self._cross_chain_hits),
             },

@@ -15,14 +15,14 @@ This closes a loophole in the figure's aggregate form in which simultaneous
 charge/discharge could inflate the green numerator, and matches the intent
 described in Sections II-B and IV.
 
-The builder emits each per-epoch constraint family — power balance, battery
-dynamics, net-metering bank, migration coupling — as one
-:meth:`~repro.lpsolver.model.Model.add_linear_block` call of COO triplets,
-with the per-site triplet skeleton cached by a :class:`ProvisioningCompiler`
-so the annealing search pays assembly costs only once per
-``(location, size class)`` pair it visits.  The readable per-epoch
-object-API construction of the same LP lives in the test suite, where the
-differential tests pin this builder against it.
+The compiler emits each per-epoch constraint family — power balance, battery
+dynamics, net-metering bank, migration coupling — as COO triplets of a cached
+per-``(location, size class)`` skeleton, and instantiates a siting's LP
+directly in HiGHS row form through a per-shape CSC pattern cache, so the
+annealing search pays assembly costs only once per pair it visits.  That
+templated row form is the only assembly route, on every epoch grid.  The
+readable per-epoch object-API construction of the same LP lives in the test
+suite, where the differential tests pin this builder against it.
 
 Plan extraction is lazy: :class:`ProvisioningResult` materialises the
 :class:`NetworkPlan` on first access of ``.plan``, so the thousands of
@@ -41,13 +41,7 @@ from repro.core.costs import CostModel
 from repro.core.problem import GreenEnforcement, SitingProblem, StorageMode
 from repro.core.solution import DatacenterPlan, NetworkPlan
 from repro.energy.profiles import LocationProfile
-from repro.lpsolver import (
-    ConstraintSense,
-    LinearExpression,
-    Model,
-    RowFormLP,
-    SolverOptions,
-)
+from repro.lpsolver import ConstraintSense, RowFormLP, SolverOptions
 from repro.lpsolver import highs_backend
 from repro.lpsolver import validate as lp_validate
 
@@ -65,6 +59,27 @@ _EPOCH_FAMILIES = (
     "net_discharge",
     "net_level",
 )
+
+
+def _sum_duplicates(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, num_cols: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block's triplets with duplicate ``(row, col)`` entries summed.
+
+    Only single-epoch grids produce duplicates: the cyclic previous epoch is
+    the epoch itself, so the migration and storage-dynamics blocks name one
+    coordinate twice.  Summing them is what a COO-to-CSC conversion does.
+    A block without duplicates keeps its triplet order, so multi-epoch
+    skeletons (and the value slots derived from them) are unchanged.
+    """
+    codes = rows * np.int64(num_cols) + cols
+    unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    if len(unique) == len(codes):
+        return rows, cols, vals
+    order = np.argsort(first)  # keep the first-occurrence order
+    keep = first[order]
+    sums = np.bincount(inverse, weights=vals, minlength=len(unique))
+    return rows[keep], cols[keep], sums[order]
 
 
 @dataclass
@@ -101,20 +116,17 @@ class _SiteSkeleton:
     """Cached constraint/objective skeleton of one ``(location, size class)``.
 
     Everything is expressed in site-local variable indices ``0..n-1``; the
-    compiler offsets rows and columns when stitching sites into a model.
-    ``blocks`` holds ``(rows, cols, vals, sense, rhs, name)`` tuples; the
-    ``tri_*``/``rhs``/mask fields carry the same triplets pre-concatenated
-    (with block-local row offsets applied) for the templated row-form path.
-    ``green_*`` holds the site's contribution to the cross-site minimum-green
-    coupling constraint.  Variable names are generated lazily — only the
-    Model route needs them.
+    compiler offsets rows and columns when stitching sites into an LP.  The
+    ``tri_*`` arrays hold the site's constraint blocks as one COO triplet
+    concatenation (block-local row offsets applied, duplicate coordinates
+    summed), with per-row right-hand sides and sense masks.  ``green_*``
+    holds the site's contribution to the cross-site minimum-green coupling
+    constraint.
     """
 
-    location_name: str
     num_epochs: int
     lower: np.ndarray
     upper: np.ndarray
-    blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, ConstraintSense, np.ndarray, str]]
     objective_cols: np.ndarray
     objective_vals: np.ndarray
     fixed_cost: float
@@ -127,22 +139,10 @@ class _SiteSkeleton:
     green_rows: np.ndarray
     green_cols: np.ndarray
     green_vals: np.ndarray
-    _names: Optional[List[str]] = None
 
     @property
     def num_rows(self) -> int:
         return int(self.rhs.shape[0])
-
-    @property
-    def names(self) -> List[str]:
-        """Variable names in layout order (generated on first Model build)."""
-        if self._names is None:
-            name = self.location_name
-            names = [f"capacity[{name}]", f"solar[{name}]", f"wind[{name}]", f"battery[{name}]"]
-            for family in _EPOCH_FAMILIES:
-                names.extend(f"{family}[{name},{epoch}]" for epoch in range(self.num_epochs))
-            self._names = names
-        return self._names
 
 
 @dataclass
@@ -159,9 +159,7 @@ class _SkeletonTemplate:
     """
 
     donor: "_SiteSkeleton"
-    block_offsets: List[int]
-    block_labels: List[str]
-    #: label -> (start offset into tri_vals); slot layout is fixed per block.
+    #: block label -> start offset into tri_vals; slot layout is fixed per block.
     slots: Dict[str, int]
     brown_cols: np.ndarray
 
@@ -296,7 +294,7 @@ class ProvisioningResult:
 
 
 class ProvisioningCompiler:
-    """Compiles siting decisions of one problem into provisioning models.
+    """Compiles siting decisions of one problem into row-form provisioning LPs.
 
     The compiler caches the per-site constraint skeleton (COO triplets,
     bounds, objective coefficients) keyed by ``(location, size class)``.
@@ -311,9 +309,8 @@ class ProvisioningCompiler:
         self.cost_model = CostModel(problem.params)
         self._profiles = problem.profile_map()
         self._skeletons: Dict[Tuple[str, str], _SiteSkeleton] = {}
-        # Per-shape CSC pattern cache; False marks shapes that cannot be
-        # templated (degenerate grids with duplicate COO coordinates).
-        self._templates: Dict[Tuple, object] = {}
+        # Per-shape CSC pattern cache, keyed by (size classes, spread).
+        self._templates: Dict[Tuple, _ModelTemplate] = {}
         # Per-site delta arrays for the incremental solve path.
         self._incremental: Dict[str, _IncrementalSiteData] = {}
         # Location-independent skeleton structure per size class; once built,
@@ -428,22 +425,11 @@ class ProvisioningCompiler:
         else:
             green_vals = donor.green_vals
 
-        # Block value arrays are views into tri_vals (which concatenates them
-        # in block order); index arrays and right-hand sides are shared.
-        blocks = []
-        for (rows, cols, vals, sense, rhs, _), offset, label in zip(
-            donor.blocks, template.block_offsets, template.block_labels
-        ):
-            blocks.append(
-                (rows, cols, tri_vals[offset : offset + len(vals)], sense, rhs,
-                 f"{label}[{name}]")
-            )
+        # Index arrays, right-hand sides and sense masks are shared.
         return _SiteSkeleton(
-            location_name=name,
             num_epochs=T,
             lower=donor.lower,
             upper=upper,
-            blocks=blocks,
             objective_cols=donor.objective_cols,
             objective_vals=np.concatenate(obj_vals),
             fixed_cost=coefficients["fixed"],
@@ -506,27 +492,37 @@ class ProvisioningCompiler:
         pue = profile.pue
         mf_pue = params.migration_factor * pue
 
-        blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, ConstraintSense, np.ndarray, str]] = []
-        block_offsets: List[int] = []
-        block_labels: List[str] = []
+        # Each block's triplets land in the pre-concatenated skeleton arrays
+        # (block-local rows offset by the rows emitted so far); ``slots``
+        # records where each block's values start inside tri_vals.
+        row_parts: List[np.ndarray] = []
+        col_parts: List[np.ndarray] = []
+        val_parts: List[np.ndarray] = []
+        rhs_parts: List[np.ndarray] = []
+        le_parts: List[np.ndarray] = []
+        ge_parts: List[np.ndarray] = []
+        slots: Dict[str, int] = {}
         vals_offset = 0
+        row_offset = 0
 
         def block(row_lists, col_lists, val_lists, sense, rhs, label):
-            nonlocal vals_offset
-            vals = np.concatenate(val_lists)
-            blocks.append(
-                (
-                    np.concatenate(row_lists),
-                    np.concatenate(col_lists),
-                    vals,
-                    sense,
-                    np.asarray(rhs, dtype=float),
-                    f"{label}[{name}]",
-                )
+            nonlocal vals_offset, row_offset
+            rows, cols, vals = _sum_duplicates(
+                np.concatenate(row_lists),
+                np.concatenate(col_lists),
+                np.concatenate(val_lists),
+                n_vars,
             )
-            block_offsets.append(vals_offset)
-            block_labels.append(label)
+            n_rows = len(rhs)
+            row_parts.append(rows + row_offset)
+            col_parts.append(cols)
+            val_parts.append(vals)
+            rhs_parts.append(np.asarray(rhs, dtype=float))
+            le_parts.append(np.full(n_rows, sense is ConstraintSense.LESS_EQUAL))
+            ge_parts.append(np.full(n_rows, sense is ConstraintSense.GREATER_EQUAL))
+            slots[label] = vals_offset
             vals_offset += len(vals)
+            row_offset += n_rows
 
         # Size-class consistency: the construction price per kW assumed in the
         # objective is only valid within the class's power range.
@@ -667,25 +663,6 @@ class ProvisioningCompiler:
             obj_cols.append(fam["net_charge"])
             obj_vals.append(coefficients["net_charge_kwh_year"] * weights)
 
-        # Pre-concatenated triplets (block-local row offsets applied) and
-        # per-row sense masks for the templated row-form fast path.
-        tri_rows_parts: List[np.ndarray] = []
-        rhs_parts: List[np.ndarray] = []
-        le_parts: List[np.ndarray] = []
-        ge_parts: List[np.ndarray] = []
-        row_offset = 0
-        for rows, _cols, _vals, sense, rhs, _label in blocks:
-            tri_rows_parts.append(rows + row_offset)
-            rhs_parts.append(rhs)
-            n_rows = len(rhs)
-            le_parts.append(
-                np.full(n_rows, sense is ConstraintSense.LESS_EQUAL, dtype=bool)
-            )
-            ge_parts.append(
-                np.full(n_rows, sense is ConstraintSense.GREATER_EQUAL, dtype=bool)
-            )
-            row_offset += n_rows
-
         # This site's slice of the cross-site minimum-green coupling row(s):
         # delivered green counts positive, a ``frac`` share of the demand
         # counts negative (annual form weights epochs by their hours).
@@ -720,17 +697,15 @@ class ProvisioningCompiler:
             green_vals = np.empty(0)
 
         skeleton = _SiteSkeleton(
-            location_name=name,
             num_epochs=T,
             lower=lower,
             upper=upper,
-            blocks=blocks,
             objective_cols=np.concatenate(obj_cols),
             objective_vals=np.concatenate(obj_vals),
             fixed_cost=coefficients["fixed"],
-            tri_rows=np.concatenate(tri_rows_parts),
-            tri_cols=np.concatenate([cols for _rows, cols, *_rest in blocks]),
-            tri_vals=np.concatenate([vals for _rows, _cols, vals, *_rest in blocks]),
+            tri_rows=np.concatenate(row_parts),
+            tri_cols=np.concatenate(col_parts),
+            tri_vals=np.concatenate(val_parts),
             rhs=np.concatenate(rhs_parts),
             le_mask=np.concatenate(le_parts),
             ge_mask=np.concatenate(ge_parts),
@@ -739,15 +714,7 @@ class ProvisioningCompiler:
             green_vals=green_vals,
         )
         template = _SkeletonTemplate(
-            donor=skeleton,
-            block_offsets=block_offsets,
-            block_labels=block_labels,
-            slots={
-                label: offset
-                for label, offset in zip(block_labels, block_offsets)
-                if label in ("small_dc", "power_balance", "green_delivery_cap", "green_allocation")
-            },
-            brown_cols=fam["brown"],
+            donor=skeleton, slots=slots, brown_cols=fam["brown"]
         )
         return skeleton, template
 
@@ -790,16 +757,14 @@ class ProvisioningCompiler:
         return data
 
     def _build_incremental_site_data(self, name: str) -> _IncrementalSiteData:
-        # The "small" skeleton carries the full structure (its small_dc row is
-        # the one the "large" class relaxes); the class only changes objective
-        # coefficients and the fixed cost.
+        # The "small" skeleton carries the full structure (its small_dc row,
+        # emitted first, is row 0 and the one the "large" class relaxes); the
+        # class only changes objective coefficients and the fixed cost.
         small = self.site_skeleton(name, "small")
         large = self.site_skeleton(name, "large")
         params = self.problem.params
         T = small.num_epochs
         n_vars = len(small.lower)
-        if not small.blocks or not small.blocks[0][5].startswith("small_dc"):
-            raise RuntimeError("incremental layout expects the small_dc row first")
 
         row_lower = np.where(small.le_mask, -np.inf, small.rhs)
         row_upper = np.where(small.ge_mask, np.inf, small.rhs)
@@ -846,118 +811,20 @@ class ProvisioningCompiler:
             fixed={"small": small.fixed_cost, "large": large.fixed_cost},
         )
 
-    # -- whole-model assembly -----------------------------------------------------
-    def compile(
-        self, siting: Mapping[str, str], enforce_spread: bool = True
-    ) -> Tuple[Model, List[_SiteLayout]]:
-        """Assemble the provisioning LP for one siting decision as a Model."""
-        problem = self.problem
-        params = problem.params
-        T = problem.num_epochs
-        t = np.arange(T, dtype=np.int64)
-        model = Model(name="provisioning", sense="min")
-        layouts: List[_SiteLayout] = []
-        skeletons: List[_SiteSkeleton] = []
-        profiles = self._profiles
-
-        objective_cols: List[np.ndarray] = []
-        objective_vals: List[np.ndarray] = []
-        fixed_cost = 0.0
-        for name, size_class in siting.items():
-            skeleton = self.site_skeleton(name, size_class)
-            base = model.num_variables
-            model.add_variable_array(skeleton.names, skeleton.lower, skeleton.upper)
-            layouts.append(
-                _SiteLayout(
-                    profile=profiles[name], size_class=size_class, base=base, num_epochs=T
-                )
-            )
-            skeletons.append(skeleton)
-            for rows, cols, vals, sense, rhs, label in skeleton.blocks:
-                model.add_linear_block(
-                    rows, cols + base, vals, sense, rhs, name=label, validate=False
-                )
-            objective_cols.append(skeleton.objective_cols + base)
-            objective_vals.append(skeleton.objective_vals)
-            fixed_cost += skeleton.fixed_cost
-
-        # Constraint 2: the network must provide the requested compute power in
-        # every epoch.
-        model.add_linear_block(
-            np.concatenate([t] * len(layouts)),
-            np.concatenate([layout.compute for layout in layouts]),
-            np.ones(T * len(layouts)),
-            ConstraintSense.GREATER_EQUAL,
-            np.full(T, params.total_capacity_kw),
-            name="total_capacity",
-            validate=False,
-        )
-
-        # Constraint 3: minimum share of green energy, enforced either over the
-        # whole year (the paper's main formulation) or in every epoch (the
-        # stricter variant studied in the technical report).  The per-site
-        # contributions are cached in the skeletons.
-        if params.min_green_fraction > 0:
-            per_epoch = problem.green_enforcement is GreenEnforcement.PER_EPOCH
-            model.add_linear_block(
-                np.concatenate([skeleton.green_rows for skeleton in skeletons]),
-                np.concatenate(
-                    [
-                        skeleton.green_cols + layout.base
-                        for skeleton, layout in zip(skeletons, layouts)
-                    ]
-                ),
-                np.concatenate([skeleton.green_vals for skeleton in skeletons]),
-                ConstraintSense.GREATER_EQUAL,
-                np.zeros(T) if per_epoch else np.zeros(1),
-                name="min_green_fraction",
-                validate=False,
-            )
-
-        # Availability spread: every sited DC keeps at least S/n servers.
-        if enforce_spread and layouts:
-            floor = params.total_capacity_kw / len(layouts)
-            model.add_linear_block(
-                np.arange(len(layouts), dtype=np.int64),
-                np.array([layout.capacity for layout in layouts], dtype=np.int64),
-                np.ones(len(layouts)),
-                ConstraintSense.GREATER_EQUAL,
-                np.full(len(layouts), floor),
-                name="capacity_spread",
-                validate=False,
-            )
-
-        model.set_objective(
-            LinearExpression(
-                dict(
-                    zip(
-                        np.concatenate(objective_cols).tolist(),
-                        np.concatenate(objective_vals).tolist(),
-                    )
-                ),
-                fixed_cost,
-            )
-        )
-        return model, layouts
-
     # -- templated row-form assembly ------------------------------------------------
     def compile_row_form(
         self, siting: Mapping[str, str], enforce_spread: bool = True
-    ) -> Optional[Tuple[RowFormLP, List[_SiteLayout]]]:
-        """Assemble the LP directly in HiGHS row form via the pattern cache.
+    ) -> Tuple[RowFormLP, List[_SiteLayout]]:
+        """Assemble the LP for one siting directly in HiGHS row form.
 
         Sitings with the same ordered size-class tuple share one CSC sparsity
         pattern, so after the first assembly of a shape only the coefficient
         values, bounds and right-hand sides are rebuilt (a few array
-        concatenations and one fancy-index).  Returns ``None`` when the shape
-        cannot be templated (degenerate single-epoch grids produce duplicate
-        COO coordinates); callers then fall back to :meth:`compile`.
+        concatenations and one fancy-index).
         """
         problem = self.problem
         params = problem.params
         T = problem.num_epochs
-        if T < 2:
-            return None
         skeletons: List[_SiteSkeleton] = []
         classes: List[str] = []
         for name, size_class in siting.items():
@@ -971,22 +838,20 @@ class ProvisioningCompiler:
         key = (tuple(classes), bool(enforce_spread))
         with self._lock:
             template = self._templates.get(key)
-        if template is False:
-            return None
         if template is None:
-            template = self._build_template(
-                key, skeletons, enforce_spread, has_green, per_epoch
-            )
+            template = self._build_template(skeletons, enforce_spread, has_green, per_epoch)
             with self._lock:
-                self._templates.setdefault(key, template if template is not None else False)
-            if template is None:
-                return None
+                template = self._templates.setdefault(key, template)
 
         # Values, right-hand sides, bounds and costs in the same deterministic
-        # order the template's pattern was built in.
+        # order the template's pattern was built in: the site blocks, then
+        # Constraint 2 (the network provides the requested compute power in
+        # every epoch), Constraint 3 (the minimum green share, over the year
+        # or in every epoch) and the availability spread (every sited DC
+        # keeps at least S/n servers).
         vals_parts = [skeleton.tri_vals for skeleton in skeletons]
         rhs_parts = [skeleton.rhs for skeleton in skeletons]
-        vals_parts.append(np.ones(T * num_sites))  # total_capacity
+        vals_parts.append(np.ones(T * num_sites))
         rhs_parts.append(np.full(T, params.total_capacity_kw))
         if has_green:
             vals_parts.extend(skeleton.green_vals for skeleton in skeletons)
@@ -996,8 +861,6 @@ class ProvisioningCompiler:
             rhs_parts.append(np.full(num_sites, params.total_capacity_kw / num_sites))
         vals = np.concatenate(vals_parts)
         rhs = np.concatenate(rhs_parts)
-        if len(vals) != len(template.perm) or len(rhs) != template.shape[0]:
-            return None  # pattern drifted; let the Model path handle it
 
         num_cols = num_sites * nvars_site
         cost = np.zeros(num_cols)
@@ -1040,7 +903,7 @@ class ProvisioningCompiler:
         self,
         sitings: Sequence[Tuple[str, str]],
         enforce_spread: bool = False,
-    ) -> Optional[BatchCompiledLP]:
+    ) -> BatchCompiledLP:
         """Stack independent single-site LPs into one block-diagonal mega-LP.
 
         ``sitings`` lists ``(location, size_class)`` pairs; each becomes its
@@ -1049,22 +912,15 @@ class ProvisioningCompiler:
         one-site siting — and the blocks are concatenated block-diagonally in
         the given order.  One solve of the result prices every location at
         once; :meth:`BatchCompiledLP.site_costs` recovers the per-site costs.
-
-        Returns ``None`` when any site's LP cannot be templated (degenerate
-        epoch grids); callers then fall back to per-site solves.
+        An empty ``sitings`` raises ``ValueError``.
         """
         from repro.lpsolver.batch import stack_block_diagonal
 
-        if not sitings:
-            return None
-        blocks: List[RowFormLP] = []
-        names: List[str] = []
-        for name, size_class in sitings:
-            compiled = self.compile_row_form({name: size_class}, enforce_spread)
-            if compiled is None:
-                return None
-            blocks.append(compiled[0])
-            names.append(name)
+        blocks = [
+            self.compile_row_form({name: size_class}, enforce_spread)[0]
+            for name, size_class in sitings
+        ]
+        names = [name for name, _ in sitings]
         stacked, col_offsets, row_offsets = stack_block_diagonal(blocks)
         return BatchCompiledLP(
             row_form=stacked,
@@ -1076,12 +932,11 @@ class ProvisioningCompiler:
 
     def _build_template(
         self,
-        key: Tuple,
         skeletons: List[_SiteSkeleton],
         enforce_spread: bool,
         has_green: bool,
         per_epoch: bool,
-    ) -> Optional[_ModelTemplate]:
+    ) -> _ModelTemplate:
         problem = self.problem
         T = problem.num_epochs
         t = np.arange(T, dtype=np.int64)
@@ -1132,13 +987,9 @@ class ProvisioningCompiler:
         rows = np.concatenate(rows_parts)
         cols = np.concatenate(cols_parts)
         num_rows = row_offset
-        # CSC order: sort entries by (column, row); bail out on duplicate
-        # coordinates, which would be silently summed by scipy but not HiGHS.
-        codes = cols * np.int64(num_rows) + rows
-        perm = np.argsort(codes, kind="stable")
-        sorted_codes = codes[perm]
-        if np.any(sorted_codes[1:] == sorted_codes[:-1]):
-            return None
+        # CSC order: sort entries by (column, row).  Skeletons hold no
+        # duplicate coordinates; REPRO_VALIDATE=1 checks every instantiation.
+        perm = np.argsort(cols * np.int64(num_rows) + rows, kind="stable")
         indptr = np.zeros(num_cols + 1, dtype=np.int64)
         np.cumsum(np.bincount(cols, minlength=num_cols), out=indptr[1:])
         return _ModelTemplate(
@@ -1151,112 +1002,12 @@ class ProvisioningCompiler:
         )
 
 
-class ProvisioningModelBuilder:
-    """Builds the Fig. 1 constraints for a given siting decision.
-
-    Constraints are emitted as blocked COO triplets through a
-    :class:`ProvisioningCompiler`: a templated row form goes straight to
-    HiGHS, and the :class:`Model` is only materialised if someone asks for
-    it (or the epoch grid cannot be templated).
-
-    Parameters
-    ----------
-    problem:
-        The siting problem (candidate profiles, parameters, scenario switches).
-    siting:
-        Mapping from location name to size class (``"small"`` or ``"large"``)
-        for the locations where a datacenter is placed.
-    enforce_spread:
-        When True (default), each sited datacenter must host at least
-        ``totalCapacity / n`` compute capacity so that the failure of ``n - 1``
-        datacenters leaves ``S/n`` servers, the paper's stricter availability
-        condition.
-    compiler:
-        Optional shared :class:`ProvisioningCompiler` whose per-site skeleton
-        cache should be reused (the heuristic passes one per search).
-    """
-
-    def __init__(
-        self,
-        problem: SitingProblem,
-        siting: Mapping[str, str],
-        enforce_spread: bool = True,
-        compiler: Optional[ProvisioningCompiler] = None,
-    ) -> None:
-        if not siting:
-            raise ValueError("the siting decision must place at least one datacenter")
-        for name, size_class in siting.items():
-            if size_class not in ("small", "large"):
-                raise ValueError(f"unknown size class {size_class!r} for {name!r}")
-        self.problem = problem
-        self.siting = dict(siting)
-        self.enforce_spread = enforce_spread
-        if compiler is not None and compiler.problem is not problem:
-            raise ValueError("the shared compiler was built for a different problem")
-        self.compiler = compiler or ProvisioningCompiler(problem)
-        self.cost_model = self.compiler.cost_model
-        self.sites: List[_SiteLayout] = []
-        self._model: Optional[Model] = None
-        self._row_form: Optional[RowFormLP] = None
-        fast = self.compiler.compile_row_form(siting, enforce_spread)
-        if fast is not None:
-            self._row_form, self.sites = fast
-        else:
-            self._model, self.sites = self.compiler.compile(siting, enforce_spread)
-
-    @property
-    def model(self) -> Model:
-        """The provisioning LP as a :class:`Model` (built on demand)."""
-        if self._model is None:
-            self._model, layouts = self.compiler.compile(self.siting, self.enforce_spread)
-            if not self.sites:
-                self.sites = layouts
-        return self._model
-
-    # -- solving ------------------------------------------------------------------------------
-    def solve(
-        self,
-        options: Optional[SolverOptions] = None,
-        highs: Optional[highs_backend.MutableHighsModel] = None,
-    ) -> ProvisioningResult:
-        """Solve the LP; the resulting :class:`NetworkPlan` extracts lazily.
-
-        ``highs`` is a long-lived HiGHS handle whose basis warm-starts
-        structurally identical solves.
-        """
-        options = options or SolverOptions()
-        if self._row_form is not None:
-            result = highs_backend.solve_row_form(self._row_form, options, highs)
-            dims = (self._row_form.shape[1], self._row_form.shape[0])
-        else:
-            result = self.model.solve(options, highs=highs)
-            dims = (self.model.num_variables, self.model.num_constraints)
-        if not result.is_optimal:
-            return ProvisioningResult(
-                feasible=False,
-                monthly_cost=float("inf"),
-                plan=None,
-                message=f"{result.status.value}: {result.message}",
-            )
-        # The extractor closes over small snapshots (layouts, cost model,
-        # solution vector) rather than the builder itself, so memoized results
-        # do not pin the compiled model arrays for the search's lifetime.
-        problem, cost_model, sites = self.problem, self.cost_model, self.sites
-        return ProvisioningResult(
-            feasible=True,
-            monthly_cost=result.objective,
-            plan=None,
-            message=result.message,
-            extractor=lambda: _extract_network_plan(problem, cost_model, sites, dims, result),
-        )
-
-
 class IncrementalSitingEvaluator:
     """Evaluates siting decisions as deltas on one persistent HiGHS model.
 
     The annealing search's neighbour moves change one or two sites at a time,
-    but the rebuild path re-passes the whole LP and cold-solves it for every
-    move.  This evaluator instead keeps a
+    but :func:`solve_provisioning` re-passes the whole LP and cold-solves it
+    for every move.  This evaluator instead keeps a
     :class:`~repro.lpsolver.highs_backend.MutableHighsModel` loaded with the
     *current* siting's LP and expresses each requested siting as a structural
     delta against it:
@@ -1277,8 +1028,9 @@ class IncrementalSitingEvaluator:
     per-site variable blocks in site order.  The previous optimal basis is
     projected across every delta, so the dual simplex warm-starts across
     moves; objective values are identical to a cold solve (the LP optimum is
-    unique in value), which the differential tests pin against the rebuild
-    path.  Instances are not thread-safe: one evaluator per annealing chain.
+    unique in value), which the differential tests pin against cold
+    :func:`solve_provisioning` solves.  Instances are not thread-safe: one
+    evaluator per annealing chain.
     """
 
     def __init__(
@@ -1288,8 +1040,6 @@ class IncrementalSitingEvaluator:
         options: Optional[SolverOptions] = None,
     ) -> None:
         problem = compiler.problem
-        if problem.num_epochs < 2:
-            raise ValueError("the incremental evaluator needs at least two epochs")
         self.compiler = compiler
         self.problem = problem
         self.enforce_spread = enforce_spread
@@ -1317,11 +1067,6 @@ class IncrementalSitingEvaluator:
         #: stored (native) basis, pure value edits keep the carried basis.
         self._shape_bases: Dict[Tuple[int, int], highs_backend.BasisSnapshot] = {}
         self.solves = 0
-
-    @staticmethod
-    def supported(problem: SitingProblem) -> bool:
-        """Whether the incremental path can serve this problem's evaluations."""
-        return problem.num_epochs >= 2
 
     # -- model mutation -----------------------------------------------------------
     def _append_site(self, name: str, size_class: str) -> None:
@@ -1491,17 +1236,6 @@ class IncrementalSitingEvaluator:
             extractor=lambda: _extract_network_plan(problem, cost_model, layouts, dims, result),
         )
 
-    def rebuild(self, siting: Mapping[str, str]) -> ProvisioningResult:
-        """Differential oracle: the same siting, rebuilt and cold-solved."""
-        return solve_provisioning(
-            self.problem,
-            siting,
-            options=self.options,
-            enforce_spread=self.enforce_spread,
-            compiler=self.compiler,
-        )
-
-
 def _extract_network_plan(
     problem: SitingProblem,
     cost_model: CostModel,
@@ -1577,17 +1311,47 @@ def solve_provisioning(
     compiler: Optional[ProvisioningCompiler] = None,
     highs: Optional[highs_backend.MutableHighsModel] = None,
 ) -> ProvisioningResult:
-    """Convenience wrapper: build and solve the fixed-siting LP in one call.
+    """Build and solve the fixed-siting LP (Fig. 1) of one siting decision.
 
-    ``compiler`` shares a per-site skeleton cache across calls on the same
-    problem; ``highs`` (a long-lived
-    :class:`~repro.lpsolver.highs_backend.MutableHighsModel`) enables basis
-    reuse across structurally identical solves.
+    ``siting`` maps each location that hosts a datacenter to its size class
+    (``"small"`` or ``"large"``).  With ``enforce_spread`` (default) each
+    sited datacenter must host at least ``totalCapacity / n`` compute
+    capacity, so the failure of ``n - 1`` datacenters leaves ``S/n`` servers
+    — the paper's stricter availability condition.  ``compiler`` shares a
+    per-site skeleton cache across calls on the same problem; ``highs`` (a
+    long-lived :class:`~repro.lpsolver.highs_backend.MutableHighsModel`)
+    enables basis reuse across structurally identical solves.  The
+    resulting :class:`NetworkPlan` extracts lazily.
     """
-    builder = ProvisioningModelBuilder(
-        problem, siting, enforce_spread=enforce_spread, compiler=compiler
+    if not siting:
+        raise ValueError("the siting decision must place at least one datacenter")
+    for name, size_class in siting.items():
+        if size_class not in ("small", "large"):
+            raise ValueError(f"unknown size class {size_class!r} for {name!r}")
+    if compiler is None:
+        compiler = ProvisioningCompiler(problem)
+    elif compiler.problem is not problem:
+        raise ValueError("the shared compiler was built for a different problem")
+    row_form, sites = compiler.compile_row_form(siting, enforce_spread)
+    result = highs_backend.solve_row_form(row_form, options or SolverOptions(), highs)
+    if not result.is_optimal:
+        return ProvisioningResult(
+            feasible=False,
+            monthly_cost=float("inf"),
+            plan=None,
+            message=f"{result.status.value}: {result.message}",
+        )
+    # The extractor closes over small snapshots (layouts, cost model,
+    # solution vector), so memoized results do not pin the compiled arrays.
+    dims = (row_form.shape[1], row_form.shape[0])
+    cost_model = compiler.cost_model
+    return ProvisioningResult(
+        feasible=True,
+        monthly_cost=result.objective,
+        plan=None,
+        message=result.message,
+        extractor=lambda: _extract_network_plan(problem, cost_model, sites, dims, result),
     )
-    return builder.solve(options, highs=highs)
 
 
 def cheapest_size_classes(problem: SitingProblem, names: List[str]) -> Dict[str, str]:

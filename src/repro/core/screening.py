@@ -203,22 +203,22 @@ def price_batch(
     """Price ``(location, size_class)`` pairs with one block-diagonal solve.
 
     Returns ``(location, monthly_cost, feasible)`` rows in ``sitings`` order —
-    the same rows :func:`price_per_site` produces.
-    The stacked solve requires a templatable grid; when the grid cannot be
-    templated, or when the stack does not solve to optimality (a single
-    infeasible site makes the whole stack infeasible), the chunk falls back
-    to per-site warm-started solves, which classify each site individually.
+    the same rows :func:`price_per_site` produces, and ``[]`` for an empty
+    chunk.  When the stack does not solve to optimality (a single infeasible
+    site makes the whole stack infeasible), the chunk falls back to per-site
+    warm-started solves, which classify each site individually.
     """
     from repro.core.provisioning import ProvisioningCompiler
 
+    if not sitings:
+        return []
     if compiler is None:
         compiler = ProvisioningCompiler(problem)
     compiled = compiler.compile_batch(sitings, enforce_spread=False)
-    if compiled is not None:
-        result = highs_backend.solve_row_form(compiled.row_form, options)
-        if result.is_optimal:
-            costs = compiled.site_costs(result.x)
-            return [(name, float(cost), True) for name, cost in zip(compiled.names, costs)]
+    result = highs_backend.solve_row_form(compiled.row_form, options)
+    if result.is_optimal:
+        costs = compiled.site_costs(result.x)
+        return [(name, float(cost), True) for name, cost in zip(compiled.names, costs)]
     return price_per_site(problem, sitings, options, compiler)
 
 

@@ -69,47 +69,41 @@ def make_block(
     rhs: Sequence[float] | np.ndarray,
     name: str = "",
     num_variables: Optional[int] = None,
-    validate: bool = True,
 ) -> LinearConstraintBlock:
     """Validate triplets and build a :class:`LinearConstraintBlock`.
 
-    With ``validate=True`` (the default for user-supplied triplets), zero
-    coefficients are dropped so blocks stay as sparse as the equivalent
+    Zero coefficients are dropped so blocks stay as sparse as the equivalent
     object-API constraints (whose dict representation never stores zeros).
-    ``validate=False`` is the trusted fast path for pre-validated skeleton
-    caches; it keeps explicit zeros, which lets structurally identical models
-    (same shape, different coefficient values) share one sparsity pattern.
     """
     rows = np.asarray(rows, dtype=np.int64).ravel()
     cols = np.asarray(cols, dtype=np.int64).ravel()
     vals = np.asarray(vals, dtype=np.float64).ravel()
     rhs = np.asarray(rhs, dtype=np.float64).ravel()
-    if validate:
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError("rows, cols and vals must have identical lengths")
-        if not isinstance(sense, ConstraintSense):
-            raise ValueError(f"unknown constraint sense {sense!r}")
-        if rows.size and rows.min() < 0:
-            raise ValueError("block row indices cannot be negative")
-        if rhs.ndim != 1 or rhs.size == 0:
-            raise ValueError("a block needs at least one right-hand-side entry")
-        if rows.size and rows.max() >= rhs.size:
+    if not (rows.shape == cols.shape == vals.shape):
+        raise ValueError("rows, cols and vals must have identical lengths")
+    if not isinstance(sense, ConstraintSense):
+        raise ValueError(f"unknown constraint sense {sense!r}")
+    if rows.size and rows.min() < 0:
+        raise ValueError("block row indices cannot be negative")
+    if rhs.ndim != 1 or rhs.size == 0:
+        raise ValueError("a block needs at least one right-hand-side entry")
+    if rows.size and rows.max() >= rhs.size:
+        raise ValueError(
+            f"block row index {int(rows.max())} outside the {rhs.size} rhs entries"
+        )
+    if cols.size:
+        if cols.min() < 0:
+            raise ValueError("block column indices cannot be negative")
+        if num_variables is not None and cols.max() >= num_variables:
             raise ValueError(
-                f"block row index {int(rows.max())} outside the {rhs.size} rhs entries"
+                f"block column index {int(cols.max())} outside the "
+                f"{num_variables} model variables"
             )
-        if cols.size:
-            if cols.min() < 0:
-                raise ValueError("block column indices cannot be negative")
-            if num_variables is not None and cols.max() >= num_variables:
-                raise ValueError(
-                    f"block column index {int(cols.max())} outside the "
-                    f"{num_variables} model variables"
-                )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("block coefficients must be finite")
-        if not np.all(np.isfinite(rhs)):
-            raise ValueError("block right-hand sides must be finite")
-        keep = vals != 0.0  # reprolint: ok(FLT001) drops structurally-zero input entries, not solver output
-        if not np.all(keep):
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("block coefficients must be finite")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("block right-hand sides must be finite")
+    keep = vals != 0.0  # reprolint: ok(FLT001) drops structurally-zero input entries, not solver output
+    if not np.all(keep):
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
     return LinearConstraintBlock(rows=rows, cols=cols, vals=vals, sense=sense, rhs=rhs, name=name)

@@ -239,19 +239,16 @@ class Model:
         sense: ConstraintSense,
         rhs: Union[Sequence[float], np.ndarray],
         name: str = "",
-        validate: bool = True,
     ) -> LinearConstraintBlock:
         """Ingest a whole family of constraints as sparse COO triplets.
 
         ``rows`` are block-local (0-based); the block contributes
         ``len(rhs)`` constraint rows, all with the same ``sense``.  This is
-        the batched counterpart of :meth:`add_constraint` and the backbone of
-        the vectorized provisioning builder.  ``validate=False`` skips triplet
-        validation for pre-validated skeleton caches.
+        the batched counterpart of :meth:`add_constraint`; the triplets are
+        validated and zero coefficients dropped (:func:`make_block`).
         """
         block = make_block(
-            rows, cols, vals, sense, rhs, name=name,
-            num_variables=self.num_variables, validate=validate,
+            rows, cols, vals, sense, rhs, name=name, num_variables=self.num_variables
         )
         self.blocks.append(block)
         return block

@@ -18,7 +18,9 @@ models and raise :class:`LPValidationError` listing *all* violations:
 * :func:`repro.lpsolver.batch.stack_block_diagonal` — the stacked mega-LP and
   its block boundary offsets;
 * :meth:`ProvisioningCompiler.compile_row_form` — every compiled-skeleton
-  instantiation.
+  instantiation, i.e. every provisioning LP.  Skeleton triplets never pass
+  through :func:`~repro.lpsolver.blocks.make_block`'s checks, so this is
+  their audit.
 
 Validation is O(nnz) numpy per call and entirely skipped (one dict lookup)
 when the knob is off, so production paths pay nothing; the differential test
@@ -34,6 +36,7 @@ from typing import TYPE_CHECKING, Any, List, Optional
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lpsolver.highs_backend import MutableHighsModel
     from repro.lpsolver.model import RowFormLP
 
 __all__ = [
@@ -300,7 +303,9 @@ def validate_block_offsets(
         raise LPValidationError(label, violations)
 
 
-def validate_mutable_model(model: Any, label: str = "mutable HiGHS model") -> None:
+def validate_mutable_model(
+    model: "MutableHighsModel", label: str = "mutable HiGHS model"
+) -> None:
     """Validate a :class:`MutableHighsModel`'s dimension/basis bookkeeping.
 
     Called on solve entry, i.e. after any sequence of in-place splices:
@@ -317,25 +322,18 @@ def validate_mutable_model(model: Any, label: str = "mutable HiGHS model") -> No
       be covered by the time anything solves.
     """
     violations: List[str] = []
-    highs = getattr(model, "_highs", None)
-    actual_cols: Optional[int] = None
-    actual_rows: Optional[int] = None
-    if highs is not None:
-        get_cols = getattr(highs, "getNumCol", None)
-        get_rows = getattr(highs, "getNumRow", None)
-        if callable(get_cols) and callable(get_rows):
-            actual_cols = int(get_cols())
-            actual_rows = int(get_rows())
-    if actual_cols is not None and actual_cols != model.num_cols:
+    highs = model._highs
+    actual_cols = int(highs.getNumCol())
+    actual_rows = int(highs.getNumRow())
+    if actual_cols != model.num_cols:
         violations.append(
             f"tracked num_cols={model.num_cols} but HiGHS holds {actual_cols} columns"
         )
-    if actual_rows is not None and actual_rows != model.num_rows:
+    if actual_rows != model.num_rows:
         violations.append(
             f"tracked num_rows={model.num_rows} but HiGHS holds {actual_rows} rows"
         )
-    col_status = getattr(model, "_col_status", None)
-    row_status = getattr(model, "_row_status", None)
+    col_status, row_status = model._col_status, model._row_status
     if col_status is not None and len(col_status) != model.num_cols:
         violations.append(
             f"projected basis has {len(col_status)} column statuses for "
@@ -346,15 +344,15 @@ def validate_mutable_model(model: Any, label: str = "mutable HiGHS model") -> No
             f"projected basis has {len(row_status)} row statuses for "
             f"{model.num_rows} rows (basis padding after a splice drifted)"
         )
-    get_lp = getattr(highs, "getLp", None) if highs is not None else None
-    if callable(get_lp):
-        violations.extend(_live_lp_violations(get_lp()))
+    violations.extend(_live_lp_violations(highs.getLp()))
     if violations:
         raise LPValidationError(label, violations)
 
 
 def _live_lp_violations(lp: Any) -> List[str]:
     """Structural violations of the LP HiGHS currently holds (post-splice)."""
+    from repro.lpsolver.highs_backend import _core
+
     violations: List[str] = []
     num_rows = int(lp.num_row_)
     cost = np.asarray(lp.col_cost_, dtype=float)
@@ -384,9 +382,8 @@ def _live_lp_violations(lp: Any) -> List[str]:
     # Row coverage: the matrix may be held row- or column-wise after edits.
     starts = np.asarray(lp.a_matrix_.start_, dtype=np.int64)
     indices = np.asarray(lp.a_matrix_.index_, dtype=np.int64)
-    matrix_format = getattr(lp.a_matrix_, "format_", None)
     row_nnz: Optional[np.ndarray] = None
-    if "Row" in str(getattr(matrix_format, "name", matrix_format)):
+    if lp.a_matrix_.format_ != _core.MatrixFormat.kColwise:  # kRowwise[Partitioned]
         if len(starts) == num_rows + 1:
             row_nnz = np.diff(starts)
     elif num_rows:

@@ -1,11 +1,12 @@
 """Differential tests pinning the vectorized provisioning fast path.
 
-Three independent model-construction routes must produce the same LP:
+Two independent model-construction routes must produce the same LP:
 
 * the **scalar** oracle (readable per-epoch object-API loops, the reference
   implementation of the Fig. 1 constraints, kept in ``tests/lp_oracles.py``),
-* the production builder's Model route (blocked COO triplets), and
-* the **templated row-form** route (cached CSC pattern, values only).
+  and
+* the production **templated row-form** route (cached per-site COO
+  skeletons stitched through a cached CSC pattern, values only).
 
 The tests compare canonicalized constraint matrices entry-for-entry and the
 optimal objectives of representative provisioning problems (the oracle
@@ -15,7 +16,6 @@ returns the identical result object, and parallel annealing chains are
 deterministic under a fixed seed.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -26,23 +26,9 @@ from repro.core import (
     StorageMode,
 )
 from repro.core.problem import GreenEnforcement
-from repro.core.provisioning import (
-    ProvisioningCompiler,
-    ProvisioningModelBuilder,
-    solve_provisioning,
-)
+from repro.core.provisioning import ProvisioningCompiler, solve_provisioning
 
-from lp_oracles import ScalarProvisioningBuilder
-
-
-def _canonical_rows(model):
-    """Dense [A | row_lower | row_upper] with rows sorted canonically."""
-    row_form = model.to_row_form()
-    dense = np.column_stack(
-        [row_form.matrix.toarray(), row_form.row_lower, row_form.row_upper]
-    )
-    dense = np.nan_to_num(dense, posinf=1e300, neginf=-1e300)
-    return dense[np.lexsort(dense.T[::-1])]
+from lp_oracles import ScalarProvisioningBuilder, assert_compiled_matches_scalar
 
 
 def _scenario(two_site_problem, storage, enforcement):
@@ -62,27 +48,7 @@ class TestBuilderEquivalence:
     def test_identical_matrices(self, two_site_problem, storage, enforcement):
         problem = _scenario(two_site_problem, storage, enforcement)
         siting = {problem.profiles[0].name: "large", problem.profiles[1].name: "small"}
-        scalar = ScalarProvisioningBuilder(problem, siting)
-        vectorized = ProvisioningModelBuilder(problem, siting)
-        assert scalar.model.num_variables == vectorized.model.num_variables
-        assert scalar.model.num_constraints == vectorized.model.num_constraints
-        np.testing.assert_allclose(
-            _canonical_rows(scalar.model),
-            _canonical_rows(vectorized.model),
-            rtol=1e-12,
-            atol=1e-12,
-        )
-        # Objectives and bounds agree exactly.
-        scalar_compiled = scalar.model.to_matrices()
-        vector_compiled = vectorized.model.to_matrices()
-        np.testing.assert_allclose(
-            scalar_compiled.cost, vector_compiled.cost, rtol=1e-12, atol=1e-12
-        )
-        np.testing.assert_array_equal(scalar_compiled.lower, vector_compiled.lower)
-        np.testing.assert_array_equal(scalar_compiled.upper, vector_compiled.upper)
-        assert scalar.model.objective.constant == pytest.approx(
-            vectorized.model.objective.constant, rel=1e-12
-        )
+        assert_compiled_matches_scalar(problem, siting)
 
     @pytest.mark.parametrize("storage,enforcement", SCENARIOS)
     def test_identical_objectives(self, two_site_problem, storage, enforcement):
@@ -97,8 +63,8 @@ class TestBuilderEquivalence:
             scalar.plan.total_monthly_cost, rel=1e-6
         )
 
-    def test_template_route_matches_model_route(self, two_site_problem):
-        """The cached-pattern row form is entry-for-entry the Model's row form."""
+    def test_template_reuse_matches_scalar_oracle(self, two_site_problem):
+        """A cached CSC pattern, reused across sitings, stays entry-exact."""
         compiler = ProvisioningCompiler(two_site_problem)
         names = [profile.name for profile in two_site_problem.profiles]
         for siting in (
@@ -107,27 +73,7 @@ class TestBuilderEquivalence:
             {names[1]: "large", names[0]: "large"},
             {names[0]: "small"},
         ):
-            fast = compiler.compile_row_form(siting, enforce_spread=True)
-            assert fast is not None
-            row_form, layouts = fast
-            model, _ = compiler.compile(siting, enforce_spread=True)
-            reference = model.to_row_form()
-            assert row_form.shape == reference.shape
-            lhs = np.column_stack(
-                [row_form.matrix.toarray(), row_form.row_lower, row_form.row_upper]
-            )
-            rhs = np.column_stack(
-                [reference.matrix.toarray(), reference.row_lower, reference.row_upper]
-            )
-            lhs = np.nan_to_num(lhs, posinf=1e300, neginf=-1e300)
-            rhs = np.nan_to_num(rhs, posinf=1e300, neginf=-1e300)
-            np.testing.assert_array_equal(
-                lhs[np.lexsort(lhs.T[::-1])], rhs[np.lexsort(rhs.T[::-1])]
-            )
-            np.testing.assert_array_equal(row_form.cost, reference.cost)
-            np.testing.assert_array_equal(row_form.lower, reference.lower)
-            np.testing.assert_array_equal(row_form.upper, reference.upper)
-            assert len(layouts) == len(siting)
+            assert_compiled_matches_scalar(two_site_problem, siting, compiler=compiler)
 
     @pytest.mark.slow
     def test_identical_matrices_hourly_grid(self, two_site_problem, profile_builder, hourly_grid, small_catalog):
@@ -143,14 +89,7 @@ class TestBuilderEquivalence:
             storage=StorageMode.BATTERIES,
         )
         siting = {profiles[0].name: "large", profiles[1].name: "large"}
-        scalar = ScalarProvisioningBuilder(problem, siting)
-        vectorized = ProvisioningModelBuilder(problem, siting)
-        np.testing.assert_allclose(
-            _canonical_rows(scalar.model),
-            _canonical_rows(vectorized.model),
-            rtol=1e-12,
-            atol=1e-12,
-        )
+        assert_compiled_matches_scalar(problem, siting)
 
 
 class TestEvaluationCache:

@@ -4,10 +4,10 @@ The :class:`~repro.core.provisioning.IncrementalSitingEvaluator` expresses the
 annealing search's add/remove/swap/resize moves as column+row deltas on one
 persistent HiGHS model, with the previous optimal basis projected (or a
 same-shape basis restored) across every delta.  These tests pin the
-incremental path against the rebuild path — the differential oracle the
-ISSUE asks for: a scripted move sequence must produce the same objectives
-and the same extracted plans as from-scratch solves, for every storage mode
-and green-enforcement variant.
+incremental path against cold :func:`~repro.core.provisioning.solve_provisioning`
+solves, the differential oracle: a scripted move sequence must produce the
+same objectives and the same extracted plans as from-scratch solves, for
+every storage mode and green-enforcement variant.
 """
 
 import pytest
@@ -20,7 +20,11 @@ from repro.core import (
     StorageMode,
 )
 from repro.core.problem import GreenEnforcement
-from repro.core.provisioning import IncrementalSitingEvaluator, ProvisioningCompiler
+from repro.core.provisioning import (
+    IncrementalSitingEvaluator,
+    ProvisioningCompiler,
+    solve_provisioning,
+)
 
 SCENARIOS = [
     (StorageMode.NET_METERING, GreenEnforcement.ANNUAL),
@@ -76,10 +80,11 @@ class TestIncrementalDifferential:
     def test_scripted_moves_match_rebuild(self, all_profiles, params, storage, enforcement):
         problem = _problem(all_profiles, params, storage, enforcement)
         names = [profile.name for profile in problem.profiles]
-        evaluator = IncrementalSitingEvaluator(ProvisioningCompiler(problem))
+        compiler = ProvisioningCompiler(problem)
+        evaluator = IncrementalSitingEvaluator(compiler)
         for siting in _scripted_moves(names):
             incremental = evaluator.evaluate(siting)
-            rebuilt = evaluator.rebuild(siting)
+            rebuilt = solve_provisioning(problem, siting, compiler=compiler)
             assert incremental.feasible == rebuilt.feasible, siting
             if not incremental.feasible:
                 continue
@@ -100,13 +105,14 @@ class TestIncrementalDifferential:
         problem = _problem(all_profiles, params, StorageMode.NET_METERING,
                            GreenEnforcement.ANNUAL)
         names = [profile.name for profile in problem.profiles]
-        evaluator = IncrementalSitingEvaluator(ProvisioningCompiler(problem))
+        compiler = ProvisioningCompiler(problem)
+        evaluator = IncrementalSitingEvaluator(compiler)
         base = {names[0]: "large", names[1]: "large", names[2]: "large"}
         first = evaluator.evaluate(base)
         assert first.feasible
         flipped = dict(base, **{names[2]: "small"})
         incremental = evaluator.evaluate(flipped)
-        rebuilt = evaluator.rebuild(flipped)
+        rebuilt = solve_provisioning(problem, flipped, compiler=compiler)
         assert incremental.feasible == rebuilt.feasible
         if incremental.feasible:
             assert incremental.monthly_cost == pytest.approx(
@@ -122,7 +128,11 @@ class TestIncrementalDifferential:
 
 
 class TestHeuristicIncrementalEquivalence:
-    def _solve(self, problem, incremental):
+    def test_search_memo_matches_cold_solves(self, all_profiles, params):
+        """Every siting the default (incremental) search memoized re-solves cold
+        to the same feasibility and objective."""
+        problem = _problem(all_profiles, params, StorageMode.NET_METERING,
+                           GreenEnforcement.ANNUAL)
         settings = SearchSettings(
             keep_locations=8,
             max_iterations=14,
@@ -130,23 +140,16 @@ class TestHeuristicIncrementalEquivalence:
             num_chains=2,
             seed=3,
             max_datacenters=4,
-            incremental_lp=incremental,
         )
-        return HeuristicSolver(problem, settings).solve()
-
-    def test_search_results_match_rebuild_search(self, all_profiles, params):
-        problem = _problem(all_profiles, params, StorageMode.NET_METERING,
-                           GreenEnforcement.ANNUAL)
-        incremental = self._solve(problem, incremental=True)
-        rebuilt = self._solve(problem, incremental=False)
-        assert incremental.feasible and rebuilt.feasible
-        assert incremental.monthly_cost == pytest.approx(rebuilt.monthly_cost, rel=1e-9)
-        assert incremental.evaluations == rebuilt.evaluations
-        assert incremental.stats["incremental_lp"] == 1.0
-        assert rebuilt.stats["incremental_lp"] == 0.0
-        assert sorted(dc.name for dc in incremental.plan.datacenters) == sorted(
-            dc.name for dc in rebuilt.plan.datacenters
-        )
+        solver = HeuristicSolver(problem, settings)
+        solution = solver.solve()
+        assert solution.feasible
+        assert len(solver._cache) == solution.evaluations > 1
+        for key, result in solver._cache.items():
+            cold = solve_provisioning(problem, dict(key))
+            assert result.feasible == cold.feasible, key
+            if cold.feasible:
+                assert result.monthly_cost == pytest.approx(cold.monthly_cost, rel=1e-9)
 
 
 class TestMemoCanonicalisation:

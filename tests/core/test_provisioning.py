@@ -9,7 +9,7 @@ from repro.core import (
     StorageMode,
     solve_provisioning,
 )
-from repro.core.provisioning import ProvisioningModelBuilder, cheapest_size_classes
+from repro.core.provisioning import ProvisioningCompiler, cheapest_size_classes
 
 
 @pytest.fixture(scope="module")
@@ -216,8 +216,13 @@ class TestCostConsistency:
         assert set(classes.values()) == {"large"}
         assert cheapest_size_classes(two_site_problem, []) == {}
 
-    def test_builder_exposes_model_dimensions(self, two_site_problem, siting):
-        builder = ProvisioningModelBuilder(two_site_problem, siting)
-        assert builder.model.num_variables > 0
-        assert builder.model.num_constraints > 0
-        assert len(builder.sites) == 2
+    def test_compiled_row_form_dimensions(self, two_site_problem, siting):
+        row_form, layouts = ProvisioningCompiler(two_site_problem).compile_row_form(siting)
+        num_rows, num_cols = row_form.shape
+        assert num_rows > 0
+        assert num_cols == sum(layout.num_variables for layout in layouts)
+        assert len(row_form.cost) == num_cols and len(row_form.row_lower) == num_rows
+        assert [(layout.profile.name, layout.size_class) for layout in layouts] == list(
+            siting.items()
+        )
+        assert [layout.base for layout in layouts] == [0, layouts[0].num_variables]

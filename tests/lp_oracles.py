@@ -8,7 +8,9 @@ two references kept here:
 * :func:`linprog_solve` — a row form solved through ``scipy.optimize.linprog``
   (SciPy's validated public wrapper around the same solver), and
 * :class:`ScalarProvisioningBuilder` — the readable per-epoch object-API
-  construction of the Fig. 1 provisioning LP, one constraint at a time.
+  construction of the Fig. 1 provisioning LP, one constraint at a time;
+  :func:`assert_compiled_matches_scalar` compares the production row form
+  with it entry for entry.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from scipy import optimize, sparse
 
 from repro.core.costs import CostModel
 from repro.core.problem import GreenEnforcement, SitingProblem, StorageMode
-from repro.core.provisioning import ProvisioningResult, _extract_network_plan, _SiteLayout
+from repro.core.provisioning import (
+    ProvisioningCompiler,
+    ProvisioningResult,
+    _extract_network_plan,
+    _SiteLayout,
+)
 from repro.energy.profiles import LocationProfile
 from repro.lpsolver import LinearExpression, Model, RowFormLP, SolverOptions, Variable
 from repro.lpsolver.result import SolveResult, SolveStatus
@@ -102,7 +109,8 @@ class ScalarProvisioningBuilder:
 
     Registers variables in the production layout order (``_SiteLayout``), so
     its model, objective and extracted plan compare entry for entry with
-    :class:`~repro.core.provisioning.ProvisioningModelBuilder`'s.
+    the row form of
+    :meth:`~repro.core.provisioning.ProvisioningCompiler.compile_row_form`.
     """
 
     def __init__(
@@ -363,3 +371,43 @@ class ScalarProvisioningBuilder:
             message=result.message,
             extractor=lambda: _extract_network_plan(problem, cost_model, sites, dims, result),
         )
+
+
+def _canonical_rows(row_form: RowFormLP) -> np.ndarray:
+    """Dense [A | row_lower | row_upper] with rows sorted canonically."""
+    dense = np.column_stack(
+        [row_form.matrix.toarray(), row_form.row_lower, row_form.row_upper]
+    )
+    dense = np.nan_to_num(dense, posinf=1e300, neginf=-1e300)
+    return dense[np.lexsort(dense.T[::-1])]
+
+
+def assert_compiled_matches_scalar(
+    problem: SitingProblem,
+    siting: Mapping[str, str],
+    compiler: Optional[ProvisioningCompiler] = None,
+    enforce_spread: bool = True,
+) -> None:
+    """The compiled row form of ``siting`` equals the scalar oracle's LP.
+
+    Rows are compared as a canonically sorted dense matrix with their bounds
+    (the two builders emit constraint families in different orders); the
+    column layout, costs, bounds and objective constant must agree directly.
+    """
+    compiler = compiler or ProvisioningCompiler(problem)
+    row_form, layouts = compiler.compile_row_form(siting, enforce_spread=enforce_spread)
+    scalar = ScalarProvisioningBuilder(problem, siting, enforce_spread=enforce_spread)
+    reference = scalar.model.to_row_form()
+    assert row_form.shape == reference.shape, (row_form.shape, reference.shape)
+    np.testing.assert_allclose(
+        _canonical_rows(row_form), _canonical_rows(reference), rtol=1e-12, atol=1e-12
+    )
+    np.testing.assert_allclose(row_form.cost, reference.cost, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(row_form.lower, reference.lower)
+    np.testing.assert_array_equal(row_form.upper, reference.upper)
+    np.testing.assert_allclose(
+        row_form.objective_constant, scalar.model.objective.constant, rtol=1e-12
+    )
+    assert [(site.base, site.size_class) for site in layouts] == [
+        (site.base, site.size_class) for site in scalar.sites
+    ]

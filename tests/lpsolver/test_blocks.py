@@ -22,11 +22,6 @@ class TestMakeBlock:
         assert block.num_entries == 2
         assert block.num_rows == 2
 
-    def test_trusted_path_keeps_explicit_zeros(self):
-        block = make_block([0, 0], [0, 1], [1.0, 0.0],
-                           ConstraintSense.LESS_EQUAL, [5.0], validate=False)
-        assert block.num_entries == 2
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             make_block([0, 1], [0], [1.0, 2.0], ConstraintSense.LESS_EQUAL, [1.0, 1.0])
