@@ -882,5 +882,5 @@ def main(argv: Optional[List[str]] = None, stream=None) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via the console script
+if __name__ == "__main__":  # pragma: no cover - run as ``python -m repro.cli``
     sys.exit(main())

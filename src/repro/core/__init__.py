@@ -29,7 +29,7 @@ from repro.core.provisioning import (
     solve_provisioning,
 )
 from repro.core.adaptive_grid import AdaptiveGridRefiner, coarsen_problem
-from repro.core.formulation import build_full_milp, solve_full_milp
+from repro.core.formulation import FullMilp, build_full_milp, solve_full_milp
 from repro.core.heuristic import HeuristicSolver, SearchSettings
 from repro.core.single_site import SingleSiteAnalyzer, SingleSiteCost
 from repro.core.solution import DatacenterPlan, NetworkPlan
@@ -42,6 +42,7 @@ __all__ = [
     "EnergySources",
     "FinancingModel",
     "FrameworkParameters",
+    "FullMilp",
     "GreenEnforcement",
     "HeuristicSolver",
     "IncrementalSitingEvaluator",

@@ -6,6 +6,17 @@ scheduling decisions.  Solving it is only practical for small candidate sets
 (the paper reports days of solver time for 50-100 locations); we use it to
 validate the heuristic on small instances, exactly as the paper validated its
 heuristic against the MILP at the 0 % and 100 % green extremes.
+
+The continuous part is not written again here: it is the provisioning LP of
+the siting that places a "large" datacenter at every candidate, compiled by
+:class:`~repro.core.provisioning.ProvisioningCompiler` from the same per-site
+skeletons the heuristic prices — including the total-capacity rows and the
+minimum-green row(s), annual or per epoch.  This module appends the siting
+decisions on top: per site the binaries ``at_small``/``at_large``, the
+capacity split ``capacity = capacity_small + capacity_large`` with its
+class limits, and the solar/wind gates, plus the network-wide availability
+row.  The result is one :class:`~repro.lpsolver.RowFormLP` with integer
+columns, solved by HiGHS through the same handle as every LP.
 """
 
 from __future__ import annotations
@@ -14,231 +25,146 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
+from scipy import sparse
 
-from repro.core.costs import CostModel
-from repro.core.problem import SitingProblem, StorageMode
-from repro.core.provisioning import ProvisioningResult, solve_provisioning
-from repro.lpsolver import LinearExpression, Model, SolverOptions, Variable
+from repro.core.problem import GreenEnforcement, SitingProblem
+from repro.core.provisioning import (
+    ProvisioningCompiler,
+    ProvisioningResult,
+    solve_provisioning,
+)
+from repro.lpsolver import RowFormLP, SolverOptions, highs_backend
+
+#: Siting columns appended per site, in this order.
+_AT_SMALL, _AT_LARGE, _CAP_SMALL, _CAP_LARGE = range(4)
 
 
 @dataclass
-class _MilpSite:
-    name: str
-    sited_small: Variable
-    sited_large: Variable
-    capacity_small: Variable
-    capacity_large: Variable
-    solar: Variable
-    wind: Variable
-    battery: Variable
-    compute: List[Variable]
-    migrate: List[Variable]
-    brown: List[Variable]
-    green_direct: List[Variable]
-    battery_charge: List[Variable]
-    battery_discharge: List[Variable]
-    battery_level: List[Variable]
-    net_charge: List[Variable]
-    net_discharge: List[Variable]
-    net_level: List[Variable]
+class FullMilp:
+    """The Fig. 1 MILP in row form, with the positions of its siting parts.
 
-    @property
-    def capacity(self) -> LinearExpression:
-        return self.capacity_small + self.capacity_large
+    ``small_cols[i]``/``large_cols[i]`` are the binary columns that site
+    ``names[i]`` hosts a small/large datacenter; ``green_rows`` are the
+    minimum-green rows (none, one annual row or one per epoch) and
+    ``availability_row`` is the minimum-datacenter-count row.
+    """
 
-    @property
-    def sited(self) -> LinearExpression:
-        return self.sited_small + self.sited_large
+    row_form: RowFormLP
+    names: List[str]
+    small_cols: np.ndarray
+    large_cols: np.ndarray
+    green_rows: np.ndarray
+    availability_row: int
 
 
-def build_full_milp(problem: SitingProblem) -> tuple[Model, List[_MilpSite]]:
+def build_full_milp(problem: SitingProblem) -> FullMilp:
     """Build the Fig. 1 MILP over all candidate locations of ``problem``."""
+    compiler = ProvisioningCompiler(problem)
     params = problem.params
-    epochs = problem.epochs
-    num_epochs = epochs.num_epochs
-    weights = epochs.epoch_weights_hours()
-    # Scalar on uniform grids, per-epoch array on adaptively refined ones.
-    epoch_hours = np.broadcast_to(np.asarray(epochs.epoch_hours, dtype=float), (num_epochs,))
-    cost_model = CostModel(params)
-    use_batteries = problem.storage is StorageMode.BATTERIES
-    use_net_metering = problem.storage is StorageMode.NET_METERING
-    allow_solar = problem.sources.allows_solar
-    allow_wind = problem.sources.allows_wind
-    # Big-M for per-site capacity: no single DC ever needs more compute power
-    # than the whole service requires.
-    big_m = params.total_capacity_kw
-
-    model = Model(name="siting-milp", sense="min")
-    sites: List[_MilpSite] = []
-    objective_terms: List = []
-
-    for profile in problem.profiles:
-        name = profile.name
-        sited_small = model.add_binary(f"at_small[{name}]")
-        sited_large = model.add_binary(f"at_large[{name}]")
-        model.add_constraint(sited_small + sited_large <= 1.0, name=f"one_size[{name}]")
-
-        capacity_small = model.add_variable(f"capacity_small[{name}]")
-        capacity_large = model.add_variable(f"capacity_large[{name}]")
-        solar = model.add_variable(f"solar[{name}]", upper=float("inf") if allow_solar else 0.0)
-        wind = model.add_variable(f"wind[{name}]", upper=float("inf") if allow_wind else 0.0)
-        battery = model.add_variable(
-            f"battery[{name}]", upper=float("inf") if use_batteries else 0.0
-        )
-
-        small_limit_kw = params.small_dc_threshold_kw / profile.max_pue
-        model.add_constraint(
-            capacity_small <= small_limit_kw * sited_small, name=f"small_limit[{name}]"
-        )
-        model.add_constraint(
-            capacity_large <= big_m * sited_large, name=f"large_limit[{name}]"
-        )
-        model.add_constraint(
-            capacity_large >= small_limit_kw * sited_large, name=f"large_floor[{name}]"
-        )
-        # Constraint 4: unsited locations host nothing.
-        model.add_constraint(
-            solar <= 20.0 * big_m * (sited_small + sited_large), name=f"solar_gate[{name}]"
-        )
-        model.add_constraint(
-            wind <= 20.0 * big_m * (sited_small + sited_large), name=f"wind_gate[{name}]"
-        )
-
-        def per_epoch(prefix: str, upper: float = float("inf")) -> List[Variable]:
-            return [
-                model.add_variable(f"{prefix}[{name},{t}]", upper=upper)
-                for t in range(num_epochs)
-            ]
-
-        compute = per_epoch("compute")
-        migrate = per_epoch("migrate")
-        brown_cap = params.brown_plant_cap_fraction * profile.near_plant_capacity_kw
-        brown = per_epoch("brown", upper=max(0.0, brown_cap))
-        green_direct = per_epoch("green_direct")
-        storage_upper = float("inf") if use_batteries else 0.0
-        battery_charge = per_epoch("battery_charge", upper=storage_upper)
-        battery_discharge = per_epoch("battery_discharge", upper=storage_upper)
-        battery_level = per_epoch("battery_level", upper=storage_upper)
-        net_upper = float("inf") if use_net_metering else 0.0
-        net_charge = per_epoch("net_charge", upper=net_upper)
-        net_discharge = per_epoch("net_discharge", upper=net_upper)
-        net_level = per_epoch("net_level", upper=net_upper)
-
-        site = _MilpSite(
-            name=name,
-            sited_small=sited_small,
-            sited_large=sited_large,
-            capacity_small=capacity_small,
-            capacity_large=capacity_large,
-            solar=solar,
-            wind=wind,
-            battery=battery,
-            compute=compute,
-            migrate=migrate,
-            brown=brown,
-            green_direct=green_direct,
-            battery_charge=battery_charge,
-            battery_discharge=battery_discharge,
-            battery_level=battery_level,
-            net_charge=net_charge,
-            net_discharge=net_discharge,
-            net_level=net_level,
-        )
-        sites.append(site)
-
-        for t in range(num_epochs):
-            previous = (t - 1) % num_epochs
-            model.add_constraint(
-                migrate[t] >= compute[previous] - compute[t], name=f"migration[{name},{t}]"
-            )
-            model.add_constraint(
-                site.capacity - compute[t] - migrate[t] >= 0.0,
-                name=f"capacity_cover[{name},{t}]",
-            )
-            demand = (compute[t] + params.migration_factor * migrate[t]) * profile.pue[t]
-            supply = green_direct[t] + battery_discharge[t] + net_discharge[t] + brown[t]
-            model.add_constraint(supply - demand >= 0.0, name=f"power_balance[{name},{t}]")
-            delivered = green_direct[t] + battery_discharge[t] + net_discharge[t]
-            model.add_constraint(
-                demand - delivered >= 0.0, name=f"green_delivery_cap[{name},{t}]"
-            )
-            production = profile.solar_alpha[t] * solar + profile.wind_beta[t] * wind
-            model.add_constraint(
-                production - green_direct[t] - battery_charge[t] - net_charge[t] >= 0.0,
-                name=f"green_allocation[{name},{t}]",
-            )
-            if use_batteries:
-                model.add_constraint(
-                    battery_level[t]
-                    == battery_level[previous]
-                    + params.battery_efficiency * battery_charge[t] * epoch_hours[t]
-                    - battery_discharge[t] * epoch_hours[t],
-                    name=f"battery_dynamics[{name},{t}]",
-                )
-                model.add_constraint(
-                    battery_level[t] <= battery, name=f"battery_capacity[{name},{t}]"
-                )
-            if use_net_metering:
-                model.add_constraint(
-                    net_level[t]
-                    == net_level[previous]
-                    + net_charge[t] * epoch_hours[t]
-                    - net_discharge[t] * epoch_hours[t],
-                    name=f"net_dynamics[{name},{t}]",
-                )
-
-        small_coeffs = cost_model.linear_coefficients(profile, "small")
-        large_coeffs = cost_model.linear_coefficients(profile, "large")
-        objective_terms.append(small_coeffs["fixed"] * sited_small)
-        objective_terms.append(large_coeffs["fixed"] * sited_large)
-        objective_terms.append(small_coeffs["capacity_kw"] * capacity_small)
-        objective_terms.append(large_coeffs["capacity_kw"] * capacity_large)
-        objective_terms.append(small_coeffs["solar_kw"] * solar)
-        objective_terms.append(small_coeffs["wind_kw"] * wind)
-        objective_terms.append(small_coeffs["battery_kwh"] * battery)
-        for t in range(num_epochs):
-            objective_terms.append(small_coeffs["brown_kwh_year"] * weights[t] * brown[t])
-            if use_net_metering:
-                objective_terms.append(
-                    small_coeffs["net_discharge_kwh_year"] * weights[t] * net_discharge[t]
-                )
-                objective_terms.append(
-                    small_coeffs["net_charge_kwh_year"] * weights[t] * net_charge[t]
-                )
-
-    # Network-wide constraints.
-    for t in range(num_epochs):
-        total_compute = LinearExpression.sum(site.compute[t] for site in sites)
-        model.add_constraint(
-            total_compute >= params.total_capacity_kw, name=f"total_capacity[{t}]"
-        )
-    if params.min_green_fraction > 0:
-        green_terms = []
-        demand_terms = []
-        for site in sites:
-            profile = problem.profile_by_name(site.name)
-            for t in range(num_epochs):
-                used_green = (
-                    site.green_direct[t] + site.battery_discharge[t] + site.net_discharge[t]
-                )
-                green_terms.append(weights[t] * used_green)
-                demand = (
-                    site.compute[t] + params.migration_factor * site.migrate[t]
-                ) * profile.pue[t]
-                demand_terms.append(weights[t] * demand)
-        model.add_constraint(
-            LinearExpression.sum(green_terms)
-            - params.min_green_fraction * LinearExpression.sum(demand_terms)
-            >= 0.0,
-            name="min_green_fraction",
-        )
-    # Constraint 11: availability, expressed as a minimum number of datacenters.
-    total_sited = LinearExpression.sum(site.sited for site in sites)
-    model.add_constraint(
-        total_sited >= float(problem.min_datacenters), name="availability"
+    names = [profile.name for profile in problem.profiles]
+    lp, layouts = compiler.compile_row_form(
+        {name: "large" for name in names}, enforce_spread=False
     )
-    model.set_objective(LinearExpression.sum(objective_terms))
-    return model, sites
+    num_rows, num_cols = lp.shape
+    num_sites = len(names)
+    site = np.arange(num_sites, dtype=np.int64)
+    capacity = np.array([layout.capacity for layout in layouts], dtype=np.int64)
+    solar = capacity + 1
+    wind = capacity + 2
+    at_small, at_large, cap_small, cap_large = (
+        num_cols + 4 * site + offset for offset in (_AT_SMALL, _AT_LARGE, _CAP_SMALL, _CAP_LARGE)
+    )
+
+    # The provisioning LP prices every site's capacity at the large rate and
+    # adds every site's fixed cost; both move onto the siting columns.
+    small_coeffs = [
+        compiler.cost_model.linear_coefficients(layout.profile, "small") for layout in layouts
+    ]
+    fixed = np.array([coeffs["fixed"] for coeffs in small_coeffs])
+    siting_cost = np.zeros((num_sites, 4))
+    siting_cost[:, _AT_SMALL] = fixed
+    siting_cost[:, _AT_LARGE] = fixed
+    siting_cost[:, _CAP_SMALL] = [coeffs["capacity_kw"] for coeffs in small_coeffs]
+    siting_cost[:, _CAP_LARGE] = lp.cost[capacity]
+    cost = np.concatenate([lp.cost, siting_cost.ravel()])
+    cost[capacity] = 0.0
+
+    # Seven rows per site, as (local row, columns, coefficients):
+    #   0  capacity - capacity_small - capacity_large == 0
+    #   1  at_small + at_large <= 1
+    #   2  capacity_small <= small_limit * at_small
+    #   3  capacity_large <= big_m * at_large
+    #   4  capacity_large >= small_limit * at_large
+    #   5  solar <= 20 big_m (at_small + at_large)   (Constraint 4: unsited
+    #   6  wind  <= 20 big_m (at_small + at_large)    locations host nothing)
+    # Big-M: no single DC ever needs more compute power than the service.
+    big_m = params.total_capacity_kw
+    small_limit = params.small_dc_threshold_kw / np.array(
+        [layout.profile.max_pue for layout in layouts]
+    )
+    ones = np.ones(num_sites)
+    gate = np.full(num_sites, -20.0 * big_m)
+    terms = [
+        (0, capacity, ones), (0, cap_small, -ones), (0, cap_large, -ones),
+        (1, at_small, ones), (1, at_large, ones),
+        (2, cap_small, ones), (2, at_small, -small_limit),
+        (3, cap_large, ones), (3, at_large, -big_m * ones),
+        (4, cap_large, ones), (4, at_large, -small_limit),
+        (5, solar, ones), (5, at_small, gate), (5, at_large, gate),
+        (6, wind, ones), (6, at_small, gate), (6, at_large, gate),
+    ]
+    site_lower = np.array([0.0, -np.inf, -np.inf, -np.inf, 0.0, -np.inf, -np.inf])
+    site_upper = np.array([0.0, 1.0, 0.0, 0.0, np.inf, 0.0, 0.0])
+    # Constraint 11: availability, as a minimum number of datacenters.
+    availability_row = num_rows + 7 * num_sites
+    rows = [num_rows + 7 * site + local for local, _, _ in terms]
+    rows.append(np.full(2 * num_sites, availability_row))
+    cols = [columns for _, columns, _ in terms] + [np.concatenate([at_small, at_large])]
+    vals = [coefficients for _, _, coefficients in terms] + [np.ones(2 * num_sites)]
+
+    base = lp.matrix.tocoo()
+    shape = (availability_row + 1, num_cols + 4 * num_sites)
+    matrix = sparse.csc_matrix(
+        (
+            np.concatenate([base.data, *vals]),
+            (np.concatenate([base.row, *rows]), np.concatenate([base.col, *cols])),
+        ),
+        shape=shape,
+    )
+    integer = np.zeros((num_sites, 4), dtype=np.int64)
+    integer[:, [_AT_SMALL, _AT_LARGE]] = 1
+    siting_upper = np.full((num_sites, 4), np.inf)
+    siting_upper[:, [_AT_SMALL, _AT_LARGE]] = 1.0
+    row_form = RowFormLP(
+        cost=cost,
+        a_indptr=matrix.indptr,
+        a_indices=matrix.indices,
+        a_data=matrix.data,
+        shape=shape,
+        row_lower=np.concatenate(
+            [lp.row_lower, np.tile(site_lower, num_sites), [float(problem.min_datacenters)]]
+        ),
+        row_upper=np.concatenate([lp.row_upper, np.tile(site_upper, num_sites), [np.inf]]),
+        lower=np.concatenate([lp.lower, np.zeros(4 * num_sites)]),
+        upper=np.concatenate([lp.upper, siting_upper.ravel()]),
+        integrality=np.concatenate([lp.integrality, integer.ravel()]),
+        maximise=False,
+        objective_constant=0.0,
+    )
+    # The compiled LP ends with its minimum-green row(s).
+    if params.min_green_fraction > 0:
+        per_epoch = problem.green_enforcement is GreenEnforcement.PER_EPOCH
+        num_green = problem.num_epochs if per_epoch else 1
+    else:
+        num_green = 0
+    return FullMilp(
+        row_form=row_form,
+        names=names,
+        small_cols=at_small,
+        large_cols=at_large,
+        green_rows=np.arange(num_rows - num_green, num_rows),
+        availability_row=availability_row,
+    )
 
 
 def solve_full_milp(
@@ -252,8 +178,8 @@ def solve_full_milp(
     fixed siting — rebuilds the detailed plan.
     """
     options = options or SolverOptions(time_limit=120.0)
-    model, sites = build_full_milp(problem)
-    result = model.solve(options)
+    milp = build_full_milp(problem)
+    result = highs_backend.solve_row_form(milp.row_form, options)
     if not result.is_optimal:
         return ProvisioningResult(
             feasible=False,
@@ -261,12 +187,14 @@ def solve_full_milp(
             plan=None,
             message=f"MILP {result.status.value}: {result.message}",
         )
+    small = result.value_array(milp.small_cols) > 0.5
+    large = result.value_array(milp.large_cols) > 0.5
     siting: Dict[str, str] = {}
-    for site in sites:
-        if result.value(site.sited_small) > 0.5:
-            siting[site.name] = "small"
-        elif result.value(site.sited_large) > 0.5:
-            siting[site.name] = "large"
+    for name, is_small, is_large in zip(milp.names, small, large):
+        if is_small:
+            siting[name] = "small"
+        elif is_large:
+            siting[name] = "large"
     if not siting:
         return ProvisioningResult(
             feasible=False,

@@ -20,9 +20,10 @@ dynamics, net-metering bank, migration coupling — as COO triplets of a cached
 per-``(location, size class)`` skeleton, and instantiates a siting's LP
 directly in HiGHS row form through a per-shape CSC pattern cache, so the
 annealing search pays assembly costs only once per pair it visits.  That
-templated row form is the only assembly route, on every epoch grid.  The
-readable per-epoch object-API construction of the same LP lives in the test
-suite, where the differential tests pin this builder against it.
+templated row form is the only assembly route, on every epoch grid; the
+Fig. 1 MILP (:mod:`repro.core.formulation`) is built on it too.  A readable
+row-by-row construction of the same LP lives in the test suite, where the
+differential tests pin this builder against it.
 
 Plan extraction is lazy: :class:`ProvisioningResult` materialises the
 :class:`NetworkPlan` on first access of ``.plan``, so the thousands of

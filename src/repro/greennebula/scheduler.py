@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.greennebula.datacenter import GreenDatacenter
 from repro.greennebula.migration import MigrationPlanner, MigrationRequest
 from repro.greennebula.prediction import GreenEnergyPredictor
-from repro.lpsolver import ConstraintSense, LinearExpression, Model, SolverOptions
+from repro.lpsolver import ConstraintSense, RowFormLP, SolverOptions, highs_backend
 
 
 @dataclass
@@ -76,38 +77,50 @@ class GreenNebulaScheduler:
         total_load_kw: float,
         current_load_kw: Mapping[str, float],
         green_forecast_kw: Mapping[str, np.ndarray],
-    ) -> tuple[Model, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-        """Build the window LP; returns (model, compute indices, migrate indices).
+    ) -> tuple[RowFormLP, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+        """Build the window LP; returns (row form, compute columns, migrate columns).
 
-        Each per-datacenter constraint family (migration coupling, capacity,
-        brown balance) is emitted as one vectorized triplet block over the
-        whole horizon; the variable handles are returned as index arrays for
-        fancy-indexed extraction from the solve result.
+        Each datacenter owns ``compute``, ``migrate`` and ``brown`` columns
+        over the horizon, in that order.  Each per-datacenter constraint
+        family (migration coupling, capacity, brown balance) is one
+        vectorized triplet block of ``horizon`` rows; the column index arrays
+        are returned for fancy-indexed extraction from the solve result.
         """
         horizon = self.horizon_hours
-        model = Model(name="greennebula-window", sense="min")
-        compute: Dict[str, np.ndarray] = {}
-        migrate: Dict[str, np.ndarray] = {}
         t = np.arange(horizon, dtype=np.int64)
         ones = np.ones(horizon)
-        objective_cols: List[np.ndarray] = []
-        objective_vals: List[np.ndarray] = []
+        num_cols = 3 * horizon * len(self.datacenters)
+        cost = np.zeros(num_cols)
+        upper = np.full(num_cols, np.inf)
+        compute: Dict[str, np.ndarray] = {}
+        migrate: Dict[str, np.ndarray] = {}
+        row_parts: List[np.ndarray] = []
+        col_parts: List[np.ndarray] = []
+        val_parts: List[np.ndarray] = []
+        rhs_parts: List[np.ndarray] = []
+        le_parts: List[np.ndarray] = []
+        ge_parts: List[np.ndarray] = []
 
-        for dc in self.datacenters:
+        def block(rows, cols, vals, sense: ConstraintSense, rhs) -> None:
+            row_parts.append(rows + horizon * len(rhs_parts))
+            col_parts.append(cols)
+            val_parts.append(vals)
+            rhs_parts.append(np.asarray(rhs, dtype=float))
+            le_parts.append(np.full(horizon, sense is ConstraintSense.LESS_EQUAL))
+            ge_parts.append(np.full(horizon, sense is ConstraintSense.GREATER_EQUAL))
+
+        for index, dc in enumerate(self.datacenters):
             name = dc.name
             forecast = np.asarray(green_forecast_kw[name], dtype=float)
             if forecast.shape[0] < horizon:
                 raise ValueError(f"forecast for {name} shorter than the scheduling horizon")
-            compute[name] = model.add_variable_array(
-                [f"compute[{name},{step}]" for step in range(horizon)],
-                upper=dc.it_capacity_kw,
-            )
-            migrate[name] = model.add_variable_array(
-                [f"migrate[{name},{step}]" for step in range(horizon)]
-            )
-            brown = model.add_variable_array(
-                [f"brown[{name},{step}]" for step in range(horizon)]
-            )
+            base = 3 * horizon * index
+            compute[name] = base + t
+            migrate[name] = base + horizon + t
+            brown = base + 2 * horizon + t
+            upper[compute[name]] = dc.it_capacity_kw
+            cost[brown] = 1.0
+            cost[migrate[name]] = self.migration_penalty_kwh
             pue = np.array([dc.pue(hour_of_year + step) for step in range(horizon)])
             previous_load = float(current_load_kw.get(name, dc.vm_power_kw))
 
@@ -116,54 +129,60 @@ class GreenNebulaScheduler:
             # anchored to the currently measured load.
             migration_rhs = np.zeros(horizon)
             migration_rhs[0] = previous_load
-            model.add_linear_block(
+            block(
                 np.concatenate([t, t, t[1:]]),
                 np.concatenate([migrate[name], compute[name], compute[name][:-1]]),
                 np.concatenate([ones, ones, -ones[1:]]),
                 ConstraintSense.GREATER_EQUAL,
                 migration_rhs,
-                name=f"migration[{name}]",
             )
-            model.add_linear_block(
+            block(
                 np.concatenate([t, t]),
                 np.concatenate([compute[name], migrate[name]]),
                 np.concatenate([ones, ones]),
                 ConstraintSense.LESS_EQUAL,
                 np.full(horizon, dc.it_capacity_kw),
-                name=f"capacity[{name}]",
             )
             # brown[t] >= pue[t] * (compute[t] + migrate[t]) - forecast[t]
-            model.add_linear_block(
+            block(
                 np.concatenate([t, t, t]),
                 np.concatenate([brown, compute[name], migrate[name]]),
                 np.concatenate([ones, -pue, -pue]),
                 ConstraintSense.GREATER_EQUAL,
                 -forecast[:horizon],
-                name=f"brown[{name}]",
             )
-            objective_cols.extend([brown, migrate[name]])
-            objective_vals.extend([ones, np.full(horizon, self.migration_penalty_kwh)])
 
-        model.add_linear_block(
+        block(
             np.concatenate([t] * len(self.datacenters)),
             np.concatenate([compute[dc.name] for dc in self.datacenters]),
             np.ones(horizon * len(self.datacenters)),
             ConstraintSense.GREATER_EQUAL,
             np.full(horizon, total_load_kw),
-            name="total_load",
         )
-
-        model.set_objective(
-            LinearExpression(
-                dict(
-                    zip(
-                        np.concatenate(objective_cols).tolist(),
-                        np.concatenate(objective_vals).tolist(),
-                    )
-                )
-            )
+        num_rows = horizon * len(rhs_parts)
+        matrix = sparse.csc_matrix(
+            (
+                np.concatenate(val_parts),
+                (np.concatenate(row_parts), np.concatenate(col_parts)),
+            ),
+            shape=(num_rows, num_cols),
         )
-        return model, compute, migrate
+        rhs = np.concatenate(rhs_parts)
+        row_form = RowFormLP(
+            cost=cost,
+            a_indptr=matrix.indptr,
+            a_indices=matrix.indices,
+            a_data=matrix.data,
+            shape=(num_rows, num_cols),
+            row_lower=np.where(np.concatenate(le_parts), -np.inf, rhs),
+            row_upper=np.where(np.concatenate(ge_parts), np.inf, rhs),
+            lower=np.zeros(num_cols),
+            upper=upper,
+            integrality=np.zeros(num_cols, dtype=np.int64),
+            maximise=False,
+            objective_constant=0.0,
+        )
+        return row_form, compute, migrate
 
     def schedule(self, hour_of_year: float) -> ScheduleDecision:
         """Run one scheduling pass at the given simulation hour."""
@@ -171,8 +190,8 @@ class GreenNebulaScheduler:
         current_load = {dc.name: dc.vm_power_kw for dc in self.datacenters}
         total_load = float(sum(current_load.values()))
         forecasts = self.predictor.predict_all(self.datacenters, hour_of_year)
-        model, compute, _ = self.build_model(hour_of_year, total_load, current_load, forecasts)
-        result = model.solve(self.solver_options)
+        row_form, compute, _ = self.build_model(hour_of_year, total_load, current_load, forecasts)
+        result = highs_backend.solve_row_form(row_form, self.solver_options)
         if not result.is_optimal:
             # Fall back to keeping the current placement.
             targets = dict(current_load)

@@ -1,4 +1,4 @@
-"""The one HiGHS handle every continuous LP is solved through.
+"""The one HiGHS handle every LP and MILP is solved through.
 
 SciPy's ``linprog`` wrapper adds several milliseconds of validation and
 conversion overhead per call, which dominates when the siting heuristic
@@ -7,7 +7,9 @@ bindings it uses internally (``scipy.optimize._highspy``); this module feeds
 a :class:`~repro.lpsolver.model.RowFormLP` straight into a ``HighsLp`` —
 CSC arrays, row bounds and column bounds, no dense intermediates and no
 input re-validation.  Those bindings are a hard requirement, checked once
-when this module is imported (:data:`SCIPY_REQUIREMENT`).
+when this module is imported (:data:`SCIPY_REQUIREMENT`).  A row form
+with integer columns loads the same way, with its integrality declared, and
+HiGHS's branch-and-bound solves it on the same handle.
 
 Warm starts
 -----------
@@ -40,16 +42,14 @@ create one model per worker.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.lpsolver import validate as _validate
 from repro.lpsolver.model import RowFormLP
 from repro.lpsolver.result import SolveResult, SolveStatus, SolverStatusError  # noqa: F401
-
-if TYPE_CHECKING:
-    from repro.lpsolver.solvers import SolverOptions
 
 #: The SciPy releases verified to ship the private HiGHS bindings used here.
 SCIPY_REQUIREMENT = "scipy>=1.17.1,<1.18"
@@ -79,6 +79,25 @@ _UPPER = int(_core.HighsBasisStatus.kUpper)
 _ZERO = int(_core.HighsBasisStatus.kZero)
 
 
+@dataclass
+class SolverOptions:
+    """Knobs of one HiGHS solve, (re)set on the handle before every run.
+
+    Attributes
+    ----------
+    time_limit:
+        Wall-clock limit in seconds (``None`` = no limit).
+    mip_gap:
+        Relative optimality gap accepted by branch-and-bound (MILPs only).
+    presolve:
+        Whether to let HiGHS presolve the problem.
+    """
+
+    time_limit: Optional[float] = None
+    mip_gap: float = 1e-4
+    presolve: bool = True
+
+
 class BasisSnapshot(NamedTuple):
     """A native HiGHS basis and the ``(num_cols, num_rows)`` it was taken at."""
 
@@ -102,19 +121,25 @@ def _build_lp(row_form: RowFormLP) -> Any:
     lp.a_matrix_.start_ = row_form.a_indptr
     lp.a_matrix_.index_ = row_form.a_indices
     lp.a_matrix_.value_ = row_form.a_data
+    if np.any(row_form.integrality):
+        lp.integrality_ = [
+            _core.HighsVarType.kInteger if flag else _core.HighsVarType.kContinuous
+            for flag in row_form.integrality
+        ]
     return lp
 
 
 def solve_row_form(
     row_form: RowFormLP,
-    options: "SolverOptions",
+    options: SolverOptions,
     model: Optional["MutableHighsModel"] = None,
     check: bool = False,
 ) -> SolveResult:
-    """Solve a continuous LP in row form with HiGHS directly.
+    """Solve an LP or MILP in row form with HiGHS directly.
 
-    Integrality declarations are ignored (callers route MILPs to
-    ``scipy.optimize.milp``; the heuristic deliberately solves relaxations).
+    Columns flagged in ``row_form.integrality`` are integer, and HiGHS
+    branch-and-bounds them to ``options.mip_gap``; without any the solve is
+    a plain LP.
 
     ``model`` is a long-lived :class:`MutableHighsModel` to load the LP
     into: the basis of its last optimal solve warm-starts this one when the
@@ -406,7 +431,7 @@ class MutableHighsModel:
         basis.alien = basic_total != self.num_rows
         self._highs.setBasis(basis)
 
-    def solve(self, options: "SolverOptions", check: bool = False) -> SolveResult:
+    def solve(self, options: SolverOptions, check: bool = False) -> SolveResult:
         """Solve the currently loaded model, warm-starting when possible.
 
         With ``check=True`` a non-optimal status raises
@@ -422,7 +447,7 @@ class MutableHighsModel:
 
     def _run(
         self,
-        options: "SolverOptions",
+        options: SolverOptions,
         solver: str,
         check: bool,
         row_form: Optional[RowFormLP] = None,
@@ -441,6 +466,7 @@ class MutableHighsModel:
             "time_limit",
             float(options.time_limit) if options.time_limit is not None else float("inf"),
         )
+        self._highs.setOptionValue("mip_rel_gap", float(options.mip_gap))
         self.install_basis()
         self._highs.run()
         raw_status = self._highs.getModelStatus()

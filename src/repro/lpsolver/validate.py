@@ -18,9 +18,8 @@ models and raise :class:`LPValidationError` listing *all* violations:
 * :func:`repro.lpsolver.batch.stack_block_diagonal` — the stacked mega-LP and
   its block boundary offsets;
 * :meth:`ProvisioningCompiler.compile_row_form` — every compiled-skeleton
-  instantiation, i.e. every provisioning LP.  Skeleton triplets never pass
-  through :func:`~repro.lpsolver.blocks.make_block`'s checks, so this is
-  their audit.
+  instantiation, i.e. every provisioning LP.  Skeleton triplets are never
+  checked on the way in, so this is their audit.
 
 Validation is O(nnz) numpy per call and entirely skipped (one dict lookup)
 when the knob is off, so production paths pay nothing; the differential test

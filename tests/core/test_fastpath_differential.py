@@ -2,7 +2,7 @@
 
 Two independent model-construction routes must produce the same LP:
 
-* the **scalar** oracle (readable per-epoch object-API loops, the reference
+* the **scalar** oracle (readable per-epoch row-by-row loops, the reference
   implementation of the Fig. 1 constraints, kept in ``tests/lp_oracles.py``),
   and
 * the production **templated row-form** route (cached per-site COO

@@ -12,7 +12,10 @@ from repro.greennebula import (
     VirtualMachine,
     WANLink,
 )
+from repro.lpsolver.validate import row_form_violations
 from repro.simulation import VMSpec
+
+from row_collector import RowCollector
 
 
 @pytest.fixture(scope="module")
@@ -267,3 +270,60 @@ class TestGreenNebulaScheduler:
         bad_forecasts = {dc.name: np.zeros(4) for dc in three_dcs}
         with pytest.raises(ValueError):
             scheduler.build_model(0.0, 0.27, {dc.name: 0.0 for dc in three_dcs}, bad_forecasts)
+
+    @pytest.mark.parametrize("horizon", [1, 6, 48])
+    def test_window_lp_is_structurally_sound(self, three_dcs, horizon):
+        """Finite data, consistent CSC arrays, no duplicate, empty or orphan entries."""
+        scheduler = GreenNebulaScheduler(three_dcs, horizon_hours=horizon)
+        forecasts = scheduler.predictor.predict_all(three_dcs, 12.0)
+        row_form, compute, migrate = scheduler.build_model(
+            12.0, 0.27, {dc.name: 0.1 for dc in three_dcs}, forecasts
+        )
+        assert row_form_violations(row_form) == []
+        # Per datacenter: compute, migrate, brown columns and three row families;
+        # then one demand row per hour.
+        assert row_form.shape == (3 * horizon * 3 + horizon, 3 * horizon * 3)
+        assert all(len(compute[dc.name]) == len(migrate[dc.name]) == horizon for dc in three_dcs)
+
+    def test_window_lp_matches_a_row_by_row_build(self, three_dcs):
+        """The vectorized window LP equals the same LP written one row at a time."""
+        horizon, hour, total_load = 6, 30.0, 0.27
+        scheduler = GreenNebulaScheduler(three_dcs, horizon_hours=horizon)
+        current = {dc.name: 0.05 * (index + 1) for index, dc in enumerate(three_dcs)}
+        forecasts = scheduler.predictor.predict_all(three_dcs, hour)
+        row_form, compute, migrate = scheduler.build_model(hour, total_load, current, forecasts)
+
+        rows = RowCollector()
+        columns = {
+            dc.name: [
+                [rows.add_variable(upper=upper) for _ in range(horizon)]
+                for upper in (dc.it_capacity_kw, np.inf, np.inf)  # compute, migrate, brown
+            ]
+            for dc in three_dcs
+        }
+        for dc in three_dcs:
+            c, m, b = columns[dc.name]
+            pue = [dc.pue(hour + t) for t in range(horizon)]
+            for t in range(horizon):
+                # migrate[t] + compute[t] - compute[t-1] >= 0; compute[-1] is today's load.
+                previous = [(c[t - 1], -1.0)] if t else []
+                rhs = current[dc.name] if t == 0 else 0.0
+                rows.add_row([(m[t], 1.0), (c[t], 1.0)] + previous, ">=", rhs)
+            for t in range(horizon):
+                rows.add_row([(c[t], 1.0), (m[t], 1.0)], "<=", dc.it_capacity_kw)
+            for t in range(horizon):
+                rows.add_row(
+                    [(b[t], 1.0), (c[t], -pue[t]), (m[t], -pue[t])], ">=", -forecasts[dc.name][t]
+                )
+            rows.add_objective([(x, 1.0) for x in b])
+            rows.add_objective([(x, scheduler.migration_penalty_kwh) for x in m])
+        for t in range(horizon):
+            rows.add_row([(columns[dc.name][0][t], 1.0) for dc in three_dcs], ">=", total_load)
+        reference = rows.row_form()
+
+        np.testing.assert_array_equal(row_form.matrix.toarray(), reference.matrix.toarray())
+        for field in ("row_lower", "row_upper", "lower", "upper", "cost", "integrality"):
+            np.testing.assert_array_equal(getattr(row_form, field), getattr(reference, field))
+        for dc in three_dcs:
+            assert list(compute[dc.name]) == columns[dc.name][0]
+            assert list(migrate[dc.name]) == columns[dc.name][1]

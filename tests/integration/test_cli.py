@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -12,6 +17,21 @@ def run_cli(argv):
     stream = io.StringIO()
     code = main(argv, stream=stream)
     return code, stream.getvalue()
+
+
+class TestEntryPoint:
+    def test_python_dash_m_repro_runs_the_cli(self):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "--help"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: repro ")
+        for command in ("plan", "emulate", "sweep", "serve"):
+            assert command in result.stdout
 
 
 class TestParser:

@@ -7,8 +7,9 @@ two references kept here:
 
 * :func:`linprog_solve` — a row form solved through ``scipy.optimize.linprog``
   (SciPy's validated public wrapper around the same solver), and
-* :class:`ScalarProvisioningBuilder` — the readable per-epoch object-API
-  construction of the Fig. 1 provisioning LP, one constraint at a time;
+* :class:`ScalarProvisioningBuilder` — the readable per-epoch construction
+  of the Fig. 1 provisioning LP, one constraint at a time on a
+  :class:`~row_collector.RowCollector`;
   :func:`assert_compiled_matches_scalar` compares the production row form
   with it entry for entry.
 """
@@ -16,7 +17,7 @@ two references kept here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import optimize, sparse
@@ -30,8 +31,9 @@ from repro.core.provisioning import (
     _SiteLayout,
 )
 from repro.energy.profiles import LocationProfile
-from repro.lpsolver import LinearExpression, Model, RowFormLP, SolverOptions, Variable
-from repro.lpsolver.result import SolveResult, SolveStatus
+from repro.lpsolver import RowFormLP, SolveResult, SolveStatus, SolverOptions
+
+from row_collector import RowCollector
 
 _LINPROG_STATUS = {
     0: SolveStatus.OPTIMAL,
@@ -84,31 +86,31 @@ def linprog_solve(row_form: RowFormLP, options: Optional[SolverOptions] = None) 
 
 @dataclass
 class _SiteVariables:
-    """Handles to the LP variables of one sited location ."""
+    """Column indices of the LP variables of one sited location."""
 
     profile: LocationProfile
     size_class: str
-    capacity: Variable
-    solar: Variable
-    wind: Variable
-    battery: Variable
-    compute: List[Variable]
-    migrate: List[Variable]
-    brown: List[Variable]
-    green_direct: List[Variable]
-    battery_charge: List[Variable]
-    battery_discharge: List[Variable]
-    battery_level: List[Variable]
-    net_charge: List[Variable]
-    net_discharge: List[Variable]
-    net_level: List[Variable]
+    capacity: int
+    solar: int
+    wind: int
+    battery: int
+    compute: List[int]
+    migrate: List[int]
+    brown: List[int]
+    green_direct: List[int]
+    battery_charge: List[int]
+    battery_discharge: List[int]
+    battery_level: List[int]
+    net_charge: List[int]
+    net_discharge: List[int]
+    net_level: List[int]
 
 
 class ScalarProvisioningBuilder:
     """The Fig. 1 provisioning LP built constraint by constraint.
 
     Registers variables in the production layout order (``_SiteLayout``), so
-    its model, objective and extracted plan compare entry for entry with
+    its rows, objective and extracted plan compare entry for entry with
     the row form of
     :meth:`~repro.core.provisioning.ProvisioningCompiler.compile_row_form`.
     """
@@ -121,8 +123,7 @@ class ScalarProvisioningBuilder:
         self.enforce_spread = enforce_spread
         self.cost_model = CostModel(problem.params)
         self.sites: List[_SiteLayout] = []
-        self.model = Model(name="provisioning", sense="min")
-        self._objective_terms: List[LinearExpression | float] = []
+        self.model = RowCollector()
         self._build()
 
     def _build(self) -> None:
@@ -132,13 +133,14 @@ class ScalarProvisioningBuilder:
         num_epochs = epochs.num_epochs
         weights = epochs.epoch_weights_hours()
         profiles = self.problem.profile_map()
+        frac = params.min_green_fraction
 
         scalar_sites: List[_SiteVariables] = []
         for name, size_class in self.siting.items():
             profile = profiles.get(name)
             if profile is None:
                 raise KeyError(f"siting refers to unknown location {name!r}")
-            base = self.model.num_variables
+            base = len(self.model.bounds)
             scalar_sites.append(self._add_site(profile, size_class, num_epochs))
             self.sites.append(
                 _SiteLayout(
@@ -149,61 +151,37 @@ class ScalarProvisioningBuilder:
         # Constraint 2: the network must provide the requested compute power in
         # every epoch.
         for epoch in range(num_epochs):
-            total_compute = LinearExpression.sum(site.compute[epoch] for site in scalar_sites)
-            self.model.add_constraint(
-                total_compute >= params.total_capacity_kw, name=f"total_capacity[{epoch}]"
+            self.model.add_row(
+                [(site.compute[epoch], 1.0) for site in scalar_sites],
+                ">=",
+                params.total_capacity_kw,
             )
 
         # Constraint 3: minimum share of green energy, enforced either over the
         # whole year (the paper's main formulation) or in every epoch (the
-        # stricter variant studied in the technical report).
-        if params.min_green_fraction > 0:
+        # stricter variant studied in the technical report):
+        # sum(used green) - frac * sum(demand) >= 0.
+        if frac > 0:
             if problem.green_enforcement is GreenEnforcement.PER_EPOCH:
                 for epoch in range(num_epochs):
-                    green_terms = []
-                    demand_terms = []
+                    terms = []
                     for site in scalar_sites:
-                        used_green = (
-                            site.green_direct[epoch]
-                            + site.battery_discharge[epoch]
-                            + site.net_discharge[epoch]
-                        )
-                        green_terms.append(used_green)
-                        demand_terms.append(self._power_demand(site, epoch))
-                    self.model.add_constraint(
-                        LinearExpression.sum(green_terms)
-                        - params.min_green_fraction * LinearExpression.sum(demand_terms)
-                        >= 0.0,
-                        name=f"min_green_fraction[{epoch}]",
-                    )
+                        terms += self._used_green(site, epoch, 1.0)
+                        terms += self._power_demand(site, epoch, -frac)
+                    self.model.add_row(terms, ">=", 0.0)
             else:
-                green_terms = []
-                demand_terms = []
+                terms = []
                 for site in scalar_sites:
                     for epoch in range(num_epochs):
-                        used_green = (
-                            site.green_direct[epoch]
-                            + site.battery_discharge[epoch]
-                            + site.net_discharge[epoch]
-                        )
-                        green_terms.append(weights[epoch] * used_green)
-                        demand_terms.append(weights[epoch] * self._power_demand(site, epoch))
-                total_green = LinearExpression.sum(green_terms)
-                total_demand = LinearExpression.sum(demand_terms)
-                self.model.add_constraint(
-                    total_green - params.min_green_fraction * total_demand >= 0.0,
-                    name="min_green_fraction",
-                )
+                        terms += self._used_green(site, epoch, weights[epoch])
+                        terms += self._power_demand(site, epoch, -frac * weights[epoch])
+                self.model.add_row(terms, ">=", 0.0)
 
         # Availability spread: every sited DC keeps at least S/n servers.
         if self.enforce_spread and len(scalar_sites) > 0:
             floor = params.total_capacity_kw / len(scalar_sites)
             for site in scalar_sites:
-                self.model.add_constraint(
-                    site.capacity >= floor, name=f"capacity_spread[{site.profile.name}]"
-                )
-
-        self.model.set_objective(LinearExpression.sum(self._objective_terms))
+                self.model.add_row([(site.capacity, 1.0)], ">=", floor)
 
     def _add_site(
         self, profile: LocationProfile, size_class: str, num_epochs: int
@@ -216,39 +194,33 @@ class ScalarProvisioningBuilder:
             np.asarray(epochs.epoch_hours, dtype=float), (num_epochs,)
         )
         model = self.model
-        name = profile.name
 
         allow_solar = problem.sources.allows_solar
         allow_wind = problem.sources.allows_wind
         use_batteries = problem.storage is StorageMode.BATTERIES
         use_net_metering = problem.storage is StorageMode.NET_METERING
 
-        capacity = model.add_variable(f"capacity[{name}]")
-        solar = model.add_variable(f"solar[{name}]", upper=float("inf") if allow_solar else 0.0)
-        wind = model.add_variable(f"wind[{name}]", upper=float("inf") if allow_wind else 0.0)
-        battery = model.add_variable(
-            f"battery[{name}]", upper=float("inf") if use_batteries else 0.0
-        )
+        capacity = model.add_variable()
+        solar = model.add_variable(upper=float("inf") if allow_solar else 0.0)
+        wind = model.add_variable(upper=float("inf") if allow_wind else 0.0)
+        battery = model.add_variable(upper=float("inf") if use_batteries else 0.0)
 
-        def per_epoch(prefix: str, upper: float = float("inf")) -> List[Variable]:
-            return [
-                model.add_variable(f"{prefix}[{name},{t}]", upper=upper)
-                for t in range(num_epochs)
-            ]
+        def per_epoch(upper: float = float("inf")) -> List[int]:
+            return [model.add_variable(upper=upper) for _ in range(num_epochs)]
 
-        compute = per_epoch("compute")
-        migrate = per_epoch("migrate")
+        compute = per_epoch()
+        migrate = per_epoch()
         brown_cap = params.brown_plant_cap_fraction * profile.near_plant_capacity_kw
-        brown = per_epoch("brown", upper=max(0.0, brown_cap))
-        green_direct = per_epoch("green_direct")
+        brown = per_epoch(upper=max(0.0, brown_cap))
+        green_direct = per_epoch()
         storage_upper = float("inf") if use_batteries else 0.0
-        battery_charge = per_epoch("battery_charge", upper=storage_upper)
-        battery_discharge = per_epoch("battery_discharge", upper=storage_upper)
-        battery_level = per_epoch("battery_level", upper=float("inf") if use_batteries else 0.0)
+        battery_charge = per_epoch(upper=storage_upper)
+        battery_discharge = per_epoch(upper=storage_upper)
+        battery_level = per_epoch(upper=float("inf") if use_batteries else 0.0)
         net_upper = float("inf") if use_net_metering else 0.0
-        net_charge = per_epoch("net_charge", upper=net_upper)
-        net_discharge = per_epoch("net_discharge", upper=net_upper)
-        net_level = per_epoch("net_level", upper=net_upper)
+        net_charge = per_epoch(upper=net_upper)
+        net_discharge = per_epoch(upper=net_upper)
+        net_level = per_epoch(upper=net_upper)
 
         site = _SiteVariables(
             profile=profile,
@@ -271,99 +243,121 @@ class ScalarProvisioningBuilder:
 
         # Size-class consistency: the construction price per kW assumed in the
         # objective is only valid within the class's power range.
-        total_power_per_kw = profile.max_pue
         if size_class == "small":
-            model.add_constraint(
-                total_power_per_kw * capacity <= params.small_dc_threshold_kw,
-                name=f"small_dc[{name}]",
-            )
+            model.add_row([(capacity, profile.max_pue)], "<=", params.small_dc_threshold_kw)
 
         for t in range(num_epochs):
             previous = (t - 1) % num_epochs
+            hours = epoch_hours[t]
             # Migration overhead: load that left this site since the previous
-            # epoch still consumes energy here during this epoch.
-            model.add_constraint(
-                migrate[t] >= compute[previous] - compute[t], name=f"migration[{name},{t}]"
+            # epoch still consumes energy here during this epoch:
+            # migrate[t] >= compute[previous] - compute[t].
+            model.add_row(
+                [(migrate[t], 1.0), (compute[previous], -1.0), (compute[t], 1.0)], ">=", 0.0
             )
             # Constraint 1: provisioned capacity covers compute plus incoming load.
-            model.add_constraint(
-                capacity >= compute[t] + migrate[t], name=f"capacity_cover[{name},{t}]"
-            )
-            demand = self._power_demand(site, t)
+            model.add_row([(capacity, 1.0), (compute[t], -1.0), (migrate[t], -1.0)], ">=", 0.0)
             # Constraint 5: demand is met by direct green, storage draws and brown.
-            supply = green_direct[t] + battery_discharge[t] + net_discharge[t] + brown[t]
-            self.model.add_constraint(supply - demand >= 0.0, name=f"power_balance[{name},{t}]")
+            model.add_row(
+                self._used_green(site, t, 1.0)
+                + [(brown[t], 1.0)]
+                + self._power_demand(site, t, -1.0),
+                ">=",
+                0.0,
+            )
             # Green energy only counts toward the requirement when it actually
             # serves load: what is delivered (directly or from storage) in an
             # epoch cannot exceed that epoch's demand.  Surplus production is
             # curtailed (or, with net metering, banked for later).
-            delivered = green_direct[t] + battery_discharge[t] + net_discharge[t]
-            self.model.add_constraint(
-                demand - delivered >= 0.0, name=f"green_delivery_cap[{name},{t}]"
+            model.add_row(
+                self._power_demand(site, t, 1.0) + self._used_green(site, t, -1.0), ">=", 0.0
             )
             # Green allocation: direct use plus storage charging cannot exceed production.
-            production = profile.solar_alpha[t] * solar + profile.wind_beta[t] * wind
-            self.model.add_constraint(
-                production - green_direct[t] - battery_charge[t] - net_charge[t] >= 0.0,
-                name=f"green_allocation[{name},{t}]",
+            model.add_row(
+                [
+                    (solar, profile.solar_alpha[t]),
+                    (wind, profile.wind_beta[t]),
+                    (green_direct[t], -1.0),
+                    (battery_charge[t], -1.0),
+                    (net_charge[t], -1.0),
+                ],
+                ">=",
+                0.0,
             )
             if use_batteries:
-                # Constraints 6-7: battery level dynamics (cyclic over the year).
-                model.add_constraint(
-                    battery_level[t]
-                    == battery_level[previous]
-                    + params.battery_efficiency * battery_charge[t] * epoch_hours[t]
-                    - battery_discharge[t] * epoch_hours[t],
-                    name=f"battery_dynamics[{name},{t}]",
+                # Constraints 6-7: battery level dynamics (cyclic over the year):
+                # level[t] == level[previous] + eff * charge * h - discharge * h.
+                model.add_row(
+                    [
+                        (battery_level[t], 1.0),
+                        (battery_level[previous], -1.0),
+                        (battery_charge[t], -params.battery_efficiency * hours),
+                        (battery_discharge[t], hours),
+                    ],
+                    "==",
+                    0.0,
                 )
-                model.add_constraint(
-                    battery_level[t] <= battery, name=f"battery_capacity[{name},{t}]"
-                )
+                model.add_row([(battery_level[t], 1.0), (battery, -1.0)], "<=", 0.0)
             if use_net_metering:
                 # Constraints 8-9: net-metered energy bank (cyclic over the year).
-                model.add_constraint(
-                    net_level[t]
-                    == net_level[previous]
-                    + net_charge[t] * epoch_hours[t]
-                    - net_discharge[t] * epoch_hours[t],
-                    name=f"net_dynamics[{name},{t}]",
+                model.add_row(
+                    [
+                        (net_level[t], 1.0),
+                        (net_level[previous], -1.0),
+                        (net_charge[t], -hours),
+                        (net_discharge[t], hours),
+                    ],
+                    "==",
+                    0.0,
                 )
 
         # Objective contribution of this site.
         coefficients = self.cost_model.linear_coefficients(profile, size_class)
-        self._objective_terms.append(coefficients["fixed"])
-        self._objective_terms.append(coefficients["capacity_kw"] * capacity)
-        self._objective_terms.append(coefficients["solar_kw"] * solar)
-        self._objective_terms.append(coefficients["wind_kw"] * wind)
-        self._objective_terms.append(coefficients["battery_kwh"] * battery)
+        model.add_objective(
+            [
+                (capacity, coefficients["capacity_kw"]),
+                (solar, coefficients["solar_kw"]),
+                (wind, coefficients["wind_kw"]),
+                (battery, coefficients["battery_kwh"]),
+            ],
+            constant=coefficients["fixed"],
+        )
         for t in range(num_epochs):
-            self._objective_terms.append(
-                coefficients["brown_kwh_year"] * weights[t] * brown[t]
-            )
+            model.add_objective([(brown[t], coefficients["brown_kwh_year"] * weights[t])])
             if use_net_metering:
-                self._objective_terms.append(
-                    coefficients["net_discharge_kwh_year"] * weights[t] * net_discharge[t]
-                )
-                self._objective_terms.append(
-                    coefficients["net_charge_kwh_year"] * weights[t] * net_charge[t]
+                model.add_objective(
+                    [
+                        (net_discharge[t], coefficients["net_discharge_kwh_year"] * weights[t]),
+                        (net_charge[t], coefficients["net_charge_kwh_year"] * weights[t]),
+                    ]
                 )
         return site
 
-    def _power_demand(self, site: _SiteVariables, t: int) -> LinearExpression:
-        """``powDemand(d, t)``: (compute + migration overhead) * PUE."""
+    @staticmethod
+    def _used_green(site: _SiteVariables, t: int, scale: float) -> List[Tuple[int, float]]:
+        """``scale`` x green delivered in epoch ``t``: direct plus storage draws."""
+        return [
+            (site.green_direct[t], scale),
+            (site.battery_discharge[t], scale),
+            (site.net_discharge[t], scale),
+        ]
+
+    def _power_demand(
+        self, site: _SiteVariables, t: int, scale: float
+    ) -> List[Tuple[int, float]]:
+        """``scale`` x ``powDemand(d, t)``: (compute + migration overhead) * PUE."""
         migration_factor = self.problem.params.migration_factor
         pue = site.profile.pue[t]
-        demand = site.compute[t] + migration_factor * site.migrate[t]
-        return pue * demand
+        return [(site.compute[t], scale * pue), (site.migrate[t], scale * migration_factor * pue)]
 
     def solve(self, options: Optional[SolverOptions] = None) -> ProvisioningResult:
         """Solve with :func:`linprog_solve`; the plan extracts like production's."""
-        result = linprog_solve(self.model.to_row_form(), options)
+        result = linprog_solve(self.model.row_form(), options)
         if not result.is_optimal:
             return ProvisioningResult(
                 feasible=False, monthly_cost=float("inf"), message=result.message
             )
-        dims = (self.model.num_variables, self.model.num_constraints)
+        dims = (len(self.model.bounds), len(self.model.rows))
         problem, cost_model, sites = self.problem, self.cost_model, self.sites
         return ProvisioningResult(
             feasible=True,
@@ -397,7 +391,7 @@ def assert_compiled_matches_scalar(
     compiler = compiler or ProvisioningCompiler(problem)
     row_form, layouts = compiler.compile_row_form(siting, enforce_spread=enforce_spread)
     scalar = ScalarProvisioningBuilder(problem, siting, enforce_spread=enforce_spread)
-    reference = scalar.model.to_row_form()
+    reference = scalar.model.row_form()
     assert row_form.shape == reference.shape, (row_form.shape, reference.shape)
     np.testing.assert_allclose(
         _canonical_rows(row_form), _canonical_rows(reference), rtol=1e-12, atol=1e-12
@@ -406,8 +400,17 @@ def assert_compiled_matches_scalar(
     np.testing.assert_array_equal(row_form.lower, reference.lower)
     np.testing.assert_array_equal(row_form.upper, reference.upper)
     np.testing.assert_allclose(
-        row_form.objective_constant, scalar.model.objective.constant, rtol=1e-12
+        row_form.objective_constant, scalar.model.constant, rtol=1e-12
     )
     assert [(site.base, site.size_class) for site in layouts] == [
         (site.base, site.size_class) for site in scalar.sites
     ]
+
+
+def assert_feasible(row_form: RowFormLP, x: np.ndarray, tolerance: float = 1e-6) -> None:
+    """``x`` satisfies every row and column bound of ``row_form``."""
+    activity = row_form.matrix @ x
+    assert np.all(activity >= row_form.row_lower - tolerance), "a row lower bound is violated"
+    assert np.all(activity <= row_form.row_upper + tolerance), "a row upper bound is violated"
+    assert np.all(x >= row_form.lower - tolerance), "a column lower bound is violated"
+    assert np.all(x <= row_form.upper + tolerance), "a column upper bound is violated"

@@ -1,8 +1,8 @@
 """Unit tests for the in-place mutable HiGHS model layer.
 
 Every mutation (add/delete column and row ranges, cost/bound/coefficient
-edits) is checked against a from-scratch solve of an equivalent
-:class:`~repro.lpsolver.model.Model` — the mutated model must stay
+edits) is checked against a from-scratch ``linprog`` solve of an equivalent
+:class:`~repro.lpsolver.RowFormLP` — the mutated model must stay
 bit-compatible with the LP it claims to represent, across warm starts and
 basis projections.
 """
@@ -10,29 +10,21 @@ basis projections.
 import numpy as np
 import pytest
 
-from repro.lpsolver import ConstraintSense, LinearExpression, Model, SolverOptions
+from repro.lpsolver import ConstraintSense, SolverOptions
 from repro.lpsolver import highs_backend
+
+from lp_oracles import linprog_solve
+from row_collector import RowCollector
 
 
 def _reference_model(c, rows, bounds):
-    """min c @ x subject to row constraints; all variables >= 0."""
-    model = Model(name="ref", sense="min")
-    names = [f"x{i}" for i in range(len(c))]
-    lower = [b[0] for b in bounds]
-    upper = [b[1] for b in bounds]
-    idx = model.add_variable_array(names, lower, upper)
-    for i, (coeffs, sense, rhs) in enumerate(rows):
-        cols = np.array([j for j, v in enumerate(coeffs) if v != 0.0], dtype=np.int64)
-        vals = np.array([v for v in coeffs if v != 0.0])
-        model.add_linear_block(
-            np.zeros(len(cols), dtype=np.int64), cols, vals, sense, [rhs], name=f"r{i}"
-        )
-    model.set_objective(
-        LinearExpression.sum(
-            float(ci) * model.variable(f"x{i}") for i, ci in enumerate(c) if ci
-        )
-    )
-    return model
+    """Row form of min c @ x subject to row constraints and column bounds."""
+    collector = RowCollector()
+    xs = [collector.add_variable(lower, upper) for lower, upper in bounds]
+    for coeffs, sense, rhs in rows:
+        collector.add_row([(x, v) for x, v in zip(xs, coeffs) if v != 0.0], sense, rhs)
+    collector.add_objective(zip(xs, c))
+    return collector.row_form()
 
 
 BASE_COST = [1.0, 2.0, 0.5]
@@ -47,14 +39,14 @@ BASE_ROWS = [
 def _load_base():
     reference = _reference_model(BASE_COST, BASE_ROWS, BASE_BOUNDS)
     mutable = highs_backend.MutableHighsModel()
-    mutable.load(reference.to_row_form())
+    mutable.load(reference)
     return reference, mutable
 
 
 def _assert_matches(mutable, reference):
     options = SolverOptions()
     got = mutable.solve(options)
-    expected = reference.solve(options)
+    expected = linprog_solve(reference, options)
     assert got.is_optimal == expected.is_optimal
     if got.is_optimal:
         assert got.objective == pytest.approx(expected.objective, rel=1e-9)
@@ -139,7 +131,7 @@ class TestMutableHighsModel:
         assert snapshot is not None
         # A fresh same-shape model adopts the stored basis and re-solves warm.
         other = highs_backend.MutableHighsModel()
-        other.load(reference.to_row_form())
+        other.load(reference)
         other.restore_basis(snapshot)
         warm = other.solve(SolverOptions())
         assert warm.objective == pytest.approx(first.objective, rel=1e-12)

@@ -1,4 +1,4 @@
-"""Tests for the SciPy/HiGHS solving backends."""
+"""Tests for the one HiGHS solve path, LPs and MILPs alike."""
 
 import os
 import subprocess
@@ -10,172 +10,196 @@ import numpy as np
 import pytest
 
 import repro
-from repro.lpsolver import Model, MutableHighsModel, SolveStatus, SolverOptions, solve_model
-from repro.lpsolver.highs_backend import SCIPY_REQUIREMENT, solve_row_form
+from repro.lpsolver import MutableHighsModel, SolveStatus, SolverOptions
+from repro.lpsolver.highs_backend import SCIPY_REQUIREMENT, _build_lp, solve_row_form
+
+from lp_oracles import assert_feasible, linprog_solve
+from row_collector import RowCollector
+
+
+def _solve(rows: RowCollector, options=None):
+    return solve_row_form(rows.row_form(), options or SolverOptions())
+
+
+def _two_var():
+    rows = RowCollector()
+    return rows, [rows.add_variable() for _ in range(2)]
 
 
 class TestLinearPrograms:
     def test_simple_minimisation(self):
-        model = Model("lp")
-        x = model.add_variable("x")
-        y = model.add_variable("y")
-        model.add_constraint(x + 2 * y >= 4)
-        model.add_constraint(3 * x + y >= 6)
-        model.set_objective(x + y)
-        result = model.solve()
+        rows, (x, y) = _two_var()
+        rows.add_row([(x, 1.0), (y, 2.0)], ">=", 4.0)
+        rows.add_row([(x, 3.0), (y, 1.0)], ">=", 6.0)
+        rows.add_objective([(x, 1.0), (y, 1.0)])
+        result = _solve(rows)
         assert result.is_optimal
-        assert result.solver == "highs-direct"  # the one continuous solve path
+        assert result.solver == "highs-direct"  # the one solve path
         # Optimum at the intersection of the two constraints: x=1.6, y=1.2.
-        assert result.value(x) == pytest.approx(1.6, abs=1e-6)
-        assert result.value(y) == pytest.approx(1.2, abs=1e-6)
+        np.testing.assert_allclose(result.value_array(np.array([x, y])), [1.6, 1.2], atol=1e-6)
         assert result.objective == pytest.approx(2.8, abs=1e-6)
 
     def test_maximisation(self):
-        model = Model("lp-max", sense="max")
-        x = model.add_variable("x", upper=4.0)
-        y = model.add_variable("y", upper=3.0)
-        model.add_constraint(x + y <= 5)
-        model.set_objective(2 * x + 3 * y)
-        result = model.solve()
+        rows = RowCollector(maximise=True)
+        x = rows.add_variable(upper=4.0)
+        y = rows.add_variable(upper=3.0)
+        rows.add_row([(x, 1.0), (y, 1.0)], "<=", 5.0)
+        rows.add_objective([(x, 2.0), (y, 3.0)])
+        result = _solve(rows)
         assert result.is_optimal
         assert result.objective == pytest.approx(2 * 2 + 3 * 3, abs=1e-6)
 
     def test_objective_constant_included(self):
-        model = Model("lp-const")
-        x = model.add_variable("x", lower=1.0, upper=2.0)
-        model.set_objective(x + 100.0)
-        result = model.solve()
-        assert result.objective == pytest.approx(101.0, abs=1e-6)
+        rows = RowCollector()
+        x = rows.add_variable(lower=1.0, upper=2.0)
+        rows.add_objective([(x, 1.0)], constant=100.0)
+        assert _solve(rows).objective == pytest.approx(101.0, abs=1e-6)
 
     def test_infeasible_detected(self):
-        model = Model("lp-infeasible")
-        x = model.add_variable("x", upper=1.0)
-        model.add_constraint(x >= 2.0)
-        model.set_objective(x)
-        result = model.solve()
+        rows = RowCollector()
+        x = rows.add_variable(upper=1.0)
+        rows.add_row([(x, 1.0)], ">=", 2.0)
+        rows.add_objective([(x, 1.0)])
+        result = _solve(rows)
         assert result.status is SolveStatus.INFEASIBLE
         assert not result.is_optimal
-        assert result.values == {}
+        assert result.x is None
+        with pytest.raises(ValueError, match="infeasible"):
+            result.value_array(np.array([x]))
 
     def test_unbounded_detected(self):
-        model = Model("lp-unbounded", sense="max")
-        x = model.add_variable("x")
-        model.set_objective(x)
-        result = model.solve()
+        rows = RowCollector(maximise=True)
+        x = rows.add_variable()
+        rows.add_objective([(x, 1.0)])
+        result = _solve(rows)
         assert result.status in (SolveStatus.UNBOUNDED, SolveStatus.INFEASIBLE, SolveStatus.ERROR)
         assert not result.is_optimal
 
     def test_solution_satisfies_constraints(self):
-        model = Model("lp-feasibility")
-        x = model.add_variable("x")
-        y = model.add_variable("y")
-        model.add_constraint(2 * x + y >= 10)
-        model.add_constraint(x + 3 * y >= 15)
-        model.set_objective(4 * x + 5 * y)
-        result = model.solve()
+        rows, (x, y) = _two_var()
+        rows.add_row([(x, 2.0), (y, 1.0)], ">=", 10.0)
+        rows.add_row([(x, 1.0), (y, 3.0)], ">=", 15.0)
+        rows.add_objective([(x, 4.0), (y, 5.0)])
+        row_form = rows.row_form()
+        result = solve_row_form(row_form, SolverOptions())
         assert result.is_optimal
-        assert model.check_solution(result.values) == []
+        assert_feasible(row_form, result.x)
 
     def test_equality_constraints(self):
-        model = Model("lp-eq")
-        x = model.add_variable("x")
-        y = model.add_variable("y")
-        model.add_constraint(x + y == 10)
-        model.set_objective(x + 2 * y)
-        result = model.solve()
+        rows, (x, y) = _two_var()
+        rows.add_row([(x, 1.0), (y, 1.0)], "==", 10.0)
+        rows.add_objective([(x, 1.0), (y, 2.0)])
+        result = _solve(rows)
         assert result.is_optimal
-        assert result.value(x) == pytest.approx(10.0, abs=1e-6)
-        assert result.value(y) == pytest.approx(0.0, abs=1e-6)
+        np.testing.assert_allclose(result.value_array(np.array([x, y])), [10.0, 0.0], atol=1e-6)
+
+    def test_cover_optimum_and_linprog_agree(self):
+        """min sum(x) s.t. x_i >= i + 1, sum(x) <= 100; the linprog oracle agrees."""
+        row_form = _cover_lp([1.0, 2.0, 3.0], budget=100.0)
+        direct = solve_row_form(row_form, SolverOptions())
+        linprog = linprog_solve(row_form)
+        assert direct.solver == "highs-direct" and linprog.solver == "linprog"
+        assert direct.objective == pytest.approx(6.0, abs=1e-9)
+        np.testing.assert_allclose(direct.x, [1.0, 2.0, 3.0], atol=1e-9)
+        assert direct.objective == pytest.approx(linprog.objective, abs=1e-9)
+
+
+def _integer_floor():
+    """min n s.t. 2 n >= 5 over the integers 0..10 (relaxation optimum 2.5)."""
+    rows = RowCollector()
+    n = rows.add_variable(upper=10.0, integer=True)
+    rows.add_row([(n, 2.0)], ">=", 5.0)
+    rows.add_objective([(n, 1.0)])
+    return rows, n
 
 
 class TestMixedIntegerPrograms:
     def test_knapsack_milp(self):
-        model = Model("knapsack", sense="max")
+        rows = RowCollector(maximise=True)
         values = [10.0, 13.0, 7.0, 4.0]
         weights = [5.0, 6.0, 4.0, 2.0]
-        items = [model.add_binary(f"item{i}") for i in range(4)]
-        model.add_constraint(
-            sum((weights[i] * items[i] for i in range(4)), start=0 * items[0]) <= 10
-        )
-        model.set_objective(sum((values[i] * items[i] for i in range(4)), start=0 * items[0]))
-        result = model.solve()
+        items = [rows.add_variable(upper=1.0, integer=True) for _ in range(4)]
+        rows.add_row(zip(items, weights), "<=", 10.0)
+        rows.add_objective(zip(items, values))
+        result = _solve(rows)
         assert result.is_optimal
-        assert result.solver == "milp"
-        chosen = [i for i in range(4) if result.value(items[i]) > 0.5]
+        assert result.solver == "highs-direct"  # MILPs share the one solve path
+        chosen = [i for i in range(4) if result.x[items[i]] > 0.5]
         assert chosen == [1, 2] or result.objective == pytest.approx(20.0, abs=1e-6)
 
     def test_integrality_respected(self):
-        model = Model("int")
-        n = model.add_integer("n", lower=0, upper=10)
-        model.add_constraint(2 * n >= 5)
-        model.set_objective(n)
-        result = model.solve()
+        rows, n = _integer_floor()
+        result = _solve(rows)
         assert result.is_optimal
-        assert result.value(n) == pytest.approx(3.0, abs=1e-6)
-
-    def test_force_continuous_relaxation(self):
-        model = Model("relaxed")
-        n = model.add_integer("n", lower=0, upper=10)
-        model.add_constraint(2 * n >= 5)
-        model.set_objective(n)
-        result = solve_model(model, SolverOptions(force_continuous=True))
-        assert result.solver == "highs-direct"  # the one continuous solve path
-        assert result.value(n) == pytest.approx(2.5, abs=1e-6)
+        assert result.x[n] == pytest.approx(3.0, abs=1e-6)
 
     def test_milp_infeasible(self):
-        model = Model("milp-infeasible")
-        b = model.add_binary("b")
-        model.add_constraint(b >= 2)
-        model.set_objective(b)
-        result = model.solve()
-        assert result.status is SolveStatus.INFEASIBLE
+        rows = RowCollector()
+        b = rows.add_variable(upper=1.0, integer=True)
+        rows.add_row([(b, 1.0)], ">=", 2.0)
+        rows.add_objective([(b, 1.0)])
+        assert _solve(rows).status is SolveStatus.INFEASIBLE
 
     def test_time_limit_option_accepted(self):
-        model = Model("milp-timelimit")
-        b = model.add_binary("b")
-        model.add_constraint(b >= 1)
-        model.set_objective(b)
-        result = model.solve(SolverOptions(time_limit=10.0))
-        assert result.is_optimal
+        rows = RowCollector()
+        b = rows.add_variable(upper=1.0, integer=True)
+        rows.add_row([(b, 1.0)], ">=", 1.0)
+        rows.add_objective([(b, 1.0)])
+        assert _solve(rows, SolverOptions(time_limit=10.0)).is_optimal
+
+    def test_integrality_declared_only_for_integer_columns(self):
+        continuous, _ = _two_var()
+        mixed, _ = _integer_floor()
+        mixed.add_variable()
+        assert _build_lp(continuous.row_form()).integrality_ == []
+        assert [kind.name for kind in _build_lp(mixed.row_form()).integrality_] == [
+            "kInteger",
+            "kContinuous",
+        ]
+
+    def test_mip_gap_is_reset_on_every_solve(self):
+        """One handle solves MILPs and LPs; no option leaks between solves."""
+        rows, n = _integer_floor()
+        highs = MutableHighsModel()
+        result = solve_row_form(rows.row_form(), SolverOptions(mip_gap=0.25), highs)
+        assert result.x[n] == pytest.approx(3.0, abs=1e-6)
+        assert highs._highs.getOptionValue("mip_rel_gap")[1] == 0.25
+        relaxed = solve_row_form(_cover_lp([1.0, 2.0]), SolverOptions(), highs)
+        assert highs._highs.getOptionValue("mip_rel_gap")[1] == SolverOptions().mip_gap
+        assert relaxed.objective == pytest.approx(3.0)
+
+    def test_integrality_does_not_leak_into_the_next_lp(self):
+        """The LP relaxation of a MILP solved on the same handle stays fractional."""
+        rows, n = _integer_floor()
+        milp = rows.row_form()
+        highs = MutableHighsModel()
+        assert solve_row_form(milp, SolverOptions(), highs).x[n] == pytest.approx(3.0)
+        milp.integrality = np.zeros_like(milp.integrality)
+        relaxed = solve_row_form(milp, SolverOptions(), highs)
+        assert relaxed.x[n] == pytest.approx(2.5)
+
+    def test_time_limit_and_presolve_are_reset_on_every_solve(self):
+        highs = MutableHighsModel()
+        solve_row_form(_cover_lp([1.0]), SolverOptions(time_limit=10.0, presolve=False), highs)
+        assert highs._highs.getOptionValue("time_limit")[1] == 10.0
+        assert highs._highs.getOptionValue("presolve")[1] == "off"
+        solve_row_form(_cover_lp([1.0]), SolverOptions(), highs)
+        assert highs._highs.getOptionValue("time_limit")[1] == np.inf
+        assert highs._highs.getOptionValue("presolve")[1] == "choose"
 
 
-class TestResultHelpers:
-    def test_value_of_expression(self):
-        model = Model("expr-eval")
-        x = model.add_variable("x", lower=2.0, upper=2.0)
-        y = model.add_variable("y", lower=3.0, upper=3.0)
-        model.set_objective(x + y)
-        result = model.solve()
-        assert result.value(x + 2 * y) == pytest.approx(8.0, abs=1e-6)
-
-    def test_value_rejects_unknown_type(self):
-        model = Model("bad-value")
-        x = model.add_variable("x", upper=1.0)
-        model.set_objective(x)
-        result = model.solve()
-        with pytest.raises(TypeError):
-            result.value("x")  # type: ignore[arg-type]
-
-    def test_values_by_name(self):
-        model = Model("by-name")
-        x = model.add_variable("x", lower=1.0, upper=1.0)
-        y = model.add_variable("y", lower=4.0, upper=4.0)
-        model.set_objective(x + y)
-        result = model.solve()
-        named = result.values_by_name({"x": x, "y": y})
-        assert named == {"x": pytest.approx(1.0), "y": pytest.approx(4.0)}
-
-
-def _cover_lp(rhs, extra_row=None):
-    """min sum(x) s.t. x_i >= rhs_i, optionally one more row on x_0."""
-    model = Model("cover")
-    xs = [model.add_variable(f"x{i}") for i in range(len(rhs))]
+def _cover_lp(rhs, extra_row=None, budget=None):
+    """min sum(x) s.t. x_i >= rhs_i, optionally x_0 <= extra_row and sum(x) <= budget."""
+    rows = RowCollector()
+    xs = [rows.add_variable() for _ in rhs]
     for x, bound in zip(xs, rhs):
-        model.add_constraint(x >= bound)
+        rows.add_row([(x, 1.0)], ">=", bound)
     if extra_row is not None:
-        model.add_constraint(xs[0] <= extra_row)
-    model.set_objective(sum(xs[1:], xs[0]))
-    return model.to_row_form()
+        rows.add_row([(xs[0], 1.0)], "<=", extra_row)
+    if budget is not None:
+        rows.add_row([(x, 1.0) for x in xs], "<=", budget)
+    rows.add_objective([(x, 1.0) for x in xs])
+    return rows.row_form()
 
 
 #: Presolve would solve these tiny LPs outright; without it a cold solve

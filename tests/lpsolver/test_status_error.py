@@ -5,26 +5,23 @@ import pytest
 
 from repro.lpsolver import (
     ConstraintSense,
-    Model,
     SolverOptions,
     SolverStatusError,
     SolveStatus,
     highs_backend,
 )
 
+from row_collector import RowCollector
 
-def _model(rows, sense="min", upper=np.inf):
+
+def _row_form(rows):
     """min x0 + x1 subject to ``rows`` over two nonnegative variables."""
-    model = Model(name="status", sense=sense)
-    model.add_variable_array(["x0", "x1"], [0.0, 0.0], [upper, upper])
-    for i, (coeffs, row_sense, rhs) in enumerate(rows):
-        cols = np.array([j for j, v in enumerate(coeffs) if v != 0.0], dtype=np.int64)
-        vals = np.array([v for v in coeffs if v != 0.0])
-        model.add_linear_block(
-            np.zeros(len(cols), dtype=np.int64), cols, vals, row_sense, [rhs], name=f"r{i}"
-        )
-    model.set_objective(model.variable("x0") + model.variable("x1"))
-    return model
+    collector = RowCollector()
+    xs = [collector.add_variable(), collector.add_variable()]
+    for coeffs, sense, rhs in rows:
+        collector.add_row(zip(xs, coeffs), sense, rhs)
+    collector.add_objective([(x, 1.0) for x in xs])
+    return collector.row_form()
 
 
 FEASIBLE_ROWS = [([1.0, 1.0], ConstraintSense.GREATER_EQUAL, 2.0)]
@@ -36,7 +33,7 @@ INFEASIBLE_ROWS = [
 
 class TestRowFormCheck:
     def test_check_raises_typed_error_on_infeasible(self):
-        row_form = _model(INFEASIBLE_ROWS).to_row_form()
+        row_form = _row_form(INFEASIBLE_ROWS)
         with pytest.raises(SolverStatusError) as excinfo:
             highs_backend.solve_row_form(row_form, SolverOptions(), check=True)
         error = excinfo.value
@@ -45,7 +42,7 @@ class TestRowFormCheck:
         assert "infeasible" in str(error)
 
     def test_without_check_the_status_is_returned_not_raised(self):
-        row_form = _model(INFEASIBLE_ROWS).to_row_form()
+        row_form = _row_form(INFEASIBLE_ROWS)
         result = highs_backend.solve_row_form(row_form, SolverOptions())
         assert result.status is SolveStatus.INFEASIBLE
         assert not result.is_optimal
@@ -53,7 +50,7 @@ class TestRowFormCheck:
             result.raise_for_status()
 
     def test_raise_for_status_returns_self_when_optimal(self):
-        row_form = _model(FEASIBLE_ROWS).to_row_form()
+        row_form = _row_form(FEASIBLE_ROWS)
         result = highs_backend.solve_row_form(row_form, SolverOptions(), check=True)
         assert result.raise_for_status() is result
         assert result.objective == pytest.approx(2.0)
@@ -62,7 +59,7 @@ class TestRowFormCheck:
 class TestMutableModelCheck:
     def test_mutated_to_infeasible_raises_and_recovers(self):
         mutable = highs_backend.MutableHighsModel()
-        mutable.load(_model(FEASIBLE_ROWS).to_row_form())
+        mutable.load(_row_form(FEASIBLE_ROWS))
         assert mutable.solve(SolverOptions(), check=True).objective == pytest.approx(2.0)
 
         # Force x0 + x1 >= 2 against upper bounds summing to 1: infeasible.
@@ -87,7 +84,7 @@ class TestMutableModelCheck:
 
     def test_error_carries_solver_context(self):
         mutable = highs_backend.MutableHighsModel()
-        mutable.load(_model(INFEASIBLE_ROWS).to_row_form())
+        mutable.load(_row_form(INFEASIBLE_ROWS))
         with pytest.raises(SolverStatusError) as excinfo:
             mutable.solve(SolverOptions(), check=True)
         error = excinfo.value

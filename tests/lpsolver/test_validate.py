@@ -17,7 +17,7 @@ import pytest
 from repro.lpsolver.batch import stack_block_diagonal
 from repro.lpsolver.highs_backend import MutableHighsModel
 from repro.lpsolver.model import RowFormLP
-from repro.lpsolver.solvers import SolverOptions
+from repro.lpsolver.highs_backend import SolverOptions
 from repro.lpsolver.validate import (
     LPValidationError,
     row_form_violations,

@@ -1,43 +1,12 @@
-"""Property-based tests for the LP/MILP modelling layer."""
+"""Property-based tests for the row-form LP solve path."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lpsolver import LinearExpression, Model, SolveStatus
+from repro.lpsolver import SolveStatus, SolverOptions
+from repro.lpsolver.highs_backend import solve_row_form
 
-
-coefficients = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
-small_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
-
-
-class TestExpressionAlgebra:
-    @given(a=coefficients, b=coefficients, x_value=small_floats, y_value=small_floats)
-    @settings(max_examples=60, deadline=None)
-    def test_linearity_of_evaluation(self, a, b, x_value, y_value):
-        """Evaluating a*x + b*y equals a*value(x) + b*value(y)."""
-        model = Model("prop")
-        x = model.add_variable("x", lower=-1000, upper=1000)
-        y = model.add_variable("y", lower=-1000, upper=1000)
-        expr = a * x + b * y
-        values = {x.index: x_value, y.index: y_value}
-        assert expr.evaluate(values) == pytest.approx(a * x_value + b * y_value, abs=1e-9)
-
-    @given(constants=st.lists(coefficients, min_size=1, max_size=10))
-    @settings(max_examples=60, deadline=None)
-    def test_sum_of_constants_is_their_sum(self, constants):
-        expr = LinearExpression.sum(constants)
-        assert expr.is_constant()
-        assert expr.constant == pytest.approx(sum(constants), abs=1e-9)
-
-    @given(a=coefficients, scale=st.floats(min_value=-10, max_value=10, allow_nan=False))
-    @settings(max_examples=60, deadline=None)
-    def test_scaling_commutes_with_evaluation(self, a, scale):
-        model = Model("prop")
-        x = model.add_variable("x", lower=-10, upper=10)
-        expr = a * x + 1.0
-        scaled = expr * scale
-        values = {x.index: 3.0}
-        assert scaled.evaluate(values) == pytest.approx(expr.evaluate(values) * scale, abs=1e-9)
+from lp_oracles import assert_feasible
+from row_collector import RowCollector
 
 
 class TestSolverProperties:
@@ -49,16 +18,16 @@ class TestSolverProperties:
     @settings(max_examples=40, deadline=None)
     def test_two_supplier_lp_picks_cheaper_source(self, demand, cost_a, cost_b):
         """min cost_a*a + cost_b*b subject to a + b >= demand uses the cheaper one."""
-        model = Model("suppliers")
-        a = model.add_variable("a")
-        b = model.add_variable("b")
-        model.add_constraint(a + b >= demand)
-        model.set_objective(cost_a * a + cost_b * b)
-        result = model.solve()
+        rows = RowCollector()
+        a, b = rows.add_variable(), rows.add_variable()
+        rows.add_row([(a, 1.0), (b, 1.0)], ">=", demand)
+        rows.add_objective([(a, cost_a), (b, cost_b)])
+        row_form = rows.row_form()
+        result = solve_row_form(row_form, SolverOptions())
         assert result.is_optimal
         expected = min(cost_a, cost_b) * demand
         assert abs(result.objective - expected) <= 1e-6 * max(1.0, expected)
-        assert model.check_solution(result.values) == []
+        assert_feasible(row_form, result.x)
 
     @given(
         bound=st.floats(min_value=0.5, max_value=20.0),
@@ -67,14 +36,14 @@ class TestSolverProperties:
     @settings(max_examples=40, deadline=None)
     def test_feasibility_matches_bound_arithmetic(self, bound, floor):
         """x <= bound with x >= floor is feasible iff floor <= bound."""
-        model = Model("bounds")
-        x = model.add_variable("x", upper=bound)
-        model.add_constraint(x >= floor)
-        model.set_objective(x)
-        result = model.solve()
+        rows = RowCollector()
+        x = rows.add_variable(upper=bound)
+        rows.add_row([(x, 1.0)], ">=", floor)
+        rows.add_objective([(x, 1.0)])
+        result = solve_row_form(rows.row_form(), SolverOptions())
         if floor <= bound + 1e-9:
             assert result.is_optimal
-            assert result.value(x) >= floor - 1e-6
+            assert result.x[x] >= floor - 1e-6
         else:
             assert result.status is SolveStatus.INFEASIBLE
 
@@ -82,13 +51,14 @@ class TestSolverProperties:
     @settings(max_examples=30, deadline=None)
     def test_optimal_solutions_are_feasible(self, values):
         """Whatever the data, an OPTIMAL result must satisfy every constraint."""
-        model = Model("random-cover")
-        variables = [model.add_variable(f"x{i}", upper=100.0) for i in range(len(values))]
-        for i, value in enumerate(values):
-            model.add_constraint(variables[i] >= value)
-        model.add_constraint(LinearExpression.sum(variables) <= 1000.0)
-        model.set_objective(LinearExpression.sum(variables))
-        result = model.solve()
+        rows = RowCollector()
+        xs = [rows.add_variable(upper=100.0) for _ in values]
+        for x, value in zip(xs, values):
+            rows.add_row([(x, 1.0)], ">=", value)
+        rows.add_row([(x, 1.0) for x in xs], "<=", 1000.0)
+        rows.add_objective([(x, 1.0) for x in xs])
+        row_form = rows.row_form()
+        result = solve_row_form(row_form, SolverOptions())
         assert result.is_optimal
-        assert model.check_solution(result.values) == []
+        assert_feasible(row_form, result.x)
         assert result.objective <= 1000.0 + 1e-6
