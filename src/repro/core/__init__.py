@@ -23,7 +23,6 @@ from repro.core.costs import CostModel, FinancingModel
 from repro.core.parameters import FrameworkParameters
 from repro.core.problem import EnergySources, GreenEnforcement, SitingProblem, StorageMode
 from repro.core.provisioning import (
-    IncrementalSitingEvaluator,
     ProvisioningCompiler,
     ProvisioningResult,
     solve_provisioning,
@@ -45,7 +44,6 @@ __all__ = [
     "FullMilp",
     "GreenEnforcement",
     "HeuristicSolver",
-    "IncrementalSitingEvaluator",
     "NetworkPlan",
     "PlacementTool",
     "ProvisioningCompiler",

@@ -24,15 +24,18 @@ expensive parts concurrently when the hardware allows it:
   periodic synchronisation) or as parallel chains that explore independently
   from the shared starting point and synchronise at the end.  Parallel
   chains always ship as picklable :class:`~repro.parallel.work.ChainTask`
-  descriptors, whatever the executor kind; each chain owns its RNG and
-  evaluation memo and solves its LPs cold, so the outcome is deterministic
-  for a fixed seed, and the parent replays the chains' memo requests to
-  report shared-memo hit counts.
+  descriptors, whatever the executor kind; each chain owns its RNG,
+  evaluation memo and HiGHS handle, so the outcome is deterministic for a
+  fixed seed, and the parent replays the chains' memo requests to report
+  shared-memo hit counts.
 
 Every provisioning evaluation is memoized by its frozen siting — the
 annealing moves revisit states constantly — and all evaluations share one
 :class:`~repro.core.provisioning.ProvisioningCompiler` so the per-site model
-skeleton is built once per ``(location, size class)`` pair.
+skeleton is built once per ``(location, size class)`` pair.  Each solver
+solves its LPs through :func:`~repro.core.provisioning.solve_provisioning`
+on one long-lived HiGHS handle, which re-installs the previous optimal basis
+whenever a move keeps the LP's shape (a swap, say).
 """
 
 from __future__ import annotations
@@ -45,12 +48,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.problem import GreenEnforcement, SitingProblem
 from repro.core.provisioning import (
-    IncrementalSitingEvaluator,
     ProvisioningCompiler,
     ProvisioningResult,
     solve_provisioning,
 )
-from repro.core.screening import price_batch, price_per_site, screen_lower_bounds
+# ``price_per_site`` is bound here beside ``price_batch`` (its fallback) so a
+# profiler or test patching this module's pricers can reach both.
+from repro.core.screening import price_batch, price_per_site, screen_lower_bounds  # noqa: F401
 from repro.core.single_site import (
     priced_in_chunks,
     scoring_parameters,
@@ -58,7 +62,7 @@ from repro.core.single_site import (
     single_site_size_class,
 )
 from repro.core.solution import NetworkPlan
-from repro.lpsolver import SolverOptions
+from repro.lpsolver import SolverOptions, highs_backend
 from repro.parallel.executors import (
     EXECUTOR_KINDS,
     ExecutorFactory,
@@ -124,17 +128,6 @@ class SearchSettings:
     refine_tolerance: float = 0.002
     #: Cap on refinement rounds (each round solves one provisioning LP).
     refine_max_rounds: int = 6
-    #: Stage-1 filter screen: prune candidates whose vectorized admissible
-    #: lower bound (:func:`~repro.core.screening.screen_lower_bounds`) proves
-    #: they cannot enter the shortlist, so only a fraction of the catalogue is
-    #: ever priced exactly.  The pruning is exact — the shortlist is identical
-    #: with the screen on or off.  ``None`` (default) enables it.
-    filter_screen: Optional[bool] = None
-    #: Stage-2 filter pricing: solve each pricing chunk as one block-diagonal
-    #: mega-LP (:func:`~repro.core.screening.price_batch`, default) or, when
-    #: False, by per-site warm-started solves
-    #: (:func:`~repro.core.screening.price_per_site`).
-    filter_batch: bool = True
 
     def __post_init__(self) -> None:
         if self.keep_locations < 1:
@@ -211,11 +204,10 @@ class HeuristicSolver:
         self._cache_hits = 0
         self._cross_chain_hits = 0
         self._evaluations = 0
-        # Persistent mutable-model evaluator for the sequential search; moves
-        # become column/row deltas with projected-basis warm starts.  Parallel
-        # chains (and the start siting of a parallel run) solve cold, which
-        # keeps their results independent of where and in which order they run.
-        self._sa_incremental: Optional[IncrementalSitingEvaluator] = None
+        # Every evaluation reloads this handle; a same-shape LP warm-starts
+        # from the previous optimal basis.  Chain tasks build their own
+        # solver, so a chain's results never depend on where it runs.
+        self._highs = highs_backend.MutableHighsModel()
         # The chain tasks of this search share one problem/compiler rebuild
         # per executing process, keyed by this token.
         self._chain_token = new_token("chains")
@@ -269,8 +261,8 @@ class HeuristicSolver:
         longitude band: such a candidate provably cannot enter the shortlist
         (its exact cost is at least its bound), so the pruning never changes
         the result, only the work.  Exact pricing solves each size-capped
-        chunk either as one block-diagonal mega-LP or through one
-        warm-started HiGHS model per chunk; both the chunk split and the
+        chunk as one block-diagonal mega-LP (per-site warm-started solves
+        only when the stack is infeasible); both the chunk split and the
         round schedule depend only on the candidate data, so shortlists are
         bit-identical across serial, thread and process execution.
 
@@ -298,10 +290,6 @@ class HeuristicSolver:
             sources=scoring_sources(score_green, problem.sources),
             green_enforcement=GreenEnforcement.ANNUAL,
         )
-        use_screen = (
-            settings.filter_screen if settings.filter_screen is not None else True
-        )
-        use_batch = settings.filter_batch
         profiles = pricing_problem.profiles
         sitings = [
             (profile.name, single_site_size_class(share_kw, profile, pricing_params))
@@ -313,18 +301,12 @@ class HeuristicSolver:
         factory = self._factory()
         pricing_compiler = ProvisioningCompiler(pricing_problem)
 
-        if use_screen:
-            screen = screen_lower_bounds(pricing_problem, dict(sitings))
-            bounds = screen.lower_bounds
-            # Ascending-bound order prices the likely shortlist first, which
-            # makes the pruning thresholds tight after the very first round;
-            # certified-infeasible candidates are never priced at all.
-            pending = [
-                int(i) for i in screen.order if not screen.certified_infeasible[i]
-            ]
-        else:
-            bounds = None
-            pending = list(range(len(profiles)))
+        screen = screen_lower_bounds(pricing_problem, dict(sitings))
+        bounds = screen.lower_bounds
+        # Ascending-bound order prices the likely shortlist first, which
+        # makes the pruning thresholds tight after the very first round;
+        # certified-infeasible candidates are never priced at all.
+        pending = [int(i) for i in screen.order if not screen.certified_infeasible[i]]
 
         inf = float("inf")
         scored: List[Tuple[float, str, float]] = []
@@ -333,9 +315,8 @@ class HeuristicSolver:
         priced = 0
         # Galloping rounds: small first round (the shortlist is usually found
         # there), doubling so the no-pruning worst case stays a handful of
-        # rounds.  Without the screen there is nothing to prune between
-        # rounds, so everything is priced in one pass.
-        round_size = max(4 * keep, 64) if bounds is not None else max(1, len(pending))
+        # rounds.
+        round_size = max(4 * keep, 64)
         while pending:
             take, pending = pending[:round_size], pending[round_size:]
             # The pricers are this module's bindings, so profilers that
@@ -343,11 +324,10 @@ class HeuristicSolver:
             rows = priced_in_chunks(
                 pricing_problem,
                 [sitings[i] for i in take],
-                use_batch,
                 self.solver_options,
                 factory,
                 compiler=pricing_compiler,
-                price=price_batch if use_batch else price_per_site,
+                price=price_batch,
             )
             priced += len(take)
             for index, (name, cost, feasible) in zip(take, rows):
@@ -357,7 +337,7 @@ class HeuristicSolver:
                 feasible_costs.append(cost)
                 if cost < band_best.get(bands[index], inf):
                     band_best[bands[index]] = cost
-            if bounds is not None and pending:
+            if pending:
                 # A candidate can only make the shortlist as its band's
                 # cheapest or as one of the keep globally cheapest; both
                 # thresholds only ever decrease, so the drops are permanent.
@@ -379,8 +359,6 @@ class HeuristicSolver:
             "filter_priced": float(priced),
             "filter_screened_out": float(len(profiles) - priced),
             "filter_screen_rate": priced / len(profiles) if profiles else 0.0,
-            "filter_screen": float(use_screen),
-            "filter_batched": float(use_batch),
         }
 
         scored.sort()
@@ -435,14 +413,13 @@ class HeuristicSolver:
             if chain is not None and owner is not None and owner != chain:
                 self._cross_chain_hits += 1
             return cached
-        if self._sa_incremental is not None:
-            # Sequential search: the persistent mutable model follows the
-            # chain's moves as column/row deltas.
-            result = self._sa_incremental.evaluate(siting)
-        else:
-            result = solve_provisioning(
-                self.problem, siting, options=self.solver_options, compiler=self._compiler
-            )
+        result = solve_provisioning(
+            self.problem,
+            siting,
+            options=self.solver_options,
+            compiler=self._compiler,
+            highs=self._highs,
+        )
         self._cache[key] = result
         self._cache_owner[key] = chain
         self._evaluations += 1
@@ -479,12 +456,6 @@ class HeuristicSolver:
         search_started = time.perf_counter()
         factory = self._factory()
         parallel = bool(settings.parallel_chains) and settings.num_chains > 1
-        if parallel:  # the evaluator is single-threaded; parallel chains solve cold
-            self._sa_incremental = None
-        elif self._sa_incremental is None:
-            self._sa_incremental = IncrementalSitingEvaluator(
-                self._compiler, options=self.solver_options
-            )
         best_siting = self._initial_siting(candidates)
         best_result = self.evaluate(best_siting)
         history: List[Tuple[int, float]] = [(0, best_result.monthly_cost)]

@@ -166,43 +166,6 @@ class _SkeletonTemplate:
 
 
 @dataclass
-class _IncrementalSiteData:
-    """Per-site delta arrays for the incremental (mutable-model) solve path.
-
-    The incremental layout keeps every site block *uniform across size
-    classes*: the ``small_dc`` row is always present (it is the first block
-    row) and is relaxed to a free row for "large" sites, so a size-class flip
-    is a pure value edit (objective coefficients + one row's bounds) and
-    add/remove moves always splice ranges of identical shape.  ``row_*``
-    carry the block rows row-wise over site-local columns (for ``addRows``);
-    ``coupling_*`` carry this site's entries in the cross-site coupling rows
-    column-wise (for ``addCols``; the coupling rows sit at fixed global
-    indices ``0..T+G`` so these never need remapping).
-    """
-
-    name: str
-    num_vars: int
-    lower: np.ndarray
-    upper: np.ndarray
-    row_lower: np.ndarray
-    row_upper: np.ndarray
-    row_starts: np.ndarray
-    row_cols: np.ndarray
-    row_vals: np.ndarray
-    small_dc_upper: float
-    coupling_starts: np.ndarray
-    coupling_rows: np.ndarray
-    coupling_vals: np.ndarray
-    cost_cols: np.ndarray
-    cost_vals: Dict[str, np.ndarray]
-    fixed: Dict[str, float]
-
-    @property
-    def num_rows(self) -> int:
-        return int(self.row_lower.shape[0])
-
-
-@dataclass
 class BatchCompiledLP:
     """A block-diagonal stack of independent single-site pricing LPs.
 
@@ -312,8 +275,6 @@ class ProvisioningCompiler:
         self._skeletons: Dict[Tuple[str, str], _SiteSkeleton] = {}
         # Per-shape CSC pattern cache, keyed by (size classes, spread).
         self._templates: Dict[Tuple, _ModelTemplate] = {}
-        # Per-site delta arrays for the incremental solve path.
-        self._incremental: Dict[str, _IncrementalSiteData] = {}
         # Location-independent skeleton structure per size class; once built,
         # new locations' skeletons are derived by slot rewrites.
         self._skeleton_templates: Dict[str, _SkeletonTemplate] = {}
@@ -746,72 +707,6 @@ class ProvisioningCompiler:
                 if name in self._profiles:
                     self._skeletons.setdefault(key, skeleton)
 
-    # -- per-site incremental delta arrays ----------------------------------------
-    def incremental_site_data(self, name: str) -> _IncrementalSiteData:
-        """Delta arrays for splicing one site in/out of a mutable model."""
-        with self._lock:
-            data = self._incremental.get(name)
-        if data is None:
-            data = self._build_incremental_site_data(name)
-            with self._lock:
-                data = self._incremental.setdefault(name, data)
-        return data
-
-    def _build_incremental_site_data(self, name: str) -> _IncrementalSiteData:
-        # The "small" skeleton carries the full structure (its small_dc row,
-        # emitted first, is row 0 and the one the "large" class relaxes); the
-        # class only changes objective coefficients and the fixed cost.
-        small = self.site_skeleton(name, "small")
-        large = self.site_skeleton(name, "large")
-        params = self.problem.params
-        T = small.num_epochs
-        n_vars = len(small.lower)
-
-        row_lower = np.where(small.le_mask, -np.inf, small.rhs)
-        row_upper = np.where(small.ge_mask, np.inf, small.rhs)
-        order = np.argsort(small.tri_rows, kind="stable")
-        row_starts = np.zeros(small.num_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(small.tri_rows, minlength=small.num_rows), out=row_starts[1:])
-
-        # This site's entries in the coupling rows: compute columns feed the
-        # total-capacity rows [0, T); the green contribution lands on the
-        # min-green row(s) at [T, T+G).
-        t = np.arange(T, dtype=np.int64)
-        coup_cols = [4 + t]
-        coup_rows = [t]
-        coup_vals = [np.ones(T)]
-        if params.min_green_fraction > 0:
-            coup_cols.append(small.green_cols)
-            coup_rows.append(T + small.green_rows)
-            coup_vals.append(small.green_vals)
-        cols = np.concatenate(coup_cols)
-        rows = np.concatenate(coup_rows)
-        vals = np.concatenate(coup_vals)
-        col_order = np.argsort(cols, kind="stable")
-        coupling_starts = np.zeros(n_vars + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=n_vars), out=coupling_starts[1:])
-
-        if not np.array_equal(small.objective_cols, large.objective_cols):
-            raise RuntimeError("objective support must not depend on the size class")
-        return _IncrementalSiteData(
-            name=name,
-            num_vars=n_vars,
-            lower=small.lower,
-            upper=small.upper,
-            row_lower=row_lower,
-            row_upper=row_upper,
-            row_starts=row_starts,
-            row_cols=small.tri_cols[order],
-            row_vals=small.tri_vals[order],
-            small_dc_upper=float(row_upper[0]),
-            coupling_starts=coupling_starts,
-            coupling_rows=rows[col_order],
-            coupling_vals=vals[col_order],
-            cost_cols=small.objective_cols,
-            cost_vals={"small": small.objective_vals, "large": large.objective_vals},
-            fixed={"small": small.fixed_cost, "large": large.fixed_cost},
-        )
-
     # -- templated row-form assembly ------------------------------------------------
     def compile_row_form(
         self, siting: Mapping[str, str], enforce_spread: bool = True
@@ -1002,240 +897,6 @@ class ProvisioningCompiler:
             ge_mask=np.concatenate(ge_parts),
         )
 
-
-class IncrementalSitingEvaluator:
-    """Evaluates siting decisions as deltas on one persistent HiGHS model.
-
-    The annealing search's neighbour moves change one or two sites at a time,
-    but :func:`solve_provisioning` re-passes the whole LP and cold-solves it
-    for every move.  This evaluator instead keeps a
-    :class:`~repro.lpsolver.highs_backend.MutableHighsModel` loaded with the
-    *current* siting's LP and expresses each requested siting as a structural
-    delta against it:
-
-    * **remove** deletes the site's column and row ranges (HiGHS drops the
-      columns' coupling-row entries with them),
-    * **add** appends the site's columns (with their coupling-row entries)
-      and block rows,
-    * **resize** flips objective coefficients and the ``small_dc`` row bounds
-      in place, and
-    * the availability-spread floors are value edits whenever the site count
-      changes.
-
-    Row layout: coupling rows first (``total_capacity`` at ``[0, T)``, the
-    min-green row(s) at ``[T, T+G)``), then one uniform block per site — the
-    skeleton rows with ``small_dc`` always present (relaxed to a free row for
-    "large" sites) plus the spread row when enforced.  Columns are the
-    per-site variable blocks in site order.  The previous optimal basis is
-    projected across every delta, so the dual simplex warm-starts across
-    moves; objective values are identical to a cold solve (the LP optimum is
-    unique in value), which the differential tests pin against cold
-    :func:`solve_provisioning` solves.  Instances are not thread-safe: one
-    evaluator per annealing chain.
-    """
-
-    def __init__(
-        self,
-        compiler: ProvisioningCompiler,
-        enforce_spread: bool = True,
-        options: Optional[SolverOptions] = None,
-    ) -> None:
-        problem = compiler.problem
-        self.compiler = compiler
-        self.problem = problem
-        self.enforce_spread = enforce_spread
-        self.options = options or SolverOptions()
-        params = problem.params
-        self._T = problem.num_epochs
-        if params.min_green_fraction > 0:
-            per_epoch = problem.green_enforcement is GreenEnforcement.PER_EPOCH
-            self._G = self._T if per_epoch else 1
-        else:
-            self._G = 0
-        self._coupling = self._T + self._G
-        self._model = highs_backend.MutableHighsModel()
-        self._sites: List[Tuple[str, str]] = []
-        self._fixed = 0.0
-        self._loaded = False
-        #: Per-site block row count (uniform across sites and classes);
-        #: resolved from the first site's data.
-        self._block_rows = 0
-        self._num_vars = 0
-        #: Last optimal basis per siting *shape* (site count, small count).
-        #: Site blocks are structurally identical, so a same-shape basis
-        #: transfers across location mixes far better than padding newly
-        #: spliced columns nonbasic — structural moves restore the shape's
-        #: stored (native) basis, pure value edits keep the carried basis.
-        self._shape_bases: Dict[Tuple[int, int], highs_backend.BasisSnapshot] = {}
-        self.solves = 0
-
-    # -- model mutation -----------------------------------------------------------
-    def _append_site(self, name: str, size_class: str) -> None:
-        data = self.compiler.incremental_site_data(name)
-        if self._block_rows == 0:
-            self._block_rows = data.num_rows + 1  # + spread row
-            self._num_vars = data.num_vars
-        base = self._model.num_cols
-        cost = np.zeros(data.num_vars)
-        cost[data.cost_cols] = data.cost_vals[size_class]
-        self._model.add_cols(
-            cost,
-            data.lower,
-            data.upper,
-            data.coupling_starts,
-            data.coupling_rows,
-            data.coupling_vals,
-        )
-        row_lower = data.row_lower.copy()
-        row_upper = data.row_upper.copy()
-        if size_class == "large":
-            row_upper[0] = np.inf  # small_dc row relaxed to a free row
-        # Block rows plus the availability-spread row (capacity >= floor; the
-        # floor is set by _set_spread_floors once the site count is known).
-        starts = np.concatenate([data.row_starts, [data.row_starts[-1] + 1]])
-        cols = np.concatenate([data.row_cols + base, [base]])
-        vals = np.concatenate([data.row_vals, [1.0]])
-        self._model.add_rows(
-            np.concatenate([row_lower, [0.0]]),
-            np.concatenate([row_upper, [np.inf]]),
-            starts,
-            cols,
-            vals,
-        )
-        self._fixed += data.fixed[size_class]
-
-    def _set_spread_floors(self) -> None:
-        # The spread row is always part of the block layout; without the
-        # availability constraint its floor simply stays at zero.
-        if not self.enforce_spread:
-            return
-        floor = self.problem.params.total_capacity_kw / len(self._sites)
-        for index in range(len(self._sites)):
-            row = self._coupling + index * self._block_rows + self._block_rows - 1
-            self._model.change_row_bounds(row, floor, np.inf)
-
-    def _initial_load(self, siting: Mapping[str, str]) -> None:
-        params = self.problem.params
-        T, G = self._T, self._G
-        row_lower = np.concatenate([np.full(T, params.total_capacity_kw), np.zeros(G)])
-        row_upper = np.full(T + G, np.inf)
-        empty = RowFormLP(
-            cost=np.zeros(0),
-            a_indptr=np.zeros(1, dtype=np.int32),
-            a_indices=np.zeros(0, dtype=np.int32),
-            a_data=np.zeros(0),
-            shape=(T + G, 0),
-            row_lower=row_lower,
-            row_upper=row_upper,
-            lower=np.zeros(0),
-            upper=np.zeros(0),
-            integrality=np.zeros(0, dtype=np.int64),
-            maximise=False,
-            objective_constant=0.0,
-        )
-        self._model.load(empty)
-        self._fixed = 0.0
-        for name, size_class in siting.items():
-            self._append_site(name, size_class)
-        self._sites = list(siting.items())
-        self._set_spread_floors()
-        self._loaded = True
-
-    def _apply(self, siting: Mapping[str, str]) -> bool:
-        """Mutate the model to ``siting``; True when sites were spliced."""
-        removed = [i for i, (name, _) in enumerate(self._sites) if name not in siting]
-        if removed:
-            coupling, R, n = self._coupling, self._block_rows, self._num_vars
-            col_ranges = [np.arange(i * n, (i + 1) * n, dtype=np.int64) for i in removed]
-            row_ranges = [
-                np.arange(coupling + i * R, coupling + (i + 1) * R, dtype=np.int64)
-                for i in removed
-            ]
-            self._model.delete_cols(np.concatenate(col_ranges))
-            self._model.delete_rows(np.concatenate(row_ranges))
-            for i in removed:
-                name, size_class = self._sites[i]
-                self._fixed -= self.compiler.incremental_site_data(name).fixed[size_class]
-            self._sites = [s for i, s in enumerate(self._sites) if i not in set(removed)]
-        # Size-class flips on retained sites are pure value edits.
-        for index, (name, old_class) in enumerate(self._sites):
-            new_class = siting[name]
-            if new_class == old_class:
-                continue
-            data = self.compiler.incremental_site_data(name)
-            base = index * self._num_vars
-            self._model.change_col_costs(
-                data.cost_cols + base, data.cost_vals[new_class]
-            )
-            small_dc_row = self._coupling + index * self._block_rows
-            upper = data.small_dc_upper if new_class == "small" else np.inf
-            self._model.change_row_bounds(small_dc_row, -np.inf, upper)
-            self._fixed += data.fixed[new_class] - data.fixed[old_class]
-            self._sites[index] = (name, new_class)
-        current = {name for name, _ in self._sites}
-        added = False
-        for name, size_class in siting.items():
-            if name not in current:
-                self._append_site(name, size_class)
-                self._sites.append((name, size_class))
-                added = True
-        # New blocks carry a zero floor placeholder and the floor value
-        # itself depends on the site count, so floors must be reset whenever
-        # a site was spliced in or out — including swaps, where the count is
-        # unchanged but a fresh block arrived.
-        if added or removed:
-            self._set_spread_floors()
-        return bool(added or removed)
-
-    # -- evaluation ---------------------------------------------------------------
-    def evaluate(self, siting: Mapping[str, str]) -> ProvisioningResult:
-        """Mutate the persistent model to ``siting`` and solve it warm."""
-        if not siting:
-            raise ValueError("the siting decision must place at least one datacenter")
-        if not self._loaded:
-            self._initial_load(siting)
-            structural = True
-        else:
-            structural = self._apply(siting)
-        shape = (
-            len(self._sites),
-            sum(1 for _, size_class in self._sites if size_class == "small"),
-        )
-        if structural:
-            stored = self._shape_bases.get(shape)
-            if stored is not None:
-                self._model.restore_basis(stored)
-        result = self._model.solve(self.options)
-        self.solves += 1
-        if result.is_optimal:
-            snapshot = self._model.basis_snapshot()
-            if snapshot is not None:
-                self._shape_bases[shape] = snapshot
-        if not result.is_optimal:
-            return ProvisioningResult(
-                feasible=False,
-                monthly_cost=float("inf"),
-                plan=None,
-                message=f"{result.status.value}: {result.message}",
-            )
-        result.objective = result.objective + self._fixed
-        profiles = self.compiler._profiles
-        T, n = self._T, self._num_vars
-        layouts = [
-            _SiteLayout(
-                profile=profiles[name], size_class=size_class, base=index * n, num_epochs=T
-            )
-            for index, (name, size_class) in enumerate(self._sites)
-        ]
-        dims = (self._model.num_cols, self._model.num_rows)
-        problem, cost_model = self.problem, self.compiler.cost_model
-        return ProvisioningResult(
-            feasible=True,
-            monthly_cost=result.objective,
-            plan=None,
-            message=result.message,
-            extractor=lambda: _extract_network_plan(problem, cost_model, layouts, dims, result),
-        )
 
 def _extract_network_plan(
     problem: SitingProblem,

@@ -228,13 +228,12 @@ def price_per_site(
     options: SolverOptions,
     compiler=None,
 ) -> List[Tuple[str, float, bool]]:
-    """Per-site warm-started pricing (the exact unbatched path).
+    """Per-site warm-started pricing, the fallback of :func:`price_batch`.
 
     One fresh :class:`~repro.lpsolver.MutableHighsModel` carries the optimal
-    basis across the structurally identical single-site LPs of the chunk,
-    exactly like the pre-batching filter did; used both as the
-    ``batch=False`` pricing path and as the fallback when a stacked solve
-    fails.
+    basis across the structurally identical single-site LPs of the chunk.
+    Each site is solved on its own, so an infeasible site that makes a
+    stacked solve fail is classified individually.
     """
     from repro.core.provisioning import ProvisioningCompiler, solve_provisioning
 

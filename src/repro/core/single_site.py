@@ -26,7 +26,7 @@ from repro.core.provisioning import (
     ProvisioningResult,
     solve_provisioning,
 )
-from repro.core.screening import price_batch, price_per_site
+from repro.core.screening import price_batch
 from repro.core.solution import NetworkPlan
 from repro.energy.profiles import LocationProfile
 from repro.lpsolver import MutableHighsModel, SolverOptions
@@ -137,7 +137,6 @@ def split_chunks(items, num_chunks: int) -> list:
 def priced_in_chunks(
     problem: SitingProblem,
     sitings: Sequence[Tuple[str, str]],
-    batch: bool,
     options: SolverOptions,
     factory: ExecutorFactory,
     compiler: Optional[ProvisioningCompiler] = None,
@@ -148,15 +147,14 @@ def priced_in_chunks(
     The one pricing fan-out behind the heuristic's filter and
     :meth:`SingleSiteAnalyzer.cost_distribution`.  The pairs are split into
     :func:`pricing_chunk_count` contiguous chunks and each chunk is priced as
-    one block-diagonal stack (``batch``,
-    :func:`~repro.core.screening.price_batch`) or through one warm-started
-    HiGHS model (:func:`~repro.core.screening.price_per_site`).  On a process
-    factory each chunk ships as a
+    one block-diagonal stack (:func:`~repro.core.screening.price_batch`,
+    which falls back to per-site warm-started solves when the stack is
+    infeasible).  On a process factory each chunk ships as a
     :class:`~repro.parallel.work.BatchPricingTask`; otherwise the chunks run
     in-process on ``factory.create`` and share ``compiler``.  A lone chunk
     is always priced in the caller: one LP stack is not worth a pool.
     ``price`` replaces the in-process pricer, so a caller can route the
-    chunks through its own module's binding of those functions.
+    chunks through its own module's binding of ``price_batch``.
 
     Rows come back as ``(location, monthly_cost, feasible)`` in ``sitings``
     order.  The chunk split depends only on the sweep size, never on the
@@ -176,14 +174,13 @@ def priced_in_chunks(
                     problem=problem.restricted_to([name for name, _ in chunk]),
                     sitings=tuple(chunk),
                     options=options,
-                    batch=batch,
                 ),
             )
             for chunk in chunks
         ]
     else:
         shared = compiler or ProvisioningCompiler(problem)
-        pricer = price or (price_batch if batch else price_per_site)
+        pricer = price or price_batch
         calls = [(pricer, problem, chunk, options, shared) for chunk in chunks]
     rows: List[Tuple[str, float, bool]] = []
     pool = factory.create(len(calls)) if len(calls) > 1 else SerialExecutor()
@@ -303,7 +300,6 @@ class SingleSiteAnalyzer:
         storage: StorageMode = StorageMode.NET_METERING,
         workers: Optional[int] = None,
         executor: str = "thread",
-        batch: Optional[bool] = None,
     ) -> List[SingleSiteCost]:
         """Single-site costs for many locations (the Fig. 6 distribution).
 
@@ -315,11 +311,10 @@ class SingleSiteAnalyzer:
         ``profiles``, so costs are bit-identical for every executor kind and
         worker count.
 
-        ``batch`` prices each chunk as one block-diagonal mega-LP
-        (:func:`~repro.core.screening.price_batch`) instead of per-site
-        warm-started solves; ``None`` auto-enables it for every sweep of more
-        than one location.  The returned costs are slim (``result`` is
-        ``None``); use :meth:`cost_at` when a plan is needed.
+        Each chunk is priced as one block-diagonal mega-LP
+        (:func:`~repro.core.screening.price_batch`).  The returned costs are
+        slim (``result`` is ``None``); use :meth:`cost_at` when a plan is
+        needed.
         """
         profiles = list(profiles)
         if not profiles:
@@ -330,7 +325,6 @@ class SingleSiteAnalyzer:
         rows = priced_in_chunks(
             problem,
             sitings,
-            batch if batch is not None else len(profiles) > 1,
             self.solver_options,
             ExecutorFactory(kind=executor, max_workers=max(1, workers or 1)),
         )

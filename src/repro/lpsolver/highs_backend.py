@@ -17,24 +17,25 @@ Warm starts
 Given a long-lived model, the optimal basis of its previous solve is
 re-installed whenever the new LP has the same shape — e.g. the location
 filter pricing the *same* single-site model structure at every candidate
-location — and the dual simplex typically re-converges in a handful of
+location, or an annealing swap move that keeps the siting's site count and
+size classes — and the dual simplex typically re-converges in a handful of
 iterations (~2x faster end-to-end on the pricing sweep).  Without a model
 the solve is one-shot and cold.
 
 In-place mutation
 -----------------
 Instead of re-passing the whole LP for every solve (``passModel`` throws
-away the scaled matrix and the simplex factorisation, a fixed ~1 ms on the
-provisioning LPs), a loaded :class:`MutableHighsModel` can be *edited*
-between solves through HiGHS's modification API — add or delete column and
-row ranges, change costs, bounds and single coefficients.  The previous
-optimal basis is carried across structural edits by explicit
-padding/projection: retained columns and rows keep their statuses, new
-columns enter nonbasic at a finite bound and new rows enter with a basic
-slack.  When deletions make the projected basis non-square it is installed
-as an "alien" basis that HiGHS repairs, which is still far cheaper than a
-cold start.  The siting search uses this to express its add/remove/swap
-moves as deltas on one persistent per-chain model.
+away the scaled matrix and the simplex factorisation), a loaded
+:class:`MutableHighsModel` can be *edited* between solves through HiGHS's
+modification API — add or delete column and row ranges, change column and
+row bounds.  The previous optimal basis is carried across structural edits
+by explicit padding/projection: retained columns and rows keep their
+statuses, new columns enter nonbasic at a finite bound and new rows enter
+with a basic slack.  When deletions make the projected basis non-square it
+is installed as an "alien" basis that HiGHS repairs, which is still far
+cheaper than a cold start.  The rolling dispatcher
+(:mod:`repro.operator.dispatch`) slides its look-ahead window this way on
+one persistent model per replay.
 
 A model must only ever be used from one thread at a time; concurrent sweeps
 create one model per worker.
@@ -166,12 +167,15 @@ def solve_row_form(
 class MutableHighsModel:
     """One HiGHS instance whose loaded LP is mutated in place between solves.
 
-    The model starts from :meth:`load` (a cold ``passModel``) and is then
-    edited through :meth:`add_cols`/:meth:`add_rows`/:meth:`delete_cols`/
-    :meth:`delete_rows`/:meth:`change_col_costs`/:meth:`change_col_bounds`/
-    :meth:`change_row_bounds`.  Between solves the previous optimal basis is
-    projected onto the mutated dimensions and re-installed, so the simplex
-    warm-starts even across structural changes:
+    The model starts from :meth:`load` (a cold ``passModel``).
+    :func:`solve_row_form` reloads it for every LP and re-installs the
+    previous optimal basis when the shape matches (the provisioning LPs of
+    the filter and the annealing search).  The rolling dispatcher instead
+    edits it through :meth:`add_cols`/:meth:`add_rows`/:meth:`delete_cols`/
+    :meth:`delete_rows`/:meth:`change_col_bounds`/:meth:`change_row_bounds`.
+    Between solves the previous optimal basis is projected onto the mutated
+    dimensions and re-installed, so the simplex warm-starts even across
+    structural changes:
 
     * retained columns and rows keep their basis statuses,
     * new columns enter nonbasic at a finite bound (``kZero`` when free),
@@ -180,7 +184,8 @@ class MutableHighsModel:
       is no longer a square basis; it is installed with ``alien=True`` and
       HiGHS repairs it, which still preserves most of the basis information.
 
-    Instances are not thread-safe: one mutable model per annealing chain.
+    Instances are not thread-safe: one model per heuristic solver (and so
+    per annealing chain) and one per dispatcher.
     """
 
     def __init__(self) -> None:
@@ -228,9 +233,11 @@ class MutableHighsModel:
     def load(self, row_form: RowFormLP) -> None:
         """Replace the loaded model wholesale (cold start)."""
         if _validate.validation_enabled():
-            # Empty rows are legal here: the incremental evaluator loads the
-            # coupling rows empty and splices site columns in afterwards.
-            # Solve entry re-checks coverage on the live model.
+            # Load checks structure only.  Empty rows and orphan columns are
+            # the solver's to classify: an LP that is unbounded or infeasible
+            # by construction must come back as that status, not as a
+            # validation error.  Solve entry re-checks row coverage on the
+            # live model after the dispatcher's splices.
             _validate.validate_row_form(
                 row_form, "MutableHighsModel.load", check_empty_rows=False
             )
@@ -310,13 +317,6 @@ class MutableHighsModel:
         self.num_rows -= len(indices)
 
     # -- value edits ------------------------------------------------------------
-    def change_col_costs(self, indices: np.ndarray, costs: np.ndarray) -> None:
-        self._highs.changeColsCost(
-            len(indices),
-            np.ascontiguousarray(indices, dtype=np.int32),
-            np.ascontiguousarray(costs, dtype=np.float64),
-        )
-
     def change_col_bounds(
         self, indices: np.ndarray, lower: np.ndarray, upper: np.ndarray
     ) -> None:
@@ -330,9 +330,6 @@ class MutableHighsModel:
     def change_row_bounds(self, index: int, lower: float, upper: float) -> None:
         self._highs.changeRowBounds(int(index), float(lower), float(upper))
 
-    def change_coeff(self, row: int, col: int, value: float) -> None:
-        self._highs.changeCoeff(int(row), int(col), float(value))
-
     # -- basis transfer ----------------------------------------------------------
     def capture_block_status(
         self, col_start: int, col_stop: int, row_start: int, row_stop: int
@@ -340,7 +337,7 @@ class MutableHighsModel:
         """Int basis statuses of a column/row block, or None when cold.
 
         Callers use this to remember the statuses of a block about to be
-        deleted (a leaving site, an expiring horizon step) so they can be
+        deleted (the dispatcher's expiring horizon step) so they can be
         transplanted onto a structurally identical replacement block with
         :meth:`overlay_block_status` — the "per-block basis memory" idea.
         """
@@ -376,15 +373,16 @@ class MutableHighsModel:
         return self._native if not self._projection_dirty else None
 
     def restore_basis(self, snapshot: BasisSnapshot) -> None:
-        """Adopt a stored native basis (e.g. from an earlier same-shape model).
+        """Adopt a stored native basis (e.g. from before a :meth:`load`).
 
-        The snapshot is installed at the next solve only when its shape
-        matches the model's dimensions then; otherwise that solve starts
-        cold.  It stays the carried basis until a solve is optimal, so a
-        failed solve in between does not lose it.  Site blocks are
-        structurally identical, so a same-shape basis transfers across
-        different location mixes; installing a native object costs nothing
-        in Python, unlike the projected-array path.
+        :func:`solve_row_form` takes the snapshot before reloading the model
+        and restores it afterwards.  The snapshot is installed at the next
+        solve only when its shape matches the model's dimensions then;
+        otherwise that solve starts cold.  It stays the carried basis until a
+        solve is optimal, so a failed solve in between does not lose it.
+        Provisioning site blocks are structurally identical, so a same-shape
+        basis transfers across different location mixes; installing a native
+        object costs nothing in Python, unlike the projected-array path.
         """
         self._drop_basis()
         self._native = snapshot

@@ -4,7 +4,7 @@ The incremental machinery (in-place :class:`MutableHighsModel` splices,
 block-diagonal stacking, compiled-skeleton instantiation) trades re-validation
 for speed: HiGHS is handed raw CSC arrays with no checking, so a malformed
 model — a NaN cost smuggled in by an uninitialised profile, a crossed bound
-after a resize edit, duplicate COO coordinates from a buggy skeleton rewrite,
+after a bound edit, duplicate COO coordinates from a buggy skeleton rewrite,
 a basis projection whose length drifted from the model after a ranged
 delete — produces silently-wrong optima rather than errors.
 
@@ -93,10 +93,14 @@ def _check_finite(name: str, values: np.ndarray, violations: List[str], *, allow
 def row_form_violations(row_form: "RowFormLP", *, check_empty_rows: bool = True) -> List[str]:
     """All structural violations of one row-form LP (empty when sound).
 
-    ``check_empty_rows=False`` is for staged assembly: the incremental
-    evaluator legitimately loads a zero-column model holding only coupling
-    rows and splices site blocks in afterwards, so empty rows are checked at
-    solve time (:func:`validate_mutable_model`) instead of load time.
+    ``check_empty_rows=False`` skips the empty-row and orphan-column checks.
+    :meth:`~repro.lpsolver.highs_backend.MutableHighsModel.load` uses it: an
+    LP that is unbounded or infeasible by construction (a row without
+    entries whose bounds exclude 0, an orphan column whose cost pushes it
+    toward an infinite bound) is still a loadable model, and HiGHS must
+    report its status rather than the validator reject it.  Row coverage of
+    a model edited in place is checked at solve time
+    (:func:`validate_mutable_model`).
     """
     violations: List[str] = []
     num_rows, num_cols = (int(row_form.shape[0]), int(row_form.shape[1]))
@@ -204,8 +208,8 @@ def row_form_violations(row_form: "RowFormLP", *, check_empty_rows: bool = True)
         ):
             # Orphan columns (no matrix entries) pinned at a point are by
             # design here: the uniform per-site blocks keep every variable
-            # family present and fix unused ones to lb=ub=0 so that siting
-            # moves stay pure range splices.  What is *never* legitimate is
+            # family present and fix unused ones to lb=ub=0, so every site
+            # block of a size class has one shape.  What is *never* legitimate is
             # an orphan whose cost pushes it toward an infinite bound — the
             # LP is unbounded by construction (cost is minimise-oriented:
             # RowFormLP negates for maximisation).

@@ -11,22 +11,24 @@ window — plus an explicit unserved-demand slack whose penalty turns
 capacity shortfalls (flash crowds) into a measurable SLA violation instead
 of an infeasible LP.
 
-The window LP is **never rebuilt between steps** on the incremental path:
-the model lives in a :class:`~repro.lpsolver.highs_backend.MutableHighsModel`
-whose columns and rows are laid out step-major, so advancing the horizon is
+The window LP is **never rebuilt between steps**: the model lives in a
+:class:`~repro.lpsolver.highs_backend.MutableHighsModel` whose columns and
+rows are laid out step-major, so advancing the horizon is
 
 1. delete the expiring first step's column/row block,
 2. re-anchor the new first step to the realized load and battery levels
    (the coefficients tying it to the deleted block vanish with the block,
    leaving pure bound edits),
-3. append a fresh block at the horizon's far end, and
+3. append a fresh block at the horizon's far end, carrying over the basis
+   statuses of the expiring block (per-block basis memory), and
 4. refresh the forecast-dependent right-hand sides (demand, production),
 
-with the previous optimal basis carried across the splice.  A cold rebuild
-of the identical window (:meth:`RollingDispatcher.rebuild_window`) serves as
-the differential oracle, and ``stats`` counts loads/slides/solves so tests
-can assert that a replay of *n* steps performs exactly one cold load and
-``n - 1`` in-place slides.
+with the previous optimal basis carried across the splice.  Only the
+resilience ladder reloads the window cold.  A cold rebuild of the identical
+window (:meth:`RollingDispatcher.rebuild_window`) serves as the differential
+oracle, and ``stats`` counts loads/slides/solves so tests can assert that a
+replay of *n* steps performs exactly one cold load and ``n - 1`` in-place
+slides.
 """
 
 from __future__ import annotations
@@ -127,13 +129,6 @@ class DispatchConfig:
     #: :class:`DispatchError`.  Decisions taken this way are flagged
     #: ``degraded`` so replays complete with an honest record.
     greedy_fallback: bool = True
-    incremental: Optional[bool] = None     #: None = True; False cold-rebuilds every step
-    #: Transplant the expiring step's basis statuses onto the appended step
-    #: (per-block basis memory).  The slide is a pure block swap, and the
-    #: transplant beats plain projection on it — 2614 vs 3732 simplex
-    #: iterations and ~2 % wall-clock on the ``bench_basis_memory`` dispatch
-    #: mix — so it is on by default; realized costs agree to < 1e-9 either way.
-    carry_block_status: bool = True
 
     def __post_init__(self) -> None:
         if self.horizon < 2:
@@ -201,10 +196,10 @@ class DispatchError(RuntimeError):
 class RollingDispatcher:
     """Sliding-window dispatcher over one persistent mutable HiGHS model.
 
-    Not thread-safe; one dispatcher per replay.  With ``incremental=False``
-    the dispatcher cold-builds the window row form every step — same LP,
-    same numbers, no warm starts — and counts each build in
-    ``stats["cold_loads"]``.
+    Not thread-safe; one dispatcher per replay.  :meth:`start` cold-loads
+    the first window and every :meth:`advance` splices the next one in
+    place; ``stats["cold_loads"]`` counts the start plus every cold reload
+    of the resilience ladder.
     """
 
     def __init__(
@@ -232,8 +227,7 @@ class RollingDispatcher:
         self._K = len(self._tiers)
         self._ncols_step = 1 + 8 * self._N + (self._K - 1)
         self._nrows_step = 2 + 5 * self._N + (self._K if self._tiered else 0)
-        self.incremental = self.config.incremental is not False
-        self._model = highs_backend.MutableHighsModel() if self.incremental else None
+        self._model = highs_backend.MutableHighsModel()
         # Current window state (kept for slides, RHS refreshes and rebuilds).
         self._start_step: Optional[int] = None
         self._load_kw: Optional[np.ndarray] = None
@@ -571,10 +565,8 @@ class RollingDispatcher:
             start_step, load_kw, level_kwh, demand_hat, production_hat,
             capacity_now=capacity_now, wan_factor=wan_factor,
         )
-        if self.incremental:
-            row_form = self._build_row_form()
-            self._model.load(row_form)
-            self._restore_first_step = self._faulted
+        self._model.load(self._build_row_form())
+        self._restore_first_step = self._faulted
         self.stats["cold_loads"] += 1
         return self._solve()
 
@@ -594,17 +586,12 @@ class RollingDispatcher:
             self._start_step + 1, load_kw, level_kwh, demand_hat, production_hat,
             capacity_now=capacity_now, wan_factor=wan_factor,
         )
-        if not self.incremental:
-            self.stats["cold_loads"] += 1
-            self.stats["slides"] += 1
-            return self._solve()
-
         model = self._model
-        captured = None
-        if self.config.carry_block_status:
-            captured = model.capture_block_status(
-                0, self._ncols_step, 0, self._nrows_step
-            )
+        # Per-block basis memory: the expiring step's statuses are
+        # transplanted onto the appended step.  The slide is a pure block
+        # swap, and the transplant beats plain projection on it (about 30 %
+        # fewer simplex iterations).
+        captured = model.capture_block_status(0, self._ncols_step, 0, self._nrows_step)
         # 1. drop the expiring step (its coupling coefficients go with it).
         model.delete_cols(np.arange(self._ncols_step, dtype=np.int64))
         model.delete_rows(np.arange(self._nrows_step, dtype=np.int64))
@@ -677,32 +664,29 @@ class RollingDispatcher:
         # the ladder; an injected solve failure only fails the warm legs.
         outage = self._start_step in self._outage_steps
         result = None
-        if self.incremental:
-            warm = self._model.basis_snapshot() is not None or self.stats["lp_solves"] > 0
-            injected = outage or self._start_step in self._fault_steps
+        warm = self._model.basis_snapshot() is not None or self.stats["lp_solves"] > 0
+        injected = outage or self._start_step in self._fault_steps
+        if not injected:
+            result = self._model.solve(self.options)
+        if injected or result.status is not SolveStatus.OPTIMAL:
+            # Resilience ladder: a failed (or injected-as-failed) warm
+            # solve first retries once with the carried basis dropped — a
+            # badly repaired alien basis is the usual culprit — and only
+            # then falls back to a cold rebuild of the window.  Every leg
+            # is counted; a non-optimal status never leaks an objective.
+            self.stats["slide_retries"] += 1
             if not injected:
+                self._model.clear_basis()
                 result = self._model.solve(self.options)
             if injected or result.status is not SolveStatus.OPTIMAL:
-                # Resilience ladder: a failed (or injected-as-failed) warm
-                # solve first retries once with the carried basis dropped — a
-                # badly repaired alien basis is the usual culprit — and only
-                # then falls back to a cold rebuild of the window.  Every leg
-                # is counted; a non-optimal status never leaks an objective.
-                self.stats["slide_retries"] += 1
-                if not injected:
-                    self._model.clear_basis()
-                    result = self._model.solve(self.options)
-                if injected or result.status is not SolveStatus.OPTIMAL:
-                    self.stats["fallback_rebuilds"] += 1
-                    self.stats["cold_loads"] += 1
-                    self._model.load(self._build_row_form())
-                    self._restore_first_step = self._faulted
-                    result = None if outage else self._model.solve(self.options)
-                warm = False
-            if warm and result is not None and result.status is SolveStatus.OPTIMAL:
-                self.stats["warm_solves"] += 1
-        elif not outage:
-            result = highs_backend.solve_row_form(self._build_row_form(), self.options)
+                self.stats["fallback_rebuilds"] += 1
+                self.stats["cold_loads"] += 1
+                self._model.load(self._build_row_form())
+                self._restore_first_step = self._faulted
+                result = None if outage else self._model.solve(self.options)
+            warm = False
+        if warm and result is not None and result.status is SolveStatus.OPTIMAL:
+            self.stats["warm_solves"] += 1
         self.stats["lp_solves"] += 1
         if result is not None:
             self.stats["simplex_iterations"] += int(result.iterations)
@@ -766,8 +750,8 @@ class RollingDispatcher:
         """Cold-build and cold-solve the *current* window; returns the objective.
 
         Does not touch the mutable model or the counters — this is the
-        differential oracle the sliding-horizon tests pin the incremental
-        path against (same window state, from-scratch assembly).
+        differential oracle the sliding-horizon tests pin the in-place
+        slides against (same window state, from-scratch assembly).
         """
         if self._start_step is None:
             raise RuntimeError("rebuild_window() before start()")

@@ -68,8 +68,6 @@ class OperateConfig:
     allow_export: bool = True
     battery_efficiency: float = 0.75
     migration_factor: float = 1.0
-    incremental: Optional[bool] = None
-    carry_block_status: bool = True
     greedy_fallback: bool = True          #: commit greedy steps when the solver is down
 
     def __post_init__(self) -> None:
@@ -106,8 +104,6 @@ class OperateConfig:
             unserved_penalty=self.unserved_penalty,
             shed_tiers=self.shed_tiers,
             migration_penalty_per_kw=self.migration_penalty_per_kw,
-            incremental=self.incremental,
-            carry_block_status=self.carry_block_status,
             greedy_fallback=self.greedy_fallback,
         )
 

@@ -123,26 +123,22 @@ class BatchPricingTask:
 
     The two-stage filter's exact-pricing stage: the chunk's LPs are stacked
     into one mega-LP (:func:`~repro.core.screening.price_batch`) so one HiGHS
-    solve prices the whole chunk; ``batch=False`` selects the per-site
-    warm-started path instead (same rows, same order).  The parent decides
-    the chunk split from the sweep size alone, so results are bit-identical
-    across executors.
+    solve prices the whole chunk.  The parent decides the chunk split from
+    the sweep size alone, so results are bit-identical across executors.
     """
 
     problem: Any  # SitingProblem, restricted to the chunk's locations
     sitings: Tuple[Tuple[str, str], ...]
     options: Any  # SolverOptions
-    batch: bool = True
 
 
 def run_batch_pricing_chunk(task: BatchPricingTask) -> List[Tuple[str, float, bool]]:
-    """Price one chunk (stacked or per-site); returns ``(location, cost, feasible)``."""
+    """Price one chunk as a stack; returns ``(location, cost, feasible)`` rows."""
     from repro.core.provisioning import ProvisioningCompiler
-    from repro.core.screening import price_batch, price_per_site
+    from repro.core.screening import price_batch
 
     compiler = ProvisioningCompiler(task.problem)
-    price = price_batch if task.batch else price_per_site
-    return price(task.problem, task.sitings, task.options, compiler=compiler)
+    return price_batch(task.problem, task.sitings, task.options, compiler=compiler)
 
 
 # -- annealing chains ----------------------------------------------------------

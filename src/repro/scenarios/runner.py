@@ -33,7 +33,7 @@ import tempfile
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -54,6 +54,8 @@ from repro.scenarios.spec import ScenarioSpec, code_fingerprint
 #: rejected on load and recomputed, instead of silently replaying numbers the
 #: old code produced.
 ARTIFACT_SCHEMA_VERSION = 2
+
+_T = TypeVar("_T")
 
 
 def list_artifacts(cache_dir: Union[str, os.PathLike]) -> List[str]:
@@ -198,9 +200,11 @@ class ExperimentRunner:
         self._factory = ExecutorFactory(kind=executor, max_workers=self.workers)
         self.base_params = base_params or FrameworkParameters()
         self.solver_options = solver_options or SolverOptions()
-        self._catalogs: Dict[Tuple, object] = {}
-        self._profiles: Dict[Tuple, list] = {}
-        self._problems: Dict[str, Tuple[object, ProvisioningCompiler]] = {}
+        # Shared construction caches (see _shared): each entry is the Future
+        # of its one build.
+        self._catalogs: Dict[Tuple, Future] = {}
+        self._profiles: Dict[Tuple, Future] = {}
+        self._problems: Dict[str, Future] = {}
         self._memo: Dict[str, Future] = {}
         self._lock = threading.Lock()
         # Process workers key their per-process runner rebuild by this token.
@@ -236,7 +240,9 @@ class ExperimentRunner:
         """
         with self._lock:
             stats = dict(self.cache_counters)
-            compilers = [compiler for _, compiler in self._problems.values()]
+            compilers = [
+                future.result()[1] for future in self._problems.values() if future.done()
+            ]
         totals = {"skeleton_hits": 0, "skeleton_derives": 0, "skeleton_builds": 0}
         for compiler in compilers:
             for name, value in compiler.skeleton_stats().items():
@@ -636,18 +642,38 @@ class ExperimentRunner:
         return record, solution
 
     # -- shared construction caches -------------------------------------------
+    def _shared(
+        self, cache: Dict[Any, Future], key: Any, counter: str, build: Callable[[], _T]
+    ) -> _T:
+        """Build ``cache[key]`` once, however many points ask for it at once.
+
+        The first caller publishes a :class:`Future` under the lock, counts a
+        ``{counter}_builds`` and builds outside the lock; every other caller
+        counts a ``{counter}_hits`` and waits on that future.  A failed build
+        raises in every waiter and is dropped, so the next call rebuilds.
+        """
+        with self._lock:
+            waiting = cache.get(key)
+            if waiting is None:
+                future: Future = Future()
+                cache[key] = future
+            self.cache_counters[f"{counter}_{'builds' if waiting is None else 'hits'}"] += 1
+        if waiting is not None:
+            shared: _T = waiting.result()
+            return shared
+        try:
+            value = build()
+        except BaseException as error:
+            with self._lock:
+                cache.pop(key, None)
+            future.set_exception(error)
+            raise
+        future.set_result(value)
+        return value
+
     def _catalog_for(self, spec: ScenarioSpec) -> Any:
         key = (spec.num_locations, spec.catalog_seed, spec.include_anchors)
-        with self._lock:
-            catalog = self._catalogs.get(key)
-        if catalog is None:
-            self._count("catalog_builds")
-            catalog = spec.build_catalog()
-            with self._lock:
-                catalog = self._catalogs.setdefault(key, catalog)
-        else:
-            self._count("catalog_hits")
-        return catalog
+        return self._shared(self._catalogs, key, "catalog", spec.build_catalog)
 
     def _profiles_for(self, spec: ScenarioSpec, tool: PlacementTool) -> list:
         key = (
@@ -658,18 +684,14 @@ class ExperimentRunner:
             spec.hours_per_epoch,
             spec.candidate_names,
         )
-        with self._lock:
-            profiles = self._profiles.get(key)
-        if profiles is None:
-            self._count("profile_builds")
-            profiles = tool.profile_builder.build_all(
+        return self._shared(
+            self._profiles,
+            key,
+            "profile",
+            lambda: tool.profile_builder.build_all(
                 tool.epoch_grid, names=tool.candidate_names
-            )
-            with self._lock:
-                profiles = self._profiles.setdefault(key, profiles)
-        else:
-            self._count("profile_hits")
-        return profiles
+            ),
+        )
 
     def tool_for(self, spec: ScenarioSpec) -> PlacementTool:
         """A placement tool for the spec, with the catalogue and profiles shared."""
@@ -690,11 +712,8 @@ class ExperimentRunner:
         compiled per-site skeletons; both are read-only during solving and
         the compiler is thread-safe, so concurrent points may share them.
         """
-        signature = spec.problem_signature()
-        with self._lock:
-            entry = self._problems.get(signature)
-        if entry is None:
-            self._count("problem_builds")
+
+        def build() -> Tuple[Any, ProvisioningCompiler]:
             problem = tool.build_problem(
                 total_capacity_kw=spec.total_capacity_kw,
                 min_green_fraction=spec.min_green_fraction,
@@ -705,12 +724,9 @@ class ExperimentRunner:
                 min_availability=spec.min_availability,
                 green_enforcement=spec.green_enforcement_enum,
             )
-            entry = (problem, ProvisioningCompiler(problem))
-            with self._lock:
-                entry = self._problems.setdefault(signature, entry)
-        else:
-            self._count("problem_hits")
-        return entry
+            return problem, ProvisioningCompiler(problem)
+
+        return self._shared(self._problems, spec.problem_signature(), "problem", build)
 
     # -- on-disk artifact cache -----------------------------------------------
     def _artifact_path(self, key: str) -> Optional[str]:

@@ -1,13 +1,13 @@
-"""Differential tests for the incremental (mutable-model) solve path.
+"""Differential tests for the annealing search's one solve path.
 
-The :class:`~repro.core.provisioning.IncrementalSitingEvaluator` expresses the
-annealing search's add/remove/swap/resize moves as column+row deltas on one
-persistent HiGHS model, with the previous optimal basis projected (or a
-same-shape basis restored) across every delta.  These tests pin the
-incremental path against cold :func:`~repro.core.provisioning.solve_provisioning`
-solves, the differential oracle: a scripted move sequence must produce the
-same objectives and the same extracted plans as from-scratch solves, for
-every storage mode and green-enforcement variant.
+:meth:`~repro.core.heuristic.HeuristicSolver.evaluate` solves every siting
+through :func:`~repro.core.provisioning.solve_provisioning` on the solver's
+one long-lived HiGHS handle, which re-installs the previous optimal basis
+whenever the next LP has the same shape.  These tests pin that path against
+cold :func:`~repro.core.provisioning.solve_provisioning` solves on a fresh
+handle, the differential oracle: a scripted add/remove/swap/resize sequence
+must produce the same objectives and the same extracted plans as
+from-scratch solves, for every storage mode and green-enforcement variant.
 """
 
 import pytest
@@ -20,11 +20,8 @@ from repro.core import (
     StorageMode,
 )
 from repro.core.problem import GreenEnforcement
-from repro.core.provisioning import (
-    IncrementalSitingEvaluator,
-    ProvisioningCompiler,
-    solve_provisioning,
-)
+from repro.core.provisioning import ProvisioningCompiler, solve_provisioning
+from repro.lpsolver import highs_backend
 
 SCENARIOS = [
     (StorageMode.NET_METERING, GreenEnforcement.ANNUAL),
@@ -81,56 +78,71 @@ class TestIncrementalDifferential:
         problem = _problem(all_profiles, params, storage, enforcement)
         names = [profile.name for profile in problem.profiles]
         compiler = ProvisioningCompiler(problem)
-        evaluator = IncrementalSitingEvaluator(compiler)
+        solver = HeuristicSolver(problem, compiler=compiler)
         for siting in _scripted_moves(names):
-            incremental = evaluator.evaluate(siting)
+            warm = solver.evaluate(siting)
             rebuilt = solve_provisioning(problem, siting, compiler=compiler)
-            assert incremental.feasible == rebuilt.feasible, siting
-            if not incremental.feasible:
+            assert warm.feasible == rebuilt.feasible, siting
+            if not warm.feasible:
                 continue
             # The LP optimum is unique in value: the warm-started objective
             # must equal the cold rebuild's bit-for-bit up to FP roundoff.
-            assert incremental.monthly_cost == pytest.approx(
-                rebuilt.monthly_cost, rel=1e-9
-            )
-            lhs_siting, lhs_total = _plan_signature(incremental.plan)
+            assert warm.monthly_cost == pytest.approx(rebuilt.monthly_cost, rel=1e-9)
+            lhs_siting, lhs_total = _plan_signature(warm.plan)
             rhs_siting, rhs_total = _plan_signature(rebuilt.plan)
             assert lhs_siting == rhs_siting
             assert lhs_total == pytest.approx(rhs_total, rel=1e-6)
             # Both vertices price back to the LP objective.
-            assert lhs_total == pytest.approx(incremental.monthly_cost, rel=1e-6)
+            assert lhs_total == pytest.approx(warm.monthly_cost, rel=1e-6)
 
-    def test_resize_only_moves_keep_carried_basis(self, all_profiles, params):
-        """Pure value edits re-solve in a handful of simplex iterations."""
+    def test_reused_handle_warm_starts(self, all_profiles, params, monkeypatch):
+        """Same-shape moves re-solve from the previous basis, in fewer iterations."""
         problem = _problem(all_profiles, params, StorageMode.NET_METERING,
                            GreenEnforcement.ANNUAL)
         names = [profile.name for profile in problem.profiles]
+        # Distinct two-site swaps: every LP has one shape and none hits the memo.
+        sequence = [
+            {names[a]: "large", names[b]: "large"}
+            for a, b in [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (2, 4), (4, 5)]
+        ]
+        iterations = []
+        solve_row_form = highs_backend.solve_row_form
+
+        def counting(row_form, options, model=None, check=False):
+            result = solve_row_form(row_form, options, model, check)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(highs_backend, "solve_row_form", counting)
         compiler = ProvisioningCompiler(problem)
-        evaluator = IncrementalSitingEvaluator(compiler)
-        base = {names[0]: "large", names[1]: "large", names[2]: "large"}
-        first = evaluator.evaluate(base)
-        assert first.feasible
-        flipped = dict(base, **{names[2]: "small"})
-        incremental = evaluator.evaluate(flipped)
-        rebuilt = solve_provisioning(problem, flipped, compiler=compiler)
-        assert incremental.feasible == rebuilt.feasible
-        if incremental.feasible:
-            assert incremental.monthly_cost == pytest.approx(
-                rebuilt.monthly_cost, rel=1e-9
-            )
+        solver = HeuristicSolver(problem, compiler=compiler)
+        warm = [solver.evaluate(siting).monthly_cost for siting in sequence]
+        warm_iterations = list(iterations)
+        iterations.clear()
+        cold = [
+            solve_provisioning(problem, siting, compiler=compiler).monthly_cost
+            for siting in sequence
+        ]
+        assert len(warm_iterations) == len(iterations) == len(sequence)
+        assert warm == pytest.approx(cold, rel=1e-9)
+        assert sum(warm_iterations) < sum(iterations)
 
     def test_evaluator_rejects_empty_siting(self, all_profiles, params):
         problem = _problem(all_profiles, params, StorageMode.NET_METERING,
                            GreenEnforcement.ANNUAL)
-        evaluator = IncrementalSitingEvaluator(ProvisioningCompiler(problem))
-        with pytest.raises(ValueError):
-            evaluator.evaluate({})
+        with pytest.raises(ValueError, match="at least one datacenter"):
+            solve_provisioning(
+                problem,
+                {},
+                compiler=ProvisioningCompiler(problem),
+                highs=highs_backend.MutableHighsModel(),
+            )
 
 
 class TestHeuristicIncrementalEquivalence:
     def test_search_memo_matches_cold_solves(self, all_profiles, params):
-        """Every siting the default (incremental) search memoized re-solves cold
-        to the same feasibility and objective."""
+        """Every siting the search memoized (warm-started on the solver's
+        handle) re-solves cold to the same feasibility and objective."""
         problem = _problem(all_profiles, params, StorageMode.NET_METERING,
                            GreenEnforcement.ANNUAL)
         settings = SearchSettings(

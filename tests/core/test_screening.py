@@ -11,12 +11,17 @@ the LP ground truth:
 * **batching** — the block-diagonal stacked solve returns the same per-site
   costs as the per-site warm-started solves it replaces, and the filter
   shortlist is bit-identical whichever stage combination (screen on/off,
-  batch on/off) or executor (serial/thread/process) produced it.
+  batch on/off) or executor (serial/thread/process) produced it.  The
+  filter always screens and batches; the other combinations are reached by
+  patching the heuristic module's pricer bindings.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 
+from repro.core import heuristic
 from repro.core import (
     EnergySources,
     HeuristicSolver,
@@ -26,7 +31,12 @@ from repro.core import (
 )
 from repro.core.problem import GreenEnforcement
 from repro.core.provisioning import ProvisioningCompiler, solve_provisioning
-from repro.core.screening import price_batch, price_per_site, screen_lower_bounds
+from repro.core.screening import (
+    ScreenResult,
+    price_batch,
+    price_per_site,
+    screen_lower_bounds,
+)
 from repro.core.single_site import (
     SingleSiteAnalyzer,
     scoring_parameters,
@@ -191,6 +201,32 @@ class TestBatchPricing:
                 assert batch_cost == pytest.approx(site_cost, rel=1e-7)
 
 
+def _zero_bounds(problem, size_classes=None):
+    """A screen that prunes nothing: every bound 0, no certificates."""
+    count = len(problem.profiles)
+    return ScreenResult(
+        names=[profile.name for profile in problem.profiles],
+        lower_bounds=np.zeros(count),
+        certified_infeasible=np.zeros(count, dtype=bool),
+    )
+
+
+@contextlib.contextmanager
+def _filter_stages(screen, batch):
+    """Turn the filter's screen and batching off by patching its bindings.
+
+    Process-executor chunks price in the worker through
+    :func:`~repro.parallel.work.run_batch_pricing_chunk`, which the
+    ``price_batch`` patch does not reach.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if not screen:
+            patch.setattr(heuristic, "screen_lower_bounds", _zero_bounds)
+        if not batch:
+            patch.setattr(heuristic, "price_batch", price_per_site)
+        yield
+
+
 class TestFilterShortlistInvariance:
     """The shortlist is identical for every stage/executor combination."""
 
@@ -204,15 +240,9 @@ class TestFilterShortlistInvariance:
             EnergySources.SOLAR_AND_WIND,
             StorageMode.NET_METERING,
         )
-        settings = SearchSettings(
-            keep_locations=8,
-            num_chains=1,
-            seed=3,
-            executor="serial",
-            filter_screen=False,
-            filter_batch=False,
-        )
-        return problem, HeuristicSolver(problem, settings).filter_locations()
+        settings = SearchSettings(keep_locations=8, num_chains=1, seed=3, executor="serial")
+        with _filter_stages(screen=False, batch=False):
+            return problem, HeuristicSolver(problem, settings).filter_locations()
 
     @pytest.mark.parametrize("screen", [True, False], ids=["screen", "noscreen"])
     @pytest.mark.parametrize("batch", [True, False], ids=["batch", "persite"])
@@ -227,11 +257,10 @@ class TestFilterShortlistInvariance:
             seed=3,
             executor=executor,
             max_workers=2,
-            filter_screen=screen,
-            filter_batch=batch,
         )
         solver = HeuristicSolver(problem, settings)
-        assert solver.filter_locations() == expected
+        with _filter_stages(screen, batch):
+            assert solver.filter_locations() == expected
         stats = solver._filter_stats
         assert stats["filter_candidates"] == len(problem.profiles)
         assert stats["filter_priced"] <= stats["filter_candidates"]
@@ -242,12 +271,10 @@ class TestFilterShortlistInvariance:
 class TestCostDistributionTwoStage:
     def test_batch_matches_legacy_sweep(self, all_profiles, params, solver_options):
         analyzer = SingleSiteAnalyzer(params=params, solver_options=solver_options)
-        legacy = analyzer.cost_distribution(
-            all_profiles, min_green_fraction=0.5, batch=False
-        )
-        batched = analyzer.cost_distribution(
-            all_profiles, min_green_fraction=0.5, batch=True
-        )
+        legacy = [
+            analyzer.cost_at(profile, min_green_fraction=0.5) for profile in all_profiles
+        ]
+        batched = analyzer.cost_distribution(all_profiles, min_green_fraction=0.5)
         assert [cost.name for cost in batched] == [cost.name for cost in legacy]
         assert [cost.feasible for cost in batched] == [
             cost.feasible for cost in legacy

@@ -3,8 +3,8 @@
 With one epoch the cyclic previous epoch is the epoch itself, so the
 migration and storage-dynamics blocks name one matrix coordinate twice; the
 per-site skeleton sums those duplicates.  These tests pin the compiled LP
-against the scalar oracle, the incremental evaluator against cold solves,
-and a whole heuristic search against its recorded result.
+against the scalar oracle, the heuristic's warm-started evaluations against
+cold solves, and a whole heuristic search against its recorded result.
 """
 
 import pytest
@@ -18,11 +18,7 @@ from repro.core import (
     StorageMode,
 )
 from repro.core.problem import GreenEnforcement
-from repro.core.provisioning import (
-    IncrementalSitingEvaluator,
-    ProvisioningCompiler,
-    solve_provisioning,
-)
+from repro.core.provisioning import ProvisioningCompiler, solve_provisioning
 from repro.energy import EpochGrid, ProfileBuilder
 
 from lp_oracles import ScalarProvisioningBuilder, assert_compiled_matches_scalar
@@ -82,7 +78,7 @@ class TestSingleEpochGrid:
         problem = _problem(single_epoch_profiles, storage, green, enforcement)
         names = [profile.name for profile in problem.profiles]
         compiler = ProvisioningCompiler(problem)
-        evaluator = IncrementalSitingEvaluator(compiler)
+        solver = HeuristicSolver(problem, compiler=compiler)
         feasible = 0
         for siting in (
             {names[0]: "large", names[1]: "large"},
@@ -91,12 +87,12 @@ class TestSingleEpochGrid:
             {names[0]: "large", names[2]: "small"},                     # resize
             {names[3]: "large", names[4]: "large", names[5]: "small"},  # full swap
         ):
-            incremental = evaluator.evaluate(siting)
+            warm = solver.evaluate(siting)
             cold = solve_provisioning(problem, siting, compiler=compiler)
-            assert incremental.feasible == cold.feasible, siting
+            assert warm.feasible == cold.feasible, siting
             if cold.feasible:
                 feasible += 1
-                assert incremental.monthly_cost == pytest.approx(cold.monthly_cost, rel=1e-9)
+                assert warm.monthly_cost == pytest.approx(cold.monthly_cost, rel=1e-9)
         assert feasible > 0
 
 

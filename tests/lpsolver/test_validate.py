@@ -162,8 +162,8 @@ class TestEmptyRowsAndOrphans:
         assert "1 empty row(s) (first: 2)" in message
 
     def test_staged_assembly_escape_hatch(self):
-        # The incremental evaluator loads coupling rows before any columns
-        # exist; load-time validation must accept that via check_empty_rows.
+        # Load-time validation skips row coverage (check_empty_rows=False):
+        # rows may be loaded before the columns that fill them.
         assert row_form_violations(self.make_staged(), check_empty_rows=False) == []
 
     def test_pinned_orphan_column_is_legal(self):

@@ -1,10 +1,10 @@
 """Differential tests for the sliding-horizon dispatch core.
 
-The incremental path (one persistent mutable HiGHS model, spliced per step)
-must produce the same window objectives as a from-scratch cold rebuild of
-the identical window state, for every storage/export configuration and for
-both basis-carry strategies — and it must do so *without* full LP rebuilds,
-which the LP/rebuild counters pin down.
+The dispatcher's one persistent mutable HiGHS model, spliced per step, must
+produce the same window objectives as a from-scratch cold rebuild of the
+identical window state, for every storage/export configuration — and it
+must do so *without* full LP rebuilds, which the LP/rebuild counters pin
+down.
 """
 
 import numpy as np
@@ -57,7 +57,6 @@ CONFIGS = [
     {"allow_export": True},                      # net metering
     {"allow_export": False},                     # batteries only
     {"allow_export": False, "battery": 0.0},     # no storage at all
-    {"allow_export": True, "carry": False},      # projected-basis carry
 ]
 
 
@@ -76,7 +75,6 @@ class TestSlideVsColdRebuild:
             DispatchConfig(
                 horizon=horizon,
                 allow_export=config.get("allow_export", True),
-                carry_block_status=config.get("carry", True),
             ),
         )
 
@@ -95,26 +93,6 @@ class TestSlideVsColdRebuild:
         assert dispatcher.stats["slides"] == steps - 1
         assert dispatcher.stats["lp_solves"] == steps
         assert dispatcher.stats["warm_solves"] == steps - 1
-
-    def test_carry_modes_agree_on_trajectory_costs(self):
-        steps, horizon = 12, 6
-        needed = steps + horizon
-        trace = TrafficModel(seed=5).synthesize(needed, total_capacity_kw=1000.0)
-        demand = np.asarray(trace.demand_kw)
-        objectives = {}
-        for carry in (False, True):
-            sites = _sites(needed)
-            production = np.stack([site.production_kw for site in sites])
-            dispatcher = RollingDispatcher(
-                sites, DispatchConfig(horizon=horizon, carry_block_status=carry)
-            )
-            seen = []
-            _replay(
-                dispatcher, sites, demand, production, steps, horizon,
-                check=lambda step, decision: seen.append(decision.objective),
-            )
-            objectives[carry] = seen
-        np.testing.assert_allclose(objectives[False], objectives[True], rtol=1e-9)
 
 
 class TestDispatchSemantics:
@@ -213,27 +191,3 @@ class TestDispatchSemantics:
             DispatchConfig(export_credit=1.5)
         with pytest.raises(ValueError):
             DispatchConfig(unserved_penalty=0.0)
-
-
-class TestNonIncrementalFallback:
-    def test_cold_path_matches_incremental(self):
-        steps, horizon = 8, 6
-        needed = steps + horizon
-        trace = TrafficModel(seed=3).synthesize(needed, total_capacity_kw=1000.0)
-        demand = np.asarray(trace.demand_kw)
-        objectives = {}
-        for incremental in (True, False):
-            sites = _sites(needed)
-            production = np.stack([site.production_kw for site in sites])
-            dispatcher = RollingDispatcher(
-                sites, DispatchConfig(horizon=horizon, incremental=incremental)
-            )
-            seen = []
-            _replay(
-                dispatcher, sites, demand, production, steps, horizon,
-                check=lambda step, decision: seen.append(decision.objective),
-            )
-            objectives[incremental] = seen
-            if not incremental:
-                assert dispatcher.stats["cold_loads"] == steps
-        np.testing.assert_allclose(objectives[True], objectives[False], rtol=1e-9)

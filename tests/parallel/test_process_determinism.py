@@ -134,10 +134,10 @@ class TestProcessCostDistribution:
         assert costs("process") == costs("serial")
 
     def test_per_site_costs_independent_of_workers(self, all_profiles):
-        # The per-site (batch=False) sweep splits chunks by sweep size, never
-        # by the worker count, so its warm-start sequences and costs match.
-        # A green share makes the warm-started optima depend on the order of
-        # the LPs in a chunk, so a worker-count split would move their bits.
+        # The sweep splits chunks by sweep size, never by the worker count,
+        # so every chunk stacks the same LPs and its per-site costs match.
+        # The stacked optimum's last bits can depend on which LPs share a chunk,
+        # so a worker-count split would move them.
         analyzer = SingleSiteAnalyzer()
 
         def costs(workers, executor="thread"):
@@ -148,7 +148,6 @@ class TestProcessCostDistribution:
                     min_green_fraction=0.5,
                     workers=workers,
                     executor=executor,
-                    batch=False,
                 )
             ]
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
@@ -219,6 +221,85 @@ class TestRunnerSharedCaches:
         assert len(runner._problems) == 1
         runner.run_point(tiny_spec(storage="none", min_green_fraction=1.0))
         assert len(runner._problems) == 2
+
+    @staticmethod
+    def _race(runner, spec, count=2):
+        """``count`` threads asking for one catalogue; returns (values, errors)."""
+        values, errors = [None] * count, [None] * count
+
+        def ask(index):
+            try:
+                values[index] = runner._catalog_for(spec)
+            except Exception as error:
+                errors[index] = error
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        return threads, values, errors
+
+    @staticmethod
+    def _wait_for(predicate, timeout=10.0):
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            assert time.monotonic() < deadline, "threads never reached the build"
+            time.sleep(0.005)
+
+    def test_concurrent_points_build_one_catalogue(self, monkeypatch):
+        gate = threading.Event()
+        builds = []
+
+        def gated_build(spec):
+            builds.append(spec)
+            assert gate.wait(10.0)
+            return object()
+
+        monkeypatch.setattr(ScenarioSpec, "build_catalog", gated_build)
+        runner = ExperimentRunner()
+        threads, values, errors = self._race(runner, tiny_spec())
+        # Both threads are in: one builds, the other waits as a hit.
+        self._wait_for(
+            lambda: runner.cache_counters["catalog_builds"]
+            + runner.cache_counters["catalog_hits"] == 2
+        )
+        gate.set()
+        for thread in threads:
+            thread.join(10.0)
+        assert errors == [None, None]
+        assert len(builds) == 1
+        assert values[0] is values[1] is not None
+        stats = runner.cache_stats()
+        assert (stats["catalog_builds"], stats["catalog_hits"]) == (1, 1)
+        assert runner._catalog_for(tiny_spec()) is values[0]
+
+    def test_failed_build_raises_in_every_waiter_and_retries(self, monkeypatch):
+        gate = threading.Event()
+        builds = []
+
+        def failing_build(spec):
+            builds.append(spec)
+            assert gate.wait(10.0)
+            if len(builds) == 1:
+                raise RuntimeError("catalogue synthesis failed")
+            return "catalogue"
+
+        monkeypatch.setattr(ScenarioSpec, "build_catalog", failing_build)
+        runner = ExperimentRunner()
+        threads, values, errors = self._race(runner, tiny_spec())
+        self._wait_for(
+            lambda: runner.cache_counters["catalog_builds"]
+            + runner.cache_counters["catalog_hits"] == 2
+        )
+        gate.set()
+        for thread in threads:
+            thread.join(10.0)
+        assert values == [None, None]
+        assert all(isinstance(error, RuntimeError) for error in errors)
+        assert len(builds) == 1
+        # The failure is not cached: the next call builds afresh.
+        assert runner._catalog_for(tiny_spec()) == "catalogue"
+        assert len(builds) == 2
+        assert runner.cache_stats()["catalog_builds"] == 2
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):

@@ -31,6 +31,13 @@ class TestScenarioSpecValidation:
         with pytest.raises(ValueError):
             ScenarioSpec(workflow="emulate", emulation={"warp_factor": 9})
 
+    @pytest.mark.parametrize("knob", ["incremental", "carry_block_status"])
+    def test_retired_dispatch_knobs_rejected(self, knob):
+        # The dispatcher always splices its window in place and carries the
+        # expiring step's basis; the knobs that switched that off are gone.
+        with pytest.raises(ValueError, match="unknown operate knobs"):
+            ScenarioSpec(workflow="operate", operate={knob: False})
+
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec(total_capacity_kw=0.0)

@@ -203,6 +203,22 @@ class TestErrors:
         assert server.metrics.errors["spec_error"] == 2
         assert server.metrics.solves_started == 0
 
+    def test_retired_operate_knob_is_a_spec_error(self):
+        server = PlanServer(ServeConfig(executor="thread"), solve_fn=instant_solver())
+        spec = ScenarioSpec(workflow="operate").to_dict()
+        spec["operate"] = {"incremental": False}
+
+        async def scenario():
+            response = await server.handle({"id": "old", "spec": spec})
+            await server.drain(grace_s=1.0)
+            return response
+
+        response = run(scenario())
+        assert response["error"] == "spec_error"
+        assert "unknown operate knobs" in response["message"]
+        assert response["id"] == "old"
+        assert server.metrics.solves_started == 0
+
     def test_solver_crash_becomes_typed_internal_error(self):
         def solve(spec):
             raise RuntimeError("catalogue imploded")
