@@ -45,8 +45,6 @@ def run_heuristic(
     num_candidates: int,
     hours_per_epoch: int = 3,
     coarse_epoch_factor: int = COARSE_EPOCH_FACTOR,
-    executor: str = "thread",
-    workers: int = None,
     synthetic_grid: bool = False,
 ) -> dict:
     if synthetic_grid:
@@ -71,8 +69,6 @@ def run_heuristic(
         num_chains=1,
         seed=1,
         coarse_epoch_factor=coarse_epoch_factor,
-        executor=executor,
-        max_workers=workers,
     )
     started = time.perf_counter()
     solution = HeuristicSolver(problem, settings).solve()

@@ -122,46 +122,23 @@ def bench_catalogue_scale() -> dict:
     return results
 
 
-#: Scale points of the executor comparison (the two largest sec3d curves).
-EXECUTOR_COMPARISON_COUNTS = (600, 1373)
-
 #: The executor kinds the comparison measures, serial first (the reference
 #: every other kind must reproduce bit for bit).
 EXECUTOR_KINDS = ("serial", "thread", "process")
 
 
 def bench_executor_comparison(workers: int = 4) -> dict:
-    """Thread vs process vs serial wall-clock at fixed results.
+    """Thread vs process vs serial wall-clock of runner sweep points at fixed results.
 
-    Two families of fan-out are measured: the heuristic's filter-pricing
-    chunks (the sec3d points — the filter dominates at 600/1373 candidates)
-    and the experiment runner's sweep points (an hourly-grid Fig. 6 pricing
-    sweep).  Every executor must reproduce the serial costs bit for bit —
-    the harness asserts it — so the comparison is purely about wall-clock.
-    On a single-CPU container the process rows mostly show the fork/pickle
+    Sweep points are the one unit that crosses a process boundary (a
+    heuristic search runs in its caller's process), so the comparison runs
+    an hourly-grid Fig. 6 pricing sweep through the experiment runner.
+    Every executor must reproduce the serial costs bit for bit — the
+    harness asserts it — so the comparison is purely about wall-clock.  On
+    a single-CPU container the process rows mostly show the fork/pickle
     overhead; run on a multi-core box for the scaling numbers.
     """
     results = {"workers": workers, "cpus_available": available_cpu_count()}
-    for count in EXECUTOR_COMPARISON_COUNTS:
-        point = {}
-        costs = {}
-        for executor in EXECUTOR_KINDS:
-            run = run_heuristic(count, executor=executor, workers=workers)
-            point[executor] = {
-                "elapsed_s": round(run["elapsed_s"], 4),
-                "filter_seconds": round(run["filter_seconds"], 4),
-            }
-            costs[executor] = run["cost_musd"]
-            print(
-                f"sec3d {count:>4} candidates [{executor:>7}]: "
-                f"{run['elapsed_s']:.3f}s (filter {run['filter_seconds']:.3f}s), "
-                f"cost ${run['cost_musd']:.4f}M"
-            )
-        if len(set(costs.values())) != 1:
-            raise AssertionError(f"executor kinds disagree at {count} candidates: {costs}")
-        point["cost_musd"] = round(costs["serial"], 4)
-        results[f"sec3d_{count}"] = point
-
     # An hourly-grid Fig. 6 pricing point through the experiment runner: the
     # three configurations (brown / 50 % solar / 50 % wind) fan out as sweep
     # points.  60 locations keeps the harness snappy; the hourly grid (96

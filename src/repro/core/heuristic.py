@@ -12,22 +12,18 @@ Section II-C of the paper makes the MILP tractable in three steps:
    search chains with different move mixes that periodically synchronise on
    the best solution found.
 
-The implementation mirrors those steps and, like the paper's tool, runs the
-expensive parts concurrently when the hardware allows it:
+The implementation mirrors those steps.  A search runs in its caller's
+process — sweep points and serve requests are what cross process
+boundaries (:mod:`repro.parallel`):
 
 * the *filter* prices candidate locations in chunks through
-  :func:`~repro.core.single_site.priced_in_chunks` (on a thread or process
-  pool when the executor allows), each chunk solved as one block-diagonal
-  stack or through one warm-started HiGHS model;
-* the *search* runs its annealing chains either sequentially (each chain
-  starting from the best siting found so far, the role of the paper's
-  periodic synchronisation) or as parallel chains that explore independently
-  from the shared starting point and synchronise at the end.  Parallel
-  chains always ship as picklable :class:`~repro.parallel.work.ChainTask`
-  descriptors, whatever the executor kind; each chain owns its RNG,
-  evaluation memo and HiGHS handle, so the outcome is deterministic for a
-  fixed seed, and the parent replays the chains' memo requests to report
-  shared-memo hit counts.
+  :func:`~repro.core.single_site.priced_in_chunks` on a thread pool sized by
+  :func:`~repro.parallel.executors.available_cpu_count`, each chunk solved
+  as one block-diagonal stack or through one warm-started HiGHS model;
+* the *search* runs its annealing chains sequentially, each chain starting
+  from the best siting found so far — the role of the paper's periodic
+  synchronisation — with its own RNG and move mix, so the outcome is
+  deterministic for a fixed seed.
 
 Every provisioning evaluation is memoized by its frozen siting — the
 annealing moves revisit states constantly — and all evaluations share one
@@ -63,18 +59,7 @@ from repro.core.single_site import (
 )
 from repro.core.solution import NetworkPlan
 from repro.lpsolver import SolverOptions, highs_backend
-from repro.parallel.executors import (
-    EXECUTOR_KINDS,
-    ExecutorFactory,
-    result_with_serial_fallback,
-)
-from repro.parallel.work import (
-    ChainOutcomePayload,
-    ChainTask,
-    new_token,
-    release_chain_context,
-    run_chain_task,
-)
+from repro.parallel.executors import available_cpu_count
 
 #: Neighbour-move identifiers (the paper's four move kinds; "swap" is the
 #: combination of a remove and an add in one step, and "merge" removes one
@@ -91,33 +76,12 @@ class SearchSettings:
     patience: int = 20                #: stop a chain after this many non-improving iterations
     initial_temperature: float = 0.05  #: SA temperature as a fraction of the current cost
     cooling: float = 0.93             #: geometric temperature decay per iteration
-    num_chains: int = 2               #: number of annealing chains
+    num_chains: int = 2               #: sequential annealing chains, each from the best siting so far
     seed: int = 0                     #: RNG seed
     max_datacenters: int = 6          #: cap on simultaneously sited datacenters
     move_weights: Dict[str, float] = field(
         default_factory=lambda: {"add": 1.0, "remove": 1.0, "swap": 2.0, "resize": 1.0, "merge": 0.5}
     )
-    #: Run annealing chains independently on the configured executor, each
-    #: shipped as a :class:`~repro.parallel.work.ChainTask`.  ``None``
-    #: (default) means sequential, where chain *k* starts from the best
-    #: siting of chains ``0..k-1`` — the two modes explore different
-    #: trajectories, so the default never depends on the machine's CPU count
-    #: and a fixed seed reproduces the same siting everywhere.  Set True to
-    #: explore chains independently in parallel (also deterministic for a
-    #: fixed seed, for any executor and worker count — but along the
-    #: parallel trajectory).
-    parallel_chains: Optional[bool] = None
-    #: Worker cap for the filter pricing pass and the parallel chains
-    #: (``None`` = CPUs available to this process, honouring container CPU
-    #: quotas via the scheduling affinity mask).
-    max_workers: Optional[int] = None
-    #: How the filter chunks and the parallel chains execute: ``"thread"``
-    #: (default), ``"process"`` (true multi-core scaling; work crosses the
-    #: pickling boundary of :mod:`repro.parallel.work`) or ``"serial"``.
-    #: The knob never changes results — for a fixed seed, costs and sitings
-    #: are bit-identical across all three for any worker count; only the
-    #: ``parallel_chains`` trajectory switch does.
-    executor: str = "thread"
     #: Adaptive epoch grid: > 1 runs the filter and annealing search on a
     #: grid whose epochs are this factor coarser, then re-solves the best
     #: siting on selectively refined grids (only the epochs where the plan
@@ -136,12 +100,6 @@ class SearchSettings:
             raise ValueError("the search needs at least one iteration and one chain")
         if not 0.0 < self.cooling <= 1.0:
             raise ValueError("the cooling factor must lie in (0, 1]")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        if self.executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; expected one of {EXECUTOR_KINDS}"
-            )
         if self.coarse_epoch_factor < 1:
             raise ValueError("coarse_epoch_factor must be at least 1")
         if self.refine_tolerance < 0:
@@ -170,9 +128,8 @@ class HeuristicSolution:
 
 @dataclass
 class _ChainOutcome:
-    """What one annealing chain reports back to the merge step."""
+    """What one annealing chain reports back to :meth:`HeuristicSolver.solve`."""
 
-    chain: int
     best_siting: Dict[str, str]
     best_result: ProvisioningResult
     improvements: List[Tuple[int, float]]
@@ -197,35 +154,21 @@ class HeuristicSolver:
         self._compiler = compiler or ProvisioningCompiler(problem)
         # The memo key is the canonical sorted (location, class) tuple, so
         # any move order that reaches the same siting hits the same entry.
-        # One thread drives each solver (parallel chains run on their own
-        # solvers), so the memo is a plain dict.
+        # One thread drives each solver, so the memo is a plain dict shared
+        # by the sequential chains.
         self._cache: Dict[Tuple[Tuple[str, str], ...], ProvisioningResult] = {}
         self._cache_owner: Dict[Tuple[Tuple[str, str], ...], Optional[int]] = {}
         self._cache_hits = 0
         self._cross_chain_hits = 0
         self._evaluations = 0
         # Every evaluation reloads this handle; a same-shape LP warm-starts
-        # from the previous optimal basis.  Chain tasks build their own
-        # solver, so a chain's results never depend on where it runs.
+        # from the previous optimal basis.
         self._highs = highs_backend.MutableHighsModel()
-        # The chain tasks of this search share one problem/compiler rebuild
-        # per executing process, keyed by this token.
-        self._chain_token = new_token("chains")
         # Diagnostics of the last filter pass (candidate count, exact
         # pricings, screen-survival rate); merged into the solution stats.
         self._filter_stats: Dict[str, float] = {}
-        # When set (by chain tasks), every canonical siting key that reaches
-        # the memo is appended, in request order; the parent replays the logs
-        # to reproduce the shared-memo hit accounting.
-        self._request_log: Optional[List[Tuple[Tuple[str, str], ...]]] = None
 
-    # -- worker accounting ---------------------------------------------------------
-    def _factory(self) -> ExecutorFactory:
-        """The executor factory behind the filter chunks and parallel chains."""
-        return ExecutorFactory(
-            kind=self.settings.executor, max_workers=self.settings.max_workers
-        )
-
+    # -- search accounting ---------------------------------------------------------
     @property
     def evaluations(self) -> int:
         """Provisioning LPs actually solved (memo misses)."""
@@ -262,9 +205,10 @@ class HeuristicSolver:
         (its exact cost is at least its bound), so the pruning never changes
         the result, only the work.  Exact pricing solves each size-capped
         chunk as one block-diagonal mega-LP (per-site warm-started solves
-        only when the stack is infeasible); both the chunk split and the
-        round schedule depend only on the candidate data, so shortlists are
-        bit-identical across serial, thread and process execution.
+        only when the stack is infeasible) on a thread pool sized by
+        :func:`~repro.parallel.executors.available_cpu_count`; both the chunk
+        split and the round schedule depend only on the candidate data, so
+        shortlists are bit-identical for every worker count.
 
         Like the paper's filter, similar locations are not all kept: the
         survivors are spread across time zones (the paper removes "subsets of
@@ -298,7 +242,7 @@ class HeuristicSolver:
         longitudes = [profile.location.point.longitude for profile in profiles]
         bands = [int((longitude + 180.0) // 45.0) for longitude in longitudes]
         keep = max(settings.keep_locations, problem.min_datacenters)
-        factory = self._factory()
+        workers = available_cpu_count()
         pricing_compiler = ProvisioningCompiler(pricing_problem)
 
         screen = screen_lower_bounds(pricing_problem, dict(sitings))
@@ -325,7 +269,7 @@ class HeuristicSolver:
                 pricing_problem,
                 [sitings[i] for i in take],
                 self.solver_options,
-                factory,
+                workers,
                 compiler=pricing_compiler,
                 price=price_batch,
             )
@@ -401,8 +345,6 @@ class HeuristicSolver:
                 ),
             )
         key = tuple(sorted(siting.items()))
-        if self._request_log is not None:
-            self._request_log.append(key)
         cached = self._cache.get(key)
         if cached is not None:
             self._cache_hits += 1
@@ -454,79 +396,22 @@ class HeuristicSolver:
             )
 
         search_started = time.perf_counter()
-        factory = self._factory()
-        parallel = bool(settings.parallel_chains) and settings.num_chains > 1
         best_siting = self._initial_siting(candidates)
         best_result = self.evaluate(best_siting)
         history: List[Tuple[int, float]] = [(0, best_result.monthly_cost)]
-
-        if parallel:
-            # All chains explore independently from the shared initial best
-            # and synchronise at the end; the merge prefers lower cost, ties
-            # broken by chain index, so the outcome is reproducible for a
-            # fixed seed on every executor kind.
-            winner: Optional[Dict[str, str]] = None
-            best_cost = best_result.monthly_cost
-            # Replay every chain's memo-request sequence against shared-memo
-            # accounting: a key is an evaluation the first time any chain (or
-            # the parent, for the start siting) requests it and a hit after
-            # that.  The totals depend only on the chains' request logs, so
-            # they never depend on the executor kind or worker count.
-            seen: Dict[Tuple[Tuple[str, str], ...], Optional[int]] = {
-                key: None for key in self._cache
-            }
-            for payload in self._run_chain_tasks(best_siting, candidates, factory):
-                offset = payload.chain * settings.max_iterations
-                history.extend(
-                    (offset + iteration, cost) for iteration, cost in payload.improvements
-                )
-                for key in payload.requests:
-                    if key in seen:
-                        self._cache_hits += 1
-                        owner = seen[key]
-                        if owner is not None and owner != payload.chain:
-                            self._cross_chain_hits += 1
-                    else:
-                        self._evaluations += 1
-                        seen[key] = payload.chain
-                if payload.best_cost < best_cost - 1e-6:
-                    best_cost = payload.best_cost
-                    winner = dict(payload.best_siting)
-            if winner is not None:
-                best_siting = winner
-                # Solve once more, outside the memo (the replay already
-                # accounted for this siting), purely to attach a plan; the
-                # reported cost stays the chain's value, which was computed
-                # in the chain's own evaluation order — re-solving under the
-                # merged (sorted) site order could differ in the last
-                # floating-point bits.
-                parent_result = solve_provisioning(
-                    self.problem,
-                    best_siting,
-                    options=self.solver_options,
-                    compiler=self._compiler,
-                )
-                best_result = ProvisioningResult(
-                    feasible=parent_result.feasible,
-                    monthly_cost=best_cost if parent_result.feasible else float("inf"),
-                    plan=None,
-                    message=parent_result.message,
-                    extractor=lambda: parent_result.plan,
-                )
-        else:
-            # Sequential chains: each starts from the best state found so far,
-            # which plays the role of the paper's periodic synchronisation
-            # between parallel instances.
-            iteration_offset = 0
-            for chain in range(settings.num_chains):
-                outcome = self._run_chain(chain, best_siting, best_result, candidates)
-                history.extend(
-                    (iteration_offset + iteration, cost)
-                    for iteration, cost in outcome.improvements
-                )
-                iteration_offset += settings.max_iterations
-                if outcome.best_result.monthly_cost < best_result.monthly_cost - 1e-6:
-                    best_siting, best_result = outcome.best_siting, outcome.best_result
+        # Sequential chains: each starts from the best state found so far,
+        # which plays the role of the paper's periodic synchronisation
+        # between parallel instances.
+        iteration_offset = 0
+        for chain in range(settings.num_chains):
+            outcome = self._run_chain(chain, best_siting, best_result, candidates)
+            history.extend(
+                (iteration_offset + iteration, cost)
+                for iteration, cost in outcome.improvements
+            )
+            iteration_offset += settings.max_iterations
+            if outcome.best_result.monthly_cost < best_result.monthly_cost - 1e-6:
+                best_siting, best_result = outcome.best_siting, outcome.best_result
         search_seconds = time.perf_counter() - search_started
 
         requests = self._evaluations + self._cache_hits
@@ -543,9 +428,6 @@ class HeuristicSolver:
                 "filter_seconds": filter_seconds,
                 **self._filter_stats,
                 "search_seconds": search_seconds,
-                "parallel_chains": float(parallel),
-                "process_chains": float(parallel and factory.effective_kind == "process"),
-                "chain_workers": float(factory.workers(settings.num_chains)),
                 "memo_hit_rate": self._cache_hits / requests if requests else 0.0,
                 "memo_cross_chain_hits": float(self._cross_chain_hits),
             },
@@ -568,7 +450,6 @@ class HeuristicSolver:
             can_coarsen,
             coarsen_problem,
         )
-        from dataclasses import replace
 
         settings = self.settings
         factor = settings.coarse_epoch_factor
@@ -627,55 +508,6 @@ class HeuristicSolver:
             stats=stats,
         )
 
-    def _run_chain_tasks(
-        self,
-        start_siting: Dict[str, str],
-        candidates: Sequence[str],
-        factory: ExecutorFactory,
-    ) -> List[ChainOutcomePayload]:
-        """Run each annealing chain as a :class:`~repro.parallel.work.ChainTask`.
-
-        The same descriptors run on serial, thread and process executors.
-        Each ships the problem restricted to the filtered candidates, the
-        parent compiler's compiled skeletons/templates (plain arrays — never
-        HiGHS handles) and the shared start siting *in its original insertion
-        order*: the neighbour moves draw from ``list(siting)``, so the dict
-        order is part of the chain's deterministic trajectory.  Chain tasks
-        are submitted and collected in chain order; a chain that raises
-        propagates when its future is collected, and leaving the pool's
-        context waits for every other chain first.  Chains that ran in this
-        process (serial, thread, broken pool) leave their problem/compiler
-        rebuild in the per-process memo; it is released on the way out.
-        """
-        settings = self.settings
-        worker_settings = replace(
-            settings, executor="serial", parallel_chains=False, max_workers=1
-        )
-        search_problem = self.problem.restricted_to(list(candidates))
-        compiler_state = self._compiler.export_shared_state()
-        tasks = [
-            ChainTask(
-                token=self._chain_token,
-                problem=search_problem,
-                settings=worker_settings,
-                options=self.solver_options,
-                chain=chain,
-                start_siting=tuple(start_siting.items()),
-                candidates=tuple(candidates),
-                compiler_state=compiler_state,
-            )
-            for chain in range(settings.num_chains)
-        ]
-        try:
-            with factory.create(len(tasks)) as pool:
-                futures = [pool.submit(run_chain_task, task) for task in tasks]
-                return [
-                    result_with_serial_fallback(future, run_chain_task, task)
-                    for future, task in zip(futures, tasks)
-                ]
-        finally:
-            release_chain_context(self._chain_token)
-
     def _run_chain(
         self,
         chain: int,
@@ -713,7 +545,6 @@ class HeuristicSolver:
             if stale >= settings.patience:
                 break
         return _ChainOutcome(
-            chain=chain,
             best_siting=best_siting,
             best_result=best_result,
             improvements=improvements,

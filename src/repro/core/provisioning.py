@@ -680,33 +680,6 @@ class ProvisioningCompiler:
         )
         return skeleton, template
 
-    # -- cross-process skeleton shipping -------------------------------------------
-    def export_shared_state(self) -> Dict[str, Dict]:
-        """Snapshot of the compiled per-site skeletons and class templates.
-
-        Everything in the snapshot is plain data (numpy arrays, dataclasses),
-        so it pickles across a process boundary; a worker-side compiler built
-        for an *equivalent* problem seeds itself with
-        :meth:`seed_shared_state` and then derives any further location's
-        skeleton by slot rewrites instead of a full donor build.  Live HiGHS
-        state (CSC templates, mutable models, solver contexts) never ships.
-        """
-        with self._lock:
-            return {
-                "templates": dict(self._skeleton_templates),
-                "skeletons": dict(self._skeletons),
-            }
-
-    def seed_shared_state(self, state: Mapping[str, Dict]) -> None:
-        """Adopt another compiler's exported skeletons (first writer wins)."""
-        with self._lock:
-            for size_class, template in state.get("templates", {}).items():
-                self._skeleton_templates.setdefault(size_class, template)
-            for key, skeleton in state.get("skeletons", {}).items():
-                name = key[0]
-                if name in self._profiles:
-                    self._skeletons.setdefault(key, skeleton)
-
     # -- templated row-form assembly ------------------------------------------------
     def compile_row_form(
         self, siting: Mapping[str, str], enforce_spread: bool = True

@@ -11,13 +11,13 @@ scenario switches, one site), so sweeps accept a shared
 :class:`~repro.lpsolver.MutableHighsModel` whose basis carry-over roughly
 halves the per-location solve time, and :func:`priced_in_chunks` — the one
 pricing fan-out of both the Fig. 6 sweep and the heuristic's filter — prices
-chunks of locations on the configured executor.
+chunks of locations in the caller or on a thread pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.parameters import FrameworkParameters
 from repro.core.problem import EnergySources, GreenEnforcement, SitingProblem, StorageMode
@@ -30,12 +30,7 @@ from repro.core.screening import price_batch
 from repro.core.solution import NetworkPlan
 from repro.energy.profiles import LocationProfile
 from repro.lpsolver import MutableHighsModel, SolverOptions
-from repro.parallel.executors import (
-    ExecutorFactory,
-    SerialExecutor,
-    result_with_serial_fallback,
-)
-from repro.parallel.work import BatchPricingTask, run_batch_pricing_chunk
+from repro.parallel.executors import ExecutorFactory
 
 
 def scoring_parameters(
@@ -108,9 +103,8 @@ def pricing_chunk_count(
     Chunks are capped at ``row_cap`` LP rows each so very large catalogues
     never ship thousands of sites to one worker, with at least ``min_chunks``
     chunks for worker spread.  The count depends only on the sweep size —
-    never on the executor kind or worker count — which keeps per-chunk
-    pricing sequences (and therefore scores, bit for bit) identical across
-    serial, thread and process execution.
+    never on the worker count — which keeps per-chunk pricing sequences
+    (and therefore scores, bit for bit) identical for any number of threads.
     """
     if num_items <= 0:
         return 1
@@ -125,7 +119,7 @@ def split_chunks(items, num_chunks: int) -> list:
     The split depends only on ``num_chunks`` — never on how many workers end
     up executing the chunks — which is what keeps per-chunk warm-start
     sequences (and therefore pricing scores, bit for bit) independent of the
-    executor kind and worker count.
+    worker count.
     """
     if not items:
         return []
@@ -138,7 +132,7 @@ def priced_in_chunks(
     problem: SitingProblem,
     sitings: Sequence[Tuple[str, str]],
     options: SolverOptions,
-    factory: ExecutorFactory,
+    workers: int = 1,
     compiler: Optional[ProvisioningCompiler] = None,
     price: Optional[Callable[..., List[Tuple[str, float, bool]]]] = None,
 ) -> List[Tuple[str, float, bool]]:
@@ -149,45 +143,24 @@ def priced_in_chunks(
     :func:`pricing_chunk_count` contiguous chunks and each chunk is priced as
     one block-diagonal stack (:func:`~repro.core.screening.price_batch`,
     which falls back to per-site warm-started solves when the stack is
-    infeasible).  On a process factory each chunk ships as a
-    :class:`~repro.parallel.work.BatchPricingTask`; otherwise the chunks run
-    in-process on ``factory.create`` and share ``compiler``.  A lone chunk
-    is always priced in the caller: one LP stack is not worth a pool.
-    ``price`` replaces the in-process pricer, so a caller can route the
-    chunks through its own module's binding of ``price_batch``.
+    infeasible).  With ``workers`` > 1 the chunks run on a thread pool and
+    share ``compiler``; one worker, or a lone chunk, prices in the caller.
+    ``price`` replaces the pricer, so a caller can route the chunks through
+    its own module's binding of ``price_batch``.
 
     Rows come back as ``(location, monthly_cost, feasible)`` in ``sitings``
     order.  The chunk split depends only on the sweep size, never on the
-    executor kind or worker count, so the rows are bit-identical across
-    serial, thread and process execution.
+    worker count, so the rows are bit-identical for any number of threads.
     """
     num_chunks = pricing_chunk_count(len(sitings), single_site_row_estimate(problem))
     chunks = split_chunks(sitings, num_chunks)
-    if not chunks:
-        return []
-    calls: List[Tuple[Any, ...]]
-    if len(chunks) > 1 and factory.effective_kind == "process":
-        calls = [
-            (
-                run_batch_pricing_chunk,
-                BatchPricingTask(
-                    problem=problem.restricted_to([name for name, _ in chunk]),
-                    sitings=tuple(chunk),
-                    options=options,
-                ),
-            )
-            for chunk in chunks
-        ]
-    else:
-        shared = compiler or ProvisioningCompiler(problem)
-        pricer = price or price_batch
-        calls = [(pricer, problem, chunk, options, shared) for chunk in chunks]
+    shared = compiler or ProvisioningCompiler(problem)
+    pricer = price or price_batch
     rows: List[Tuple[str, float, bool]] = []
-    pool = factory.create(len(calls)) if len(calls) > 1 else SerialExecutor()
-    with pool:
-        futures = [pool.submit(*call) for call in calls]
-        for future, call in zip(futures, calls):
-            rows.extend(result_with_serial_fallback(future, *call))
+    with ExecutorFactory(kind="thread", max_workers=workers).create(len(chunks)) as pool:
+        futures = [pool.submit(pricer, problem, chunk, options, shared) for chunk in chunks]
+        for future in futures:
+            rows.extend(future.result())
     return rows
 
 
@@ -298,18 +271,13 @@ class SingleSiteAnalyzer:
         min_green_fraction: float = 0.0,
         sources: EnergySources = EnergySources.SOLAR_AND_WIND,
         storage: StorageMode = StorageMode.NET_METERING,
-        workers: Optional[int] = None,
-        executor: str = "thread",
     ) -> List[SingleSiteCost]:
         """Single-site costs for many locations (the Fig. 6 distribution).
 
-        The sweep goes through :func:`priced_in_chunks`: ``workers`` > 1
-        prices location chunks on a thread pool (or, with
-        ``executor="process"``, a process pool whose chunks cross the
-        pickling boundary of :mod:`repro.parallel.work`).  Chunk splits
-        depend only on the sweep size, and results keep the order of
-        ``profiles``, so costs are bit-identical for every executor kind and
-        worker count.
+        The sweep goes through :func:`priced_in_chunks`, pricing its chunks
+        in the caller; results keep the order of ``profiles``.  Sweep points
+        fan out across processes one level up, in the
+        :class:`~repro.scenarios.runner.ExperimentRunner`.
 
         Each chunk is priced as one block-diagonal mega-LP
         (:func:`~repro.core.screening.price_batch`).  The returned costs are
@@ -322,12 +290,7 @@ class SingleSiteAnalyzer:
         problem, sitings = self._pricing_problem(
             profiles, capacity_kw, min_green_fraction, sources, storage
         )
-        rows = priced_in_chunks(
-            problem,
-            sitings,
-            self.solver_options,
-            ExecutorFactory(kind=executor, max_workers=max(1, workers or 1)),
-        )
+        rows = priced_in_chunks(problem, sitings, self.solver_options)
         configuration = self._configuration_label(min_green_fraction, problem.sources)
         return [
             SingleSiteCost(

@@ -1,8 +1,8 @@
-"""Process/thread/serial execution layer shared by every parallel stage.
+"""Process/thread/serial execution layer for sweep points and serve requests.
 
 See :mod:`repro.parallel.executors` for the :class:`ExecutorFactory` knob and
-:mod:`repro.parallel.work` for the picklable work descriptors process workers
-consume.
+:mod:`repro.parallel.work` for the picklable point descriptor process
+workers consume.
 """
 
 from repro.parallel.executors import (
@@ -10,22 +10,13 @@ from repro.parallel.executors import (
     ExecutorFactory,
     SerialExecutor,
     available_cpu_count,
-    in_process_worker,
-    mark_process_worker,
-    result_with_serial_fallback,
 )
 from repro.parallel.work import (
-    BatchPricingTask,
-    ChainOutcomePayload,
-    ChainTask,
-    ServePointTask,
-    SweepPointTask,
+    PointTask,
     cache_stats,
     new_token,
-    run_batch_pricing_chunk,
-    run_chain_task,
-    run_serve_point,
-    run_sweep_point,
+    run_point_task,
+    worker_stats,
 )
 
 __all__ = [
@@ -33,18 +24,9 @@ __all__ = [
     "ExecutorFactory",
     "SerialExecutor",
     "available_cpu_count",
-    "in_process_worker",
-    "mark_process_worker",
-    "result_with_serial_fallback",
-    "BatchPricingTask",
-    "ChainOutcomePayload",
-    "ChainTask",
-    "ServePointTask",
-    "SweepPointTask",
+    "PointTask",
     "cache_stats",
     "new_token",
-    "run_batch_pricing_chunk",
-    "run_chain_task",
-    "run_serve_point",
-    "run_sweep_point",
+    "run_point_task",
+    "worker_stats",
 ]

@@ -1,23 +1,26 @@
-"""Executor selection for the repo's parallel fan-out points.
+"""Executor selection for the repo's point-level fan-out.
 
-Every embarrassingly-parallel stage of the reproduction — the heuristic's
-filter-pricing chunks and annealing chains, and the experiment runner's sweep
-points — dispatches through one :class:`ExecutorFactory`, selected by an
+The unit that crosses a process boundary is one *point*: an
+:class:`~repro.scenarios.runner.ExperimentRunner` sweep point or one
+``repro serve`` request.  Both dispatch through an executor selected by an
 ``executor`` knob:
 
 ``"thread"``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap to start and
-    able to share in-process caches (compiled skeletons, the per-process
-    task memo), but CPU-bound LP *assembly* in pure Python serializes on the
+    able to share in-process caches (catalogues, profiles, compiled
+    skeletons), but CPU-bound LP *assembly* in pure Python serializes on the
     GIL; the HiGHS solve itself releases it.
 ``"process"``
     A :class:`~concurrent.futures.ProcessPoolExecutor` for true multi-core
-    scaling.  Work is shipped as picklable descriptors (see
-    :mod:`repro.parallel.work`) — never live HiGHS handles — and workers
-    rebuild solvers lazily with a per-process memo.
+    scaling.  Points are shipped as picklable
+    :class:`~repro.parallel.work.PointTask` descriptors — never live HiGHS
+    handles — and workers keep a warm runner per parent.
 ``"serial"``
     A :class:`SerialExecutor` that runs submissions inline.  The reference
     trajectory every other mode is required to reproduce bit for bit.
+
+A heuristic search always runs in its caller's process; only its filter
+pricing fans out, over threads (:func:`~repro.core.single_site.priced_in_chunks`).
 
 Worker sizing honours container CPU quotas: ``os.cpu_count()`` reports the
 host's cores even inside a cgroup-limited container, so
@@ -28,48 +31,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 #: The supported executor kinds, in the order they appear in help texts.
 EXECUTOR_KINDS = ("thread", "process", "serial")
-
-#: Set in process-pool workers, only by the pool initializer (every process
-#: pool passes ``initializer=mark_process_worker``; the initializer runs in
-#: the child under both fork and spawn start methods).  Task functions never
-#: set it, so a task run inline or on a thread leaves the parent unmarked.
-#: Nested process pools inside workers are legal on CPython >= 3.9 but only
-#: oversubscribe the machine, so factories inside a worker downgrade
-#: ``"process"`` to ``"serial"`` — results are identical by construction.
-_IN_PROCESS_WORKER = False
-
-
-def mark_process_worker() -> None:
-    """Flag the current process as a pool worker (see ``_IN_PROCESS_WORKER``)."""
-    global _IN_PROCESS_WORKER
-    _IN_PROCESS_WORKER = True
-
-
-def in_process_worker() -> bool:
-    return _IN_PROCESS_WORKER
-
-
-def result_with_serial_fallback(future: Future, fn: Callable[..., Any], *args: Any) -> Any:
-    """``future.result()``, re-running the task inline if the pool died.
-
-    A worker killed by a signal or the OOM killer breaks the whole
-    :class:`~concurrent.futures.ProcessPoolExecutor`: every outstanding
-    future raises :class:`~concurrent.futures.process.BrokenProcessPool`
-    even though the *work* is perfectly healthy.  Fan-out sites wrap their
-    ``result()`` calls with this so one lost worker degrades a run to
-    slower (the affected tasks re-run serially in the parent) instead of
-    failed.  Genuine task exceptions propagate unchanged.
-    """
-    try:
-        return future.result()
-    except BrokenProcessPool:
-        return fn(*args)
 
 
 def available_cpu_count() -> int:
@@ -111,7 +77,7 @@ class SerialExecutor(Executor):
 
 @dataclass(frozen=True)
 class ExecutorFactory:
-    """Builds the executor behind one parallel stage.
+    """Builds the executor behind one fan-out.
 
     Parameters
     ----------
@@ -133,16 +99,9 @@ class ExecutorFactory:
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
 
-    @property
-    def effective_kind(self) -> str:
-        """The kind after the in-worker downgrade (process -> serial)."""
-        if self.kind == "process" and in_process_worker():
-            return "serial"
-        return self.kind
-
     def workers(self, upper: int) -> int:
-        """Concurrency for a stage of ``upper`` independent tasks."""
-        if self.effective_kind == "serial":
+        """Concurrency for a fan-out of ``upper`` independent tasks."""
+        if self.kind == "serial":
             return 1
         limit = self.max_workers or available_cpu_count()
         return max(1, min(limit, upper))
@@ -155,12 +114,9 @@ class ExecutorFactory:
         bookkeeping.  A process factory always builds a real pool so the
         pickling boundary is exercised uniformly.
         """
-        kind = self.effective_kind
         workers = self.workers(upper)
-        if kind == "process":
-            return ProcessPoolExecutor(
-                max_workers=workers, initializer=mark_process_worker
-            )
-        if kind == "thread" and workers > 1 and upper > 1:
+        if self.kind == "process":
+            return ProcessPoolExecutor(max_workers=workers)
+        if self.kind == "thread" and workers > 1 and upper > 1:
             return ThreadPoolExecutor(max_workers=workers)
         return SerialExecutor()

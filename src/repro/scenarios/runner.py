@@ -44,7 +44,7 @@ from repro.core.single_site import SingleSiteAnalyzer
 from repro.core.tool import PlacementTool
 from repro.lpsolver import SolverOptions
 from repro.parallel.executors import ExecutorFactory, available_cpu_count
-from repro.parallel.work import SweepPointTask, new_token, run_sweep_point
+from repro.parallel.work import PointTask, new_token, run_point_task
 from repro.scenarios.results import PointResult, ResultSet
 from repro.scenarios.spec import ScenarioSpec, code_fingerprint
 
@@ -236,7 +236,7 @@ class ExperimentRunner:
         Includes the per-compiler skeleton counters summed over every problem
         signature this runner has compiled.  For process-executor sweeps the
         interesting counters live in the *workers*; those cross back in the
-        stats payload of :func:`repro.parallel.work.run_serve_point`.
+        stats payload of :func:`repro.parallel.work.run_point_task`.
         """
         with self._lock:
             stats = dict(self.cache_counters)
@@ -274,13 +274,13 @@ class ExperimentRunner:
                 futures.append((point, future))
 
         if to_submit:
-            if self._factory.effective_kind == "process":
+            if self._factory.kind == "process":
                 self._fill_process(to_submit)
             else:
                 # Thread or serial: _fill captures failures on the memo
                 # future itself, so the pool futures never raise here.
                 with self._factory.create(len(to_submit)) as pool:
-                    list(pool.map(lambda item: self._fill(*item), to_submit))  # reprolint: ok(PKL001) thread/serial-only branch; the process path ships SweepPointTask via _fill_process
+                    list(pool.map(lambda item: self._fill(*item), to_submit))  # reprolint: ok(PKL001) thread/serial-only branch; the process path ships PointTask via _fill_process
 
         results: List[PointResult] = []
         for point, future in futures:
@@ -322,7 +322,7 @@ class ExperimentRunner:
 
         The parent serves on-disk artifacts itself (no point shipping a spec
         whose record is already a file read); everything else crosses the
-        pickling boundary as a :class:`~repro.parallel.work.SweepPointTask`.
+        pickling boundary as a :class:`~repro.parallel.work.PointTask`.
         A worker failure is set on exactly that point's memo future — every
         waiter observes it, nothing deadlocks — and the memo entry is
         dropped so a later run recomputes instead of replaying the error.
@@ -344,36 +344,24 @@ class ExperimentRunner:
         if not pending:
             return
         with self._factory.create(len(pending)) as pool:
-            submitted = [
-                (
-                    key,
-                    spec,
-                    task,
-                    pool.submit(run_sweep_point, task),
+            submitted = []
+            for key, spec in pending:
+                task = PointTask(
+                    token=self._runner_token,
+                    spec=spec.to_dict(),
+                    cache_dir=self.cache_dir,
+                    base_params=self.base_params,
+                    solver_options=self.solver_options,
                 )
-                for key, spec, task in (
-                    (
-                        key,
-                        spec,
-                        SweepPointTask(
-                            token=self._runner_token,
-                            spec=spec.to_dict(),
-                            cache_dir=self.cache_dir,
-                            base_params=self.base_params,
-                            solver_options=self.solver_options,
-                        ),
-                    )
-                    for key, spec in pending
-                )
-            ]
+                submitted.append((key, spec, task, pool.submit(run_point_task, task)))
             for key, spec, task, task_future in submitted:
                 future = self._memo[key]
                 try:
                     try:
-                        record, from_cache = task_future.result()
+                        record, from_cache, _ = task_future.result()
                     except BrokenProcessPool:
                         self.process_fallbacks += 1
-                        record, from_cache = run_sweep_point(task)
+                        record, from_cache, _ = run_point_task(task)
                 except BaseException as error:
                     with self._lock:
                         if self._memo.get(key) is future:

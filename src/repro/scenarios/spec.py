@@ -35,15 +35,9 @@ WORKFLOWS = ("plan", "single_site", "emulate", "operate")
 
 #: Bump when the semantics of a recorded artifact change, to invalidate
 #: on-disk caches written by older code.  Version 2 added the code
-#: fingerprint to stored artifacts and dropped the pure execution knobs
-#: (``search.executor`` / ``search.max_workers``) from the content hash.
+#: fingerprint to stored artifacts and took the search block's execution
+#: knobs, retired since, out of the content hash.
 SPEC_SCHEMA_VERSION = 2
-
-#: Search-settings keys that only choose *how* a scenario executes (executor
-#: kind, worker caps) and are guaranteed not to change its numbers; they are
-#: excluded from the content hash so a sweep run with ``executor="process"``
-#: hits the artifacts a serial run wrote, and vice versa.
-EXECUTION_ONLY_SEARCH_KEYS = ("executor", "max_workers")
 
 
 #: Root of the ``repro`` package whose sources :func:`code_fingerprint` hashes.
@@ -261,6 +255,9 @@ class ScenarioSpec:
         unknown_contingency = set(self.contingency) - set(CONTINGENCY_DEFAULTS)
         if unknown_contingency:
             raise ValueError(f"unknown contingency knobs: {sorted(unknown_contingency)}")
+        # Unknown search knobs and out-of-range values fail here, at
+        # construction, not halfway through a solve.
+        self.build_search_settings()
         if self.candidate_names is not None:
             object.__setattr__(self, "candidate_names", tuple(self.candidate_names))
         if "sites" in self.emulation:
@@ -421,9 +418,6 @@ class ScenarioSpec:
         The identity fields (``name``, ``description``) are excluded so that
         relabelling a scenario does not invalidate cached artifacts, and the
         spec is canonicalised first so equivalent scenarios share a hash.
-        The execution-only search knobs (:data:`EXECUTION_ONLY_SEARCH_KEYS`)
-        are dropped too: the executor kind and worker caps never change a
-        scenario's numbers, so they must not change its cache key either.
         """
         payload = self.canonical().to_dict()
         payload.pop("name")
@@ -442,12 +436,6 @@ class ScenarioSpec:
             payload.pop("faults", None)
         if not payload.get("contingency"):
             payload.pop("contingency", None)
-        search = {
-            key: value
-            for key, value in payload["search"].items()
-            if key not in EXECUTION_ONLY_SEARCH_KEYS
-        }
-        payload["search"] = search
         payload["schema_version"] = SPEC_SCHEMA_VERSION
         return payload
 
@@ -505,6 +493,13 @@ class ScenarioSpec:
         return params
 
     def build_search_settings(self) -> Any:
+        """The search block as typed :class:`~repro.core.heuristic.SearchSettings`.
+
+        Raises :class:`ValueError` on unknown knobs or out-of-range values.
+        """
         from repro.core.heuristic import SearchSettings
 
+        unknown = set(self.search) - {f.name for f in fields(SearchSettings)}
+        if unknown:
+            raise ValueError(f"unknown search knobs: {sorted(unknown)}")
         return SearchSettings(**self.search)

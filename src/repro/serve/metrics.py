@@ -7,7 +7,7 @@ needed; latencies are ``time.perf_counter`` deltas — the daemon never reads
 the wall clock.
 
 Worker processes report their warm-vs-cold cache counters *cumulatively* in
-each :func:`~repro.parallel.work.run_serve_point` result; the parent keeps
+each :func:`~repro.parallel.work.run_point_task` result; the parent keeps
 the latest snapshot per pid, so summing across pids (see
 :meth:`ServerMetrics.worker_cache_summary`) never double-counts a worker.
 """

@@ -18,7 +18,7 @@
    ``timeout_s`` (typed ``timeout`` response; the solve itself continues, so
    a retry — or a later identical request — can still attach to it).
 4. **Dispatch** to a *persistent* pool.  ``executor="process"`` ships a
-   :class:`~repro.parallel.work.ServePointTask` to a long-lived
+   :class:`~repro.parallel.work.PointTask` to a long-lived
    ``ProcessPoolExecutor`` whose workers keep warm per-process caches
    (compiled skeletons, problems, catalogues, plus the shared on-disk
    artifact cache); a dead pool is rebuilt and the affected request re-run
@@ -32,7 +32,6 @@
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -41,13 +40,8 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.parameters import FrameworkParameters
 from repro.lpsolver import SolverOptions
-from repro.parallel import work as parallel_work
-from repro.parallel.executors import (
-    EXECUTOR_KINDS,
-    available_cpu_count,
-    mark_process_worker,
-)
-from repro.parallel.work import ServePointTask, new_token, run_serve_point
+from repro.parallel.executors import EXECUTOR_KINDS, available_cpu_count
+from repro.parallel.work import PointTask, new_token, run_point_task, worker_stats
 from repro.scenarios.runner import ExperimentRunner
 from repro.scenarios.spec import ScenarioSpec
 from repro.serve.metrics import ServerMetrics
@@ -141,9 +135,7 @@ class PlanServer:
         self._started = True
         workers = self.worker_count()
         if self.config.executor == "process":
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=mark_process_worker
-            )
+            self._pool = ProcessPoolExecutor(max_workers=workers)
         else:
             self._pool = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="repro-serve"
@@ -272,7 +264,7 @@ class PlanServer:
         if self._solve_fn is not None:
             return await loop.run_in_executor(self._pool, self._solve_fn, spec)
         if self.config.executor == "process":
-            task = ServePointTask(
+            task = PointTask(
                 token=self._token,
                 spec=spec.to_dict(),
                 cache_dir=self.config.cache_dir,
@@ -280,20 +272,18 @@ class PlanServer:
                 solver_options=self.solver_options,
             )
             try:
-                return await loop.run_in_executor(self._pool, run_serve_point, task)
+                return await loop.run_in_executor(self._pool, run_point_task, task)
             except BrokenProcessPool:
                 # A worker killed by a signal or the OOM killer breaks the
                 # whole pool: rebuild it for later requests and run this one
                 # inline — degraded to slower, never to failed.
                 self.metrics.process_fallbacks += 1
                 self._restart_pool()
-                return await loop.run_in_executor(None, run_serve_point, task)
+                return await loop.run_in_executor(None, run_point_task, task)
         return await loop.run_in_executor(self._pool, self._solve_local, spec)
 
     def _restart_pool(self) -> None:
-        broken, self._pool = self._pool, ProcessPoolExecutor(
-            max_workers=self.worker_count(), initializer=mark_process_worker
-        )
+        broken, self._pool = self._pool, ProcessPoolExecutor(max_workers=self.worker_count())
         if broken is not None:
             broken.shutdown(wait=False, cancel_futures=True)
 
@@ -302,12 +292,7 @@ class PlanServer:
         if runner is None:  # pragma: no cover - start() precedes dispatch
             raise RuntimeError("server not started")
         point = runner.run_point(spec)
-        stats: Dict[str, Any] = {
-            "pid": os.getpid(),
-            "work_memo": parallel_work.cache_stats(),
-            "runner": runner.cache_stats(),
-        }
-        return point.record, point.from_cache, stats
+        return point.record, point.from_cache, worker_stats(runner)
 
     # -- observability ---------------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, Any]:
@@ -315,13 +300,7 @@ class PlanServer:
         if self._runner is not None:
             # Thread/serial pools solve in-parent: report the shared runner's
             # counters through the same worker-stats channel as process mode.
-            self.metrics.record_worker_stats(
-                {
-                    "pid": os.getpid(),
-                    "work_memo": parallel_work.cache_stats(),
-                    "runner": self._runner.cache_stats(),
-                }
-            )
+            self.metrics.record_worker_stats(worker_stats(self._runner))
         snapshot = self.metrics.snapshot(
             in_flight=len(self._inflight),
             waiters=self._waiters,

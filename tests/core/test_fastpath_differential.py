@@ -11,17 +11,14 @@ Two independent model-construction routes must produce the same LP:
 The tests compare canonicalized constraint matrices entry-for-entry and the
 optimal objectives of representative provisioning problems (the oracle
 solved through ``linprog``, production through HiGHS directly), plus the
-behavioural guarantees the heuristic relies on: the siting-evaluation memo
-returns the identical result object, and parallel annealing chains are
-deterministic under a fixed seed.
+behavioural guarantee the heuristic relies on: the siting-evaluation memo
+returns the identical result object.
 """
 
 import pytest
 
 from repro.core import (
-    EnergySources,
     HeuristicSolver,
-    SearchSettings,
     SitingProblem,
     StorageMode,
 )
@@ -111,65 +108,3 @@ class TestEvaluationCache:
         forward = solver.evaluate({names[0]: "large", names[1]: "large"})
         reversed_order = solver.evaluate({names[1]: "large", names[0]: "large"})
         assert reversed_order is forward
-
-
-class TestParallelDeterminism:
-    def _solve(self, problem, parallel, workers, executor="thread"):
-        settings = SearchSettings(
-            keep_locations=6,
-            max_iterations=10,
-            patience=6,
-            num_chains=3,
-            seed=11,
-            max_datacenters=4,
-            parallel_chains=parallel,
-            max_workers=workers,
-            executor=executor,
-        )
-        return HeuristicSolver(problem, settings).solve()
-
-    def test_parallel_chains_deterministic_under_fixed_seed(self, all_profiles, params):
-        problem = SitingProblem(
-            profiles=all_profiles,
-            params=params.with_updates(total_capacity_kw=50_000.0, min_green_fraction=0.5),
-            sources=EnergySources.SOLAR_AND_WIND,
-            storage=StorageMode.NET_METERING,
-        )
-        first = self._solve(problem, parallel=True, workers=4)
-        second = self._solve(problem, parallel=True, workers=4)
-        fewer_workers = self._solve(problem, parallel=True, workers=2)
-        assert first.feasible
-        assert first.monthly_cost == second.monthly_cost == fewer_workers.monthly_cost
-        assert first.history == second.history == fewer_workers.history
-        names = sorted(dc.name for dc in first.plan.datacenters)
-        assert names == sorted(dc.name for dc in second.plan.datacenters)
-        assert names == sorted(dc.name for dc in fewer_workers.plan.datacenters)
-
-    def test_process_executor_matches_thread_and_serial(self, all_profiles, params):
-        """The executor kind is pure mechanism: identical bits on every path."""
-        problem = SitingProblem(
-            profiles=all_profiles,
-            params=params.with_updates(total_capacity_kw=50_000.0, min_green_fraction=0.5),
-            sources=EnergySources.SOLAR_AND_WIND,
-            storage=StorageMode.NET_METERING,
-        )
-        thread = self._solve(problem, parallel=True, workers=4, executor="thread")
-        serial = self._solve(problem, parallel=True, workers=1, executor="serial")
-        process = self._solve(problem, parallel=True, workers=4, executor="process")
-        assert process.monthly_cost == thread.monthly_cost == serial.monthly_cost
-        assert process.history == thread.history == serial.history
-        names = sorted(dc.name for dc in process.plan.datacenters)
-        assert names == sorted(dc.name for dc in thread.plan.datacenters)
-        assert names == sorted(dc.name for dc in serial.plan.datacenters)
-
-    def test_parallel_not_worse_than_initial(self, all_profiles, params):
-        problem = SitingProblem(
-            profiles=all_profiles,
-            params=params.with_updates(total_capacity_kw=50_000.0, min_green_fraction=0.5),
-            sources=EnergySources.SOLAR_AND_WIND,
-            storage=StorageMode.NET_METERING,
-        )
-        solution = self._solve(problem, parallel=True, workers=4)
-        solver = HeuristicSolver(problem, SearchSettings(keep_locations=6, seed=11))
-        initial = solver.evaluate(solver._initial_siting(solver.filter_locations()))
-        assert solution.monthly_cost <= initial.monthly_cost + 1e-6

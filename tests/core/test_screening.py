@@ -11,8 +11,8 @@ the LP ground truth:
 * **batching** — the block-diagonal stacked solve returns the same per-site
   costs as the per-site warm-started solves it replaces, and the filter
   shortlist is bit-identical whichever stage combination (screen on/off,
-  batch on/off) or executor (serial/thread/process) produced it.  The
-  filter always screens and batches; the other combinations are reached by
+  batch on/off) produced it, priced on one thread or several.  The filter
+  always screens and batches; the other combinations are reached by
   patching the heuristic module's pricer bindings.
 """
 
@@ -212,14 +212,13 @@ def _zero_bounds(problem, size_classes=None):
 
 
 @contextlib.contextmanager
-def _filter_stages(screen, batch):
+def _filter_stages(screen, batch, cpus=1):
     """Turn the filter's screen and batching off by patching its bindings.
 
-    Process-executor chunks price in the worker through
-    :func:`~repro.parallel.work.run_batch_pricing_chunk`, which the
-    ``price_batch`` patch does not reach.
+    ``cpus`` sizes the filter's pricing thread pool.
     """
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heuristic, "available_cpu_count", lambda: cpus)
         if not screen:
             patch.setattr(heuristic, "screen_lower_bounds", _zero_bounds)
         if not batch:
@@ -228,7 +227,7 @@ def _filter_stages(screen, batch):
 
 
 class TestFilterShortlistInvariance:
-    """The shortlist is identical for every stage/executor combination."""
+    """The shortlist is identical for every stage combination."""
 
     @pytest.fixture(scope="class")
     def reference_shortlist(self, all_profiles, params):
@@ -240,26 +239,17 @@ class TestFilterShortlistInvariance:
             EnergySources.SOLAR_AND_WIND,
             StorageMode.NET_METERING,
         )
-        settings = SearchSettings(keep_locations=8, num_chains=1, seed=3, executor="serial")
+        settings = SearchSettings(keep_locations=8, num_chains=1, seed=3)
         with _filter_stages(screen=False, batch=False):
             return problem, HeuristicSolver(problem, settings).filter_locations()
 
     @pytest.mark.parametrize("screen", [True, False], ids=["screen", "noscreen"])
     @pytest.mark.parametrize("batch", [True, False], ids=["batch", "persite"])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_stage_and_executor_invariance(
-        self, reference_shortlist, screen, batch, executor
-    ):
+    def test_stage_invariance(self, reference_shortlist, screen, batch):
         problem, expected = reference_shortlist
-        settings = SearchSettings(
-            keep_locations=8,
-            num_chains=1,
-            seed=3,
-            executor=executor,
-            max_workers=2,
-        )
+        settings = SearchSettings(keep_locations=8, num_chains=1, seed=3)
         solver = HeuristicSolver(problem, settings)
-        with _filter_stages(screen, batch):
+        with _filter_stages(screen, batch, cpus=2):
             assert solver.filter_locations() == expected
         stats = solver._filter_stats
         assert stats["filter_candidates"] == len(problem.profiles)

@@ -101,7 +101,7 @@ def test_search_result_is_unchanged(single_epoch_profiles):
     problem = _problem(
         single_epoch_profiles, StorageMode.NET_METERING, 0.3, GreenEnforcement.ANNUAL
     )
-    settings = SearchSettings(keep_locations=8, num_chains=2, seed=3, executor="serial")
+    settings = SearchSettings(keep_locations=8, num_chains=2, seed=3)
     solution = HeuristicSolver(problem, settings).solve()
     assert solution.feasible
     assert solution.filtered_locations == [

@@ -5,8 +5,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.parallel import ExecutorFactory, SerialExecutor, available_cpu_count
 from repro.parallel import executors as executors_module
+from repro.parallel import ExecutorFactory, SerialExecutor, available_cpu_count
 
 
 class TestSerialExecutor:
@@ -46,6 +46,14 @@ class TestExecutorFactory:
         assert factory.workers(upper=2) == 2
         assert factory.workers(upper=16) == 4
 
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_uncapped_workers_follow_the_available_cpus(self, kind, monkeypatch):
+        monkeypatch.setattr(executors_module, "available_cpu_count", lambda: 3)
+        factory = ExecutorFactory(kind=kind)
+        assert factory.workers(upper=16) == 3
+        assert factory.workers(upper=2) == 2
+        assert factory.workers(upper=0) == 1
+
     def test_serial_kind_is_single_worker(self):
         factory = ExecutorFactory(kind="serial", max_workers=8)
         assert factory.workers(upper=16) == 1
@@ -61,14 +69,6 @@ class TestExecutorFactory:
         with factory.create(2) as pool:
             assert isinstance(pool, ProcessPoolExecutor)
             assert list(pool.map(abs, [-1, -2])) == [1, 2]
-
-    def test_process_downgrades_to_serial_inside_a_worker(self, monkeypatch):
-        monkeypatch.setattr(executors_module, "_IN_PROCESS_WORKER", True)
-        factory = ExecutorFactory(kind="process", max_workers=4)
-        assert factory.effective_kind == "serial"
-        assert isinstance(factory.create(4), SerialExecutor)
-        # Thread factories are unaffected by the flag.
-        assert ExecutorFactory(kind="thread").effective_kind == "thread"
 
 
 class TestAvailableCpuCount:

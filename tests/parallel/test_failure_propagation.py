@@ -1,17 +1,14 @@
-"""Failure propagation through the parallel fan-out layers.
+"""Failure propagation through the runner's point fan-out.
 
-A sweep point or annealing chain that raises must (a) surface the exception
-to *every* waiter — no future may be left pending for a ``result()`` call to
-deadlock on — and (b) leave the evaluation memos clean, so a later run of the
-same work recomputes instead of replaying a stale error.  Both the thread and
-the process executors are covered.
+A sweep point that raises must (a) surface the exception to *every* waiter —
+no future may be left pending for a ``result()`` call to deadlock on — and
+(b) leave the evaluation memos clean, so a later run of the same work
+recomputes instead of replaying a stale error.  Both the thread and the
+process executors are covered.
 """
 
 import pytest
 
-from repro.core import heuristic as heuristic_module
-from repro.core import EnergySources, HeuristicSolver, SearchSettings, SitingProblem, StorageMode
-from repro.parallel import BatchPricingTask, ExecutorFactory, run_batch_pricing_chunk
 from repro.scenarios import ExperimentRunner, ParameterSweep, ScenarioSpec
 
 TINY_SEARCH = {
@@ -103,70 +100,3 @@ class TestRunnerProcessFailures:
         assert all(future.done() for future in runner._memo.values())
         assert runner.run_point(good).record["feasible"]
 
-
-class TestChainFailures:
-    @pytest.fixture()
-    def problem(self, all_profiles, params):
-        return SitingProblem(
-            profiles=all_profiles,
-            params=params.with_updates(total_capacity_kw=50_000.0, min_green_fraction=0.5),
-            sources=EnergySources.SOLAR_AND_WIND,
-            storage=StorageMode.NET_METERING,
-        )
-
-    def test_thread_chain_failure_propagates_out_of_solve(self, monkeypatch, problem):
-        settings = SearchSettings(
-            keep_locations=6,
-            max_iterations=6,
-            patience=4,
-            num_chains=3,
-            seed=11,
-            parallel_chains=True,
-            max_workers=4,
-            executor="thread",
-        )
-        solver = HeuristicSolver(problem, settings)
-        original = heuristic_module.solve_provisioning
-        multi_site_calls = {"n": 0}
-
-        def flaky(problem_arg, siting, *args, **kwargs):
-            # Filter pricing solves single-site LPs; the first multi-site LP
-            # is the shared initial evaluation.  Everything after that runs
-            # inside a chain task — those are the ones that fall over.
-            if len(siting) >= 2:
-                multi_site_calls["n"] += 1
-                if multi_site_calls["n"] > 1:
-                    raise RuntimeError("LP backend fell over")
-            return original(problem_arg, siting, *args, **kwargs)
-
-        monkeypatch.setattr(heuristic_module, "solve_provisioning", flaky)
-        with pytest.raises(RuntimeError, match="LP backend fell over"):
-            solver.solve()
-        assert multi_site_calls["n"] > 1  # the chains really ran and failed
-
-    def test_process_worker_failure_propagates_to_parent(self, problem):
-        # A pricing task referencing a location outside its shipped problem
-        # raises KeyError inside the worker; the parent must see it on the
-        # pool future, and the pool must stay usable for the next task.
-        from repro.lpsolver import SolverOptions
-
-        factory = ExecutorFactory(kind="process", max_workers=2)
-        options = SolverOptions()
-        names = [profile.name for profile in problem.profiles[:2]]
-        good = BatchPricingTask(
-            problem=problem.restricted_to(names),
-            sitings=((names[0], "large"),),
-            options=options,
-        )
-        bad = BatchPricingTask(
-            problem=problem.restricted_to(names),
-            sitings=(("Nowhere, Atlantis", "large"),),
-            options=options,
-        )
-        with factory.create(2) as pool:
-            bad_future = pool.submit(run_batch_pricing_chunk, bad)
-            good_future = pool.submit(run_batch_pricing_chunk, good)
-            with pytest.raises(KeyError):
-                bad_future.result()
-            rows = good_future.result()
-        assert rows[0][0] == names[0]

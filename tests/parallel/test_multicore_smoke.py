@@ -1,4 +1,4 @@
-"""Multi-core smoke: process executor at 4 workers is bit-identical to serial.
+"""Multi-core smoke: a process-executor sweep at 4 workers is bit-identical to serial.
 
 CI runs these on a multi-core runner (``pytest -m multicore``); on the
 single-CPU dev container they still execute (oversubscribed, a little
@@ -7,7 +7,6 @@ slower), so the pickling boundary is exercised in every tier-1 run too.
 
 import pytest
 
-from repro.core import EnergySources, HeuristicSolver, SearchSettings, SitingProblem, StorageMode
 from repro.scenarios import ExperimentRunner, get_scenario
 
 pytestmark = pytest.mark.multicore
@@ -21,32 +20,3 @@ def test_smoke_sweep_process_matches_serial():
         (p.overrides, p.record) for p in serial
     ]
 
-
-def test_small_sec3d_search_process_matches_serial(all_profiles, params):
-    problem = SitingProblem(
-        profiles=all_profiles,
-        params=params.with_updates(total_capacity_kw=50_000.0, min_green_fraction=0.5),
-        sources=EnergySources.SOLAR_AND_WIND,
-        storage=StorageMode.NET_METERING,
-    )
-
-    def solve(executor, workers):
-        settings = SearchSettings(
-            keep_locations=8,
-            max_iterations=10,
-            patience=6,
-            num_chains=2,
-            seed=1,
-            parallel_chains=True,
-            max_workers=workers,
-            executor=executor,
-        )
-        return HeuristicSolver(problem, settings).solve()
-
-    serial = solve("serial", 1)
-    process = solve("process", 4)
-    assert process.monthly_cost == serial.monthly_cost  # bit-identical objective
-    assert process.history == serial.history
-    assert sorted((dc.name, dc.size_class) for dc in process.plan.datacenters) == sorted(
-        (dc.name, dc.size_class) for dc in serial.plan.datacenters
-    )

@@ -107,21 +107,17 @@ class TestFingerprintedArtifacts:
 
 
 class TestExecutionKnobsOutsideTheCacheKey:
-    def test_executor_and_workers_do_not_change_the_hash(self):
-        base = tiny_spec()
-        assert (
-            base.content_hash()
-            == tiny_spec(**{"search.executor": "process"}).content_hash()
-            == tiny_spec(**{"search.max_workers": 8}).content_hash()
-        )
-        # Semantic search knobs still invalidate.
-        assert base.content_hash() != tiny_spec(**{"search.seed": 4}).content_hash()
+    def test_runner_executor_and_workers_do_not_change_records(self):
+        reference = ExperimentRunner(workers=1, executor="serial").run_point(tiny_spec())
+        for workers, executor in ((3, "thread"), (2, "process")):
+            point = ExperimentRunner(workers=workers, executor=executor).run_point(tiny_spec())
+            assert point.record == reference.record
 
     def test_process_run_hits_serial_artifacts(self, tmp_path):
         serial = ExperimentRunner(cache_dir=tmp_path, executor="serial")
         serial.run_point(tiny_spec())
         process = ExperimentRunner(cache_dir=tmp_path, workers=2, executor="process")
-        point = process.run_point(tiny_spec(**{"search.executor": "process"}))
+        point = process.run_point(tiny_spec())
         assert point.from_cache
 
 

@@ -1,5 +1,7 @@
 """Tests for ScenarioSpec serialization, hashing and sweep expansion."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import EnergySources, GreenEnforcement, StorageMode
@@ -37,6 +39,47 @@ class TestScenarioSpecValidation:
         # expiring step's basis; the knobs that switched that off are gone.
         with pytest.raises(ValueError, match="unknown operate knobs"):
             ScenarioSpec(workflow="operate", operate={knob: False})
+
+    @pytest.mark.parametrize(
+        "knob", ["parallel_chains", "executor", "max_workers", "bogus_knob"]
+    )
+    def test_unknown_and_retired_search_knobs_rejected(self, knob):
+        # A search always runs in its caller's process; the knobs that fanned
+        # it out are gone and fail at construction like any unknown knob.
+        with pytest.raises(ValueError, match="unknown search knobs"):
+            ScenarioSpec(search={knob: 1})
+        with pytest.raises(ValueError, match="unknown search knobs"):
+            ScenarioSpec().with_updates(**{f"search.{knob}": 1})
+
+    def test_out_of_range_search_values_rejected(self):
+        with pytest.raises(ValueError, match="at least one location"):
+            ScenarioSpec(search={"keep_locations": 0})
+        with pytest.raises(ValueError, match="cooling"):
+            ScenarioSpec(search={"cooling": 1.5})
+
+    @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            ("keep_locations", 0, "at least one location"),
+            ("max_iterations", 0, "at least one iteration"),
+            ("num_chains", 0, "one chain"),
+            ("cooling", 0.0, "cooling"),
+            ("coarse_epoch_factor", 0, "coarse_epoch_factor"),
+            ("refine_tolerance", -0.1, "refine_tolerance"),
+            ("refine_max_rounds", 0, "at least one round"),
+            ("move_weights", {"teleport": 1.0}, "unknown neighbour moves"),
+        ],
+    )
+    def test_every_search_range_check_runs_on_update(self, knob, value, message):
+        # A sweep axis or serve request applies the bad value through
+        # with_updates; it must fail there, before any solve starts.
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec().with_updates(**{f"search.{knob}": value})
+
+    def test_every_search_settings_field_is_a_known_knob(self):
+        defaults = SearchSettings()
+        search = {f.name: getattr(defaults, f.name) for f in fields(SearchSettings)}
+        assert ScenarioSpec(search=search).build_search_settings() == defaults
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):

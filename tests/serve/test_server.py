@@ -219,6 +219,28 @@ class TestErrors:
         assert response["id"] == "old"
         assert server.metrics.solves_started == 0
 
+    @pytest.mark.parametrize(
+        "search, message",
+        [
+            ({"bogus_knob": 1}, "unknown search knobs"),
+            ({"keep_locations": 0}, "at least one location"),
+        ],
+    )
+    def test_malformed_search_block_is_a_spec_error(self, search, message):
+        server = PlanServer(ServeConfig(executor="serial"), solve_fn=instant_solver())
+        spec = ScenarioSpec().to_dict()
+        spec["search"] = search
+
+        async def scenario():
+            response = await server.handle({"id": "bad-search", "spec": spec})
+            await server.drain(grace_s=1.0)
+            return response
+
+        response = run(scenario())
+        assert response["error"] == "spec_error"
+        assert message in response["message"]
+        assert server.metrics.solves_started == 0
+
     def test_solver_crash_becomes_typed_internal_error(self):
         def solve(spec):
             raise RuntimeError("catalogue imploded")

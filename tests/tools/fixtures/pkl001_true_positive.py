@@ -8,10 +8,10 @@ def dispatch(pool, items):
         return item + 1
 
     mapped = list(pool.map(local_worker, items))  # line 10
-    task = BatchPricingTask(problem=lambda: None, sitings=(), options=None)  # line 11
+    task = PointTask(token="t", spec=lambda: None, cache_dir=None)  # line 11
     return futures, mapped, task
 
 
-class BatchPricingTask:  # minimal stand-in so the fixture parses standalone
-    def __init__(self, problem, sitings, options):
-        self.problem = problem
+class PointTask:  # minimal stand-in so the fixture parses standalone
+    def __init__(self, token, spec, cache_dir):
+        self.spec = spec

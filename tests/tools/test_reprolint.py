@@ -152,7 +152,7 @@ class TestConfig:
         assert config.select == ("SET001",)
         assert config.exclude == ("build",)
         # Unconfigured keys keep their defaults.
-        assert "BatchPricingTask" in config.descriptor_classes
+        assert "PointTask" in config.descriptor_classes
 
     def test_default_descriptors_match_pyproject_and_work_module(self):
         import repro.parallel.work as work

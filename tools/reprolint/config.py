@@ -16,10 +16,7 @@ from typing import Any, Mapping, Optional, Sequence, Tuple
 #: Work-descriptor classes whose constructor arguments (and class bodies)
 #: must stay picklable: they cross the process-pool boundary.
 DEFAULT_DESCRIPTOR_CLASSES: Tuple[str, ...] = (
-    "BatchPricingTask",
-    "ChainTask",
-    "SweepPointTask",
-    "ServePointTask",
+    "PointTask",
 )
 
 #: Path prefixes where exact float equality is treated as a tolerance bug
