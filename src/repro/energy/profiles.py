@@ -13,7 +13,7 @@ cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from repro.energy.pue import PUEModel
 from repro.energy.solar_plant import SolarPanelModel
 from repro.energy.wind_plant import WindTurbineModel
 from repro.weather.locations import Location, WorldCatalog
-from repro.weather.records import DAYS_PER_YEAR, HOURS_PER_DAY
+from repro.weather.records import DAYS_PER_YEAR, HOURS_PER_DAY, HOURS_PER_YEAR
 
 
 def calibrate_series(
@@ -78,8 +78,62 @@ def calibrate_series(
     return np.clip(values * high, 0.0, upper)
 
 
+class _HourLayout:
+    """The flattened hour layout both epoch-grid kinds share.
+
+    A grid's *hour layout* lists the hour of year of every hour its epochs
+    cover, epoch after epoch.  It is computed once per grid (the grids are
+    frozen) and is all the profile build reads: weather is synthesised and
+    the plant models run at the layout's hours only, and
+    :meth:`epoch_means` averages values given in layout order per epoch.
+    """
+
+    representative_days: tuple
+    _hours: np.ndarray
+    _groups: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+    def _set_layout(self, day_patterns) -> None:
+        hours: List[int] = []
+        lengths: List[int] = []
+        for day, pattern in zip(self.representative_days, day_patterns):
+            start = day * HOURS_PER_DAY
+            for length in map(int, pattern):
+                hours.extend(range(start, start + length))
+                lengths.append(length)
+                start += length
+        layout = np.array(hours, dtype=np.intp)
+        layout.setflags(write=False)
+        # Epochs of one length average as one 2-D ``mean(axis=1)``: the same
+        # pairwise sum per epoch as a 1-D mean, so every grid kind rounds alike.
+        epoch_lengths = np.array(lengths)
+        ends = np.cumsum(epoch_lengths)
+        groups = []
+        for length in np.unique(epoch_lengths):
+            epochs = np.flatnonzero(epoch_lengths == length)
+            groups.append((epochs, (ends[epochs] - length)[:, None] + np.arange(length)))
+        object.__setattr__(self, "_hours", layout)
+        object.__setattr__(self, "_groups", tuple(groups))
+
+    @property
+    def hour_layout(self) -> np.ndarray:
+        """Hour of year of every epoch hour, epoch after epoch (read-only)."""
+        return self._hours
+
+    def epoch_means(self, values: np.ndarray) -> np.ndarray:
+        """Per-epoch means of ``values`` given in :attr:`hour_layout` order."""
+        values = np.asarray(values, dtype=float)
+        means = np.empty(sum(len(epochs) for epochs, _ in self._groups))
+        for epochs, positions in self._groups:
+            means[epochs] = values[positions].mean(axis=1)
+        return means
+
+    def aggregate(self, hourly_values: np.ndarray) -> np.ndarray:
+        """Average an 8760-hour array into the epoch grid."""
+        return self.epoch_means(np.asarray(hourly_values, dtype=float)[self._hours])
+
+
 @dataclass(frozen=True)
-class EpochGrid:
+class EpochGrid(_HourLayout):
     """Discretisation of the year into epochs over representative days.
 
     Attributes
@@ -101,6 +155,8 @@ class EpochGrid:
         for day in self.representative_days:
             if not 0 <= day < DAYS_PER_YEAR:
                 raise ValueError(f"representative day {day} outside the year")
+        pattern = (self.hours_per_epoch,) * self.epochs_per_day
+        self._set_layout([pattern] * len(self.representative_days))
 
     @classmethod
     def from_seasons(cls, days_per_season: int = 1, hours_per_epoch: int = 3) -> "EpochGrid":
@@ -141,19 +197,7 @@ class EpochGrid:
 
     def hour_indices(self) -> np.ndarray:
         """Hour-of-year index array of shape (num_epochs, hours_per_epoch)."""
-        indices = []
-        for day in self.representative_days:
-            day_start = day * HOURS_PER_DAY
-            for epoch in range(self.epochs_per_day):
-                start = day_start + epoch * self.hours_per_epoch
-                indices.append(np.arange(start, start + self.hours_per_epoch))
-        return np.array(indices)
-
-    def aggregate(self, hourly_values: np.ndarray) -> np.ndarray:
-        """Average an 8760-hour array into the epoch grid."""
-        hourly = np.asarray(hourly_values, dtype=float)
-        indices = self.hour_indices()
-        return hourly[indices].mean(axis=1)
+        return self._hours.reshape(self.num_epochs, self.hours_per_epoch)
 
     def epoch_index(self, hour_of_year: float) -> int:
         """Map an absolute hour cyclically onto the grid's epoch sequence.
@@ -165,7 +209,7 @@ class EpochGrid:
 
 
 @dataclass(frozen=True)
-class RefinedEpochGrid:
+class RefinedEpochGrid(_HourLayout):
     """Epoch grid with *non-uniform* epoch durations.
 
     Produced by the adaptive epoch-grid scheme
@@ -198,6 +242,7 @@ class RefinedEpochGrid:
         # Cumulative epoch end-hours, precomputed once: epoch_index runs per
         # simulated hour per datacenter in the emulation loop.
         object.__setattr__(self, "_epoch_ends", np.cumsum(self.epoch_hours))
+        self._set_layout(self.day_patterns)
 
     @property
     def hours_per_epoch(self) -> tuple:
@@ -226,18 +271,7 @@ class RefinedEpochGrid:
 
     def hour_indices(self) -> List[np.ndarray]:
         """Hour-of-year indices per epoch (ragged: one array per epoch)."""
-        indices: List[np.ndarray] = []
-        for day, pattern in zip(self.representative_days, self.day_patterns):
-            start = day * HOURS_PER_DAY
-            for hours in pattern:
-                indices.append(np.arange(start, start + int(hours)))
-                start += int(hours)
-        return indices
-
-    def aggregate(self, hourly_values: np.ndarray) -> np.ndarray:
-        """Average an 8760-hour array into the (non-uniform) epoch grid."""
-        hourly = np.asarray(hourly_values, dtype=float)
-        return np.array([hourly[idx].mean() for idx in self.hour_indices()])
+        return np.split(self._hours, self._epoch_ends[:-1].astype(np.intp))
 
     def epoch_index(self, hour_of_year: float) -> int:
         """Map an absolute hour cyclically onto the non-uniform epochs."""
@@ -293,7 +327,16 @@ class LocationProfile:
 
 
 class ProfileBuilder:
-    """Build :class:`LocationProfile` objects from a :class:`WorldCatalog`."""
+    """Build :class:`LocationProfile` objects from a :class:`WorldCatalog`.
+
+    A profile reads each location on a few representative days only (96 of
+    8760 hours on a four-day hourly grid), so :meth:`build` asks the catalogue
+    for the weather at exactly the grid's hours, shifted to UTC, runs the
+    solar, wind and PUE models on those values and averages them per epoch.
+    No hourly year is synthesised or kept, and the result is bit-identical
+    to aggregating the full-year series.  Built profiles are cached per
+    ``(location, grid)``.
+    """
 
     def __init__(
         self,
@@ -313,22 +356,24 @@ class ProfileBuilder:
         key = (location.name, epochs.representative_days, epochs.hours_per_epoch)
         if key in self._cache:
             return self._cache[key]
-        tmy = self.catalog.tmy(location)
-        alpha_hourly = self.solar_model.production_fraction(tmy.ghi_w_m2, tmy.temperature_c)
-        beta_hourly = self.wind_model.production_fraction(
-            tmy.wind_speed_m_s, tmy.pressure_kpa, tmy.temperature_c
-        )
-        pue_hourly = self.pue_model.series(tmy.temperature_c)
-
         # The TMY channels are in local solar time; the optimiser and the
         # GreenNebula scheduler reason about all locations at the same instant,
         # so the series are shifted to UTC.  This is what makes the sun "move"
         # from one candidate location to the next — the effect the
-        # follow-the-renewables solutions exploit.
+        # follow-the-renewables solutions exploit.  UTC hour ``h`` is local
+        # hour ``(h + shift) % 8760``, so only the local hours the grid reads
+        # are synthesised and run through the plant models.
         shift = int(round(location.point.longitude / 15.0))
-        alpha = epochs.aggregate(np.roll(alpha_hourly, -shift))
-        beta = epochs.aggregate(np.roll(beta_hourly, -shift))
-        pue = epochs.aggregate(np.roll(pue_hourly, -shift))
+        tmy = self.catalog.tmy(location, (epochs.hour_layout + shift) % HOURS_PER_YEAR)
+        alpha = epochs.epoch_means(
+            self.solar_model.production_fraction(tmy["ghi_w_m2"], tmy["temperature_c"])
+        )
+        beta = epochs.epoch_means(
+            self.wind_model.production_fraction(
+                tmy["wind_speed_m_s"], tmy["pressure_kpa"], tmy["temperature_c"]
+            )
+        )
+        pue = epochs.epoch_means(self.pue_model.series(tmy["temperature_c"]))
 
         overrides = location.overrides
         if overrides.solar_capacity_factor is not None:

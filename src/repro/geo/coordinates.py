@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, Tuple, TypeVar
+
+import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -41,22 +43,55 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
 T = TypeVar("T")
 
 
+def radian_coordinates(points: Iterable[GeoPoint]) -> np.ndarray:
+    """``(latitude, longitude)`` of ``points`` in radians, as a ``(2, n)`` array.
+
+    Build it once for a fixed candidate list and pass it to every
+    :func:`nearest_point` query over that list.
+    """
+    degrees = np.array([(p.latitude, p.longitude) for p in points], dtype=float)
+    return np.radians(degrees.reshape(-1, 2).T)
+
+
 def nearest_point(
     origin: GeoPoint,
     candidates: Sequence[T],
-    point_of: Optional[callable] = None,
+    point_of: Optional[Callable[[T], GeoPoint]] = None,
+    coordinates: Optional[np.ndarray] = None,
 ) -> Tuple[Optional[T], float]:
     """Return ``(nearest candidate, distance_km)`` from ``origin``.
 
     ``point_of`` extracts a :class:`GeoPoint` from each candidate; by default
-    the candidate is assumed to expose a ``point`` attribute.  Returns
-    ``(None, inf)`` when ``candidates`` is empty.
+    the candidate is assumed to expose a ``point`` attribute.  ``coordinates``
+    is :func:`radian_coordinates` of the candidates' points, built here when
+    omitted.  Returns ``(None, inf)`` when ``candidates`` is empty.
+
+    The answer is exactly the scalar scan's: the first candidate with the
+    smallest :func:`haversine_km`, and that distance.  A vectorised haversine
+    term over all candidates finds the minimum; every candidate whose term
+    lies within a relative ``1e-9`` of it is then re-measured with
+    :func:`haversine_km` in list order, keeping the first strict minimum.  The
+    window is on the haversine term, not the distance, because ``asin``
+    magnifies rounding near the antipode; the term itself carries only a few
+    ulps of error, far inside the window.
     """
     if point_of is None:
         point_of = lambda item: item.point  # noqa: E731 - tiny accessor
+    if len(candidates) == 0:
+        return None, float("inf")
+    if coordinates is None:
+        coordinates = radian_coordinates(point_of(item) for item in candidates)
+    latitude, longitude = coordinates
+    lat0, lon0 = math.radians(origin.latitude), math.radians(origin.longitude)
+    term = np.minimum(
+        np.sin((latitude - lat0) / 2.0) ** 2
+        + math.cos(lat0) * np.cos(latitude) * np.sin((longitude - lon0) / 2.0) ** 2,
+        1.0,
+    )
     best: Optional[T] = None
     best_distance = float("inf")
-    for candidate in candidates:
+    for index in np.flatnonzero(term <= term.min() * (1.0 + 1e-9)):
+        candidate = candidates[int(index)]
         distance = haversine_km(origin, point_of(candidate))
         if distance < best_distance:
             best, best_distance = candidate, distance

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.geo.coordinates import GeoPoint, haversine_km
+from repro.geo.coordinates import GeoPoint, nearest_point, radian_coordinates
 
 
 @dataclass(frozen=True)
@@ -49,35 +49,42 @@ class BackbonePoint:
     point: GeoPoint
 
 
-@dataclass
+@dataclass(frozen=True)
 class InfrastructureMap:
-    """Catalogue of power plants and backbone points with nearest queries."""
+    """Catalogue of power plants and backbone points with nearest queries.
 
-    plants: List[PowerPlant] = field(default_factory=list)
-    backbones: List[BackbonePoint] = field(default_factory=list)
+    The plant and backbone lists are fixed at construction, which is when
+    their radian coordinate arrays are built for :func:`nearest_point`.
+    """
+
+    plants: Tuple[PowerPlant, ...] = ()
+    backbones: Tuple[BackbonePoint, ...] = ()
+    _plant_coordinates: np.ndarray = field(init=False, repr=False, compare=False)
+    _backbone_coordinates: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        plants, backbones = tuple(self.plants), tuple(self.backbones)
+        object.__setattr__(self, "plants", plants)
+        object.__setattr__(self, "backbones", backbones)
+        object.__setattr__(
+            self, "_plant_coordinates", radian_coordinates(p.point for p in plants)
+        )
+        object.__setattr__(
+            self, "_backbone_coordinates", radian_coordinates(b.point for b in backbones)
+        )
 
     def nearest_plant(self, point: GeoPoint) -> Tuple[Optional[PowerPlant], float]:
         """Nearest brown power plant and its distance in km."""
-        return _nearest(point, self.plants)
+        return nearest_point(point, self.plants, coordinates=self._plant_coordinates)
 
     def nearest_backbone(self, point: GeoPoint) -> Tuple[Optional[BackbonePoint], float]:
         """Nearest backbone connection point and its distance in km."""
-        return _nearest(point, self.backbones)
+        return nearest_point(point, self.backbones, coordinates=self._backbone_coordinates)
 
     def nearest_plant_capacity_kw(self, point: GeoPoint) -> float:
         """Capacity of the nearest plant (``nearPlantCap(d)``), 0 if none."""
         plant, _ = self.nearest_plant(point)
         return plant.capacity_kw if plant else 0.0
-
-
-def _nearest(point: GeoPoint, items):
-    best = None
-    best_distance = float("inf")
-    for item in items:
-        distance = haversine_km(point, item.point)
-        if distance < best_distance:
-            best, best_distance = item, distance
-    return best, best_distance
 
 
 # Regions used to modulate infrastructure density.  Each entry is

@@ -21,7 +21,6 @@ from repro.geo.coordinates import GeoPoint
 from repro.geo.grid import GridEnergyPricing
 from repro.geo.infrastructure import InfrastructureMap, synthesize_infrastructure
 from repro.geo.land import LandPriceModel
-from repro.weather.records import TMYDataset
 from repro.weather.synthesis import ClimateProfile, TMYGenerator
 
 
@@ -208,7 +207,9 @@ class WorldCatalog:
     The catalogue bundles the location list, the synthetic infrastructure map
     and the land/grid price models and exposes per-location accessors that
     honour anchor overrides.  It also owns the TMY generator so all weather is
-    derived from one seed.
+    derived from one seed.  It keeps no weather: :meth:`tmy` synthesises the
+    requested hours on every call (about a millisecond per location), and
+    the profile builder caches what it derives from them.
     """
 
     def __init__(
@@ -231,7 +232,6 @@ class WorldCatalog:
         self.land_prices = land_prices or LandPriceModel()
         self.grid_prices = grid_prices or GridEnergyPricing()
         self.tmy_generator = tmy_generator or TMYGenerator()
-        self._tmy_cache: Dict[str, TMYDataset] = {}
 
     # -- access -----------------------------------------------------------------
     @property
@@ -257,24 +257,23 @@ class WorldCatalog:
     def subset(self, names: Iterable[str]) -> "WorldCatalog":
         """A catalogue restricted to the given location names (same models)."""
         subset_locations = [self.get(name) for name in names]
-        catalog = WorldCatalog(
+        return WorldCatalog(
             subset_locations,
             infrastructure=self.infrastructure,
             land_prices=self.land_prices,
             grid_prices=self.grid_prices,
             tmy_generator=self.tmy_generator,
         )
-        catalog._tmy_cache = self._tmy_cache
-        return catalog
 
     # -- per-location attributes ---------------------------------------------------
-    def tmy(self, location: Location) -> TMYDataset:
-        """The (cached) synthetic TMY for a location."""
-        if location.name not in self._tmy_cache:
-            self._tmy_cache[location.name] = self.tmy_generator.generate(
-                location.name, location.point.latitude, location.climate
-            )
-        return self._tmy_cache[location.name]
+    def tmy(self, location: Location, hours) -> Dict[str, np.ndarray]:
+        """The location's TMY channels at the hour-of-year indices ``hours``.
+
+        See :meth:`TMYGenerator.sample`; nothing is cached.
+        """
+        return self.tmy_generator.sample(
+            location.name, location.point.latitude, location.climate, hours
+        )
 
     def land_price_per_m2(self, location: Location) -> float:
         if location.overrides.land_price_per_m2 is not None:

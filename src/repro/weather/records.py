@@ -9,12 +9,37 @@ temperature, global horizontal irradiance, wind speed and air pressure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
 HOURS_PER_YEAR = 8760
 DAYS_PER_YEAR = 365
 HOURS_PER_DAY = 24
+
+
+def checked_channels(
+    temperature_c, ghi_w_m2, wind_speed_m_s, pressure_kpa
+) -> Dict[str, np.ndarray]:
+    """The four TMY channels as float arrays, after the physical-range checks.
+
+    Irradiance and wind speed must be non-negative and pressure positive.
+    The keys are the :class:`TMYDataset` field names, so a full-year result
+    can be passed straight to ``TMYDataset(**channels)``.
+    """
+    channels = {
+        "temperature_c": np.asarray(temperature_c, dtype=float),
+        "ghi_w_m2": np.asarray(ghi_w_m2, dtype=float),
+        "wind_speed_m_s": np.asarray(wind_speed_m_s, dtype=float),
+        "pressure_kpa": np.asarray(pressure_kpa, dtype=float),
+    }
+    if np.any(channels["ghi_w_m2"] < -1e-9):
+        raise ValueError("irradiance cannot be negative")
+    if np.any(channels["wind_speed_m_s"] < -1e-9):
+        raise ValueError("wind speed cannot be negative")
+    if np.any(channels["pressure_kpa"] <= 0):
+        raise ValueError("pressure must be positive")
+    return channels
 
 
 @dataclass
@@ -42,20 +67,16 @@ class TMYDataset:
     pressure_kpa: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("temperature_c", "ghi_w_m2", "wind_speed_m_s", "pressure_kpa"):
-            array = np.asarray(getattr(self, name), dtype=float)
+        channels = checked_channels(
+            self.temperature_c, self.ghi_w_m2, self.wind_speed_m_s, self.pressure_kpa
+        )
+        for name, array in channels.items():
             if array.shape != (HOURS_PER_YEAR,):
                 raise ValueError(
                     f"TMY channel {name} must have {HOURS_PER_YEAR} hourly values, "
                     f"got shape {array.shape}"
                 )
             setattr(self, name, array)
-        if np.any(self.ghi_w_m2 < -1e-9):
-            raise ValueError("irradiance cannot be negative")
-        if np.any(self.wind_speed_m_s < -1e-9):
-            raise ValueError("wind speed cannot be negative")
-        if np.any(self.pressure_kpa <= 0):
-            raise ValueError("pressure must be positive")
 
     @property
     def num_hours(self) -> int:
@@ -69,8 +90,8 @@ class TMYDataset:
         """Day-of-year index (0..364) for each entry."""
         return np.arange(HOURS_PER_YEAR) // HOURS_PER_DAY
 
-    def select_days(self, day_indices) -> "TMYDataset":
-        """Return a dataset view restricted to whole days (used by tests).
+    def select_days(self, day_indices) -> Dict[str, np.ndarray]:
+        """The four channels restricted to whole days, keyed by field name.
 
         The result is *not* a full TMY (fewer than 8760 hours), so it is
         returned as plain arrays in a dictionary rather than a TMYDataset.
@@ -78,15 +99,13 @@ class TMYDataset:
         day_indices = np.asarray(day_indices, dtype=int)
         if np.any(day_indices < 0) or np.any(day_indices >= DAYS_PER_YEAR):
             raise ValueError("day indices must lie within the year")
-        hour_mask = np.concatenate(
-            [np.arange(d * HOURS_PER_DAY, (d + 1) * HOURS_PER_DAY) for d in day_indices]
+        hours = (day_indices[:, None] * HOURS_PER_DAY + np.arange(HOURS_PER_DAY)).ravel()
+        return checked_channels(
+            self.temperature_c[hours],
+            self.ghi_w_m2[hours],
+            self.wind_speed_m_s[hours],
+            self.pressure_kpa[hours],
         )
-        return {
-            "temperature_c": self.temperature_c[hour_mask],
-            "ghi_w_m2": self.ghi_w_m2[hour_mask],
-            "wind_speed_m_s": self.wind_speed_m_s[hour_mask],
-            "pressure_kpa": self.pressure_kpa[hour_mask],
-        }
 
     def summary(self) -> dict:
         """Annual summary statistics used in documentation and tests."""

@@ -1,20 +1,34 @@
 """Deterministic synthetic TMY generation.
 
 Each location is described by a :class:`ClimateProfile`; the
-:class:`TMYGenerator` turns a profile into an hourly
-:class:`~repro.weather.records.TMYDataset` that is fully deterministic for a
-given ``(seed, location name)`` pair, so every run of the test-suite and the
-benchmarks sees exactly the same "weather".
+:class:`TMYGenerator` turns a profile into hourly weather that is fully
+deterministic for a given ``(seed, location name)`` pair, so every run of the
+test-suite and the benchmarks sees exactly the same "weather".
+
+There is one synthesis path, :meth:`TMYGenerator.sample`, which returns the
+four channels at any set of hour-of-year indices.  The profile build asks
+only for the hours its epoch grid reads (96 of 8760 on a four-day grid), and
+:meth:`TMYGenerator.generate` is ``sample`` over the whole year wrapped in a
+:class:`~repro.weather.records.TMYDataset`.  The values do not depend on
+which hours are asked for: a sampled hour equals the same hour of the full
+year bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
-from repro.weather.records import DAYS_PER_YEAR, HOURS_PER_DAY, HOURS_PER_YEAR, TMYDataset
+from repro.weather.records import (
+    DAYS_PER_YEAR,
+    HOURS_PER_DAY,
+    HOURS_PER_YEAR,
+    TMYDataset,
+    checked_channels,
+)
 from repro.weather.solar_geometry import clear_sky_irradiance
 
 
@@ -64,7 +78,7 @@ class ClimateProfile:
 
 
 class TMYGenerator:
-    """Generate deterministic synthetic TMY datasets.
+    """Generate deterministic synthetic TMY channels.
 
     Parameters
     ----------
@@ -78,99 +92,73 @@ class TMYGenerator:
 
     # -- public API -------------------------------------------------------------
     def generate(self, name: str, latitude_deg: float, climate: ClimateProfile) -> TMYDataset:
-        """Generate the TMY for one location."""
-        rng = self._rng(name)
-        hours = np.arange(HOURS_PER_YEAR)
-        day_of_year = hours // HOURS_PER_DAY
+        """The full-year TMY of one location."""
+        return TMYDataset(**self.sample(name, latitude_deg, climate, np.arange(HOURS_PER_YEAR)))
+
+    def sample(
+        self, name: str, latitude_deg: float, climate: ClimateProfile, hours
+    ) -> Dict[str, np.ndarray]:
+        """The four TMY channels at the hour-of-year indices ``hours``.
+
+        ``hours`` may be unsorted and may repeat; entry ``i`` of every channel
+        is the value of hour ``hours[i]`` of the full-year TMY, bit for bit.
+        Every noise array is drawn at full length (365 daily, 8760 hourly
+        values) in a fixed order and then gathered: NumPy's normal sampler
+        consumes a variable amount of the random stream, so no draw can be
+        skipped without changing the ones after it.  Everything else — the
+        seasonal and diurnal cycles, clear-sky geometry and the channel
+        arithmetic — runs only on the requested hours.
+        """
+        hours = np.asarray(hours, dtype=np.intp)
+        if hours.ndim != 1 or np.any(hours < 0) or np.any(hours >= HOURS_PER_YEAR):
+            raise ValueError(f"hours must be a 1-D array of indices in [0, {HOURS_PER_YEAR})")
+        day = hours // HOURS_PER_DAY
         hour_of_day = hours % HOURS_PER_DAY
+        rng = self._rng(name)
+        north = latitude_deg >= 0
 
-        temperature = self._temperature(latitude_deg, climate, day_of_year, hour_of_day, rng)
-        ghi = self._irradiance(latitude_deg, climate, day_of_year, hour_of_day, rng)
-        wind = self._wind(latitude_deg, climate, day_of_year, hour_of_day, rng)
-        pressure = self._pressure(climate, temperature, rng)
-        return TMYDataset(
-            temperature_c=temperature,
-            ghi_w_m2=ghi,
-            wind_speed_m_s=wind,
-            pressure_kpa=pressure,
-        )
-
-    # -- channels ---------------------------------------------------------------
-    def _temperature(
-        self,
-        latitude_deg: float,
-        climate: ClimateProfile,
-        day_of_year: np.ndarray,
-        hour_of_day: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        # Seasonal cycle peaks in mid-summer: around day 200 in the northern
-        # hemisphere and day 20 in the southern hemisphere.
-        peak_day = 200.0 if latitude_deg >= 0 else 20.0
+        # Temperature.  The seasonal cycle peaks in mid-summer: around day 200
+        # in the northern hemisphere and day 20 in the southern one; the
+        # diurnal cycle peaks mid-afternoon (15:00) and bottoms before dawn.
         seasonal = climate.seasonal_amplitude_c * np.cos(
-            2.0 * math.pi * (day_of_year - peak_day) / DAYS_PER_YEAR
+            2.0 * math.pi * (day - (200.0 if north else 20.0)) / DAYS_PER_YEAR
         )
-        # Diurnal cycle peaks mid-afternoon (15:00) and bottoms before dawn.
         diurnal = climate.diurnal_amplitude_c * np.cos(2.0 * math.pi * (hour_of_day - 15.0) / 24.0)
-        daily_noise = np.repeat(rng.normal(0.0, 1.5, DAYS_PER_YEAR), HOURS_PER_DAY)
-        hourly_noise = rng.normal(0.0, 0.4, HOURS_PER_YEAR)
-        return climate.mean_temperature_c + seasonal + diurnal + daily_noise + hourly_noise
+        daily_noise = rng.normal(0.0, 1.5, DAYS_PER_YEAR)[day]
+        hourly_noise = rng.normal(0.0, 0.4, HOURS_PER_YEAR)[hours]
+        temperature = climate.mean_temperature_c + seasonal + diurnal + daily_noise + hourly_noise
 
-    def _irradiance(
-        self,
-        latitude_deg: float,
-        climate: ClimateProfile,
-        day_of_year: np.ndarray,
-        hour_of_day: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        clear = clear_sky_irradiance(latitude_deg, day_of_year, hour_of_day)
-        # Day-to-day clearness index: cloudy locations lose more energy and
-        # see larger swings between overcast and clear days.
+        # Irradiance.  A day-to-day clearness index: cloudy locations lose
+        # more energy and see larger swings between overcast and clear days.
+        clear = clear_sky_irradiance(latitude_deg, day, hour_of_day)
         base_clearness = 1.0 - 0.65 * climate.cloudiness
         daily_clearness = np.clip(
             rng.beta(4.0 * (1.0 - climate.cloudiness) + 1.0, 4.0 * climate.cloudiness + 1.0, DAYS_PER_YEAR),
             0.05,
             1.0,
-        )
-        clearness = 0.5 * base_clearness + 0.5 * np.repeat(daily_clearness, HOURS_PER_DAY)
-        hourly_flicker = np.clip(rng.normal(1.0, 0.05, HOURS_PER_YEAR), 0.7, 1.2)
-        return np.maximum(0.0, clear * clearness * hourly_flicker)
+        )[day]
+        clearness = 0.5 * base_clearness + 0.5 * daily_clearness
+        hourly_flicker = np.clip(rng.normal(1.0, 0.05, HOURS_PER_YEAR)[hours], 0.7, 1.2)
+        ghi = np.maximum(0.0, clear * clearness * hourly_flicker)
 
-    def _wind(
-        self,
-        latitude_deg: float,
-        climate: ClimateProfile,
-        day_of_year: np.ndarray,
-        hour_of_day: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        peak_day = 15.0 if latitude_deg >= 0 else 195.0  # wind tends to peak in winter
+        # Wind tends to peak in winter, with day-scale lognormal variability
+        # approximating a Weibull distribution.
         seasonal = 1.0 + climate.wind_seasonality * np.cos(
-            2.0 * math.pi * (day_of_year - peak_day) / DAYS_PER_YEAR
+            2.0 * math.pi * (day - (15.0 if north else 195.0)) / DAYS_PER_YEAR
         )
         diurnal = 1.0 + 0.15 * np.cos(2.0 * math.pi * (hour_of_day - 14.0) / 24.0)
-        # Day-scale lognormal variability approximating a Weibull distribution.
-        daily = np.repeat(
-            rng.lognormal(mean=-0.5 * climate.wind_variability**2, sigma=climate.wind_variability, size=DAYS_PER_YEAR),
-            HOURS_PER_DAY,
-        )
-        hourly = np.clip(rng.normal(1.0, 0.15, HOURS_PER_YEAR), 0.3, 2.0)
-        wind = climate.mean_wind_speed_m_s * seasonal * diurnal * daily * hourly
-        return np.maximum(0.0, wind)
+        daily = rng.lognormal(
+            mean=-0.5 * climate.wind_variability**2, sigma=climate.wind_variability, size=DAYS_PER_YEAR
+        )[day]
+        hourly = np.clip(rng.normal(1.0, 0.15, HOURS_PER_YEAR)[hours], 0.3, 2.0)
+        wind = np.maximum(0.0, climate.mean_wind_speed_m_s * seasonal * diurnal * daily * hourly)
 
-    def _pressure(
-        self,
-        climate: ClimateProfile,
-        temperature_c: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        # Barometric formula for the mean plus small synoptic noise.
+        # Pressure: the barometric formula for the mean plus small synoptic noise.
         sea_level_kpa = 101.325
         scale_height_m = 8434.0
         mean_pressure = sea_level_kpa * math.exp(-max(0.0, climate.altitude_m) / scale_height_m)
-        noise = np.repeat(rng.normal(0.0, 0.6, DAYS_PER_YEAR), HOURS_PER_DAY)
-        return np.maximum(50.0, mean_pressure + noise)
+        pressure = np.maximum(50.0, mean_pressure + rng.normal(0.0, 0.6, DAYS_PER_YEAR)[day])
+        return checked_channels(temperature, ghi, wind, pressure)
 
     # -- helpers ----------------------------------------------------------------
     def _rng(self, name: str) -> np.random.Generator:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.energy import EpochGrid, LocationProfile, calibrate_series, capacity_factor
+from repro.energy import (
+    EpochGrid,
+    LocationProfile,
+    RefinedEpochGrid,
+    calibrate_series,
+    capacity_factor,
+)
 from repro.energy.capacity_factor import annual_energy_kwh
 
 
@@ -106,6 +112,27 @@ class TestEpochGrid:
         assert indices.shape == (12, 4)
         assert indices[0, 0] == 0
         assert indices[6, 0] == 100 * 24
+
+    def test_hour_layout_is_flattened_hour_indices(self):
+        grid = EpochGrid(representative_days=(200, 3), hours_per_epoch=8)
+        assert np.array_equal(grid.hour_layout, grid.hour_indices().ravel())
+        assert grid.hour_layout is grid.hour_layout
+        with pytest.raises(ValueError):
+            grid.hour_layout[0] = 1
+
+    @pytest.mark.parametrize("hours_per_epoch", [1, 3, 8, 12, 24])
+    def test_aggregate_bitwise_equals_per_epoch_mean(self, hours_per_epoch):
+        """One aggregation path, rounding exactly like a 1-D mean per epoch."""
+        hourly = np.random.default_rng(hours_per_epoch).lognormal(size=8760) * 1e3
+        grid = EpochGrid(representative_days=(364, 0, 180), hours_per_epoch=hours_per_epoch)
+        refined = RefinedEpochGrid(
+            representative_days=(364, 0, 180),
+            day_patterns=((12, 1, 1, 3, 7), (24,), (1,) * 8 + (8, 8)),
+        )
+        for each in (grid, refined):
+            expected = [hourly[np.asarray(hours)].mean() for hours in each.hour_indices()]
+            assert np.array_equal(each.aggregate(hourly), expected)
+            assert np.array_equal(each.epoch_means(hourly[each.hour_layout]), expected)
 
 
 class TestProfileBuilder:

@@ -1,7 +1,11 @@
 """Tests for the world location catalogue."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from repro.energy import EpochGrid, ProfileBuilder
 from repro.weather import ANCHOR_LOCATIONS, Location, WorldCatalog, build_world_catalog
 from repro.weather.locations import LocationOverrides
 from repro.weather.synthesis import ClimateProfile
@@ -119,9 +123,29 @@ class TestWorldCatalog:
         with pytest.raises(ValueError):
             WorldCatalog([])
 
-    def test_tmy_cached(self, catalog):
+    def test_tmy_repeatable(self, catalog):
         location = catalog.get("Nairobi, Kenya")
-        assert catalog.tmy(location) is catalog.tmy(location)
+        hours = np.array([8759, 0, 17, 17, 4380])
+        first = catalog.tmy(location, hours)
+        second = catalog.tmy(location, hours)
+        assert first.keys() == second.keys()
+        for channel in first:
+            assert first[channel].shape == (5,)
+            assert np.array_equal(first[channel], second[channel])
+
+    def test_profile_build_keeps_no_hourly_weather(self):
+        """Profiles of 300 locations leave little behind: no hourly TMY is kept."""
+        catalog = build_world_catalog(num_locations=300)
+        grid = EpochGrid.from_seasons(days_per_season=1, hours_per_epoch=3)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            profiles = ProfileBuilder(catalog).build_all(grid)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(profiles) == 300
+        assert after - before < 8 * 1024 * 1024
 
     def test_overrides_used_for_anchor_prices(self, catalog):
         mount_washington = catalog.get("Mount Washington, NH, USA")
