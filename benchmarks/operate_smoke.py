@@ -57,7 +57,7 @@ def main() -> int:
                 if stats["cold_loads"] != 1:
                     print(
                         f"FAIL: {policy} replay performed {stats['cold_loads']} cold "
-                        "LP loads — the horizon slide is rebuilding instead of splicing"
+                        "LP loads — the horizon slide is loading cold instead of warm"
                     )
                     return 1
                 if stats["lp_solves"] != steps or stats["slides"] != steps - 1:

@@ -571,7 +571,7 @@ def run_operate(args: argparse.Namespace, stream) -> int:
                 f"(oracle {100 * record['oracle_green_fraction']:.1f} %)",
                 f"  SLA violation steps  : {record['sla_violation_steps']}",
                 f"  dispatch LPs         : {record['lp_solves']} solves, "
-                f"{record['cold_loads']} cold load(s), {record['slides']} in-place slides, "
+                f"{record['cold_loads']} cold load(s), {record['slides']} window slides, "
                 f"{100 * record['warm_start_rate']:.0f} % warm-started",
             ],
             stream,

@@ -17,9 +17,9 @@ process — sweep points and serve requests are what cross process
 boundaries (:mod:`repro.parallel`):
 
 * the *filter* prices candidate locations in chunks through
-  :func:`~repro.core.single_site.priced_in_chunks` on a thread pool sized by
-  :func:`~repro.parallel.executors.available_cpu_count`, each chunk solved
-  as one block-diagonal stack or through one warm-started HiGHS model;
+  :func:`~repro.core.single_site.priced_in_chunks`, one chunk after another,
+  each chunk solved as one block-diagonal stack or through one warm-started
+  HiGHS model;
 * the *search* runs its annealing chains sequentially, each chain starting
   from the best siting found so far — the role of the paper's periodic
   synchronisation — with its own RNG and move mix, so the outcome is
@@ -59,7 +59,6 @@ from repro.core.single_site import (
 )
 from repro.core.solution import NetworkPlan
 from repro.lpsolver import SolverOptions, highs_backend
-from repro.parallel.executors import available_cpu_count
 
 #: Neighbour-move identifiers (the paper's four move kinds; "swap" is the
 #: combination of a remove and an add in one step, and "merge" removes one
@@ -205,10 +204,9 @@ class HeuristicSolver:
         (its exact cost is at least its bound), so the pruning never changes
         the result, only the work.  Exact pricing solves each size-capped
         chunk as one block-diagonal mega-LP (per-site warm-started solves
-        only when the stack is infeasible) on a thread pool sized by
-        :func:`~repro.parallel.executors.available_cpu_count`; both the chunk
-        split and the round schedule depend only on the candidate data, so
-        shortlists are bit-identical for every worker count.
+        only when the stack is infeasible), one chunk after another; both
+        the chunk split and the round schedule depend only on the candidate
+        data.
 
         Like the paper's filter, similar locations are not all kept: the
         survivors are spread across time zones (the paper removes "subsets of
@@ -242,7 +240,6 @@ class HeuristicSolver:
         longitudes = [profile.location.point.longitude for profile in profiles]
         bands = [int((longitude + 180.0) // 45.0) for longitude in longitudes]
         keep = max(settings.keep_locations, problem.min_datacenters)
-        workers = available_cpu_count()
         pricing_compiler = ProvisioningCompiler(pricing_problem)
 
         screen = screen_lower_bounds(pricing_problem, dict(sitings))
@@ -269,7 +266,6 @@ class HeuristicSolver:
                 pricing_problem,
                 [sitings[i] for i in take],
                 self.solver_options,
-                workers,
                 compiler=pricing_compiler,
                 price=price_batch,
             )

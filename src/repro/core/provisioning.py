@@ -265,7 +265,10 @@ class ProvisioningCompiler:
     The annealing moves — add, remove, swap, resize, merge — revisit the same
     pairs constantly, so after warm-up a model assembly is little more than
     concatenating cached arrays and adding the cross-site coupling rows.
-    Thread-safe; the parallel annealing chains share one compiler.
+    Thread-safe: the runner's thread executor shares one compiler across
+    the sweep points that define the same LP (and ``repro serve``'s thread
+    executor shares one runner), so concurrent points read and fill the
+    skeleton cache together.
     """
 
     def __init__(self, problem: SitingProblem) -> None:

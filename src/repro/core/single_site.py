@@ -10,8 +10,8 @@ The pricing LPs of a sweep are structurally identical (same epoch grid, same
 scenario switches, one site), so sweeps accept a shared
 :class:`~repro.lpsolver.MutableHighsModel` whose basis carry-over roughly
 halves the per-location solve time, and :func:`priced_in_chunks` — the one
-pricing fan-out of both the Fig. 6 sweep and the heuristic's filter — prices
-chunks of locations in the caller or on a thread pool.
+pricing path of both the Fig. 6 sweep and the heuristic's filter — prices
+chunks of locations in turn, in the caller.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.core.screening import price_batch
 from repro.core.solution import NetworkPlan
 from repro.energy.profiles import LocationProfile
 from repro.lpsolver import MutableHighsModel, SolverOptions
-from repro.parallel.executors import ExecutorFactory
 
 
 def scoring_parameters(
@@ -62,13 +61,14 @@ def single_site_size_class(
     return "small" if total_power <= params.small_dc_threshold_kw else "large"
 
 
-#: Row budget of one pricing chunk: chunks are sized so the LP rows a single
-#: worker holds (one warm-start sequence, or one block-diagonal stack) stay
+#: Row budget of one pricing chunk: chunks are sized so the LP rows one
+#: chunk holds (one warm-start sequence, or one block-diagonal stack) stay
 #: bounded no matter how large the candidate catalogue grows.
 PRICING_CHUNK_ROW_CAP = 20_000
 
-#: Floor on the chunk count so mid-size sweeps still spread across workers
-#: (the pre-batching filter always used 8 fixed chunks).
+#: Floor on the chunk count (the pre-batching filter always used 8 fixed
+#: chunks); the split fixes which LPs share a stack, and so the priced costs
+#: bit for bit.
 MIN_PRICING_CHUNKS = 8
 
 
@@ -101,10 +101,10 @@ def pricing_chunk_count(
     """Size-aware chunk count for a pricing sweep of ``num_items`` LPs.
 
     Chunks are capped at ``row_cap`` LP rows each so very large catalogues
-    never ship thousands of sites to one worker, with at least ``min_chunks``
-    chunks for worker spread.  The count depends only on the sweep size —
-    never on the worker count — which keeps per-chunk pricing sequences
-    (and therefore scores, bit for bit) identical for any number of threads.
+    never stack thousands of sites into one LP, with at least
+    ``min_chunks`` chunks.  The count depends only on the sweep size, which
+    fixes the per-chunk pricing sequences (and therefore scores, bit for
+    bit).
     """
     if num_items <= 0:
         return 1
@@ -116,10 +116,9 @@ def pricing_chunk_count(
 def split_chunks(items, num_chunks: int) -> list:
     """``items`` split into at most ``num_chunks`` contiguous chunks.
 
-    The split depends only on ``num_chunks`` — never on how many workers end
-    up executing the chunks — which is what keeps per-chunk warm-start
-    sequences (and therefore pricing scores, bit for bit) independent of the
-    worker count.
+    The split depends only on ``num_chunks``, which is what fixes the
+    per-chunk warm-start sequences (and therefore pricing scores, bit for
+    bit).
     """
     if not items:
         return []
@@ -132,35 +131,30 @@ def priced_in_chunks(
     problem: SitingProblem,
     sitings: Sequence[Tuple[str, str]],
     options: SolverOptions,
-    workers: int = 1,
     compiler: Optional[ProvisioningCompiler] = None,
     price: Optional[Callable[..., List[Tuple[str, float, bool]]]] = None,
 ) -> List[Tuple[str, float, bool]]:
     """Exactly price ``(location, size_class)`` pairs of ``problem`` in chunks.
 
-    The one pricing fan-out behind the heuristic's filter and
+    The one pricing path behind the heuristic's filter and
     :meth:`SingleSiteAnalyzer.cost_distribution`.  The pairs are split into
-    :func:`pricing_chunk_count` contiguous chunks and each chunk is priced as
-    one block-diagonal stack (:func:`~repro.core.screening.price_batch`,
-    which falls back to per-site warm-started solves when the stack is
-    infeasible).  With ``workers`` > 1 the chunks run on a thread pool and
-    share ``compiler``; one worker, or a lone chunk, prices in the caller.
-    ``price`` replaces the pricer, so a caller can route the chunks through
-    its own module's binding of ``price_batch``.
+    :func:`pricing_chunk_count` contiguous chunks and each chunk is priced in
+    the caller, in turn, as one block-diagonal stack
+    (:func:`~repro.core.screening.price_batch`, which falls back to per-site
+    warm-started solves when the stack is infeasible); every chunk shares
+    ``compiler``.  ``price`` replaces the pricer, so a caller can route the
+    chunks through its own module's binding of ``price_batch``.
 
     Rows come back as ``(location, monthly_cost, feasible)`` in ``sitings``
-    order.  The chunk split depends only on the sweep size, never on the
-    worker count, so the rows are bit-identical for any number of threads.
+    order.  The chunk split depends only on the sweep size.
     """
     num_chunks = pricing_chunk_count(len(sitings), single_site_row_estimate(problem))
     chunks = split_chunks(sitings, num_chunks)
     shared = compiler or ProvisioningCompiler(problem)
     pricer = price or price_batch
     rows: List[Tuple[str, float, bool]] = []
-    with ExecutorFactory(kind="thread", max_workers=workers).create(len(chunks)) as pool:
-        futures = [pool.submit(pricer, problem, chunk, options, shared) for chunk in chunks]
-        for future in futures:
-            rows.extend(future.result())
+    for chunk in chunks:
+        rows.extend(pricer(problem, chunk, options, shared))
     return rows
 
 

@@ -22,20 +22,14 @@ size classes — and the dual simplex typically re-converges in a handful of
 iterations (~2x faster end-to-end on the pricing sweep).  Without a model
 the solve is one-shot and cold.
 
-In-place mutation
------------------
-Instead of re-passing the whole LP for every solve (``passModel`` throws
-away the scaled matrix and the simplex factorisation), a loaded
-:class:`MutableHighsModel` can be *edited* between solves through HiGHS's
-modification API — add or delete column and row ranges, change column and
-row bounds.  The previous optimal basis is carried across structural edits
-by explicit padding/projection: retained columns and rows keep their
-statuses, new columns enter nonbasic at a finite bound and new rows enter
-with a basic slack.  When deletions make the projected basis non-square it
-is installed as an "alien" basis that HiGHS repairs, which is still far
-cheaper than a cold start.  The rolling dispatcher
-(:mod:`repro.operator.dispatch`) slides its look-ahead window this way on
-one persistent model per replay.
+Rolling windows
+---------------
+The rolling dispatcher (:mod:`repro.operator.dispatch`) reloads its
+look-ahead window into one persistent model every step and re-installs the
+previous optimal basis rotated by one window step
+(:meth:`MutableHighsModel.roll_basis`), so the expiring step's statuses stand
+in for the appended one.  Every LP, cold or warm, enters HiGHS through one
+``passModel`` and every warm start is a native basis.
 
 A model must only ever be used from one thread at a time; concurrent sweeps
 create one model per worker.
@@ -71,14 +65,6 @@ _STATUS_MAP = {
     _core.HighsModelStatus.kTimeLimit: SolveStatus.ITERATION_LIMIT,
     _core.HighsModelStatus.kIterationLimit: SolveStatus.ITERATION_LIMIT,
 }
-#: Basis statuses indexed by their integer value, for fast int -> enum
-#: conversion when (re)installing a projected basis.
-_BASIS_STATUSES = sorted(_core.HighsBasisStatus.__members__.values(), key=lambda s: int(s))
-_BASIC = int(_core.HighsBasisStatus.kBasic)
-_LOWER = int(_core.HighsBasisStatus.kLower)
-_UPPER = int(_core.HighsBasisStatus.kUpper)
-_ZERO = int(_core.HighsBasisStatus.kZero)
-
 
 @dataclass
 class SolverOptions:
@@ -165,24 +151,14 @@ def solve_row_form(
 
 
 class MutableHighsModel:
-    """One HiGHS instance whose loaded LP is mutated in place between solves.
+    """One HiGHS instance that LPs are loaded into and solved on.
 
-    The model starts from :meth:`load` (a cold ``passModel``).
-    :func:`solve_row_form` reloads it for every LP and re-installs the
-    previous optimal basis when the shape matches (the provisioning LPs of
-    the filter and the annealing search).  The rolling dispatcher instead
-    edits it through :meth:`add_cols`/:meth:`add_rows`/:meth:`delete_cols`/
-    :meth:`delete_rows`/:meth:`change_col_bounds`/:meth:`change_row_bounds`.
-    Between solves the previous optimal basis is projected onto the mutated
-    dimensions and re-installed, so the simplex warm-starts even across
-    structural changes:
-
-    * retained columns and rows keep their basis statuses,
-    * new columns enter nonbasic at a finite bound (``kZero`` when free),
-    * new rows enter with their slack basic,
-    * when deletions removed basic columns (or nonbasic rows) the projection
-      is no longer a square basis; it is installed with ``alien=True`` and
-      HiGHS repairs it, which still preserves most of the basis information.
+    Every LP enters through :meth:`load` (a ``passModel``).  The native
+    basis of the last optimal solve is carried as a :class:`BasisSnapshot`
+    and installed at the next solve when its shape matches the loaded model:
+    :func:`solve_row_form` restores it after each reload (the provisioning
+    LPs of the filter and the annealing search), and the rolling dispatcher
+    restores it rotated by one window step (:meth:`roll_basis`).
 
     Instances are not thread-safe: one model per heuristic solver (and so
     per annealing chain) and one per dispatcher.
@@ -193,184 +169,56 @@ class MutableHighsModel:
         self._highs.setOptionValue("output_flag", False)
         self.num_cols = 0
         self.num_rows = 0
-        # The basis travels in two forms.  ``_native`` is the native
-        # HighsBasis of the last optimal solve (or one restored by the
-        # caller) with the shape it was taken at: installing it costs
-        # nothing in Python.  ``_col_status``/
-        # ``_row_status`` are int arrays used only to *project* the basis
-        # across structural edits — they are derived lazily from the native
-        # object on the first edit, padded/filtered as columns and rows come
-        # and go, and converted back (the slow path) only when a projected
-        # basis actually has to be installed.
+        #: Native HighsBasis of the last optimal solve (or one restored by
+        #: the caller) with the shape it was taken at.
         self._native: Optional[BasisSnapshot] = None
-        self._projection_dirty = False
-        self._col_status: Optional[np.ndarray] = None
-        self._row_status: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> Tuple[int, int]:
         """``(num_cols, num_rows)`` of the loaded model."""
         return (self.num_cols, self.num_rows)
 
-    def _drop_basis(self) -> None:
-        self._native = None
-        self._projection_dirty = False
-        self._col_status = None
-        self._row_status = None
-
-    def _ensure_status_arrays(self) -> bool:
-        """Materialise the int status arrays from the native basis object."""
-        if self._col_status is not None and self._row_status is not None:
-            return True
-        if self._native is None or self._native.shape != self.shape:
-            return False
-        basis = self._native.basis
-        self._col_status = np.fromiter((int(s) for s in basis.col_status), dtype=np.int32)
-        self._row_status = np.fromiter((int(s) for s in basis.row_status), dtype=np.int32)
-        return True
-
-    # -- structural edits -------------------------------------------------------
     def load(self, row_form: RowFormLP) -> None:
-        """Replace the loaded model wholesale (cold start)."""
+        """Replace the loaded model wholesale and drop the carried basis."""
         if _validate.validation_enabled():
             # Load checks structure only.  Empty rows and orphan columns are
             # the solver's to classify: an LP that is unbounded or infeasible
             # by construction must come back as that status, not as a
-            # validation error.  Solve entry re-checks row coverage on the
-            # live model after the dispatcher's splices.
+            # validation error.
             _validate.validate_row_form(
                 row_form, "MutableHighsModel.load", check_empty_rows=False
             )
         self._highs.passModel(_build_lp(row_form))
         self.num_rows, self.num_cols = row_form.shape
-        self._drop_basis()
-
-    def add_cols(
-        self,
-        cost: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        starts: np.ndarray,
-        row_indices: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        """Append columns; matrix entries may reference any existing row."""
-        count = len(cost)
-        self._highs.addCols(
-            count,
-            np.ascontiguousarray(cost, dtype=np.float64),
-            np.ascontiguousarray(lower, dtype=np.float64),
-            np.ascontiguousarray(upper, dtype=np.float64),
-            len(values),
-            np.ascontiguousarray(starts, dtype=np.int32),
-            np.ascontiguousarray(row_indices, dtype=np.int32),
-            np.ascontiguousarray(values, dtype=np.float64),
-        )
-        if self._ensure_status_arrays():
-            # Nonbasic at a finite bound; free columns sit at zero.
-            padding = np.where(
-                np.isfinite(lower), _LOWER, np.where(np.isfinite(upper), _UPPER, _ZERO)
-            ).astype(np.int32)
-            self._col_status = np.concatenate([self._col_status, padding])
-            self._projection_dirty = True
-        self.num_cols += count
-
-    def add_rows(
-        self,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        starts: np.ndarray,
-        col_indices: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        """Append rows; matrix entries may reference any existing column."""
-        count = len(lower)
-        self._highs.addRows(
-            count,
-            np.ascontiguousarray(lower, dtype=np.float64),
-            np.ascontiguousarray(upper, dtype=np.float64),
-            len(values),
-            np.ascontiguousarray(starts, dtype=np.int32),
-            np.ascontiguousarray(col_indices, dtype=np.int32),
-            np.ascontiguousarray(values, dtype=np.float64),
-        )
-        if self._ensure_status_arrays():
-            padding = np.full(count, _BASIC, dtype=np.int32)
-            self._row_status = np.concatenate([self._row_status, padding])
-            self._projection_dirty = True
-        self.num_rows += count
-
-    def delete_cols(self, indices: np.ndarray) -> None:
-        indices = np.ascontiguousarray(np.sort(indices), dtype=np.int32)
-        self._highs.deleteCols(len(indices), indices)
-        if self._ensure_status_arrays():
-            self._col_status = np.delete(self._col_status, indices)
-            self._projection_dirty = True
-        self.num_cols -= len(indices)
-
-    def delete_rows(self, indices: np.ndarray) -> None:
-        indices = np.ascontiguousarray(np.sort(indices), dtype=np.int32)
-        self._highs.deleteRows(len(indices), indices)
-        if self._ensure_status_arrays():
-            self._row_status = np.delete(self._row_status, indices)
-            self._projection_dirty = True
-        self.num_rows -= len(indices)
-
-    # -- value edits ------------------------------------------------------------
-    def change_col_bounds(
-        self, indices: np.ndarray, lower: np.ndarray, upper: np.ndarray
-    ) -> None:
-        self._highs.changeColsBounds(
-            len(indices),
-            np.ascontiguousarray(indices, dtype=np.int32),
-            np.ascontiguousarray(lower, dtype=np.float64),
-            np.ascontiguousarray(upper, dtype=np.float64),
-        )
-
-    def change_row_bounds(self, index: int, lower: float, upper: float) -> None:
-        self._highs.changeRowBounds(int(index), float(lower), float(upper))
+        self._native = None
 
     # -- basis transfer ----------------------------------------------------------
-    def capture_block_status(
-        self, col_start: int, col_stop: int, row_start: int, row_stop: int
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Int basis statuses of a column/row block, or None when cold.
+    def roll_basis(self, cols: int, rows: int) -> None:
+        """Rotate the carried basis by ``cols`` columns and ``rows`` rows.
 
-        Callers use this to remember the statuses of a block about to be
-        deleted (the dispatcher's expiring horizon step) so they can be
-        transplanted onto a structurally identical replacement block with
-        :meth:`overlay_block_status` — the "per-block basis memory" idea.
+        The first ``cols`` column and ``rows`` row statuses move to the end.
+        The rolling dispatcher lays its window out step-major, so after the
+        window slides one step this rotation maps every surviving step's
+        statuses onto its new position and hands the expiring step's
+        statuses to the appended one.  A rotation keeps the number of basic
+        variables, so the rotated basis is as valid (and as square) as the
+        carried one.  A no-op when no basis is carried.
         """
-        if not self._ensure_status_arrays():
-            return None
-        return (
-            self._col_status[col_start:col_stop].copy(),
-            self._row_status[row_start:row_stop].copy(),
-        )
-
-    def overlay_block_status(
-        self,
-        col_start: int,
-        col_status: np.ndarray,
-        row_start: int,
-        row_status: np.ndarray,
-    ) -> None:
-        """Overwrite the projected statuses of a block with captured ones.
-
-        The overlay usually makes the projected basis non-square (the
-        transplanted block brings its own basic columns), so it is installed
-        as an alien basis that HiGHS repairs — the point is preserving the
-        block-local structure of the basis, not its exact squareness.
-        """
-        if not self._ensure_status_arrays():
+        if self._native is None:
             return
-        self._col_status[col_start : col_start + len(col_status)] = col_status
-        self._row_status[row_start : row_start + len(row_status)] = row_status
-        self._projection_dirty = True
+        basis = self._native.basis
+        col_status = list(basis.col_status)
+        row_status = list(basis.row_status)
+        rolled = _core.HighsBasis()
+        rolled.col_status = col_status[cols:] + col_status[:cols]
+        rolled.row_status = row_status[rows:] + row_status[:rows]
+        rolled.valid = basis.valid
+        rolled.alien = basis.alien
+        self._native = BasisSnapshot(rolled, self._native.shape)
 
     def basis_snapshot(self) -> Optional[BasisSnapshot]:
-        """The native basis of the last optimal solve (None when cold or edited)."""
-        return self._native if not self._projection_dirty else None
+        """The native basis of the last optimal solve (None when cold)."""
+        return self._native
 
     def restore_basis(self, snapshot: BasisSnapshot) -> None:
         """Adopt a stored native basis (e.g. from before a :meth:`load`).
@@ -381,53 +229,26 @@ class MutableHighsModel:
         otherwise that solve starts cold.  It stays the carried basis until a
         solve is optimal, so a failed solve in between does not lose it.
         Provisioning site blocks are structurally identical, so a same-shape
-        basis transfers across different location mixes; installing a native
-        object costs nothing in Python, unlike the projected-array path.
+        basis transfers across different location mixes.
         """
-        self._drop_basis()
         self._native = snapshot
 
     def clear_basis(self) -> None:
         """Drop every carried basis so the next solve starts cold.
 
         The resilience ladder uses this between a failed warm solve and its
-        retry: a corrupted or badly-repaired alien basis is the most likely
-        culprit for a spurious non-optimal status, and clearing it is far
-        cheaper than rebuilding the whole model.
+        retry: a bad carried basis is the most likely culprit for a spurious
+        non-optimal status, and clearing it is far cheaper than reloading the
+        whole model.
         """
-        self._drop_basis()
+        self._native = None
         self._highs.clearSolver()
 
     # -- solving ----------------------------------------------------------------
     def install_basis(self) -> None:
-        """Install the carried basis: native when clean, projected when edited.
-
-        After structural edits the projected arrays are converted back to a
-        HighsBasis; when deletions removed basic columns (or nonbasic rows)
-        the projection is no longer square and is installed as *alien* so
-        HiGHS repairs it instead of rejecting it.
-        """
-        if not self._projection_dirty:
-            if self._native is not None and self._native.shape == self.shape:
-                self._highs.setBasis(self._native.basis)
-            return
-        if (
-            self._col_status is None
-            or self._row_status is None
-            or len(self._col_status) != self.num_cols
-            or len(self._row_status) != self.num_rows
-        ):  # pragma: no cover - projection drifted; fall back to cold
-            self._drop_basis()
-            return
-        basis = _core.HighsBasis()
-        basis.col_status = [_BASIS_STATUSES[s] for s in self._col_status]
-        basis.row_status = [_BASIS_STATUSES[s] for s in self._row_status]
-        basic_total = int(np.count_nonzero(self._col_status == _BASIC)) + int(
-            np.count_nonzero(self._row_status == _BASIC)
-        )
-        basis.valid = True
-        basis.alien = basic_total != self.num_rows
-        self._highs.setBasis(basis)
+        """Hand the carried basis to HiGHS when its shape matches the model."""
+        if self._native is not None and self._native.shape == self.shape:
+            self._highs.setBasis(self._native.basis)
 
     def solve(self, options: SolverOptions, check: bool = False) -> SolveResult:
         """Solve the currently loaded model, warm-starting when possible.
@@ -437,9 +258,8 @@ class MutableHighsModel:
         iteration count attached) instead of handing back a ``nan`` objective.
         """
         if _validate.validation_enabled():
-            # Solve entry audits the whole splice sequence that led here:
-            # dimension bookkeeping vs the actual HiGHS model, and basis
-            # padding/projection lengths after ranged adds/deletes.
+            # Solve entry audits the dimension bookkeeping against the
+            # model HiGHS actually holds.
             _validate.validate_mutable_model(self, "MutableHighsModel.solve")
         return self._run(options, "highs-mutable", check)
 
@@ -479,7 +299,6 @@ class MutableHighsModel:
                     row_form.objective_constant
                 )
             if keep_basis:
-                self._drop_basis()
                 self._native = BasisSnapshot(self._highs.getBasis(), self.shape)
         else:
             x = None

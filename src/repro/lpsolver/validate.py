@@ -1,20 +1,19 @@
 """Structural LP validation behind the ``REPRO_VALIDATE=1`` environment knob.
 
-The incremental machinery (in-place :class:`MutableHighsModel` splices,
+The incremental machinery (compiled dispatch-window templates,
 block-diagonal stacking, compiled-skeleton instantiation) trades re-validation
 for speed: HiGHS is handed raw CSC arrays with no checking, so a malformed
 model — a NaN cost smuggled in by an uninitialised profile, a crossed bound
-after a bound edit, duplicate COO coordinates from a buggy skeleton rewrite,
-a basis projection whose length drifted from the model after a ranged
-delete — produces silently-wrong optima rather than errors.
+after a slot fill, duplicate COO coordinates from a buggy skeleton rewrite —
+produces silently-wrong optima rather than errors.
 
 This module makes every such hand-off auditable.  With ``REPRO_VALIDATE=1``
 in the environment the three structural hand-off points validate their
 models and raise :class:`LPValidationError` listing *all* violations:
 
-* :meth:`MutableHighsModel.load` / :meth:`MutableHighsModel.solve` — the cold
-  row-form load, and the dimension/basis bookkeeping after any splice
-  sequence (every solve follows the splices that produced it);
+* :meth:`MutableHighsModel.load` / :meth:`MutableHighsModel.solve` — the
+  row-form load, and the dimension bookkeeping against the LP HiGHS holds
+  when it is solved;
 * :func:`repro.lpsolver.batch.stack_block_diagonal` — the stacked mega-LP and
   its block boundary offsets;
 * :meth:`ProvisioningCompiler.compile_row_form` — every compiled-skeleton
@@ -24,7 +23,7 @@ models and raise :class:`LPValidationError` listing *all* violations:
 Validation is O(nnz) numpy per call and entirely skipped (one dict lookup)
 when the knob is off, so production paths pay nothing; the differential test
 suite run under ``REPRO_VALIDATE=1`` doubles as an invariant audit of every
-splice and stack it exercises.
+load and stack it exercises.
 """
 
 from __future__ import annotations
@@ -309,20 +308,14 @@ def validate_block_offsets(
 def validate_mutable_model(
     model: "MutableHighsModel", label: str = "mutable HiGHS model"
 ) -> None:
-    """Validate a :class:`MutableHighsModel`'s dimension/basis bookkeeping.
+    """Validate a :class:`MutableHighsModel`'s dimension bookkeeping.
 
-    Called on solve entry, i.e. after any sequence of in-place splices:
+    Called on solve entry:
 
     * the tracked ``num_cols``/``num_rows`` must match what HiGHS actually
-      holds (a drift means a splice miscounted an add/delete range);
-    * the projected basis status arrays, when materialised, must match the
-      tracked dimensions (a mismatch means padding after an add/delete range
-      was skipped or mis-sized — installing such a basis corrupts the warm
-      start silently, because HiGHS "repairs" it);
-    * the spliced model's costs/bounds/values must be NaN-free with no
-      crossed bounds, and every row whose bounds exclude 0 must have matrix
-      entries — staged rows (loaded empty, filled by later ``add_cols``) must
-      be covered by the time anything solves.
+      holds (a drift means the model was changed behind the tracker's back);
+    * the live model's costs/bounds/values must be NaN-free with no crossed
+      bounds, and every row whose bounds exclude 0 must have matrix entries.
     """
     violations: List[str] = []
     highs = model._highs
@@ -336,24 +329,13 @@ def validate_mutable_model(
         violations.append(
             f"tracked num_rows={model.num_rows} but HiGHS holds {actual_rows} rows"
         )
-    col_status, row_status = model._col_status, model._row_status
-    if col_status is not None and len(col_status) != model.num_cols:
-        violations.append(
-            f"projected basis has {len(col_status)} column statuses for "
-            f"{model.num_cols} columns (basis padding after a splice drifted)"
-        )
-    if row_status is not None and len(row_status) != model.num_rows:
-        violations.append(
-            f"projected basis has {len(row_status)} row statuses for "
-            f"{model.num_rows} rows (basis padding after a splice drifted)"
-        )
     violations.extend(_live_lp_violations(highs.getLp()))
     if violations:
         raise LPValidationError(label, violations)
 
 
 def _live_lp_violations(lp: Any) -> List[str]:
-    """Structural violations of the LP HiGHS currently holds (post-splice)."""
+    """Structural violations of the LP HiGHS currently holds."""
     from repro.lpsolver.highs_backend import _core
 
     violations: List[str] = []
@@ -364,22 +346,22 @@ def _live_lp_violations(lp: Any) -> List[str]:
     row_lower = np.asarray(lp.row_lower_, dtype=float)
     row_upper = np.asarray(lp.row_upper_, dtype=float)
     values = np.asarray(lp.a_matrix_.value_, dtype=float)
-    _check_finite("spliced cost", cost, violations, allow_inf=False)
-    _check_finite("spliced a_data", values, violations, allow_inf=False)
-    _check_finite("spliced lower", lower, violations, allow_inf=True)
-    _check_finite("spliced upper", upper, violations, allow_inf=True)
-    _check_finite("spliced row_lower", row_lower, violations, allow_inf=True)
-    _check_finite("spliced row_upper", row_upper, violations, allow_inf=True)
+    _check_finite("live cost", cost, violations, allow_inf=False)
+    _check_finite("live a_data", values, violations, allow_inf=False)
+    _check_finite("live lower", lower, violations, allow_inf=True)
+    _check_finite("live upper", upper, violations, allow_inf=True)
+    _check_finite("live row_lower", row_lower, violations, allow_inf=True)
+    _check_finite("live row_upper", row_upper, violations, allow_inf=True)
     if len(lower) == len(upper) and (lower > upper).any():
         where = int(np.flatnonzero(lower > upper)[0])
         violations.append(
-            f"spliced crossed column bounds lb>ub at column {where} "
+            f"live crossed column bounds lb>ub at column {where} "
             f"({lower[where]!r} > {upper[where]!r})"
         )
     if len(row_lower) == len(row_upper) and (row_lower > row_upper).any():
         where = int(np.flatnonzero(row_lower > row_upper)[0])
         violations.append(
-            f"spliced crossed row bounds lb>ub at row {where} "
+            f"live crossed row bounds lb>ub at row {where} "
             f"({row_lower[where]!r} > {row_upper[where]!r})"
         )
     # Row coverage: the matrix may be held row- or column-wise after edits.
@@ -396,7 +378,7 @@ def _live_lp_violations(lp: Any) -> List[str]:
         infeasible = empty[(row_lower[empty] > 0.0) | (row_upper[empty] < 0.0)]
         if len(infeasible):
             violations.append(
-                f"spliced empty row {int(infeasible[0])} with bounds excluding 0 "
-                "(a staged or spliced row was never filled)"
+                f"live empty row {int(infeasible[0])} with bounds excluding 0 "
+                "(a row was never filled)"
             )
     return violations

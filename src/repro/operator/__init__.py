@@ -4,8 +4,9 @@ The siting study answers *where to build*; this package answers *how to run
 it*: a traffic layer synthesizing request-level demand from regional user
 populations (:mod:`repro.operator.traffic`), pluggable energy/load
 forecasters with deterministic noise (:mod:`repro.operator.forecast`), a
-dispatch core that re-solves a sliding-window LP as in-place splices on one
-persistent HiGHS model (:mod:`repro.operator.dispatch`), a replay
+dispatch core that re-solves a sliding-window LP from one compiled window
+template on one persistent, warm-started HiGHS model
+(:mod:`repro.operator.dispatch`), a replay
 harness comparing oracle and forecast-driven policies over the same trace
 (:mod:`repro.operator.replay`), and a pure-numpy greedy dispatcher that
 keeps replays alive — flagged degraded — when the LP solver is entirely

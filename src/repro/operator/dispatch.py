@@ -11,24 +11,19 @@ window — plus an explicit unserved-demand slack whose penalty turns
 capacity shortfalls (flash crowds) into a measurable SLA violation instead
 of an infeasible LP.
 
-The window LP is **never rebuilt between steps**: the model lives in a
-:class:`~repro.lpsolver.highs_backend.MutableHighsModel` whose columns and
-rows are laid out step-major, so advancing the horizon is
-
-1. delete the expiring first step's column/row block,
-2. re-anchor the new first step to the realized load and battery levels
-   (the coefficients tying it to the deleted block vanish with the block,
-   leaving pure bound edits),
-3. append a fresh block at the horizon's far end, carrying over the basis
-   statuses of the expiring block (per-block basis memory), and
-4. refresh the forecast-dependent right-hand sides (demand, production),
-
-with the previous optimal basis carried across the splice.  Only the
-resilience ladder reloads the window cold.  A cold rebuild of the identical
-window (:meth:`RollingDispatcher.rebuild_window`) serves as the differential
-oracle, and ``stats`` counts loads/slides/solves so tests can assert that a
-replay of *n* steps performs exactly one cold load and ``n - 1`` in-place
-slides.
+Every window has the same sparsity: the columns and rows are laid out
+step-major, step 0 is anchored to the realized load and battery levels, and
+only a few values move from one window to the next — the PUE coefficients of
+the power balances, the forecast demand and production right-hand sides, the
+tier caps and the step-0 anchors.  The dispatcher therefore compiles one
+window template per replay (:class:`_WindowTemplate`) and fills its slots with
+NumPy gathers for each window.  Every window is loaded into one persistent
+:class:`~repro.lpsolver.highs_backend.MutableHighsModel`; advancing the
+horizon re-installs the previous optimal basis rolled by one step block, so
+the surviving steps keep their statuses and the appended step inherits the
+expiring step's (per-block basis memory).  ``stats`` counts cold loads,
+slides and solves so tests can assert that a replay of *n* steps performs
+exactly one cold load and ``n - 1`` warm slides.
 """
 
 from __future__ import annotations
@@ -189,17 +184,45 @@ class DispatchDecision:
         return max(float(self.migrate_kw.sum()), 0.0)
 
 
+@dataclass(frozen=True)
+class _WindowTemplate:
+    """The fixed part of every dispatch window and the slots each one fills.
+
+    Column costs and bounds, the CSC structure and every constant matrix
+    value and row bound are compiled once.  The slot arrays index the entries
+    that change per window; those shaped ``(H, N)`` or ``(H, K)`` are
+    step-major, those shaped ``(N,)`` belong to the anchored step 0.
+    """
+
+    cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    a_indptr: np.ndarray
+    a_indices: np.ndarray
+    a_data: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    pue_slots: np.ndarray          #: a_data of ``-pue`` on compute (H, N)
+    pue_mf_slots: np.ndarray       #: a_data of ``-pue * mf`` on migrate (H, N)
+    demand_rows: np.ndarray        #: demand rows, lower bound (H,)
+    green_rows: np.ndarray         #: green-allocation rows, upper bound (H, N)
+    tier_rows: np.ndarray          #: tier-cap rows, upper bound (H, K or 0)
+    tier_fractions: np.ndarray     #: demand share each tier-cap row allows (K or 0,)
+    migration_rows: np.ndarray     #: step-0 migration anchors, lower bound (N,)
+    battery_rows: np.ndarray       #: step-0 battery anchors, both bounds (N,)
+
+
 class DispatchError(RuntimeError):
     """Raised when a window LP fails to solve to optimality."""
 
 
 class RollingDispatcher:
-    """Sliding-window dispatcher over one persistent mutable HiGHS model.
+    """Sliding-window dispatcher over one persistent HiGHS model.
 
     Not thread-safe; one dispatcher per replay.  :meth:`start` cold-loads
-    the first window and every :meth:`advance` splices the next one in
-    place; ``stats["cold_loads"]`` counts the start plus every cold reload
-    of the resilience ladder.
+    the first window and every :meth:`advance` loads the next one warm,
+    with the previous basis rolled one step; ``stats["cold_loads"]`` counts
+    the start plus every cold reload of the resilience ladder.
     """
 
     def __init__(
@@ -226,9 +249,12 @@ class RollingDispatcher:
         )
         self._K = len(self._tiers)
         self._ncols_step = 1 + 8 * self._N + (self._K - 1)
+        #: Step-local column of each tier's unserved slack (tier 0 is column 0).
+        self._tier_cols = np.concatenate(([0], 1 + 8 * self._N + np.arange(self._K - 1)))
         self._nrows_step = 2 + 5 * self._N + (self._K if self._tiered else 0)
         self._model = highs_backend.MutableHighsModel()
-        # Current window state (kept for slides, RHS refreshes and rebuilds).
+        # Current window state (the template's slot values and the ladder's
+        # cold reloads read it).
         self._start_step: Optional[int] = None
         self._load_kw: Optional[np.ndarray] = None
         self._level_kwh: Optional[np.ndarray] = None
@@ -241,7 +267,7 @@ class RollingDispatcher:
         self._capacity_nominal = np.array([site.capacity_kw for site in self.sites])
         self._capacity_now = self._capacity_nominal.copy()
         self._wan_factor = 1.0
-        self._restore_first_step = False
+        self._template = self._compile_window()
         self._fault_steps: frozenset = frozenset()
         self._outage_steps: frozenset = frozenset()
         self._greedy = None
@@ -259,7 +285,7 @@ class RollingDispatcher:
     def inject_solve_failures(self, steps) -> None:
         """Treat the warm solve at these window start steps as failed.
 
-        Chaos-engineering hook: the listed steps skip the in-place warm solve
+        Chaos-engineering hook: the listed steps skip the warm solve
         and its basis-cleared retry, forcing the slide -> cold-rebuild
         fallback ladder so replays can verify graceful degradation (counters
         increment, objectives stay identical to the cold oracle).
@@ -277,26 +303,17 @@ class RollingDispatcher:
         """
         self._outage_steps = frozenset(int(step) for step in steps)
 
-    # -- column/row block construction -----------------------------------------
-    def _col(self, base: int, site: int, var: int) -> int:
-        return base + 1 + 8 * site + var
-
-    def _tier_col(self, base: int, tier: int) -> int:
-        """Column of one shedding tier's unserved slack (tier 0 is column 0)."""
-        if tier == 0:
-            return base
-        return base + 1 + 8 * self._N + (tier - 1)
-
-    def _step_columns(self, absolute: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(cost, lower, upper) of one step's column block."""
+    # -- window template ---------------------------------------------------------
+    def _step_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cost, lower, upper) of one step's column block (the same every step)."""
         cfg = self.config
         delta = cfg.step_hours
         n = self._ncols_step
         cost = np.zeros(n)
         lower = np.zeros(n)
         upper = np.full(n, np.inf)
-        for k, (_, penalty) in enumerate(self._tiers):
-            cost[self._tier_col(0, k)] = penalty * delta
+        for tier_col, (_, penalty) in zip(self._tier_cols, self._tiers):
+            cost[tier_col] = penalty * delta
         for d, site in enumerate(self.sites):
             base = 1 + 8 * d
             upper[base + _C] = site.capacity_kw
@@ -314,166 +331,132 @@ class RollingDispatcher:
                 upper[base + _X] = 0.0
         return cost, lower, upper
 
-    def _step_rows(
-        self,
-        absolute: int,
-        base: int,
-        prev_base: Optional[int],
-        demand: float,
-        production: np.ndarray,
-        load_anchor: Optional[np.ndarray],
-        level_anchor: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Row-wise CSR data of one step's row block.
+    def _compile_window(self) -> _WindowTemplate:
+        """Compile the H-step window with step 0 anchored.
 
-        ``prev_base`` is the column base of the previous step's block, or
-        ``None`` for the anchored first step (whose coupling terms move into
-        the bounds via ``load_anchor`` / ``level_anchor``).
+        Per step and site the rows are capacity, migration, power balance,
+        green allocation and battery dynamics, after the step's demand and
+        WAN rows and before its tier caps.  Step ``t > 0`` couples to step
+        ``t - 1`` through the migration and battery rows; step 0 carries
+        those terms in its anchor bounds instead.
         """
         cfg = self.config
+        H, N = self._H, self._N
+        nc, nr = self._ncols_step, self._nrows_step
         delta = cfg.step_hours
         eff = cfg.battery_efficiency
-        mf = cfg.migration_factor
-        anchored = prev_base is None
-        row_lower: List[float] = []
-        row_upper: List[float] = []
-        cols: List[List[int]] = []
-        vals: List[List[float]] = []
+        steps = np.arange(H)[:, None]
+        col = steps * nc + 1 + 8 * np.arange(N)        # (H, N) site column base
+        row = steps * nr + 2 + 5 * np.arange(N)        # (H, N) site row base
+        demand_rows = steps * nr                         # (H, 1)
+        tier_cols = steps * nc + self._tier_cols         # (H, K)
+        capped = self._tiers if self._tiered else ()   # untiered: no cap rows
+        tier_rows = steps * nr + 2 + 5 * N + np.arange(len(capped))
+        blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+        def add(rows: np.ndarray, cols: np.ndarray, value: float) -> np.ndarray:
+            """Append broadcast COO entries; returns their COO positions."""
+            entry_rows, entry_cols, entry_vals = np.broadcast_arrays(rows, cols, value)
+            offset = sum(len(block[0]) for block in blocks)
+            blocks.append(
+                (entry_rows.ravel(), entry_cols.ravel(), entry_vals.ravel().astype(float))
+            )
+            return offset + np.arange(entry_rows.size).reshape(entry_rows.shape)
 
         # demand: unserved (all tiers) + sum(compute) >= demand
-        tier_cols = [self._tier_col(base, k) for k in range(self._K)]
-        cols.append(tier_cols + [self._col(base, d, _C) for d in range(self._N)])
-        vals.append([1.0] * (self._K + self._N))
-        row_lower.append(float(demand))
-        row_upper.append(np.inf)
+        add(demand_rows, tier_cols, 1.0)
+        add(demand_rows, col + _C, 1.0)
         # wan: sum(migrate) <= budget
-        cols.append([self._col(base, d, _M) for d in range(self._N)])
-        vals.append([1.0] * self._N)
-        row_lower.append(-np.inf)
-        row_upper.append(cfg.wan_move_kw if cfg.wan_move_kw is not None else np.inf)
+        add(demand_rows + 1, col + _M, 1.0)
+        # capacity: compute + incoming-migration overhead within the cap
+        add(row, col + _C, 1.0)
+        add(row, col + _M, 1.0)
+        # migration: load that left since the previous step
+        add(row + 1, col + _M, 1.0)
+        add(row + 1, col + _C, 1.0)
+        add(row[1:] + 1, col[:-1] + _C, -1.0)
+        # power balance: green + battery + brown cover the facility demand
+        add(row + 2, col + _G, 1.0)
+        add(row + 2, col + _DIS, 1.0)
+        add(row + 2, col + _B, 1.0)
+        pue_coo = add(row + 2, col + _C, 0.0)
+        pue_mf_coo = add(row + 2, col + _M, 0.0)
+        # green allocation: direct use + charge + export within production
+        for var in (_G, _CH, _X):
+            add(row + 3, col + var, 1.0)
+        # battery dynamics
+        add(row + 4, col + _LEV, 1.0)
+        add(row + 4, col + _CH, -eff * delta)
+        add(row + 4, col + _DIS, delta)
+        add(row[1:] + 4, col[:-1] + _LEV, -1.0)
+        # tier caps: each priority class may shed at most its share
+        add(tier_rows, tier_cols, 1.0)
 
-        for d, site in enumerate(self.sites):
-            c = self._col(base, d, _C)
-            m = self._col(base, d, _M)
-            b = self._col(base, d, _B)
-            g = self._col(base, d, _G)
-            ch = self._col(base, d, _CH)
-            dis = self._col(base, d, _DIS)
-            lev = self._col(base, d, _LEV)
-            x = self._col(base, d, _X)
-            pue = float(site.pue[absolute])
-            # capacity: compute + incoming-migration overhead within the cap
-            cols.append([c, m])
-            vals.append([1.0, 1.0])
-            row_lower.append(-np.inf)
-            row_upper.append(site.capacity_kw)
-            # migration: load that left since the previous step
-            if anchored:
-                cols.append([m, c])
-                vals.append([1.0, 1.0])
-                row_lower.append(float(load_anchor[d]))
-            else:
-                cols.append([m, c, self._col(prev_base, d, _C)])
-                vals.append([1.0, 1.0, -1.0])
-                row_lower.append(0.0)
-            row_upper.append(np.inf)
-            # power balance: green + battery + brown cover the facility demand
-            cols.append([g, dis, b, c, m])
-            vals.append([1.0, 1.0, 1.0, -pue, -pue * mf])
-            row_lower.append(0.0)
-            row_upper.append(np.inf)
-            # green allocation: direct use + charge + export within production
-            cols.append([g, ch, x])
-            vals.append([1.0, 1.0, 1.0])
-            row_lower.append(-np.inf)
-            row_upper.append(float(production[d]))
-            # battery dynamics
-            if anchored:
-                cols.append([lev, ch, dis])
-                vals.append([1.0, -eff * delta, delta])
-                anchor = float(level_anchor[d])
-                row_lower.append(anchor)
-                row_upper.append(anchor)
-            else:
-                cols.append([lev, self._col(prev_base, d, _LEV), ch, dis])
-                vals.append([1.0, -1.0, -eff * delta, delta])
-                row_lower.append(0.0)
-                row_upper.append(0.0)
-
-        if self._tiered:
-            # tier caps: each priority class may shed at most its share
-            for k in range(self._K):
-                cols.append([self._tier_col(base, k)])
-                vals.append([1.0])
-                row_lower.append(-np.inf)
-                row_upper.append(self._tiers[k][0] * float(demand))
-
-        starts = np.zeros(len(cols) + 1, dtype=np.int64)
-        np.cumsum([len(entry) for entry in cols], out=starts[1:])
-        return (
-            np.asarray(row_lower),
-            np.asarray(row_upper),
-            starts,
-            np.concatenate([np.asarray(entry, dtype=np.int64) for entry in cols]),
-            np.concatenate([np.asarray(entry, dtype=float) for entry in vals]),
-        )
-
-    # -- whole-window assembly (cold path and differential oracle) --------------
-    def _build_row_form(self) -> RowFormLP:
-        """The current window as one RowFormLP (identical layout to the splices)."""
-        H, N = self._H, self._N
-        ncols = H * self._ncols_step
-        nrows = H * self._nrows_step
-        cost_parts, lower_parts, upper_parts = [], [], []
-        row_lower = np.empty(nrows)
-        row_upper = np.empty(nrows)
-        coo_rows: List[np.ndarray] = []
-        coo_cols: List[np.ndarray] = []
-        coo_vals: List[np.ndarray] = []
-        for t in range(H):
-            absolute = self._start_step + t
-            base = t * self._ncols_step
-            prev_base = None if t == 0 else (t - 1) * self._ncols_step
-            cost, lower, upper = self._step_columns(absolute)
-            cost_parts.append(cost)
-            lower_parts.append(lower)
-            upper_parts.append(upper)
-            r_lower, r_upper, starts, cols, vals = self._step_rows(
-                absolute,
-                base,
-                prev_base,
-                self._demand_hat[t],
-                self._production_hat[:, t],
-                self._load_kw if t == 0 else None,
-                self._level_kwh if t == 0 else None,
-            )
-            offset = t * self._nrows_step
-            row_lower[offset : offset + self._nrows_step] = r_lower
-            row_upper[offset : offset + self._nrows_step] = r_upper
-            lengths = np.diff(starts)
-            coo_rows.append(np.repeat(np.arange(self._nrows_step, dtype=np.int64) + offset, lengths))
-            coo_cols.append(cols)
-            coo_vals.append(vals)
-
-        rows = np.concatenate(coo_rows)
-        cols = np.concatenate(coo_cols)
-        vals = np.concatenate(coo_vals)
+        ncols, nrows = H * nc, H * nr
+        rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
         order = np.argsort(cols * np.int64(nrows) + rows, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
         indptr = np.zeros(ncols + 1, dtype=np.int64)
         np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
-        lower = np.concatenate(lower_parts)
-        upper = np.concatenate(upper_parts)
-        if self._faulted:
-            self._override_first_step(row_lower, row_upper, upper)
-        return RowFormLP(
-            cost=np.concatenate(cost_parts),
+
+        row_lower = np.zeros(nrows)
+        row_upper = np.full(nrows, np.inf)
+        for free_below in (demand_rows + 1, row, row + 3, tier_rows):
+            row_lower[free_below] = -np.inf
+        row_upper[demand_rows + 1] = cfg.wan_move_kw if cfg.wan_move_kw is not None else np.inf
+        row_upper[row] = self._capacity_nominal
+        row_upper[row + 4] = 0.0
+        cost, lower, upper = self._step_columns()
+        return _WindowTemplate(
+            cost=np.tile(cost, H),
+            lower=np.tile(lower, H),
+            upper=np.tile(upper, H),
             a_indptr=indptr.astype(np.int32),
             a_indices=rows[order].astype(np.int32),
             a_data=vals[order],
+            row_lower=row_lower,
+            row_upper=row_upper,
+            pue_slots=position[pue_coo],
+            pue_mf_slots=position[pue_mf_coo],
+            demand_rows=demand_rows[:, 0],
+            green_rows=row + 3,
+            tier_rows=tier_rows,
+            tier_fractions=np.array([fraction for fraction, _ in capped]),
+            migration_rows=row[0] + 1,
+            battery_rows=row[0] + 4,
+        )
+
+    def _window_row_form(self) -> RowFormLP:
+        """The current window: the template with its slots filled."""
+        template = self._template
+        steps = np.arange(self._start_step, self._start_step + self._H)
+        pue = np.stack([site.pue[steps] for site in self.sites], axis=1)
+        a_data = template.a_data.copy()
+        a_data[template.pue_slots] = -pue
+        a_data[template.pue_mf_slots] = -pue * self.config.migration_factor
+        row_lower = template.row_lower.copy()
+        row_upper = template.row_upper.copy()
+        row_lower[template.demand_rows] = self._demand_hat
+        row_upper[template.green_rows] = self._production_hat.T
+        row_upper[template.tier_rows] = template.tier_fractions * self._demand_hat[:, None]
+        row_lower[template.migration_rows] = self._load_kw
+        row_lower[template.battery_rows] = self._level_kwh
+        row_upper[template.battery_rows] = self._level_kwh
+        upper = template.upper
+        if self._faulted:
+            upper = upper.copy()
+            self._override_first_step(row_lower, row_upper, upper)
+        nrows, ncols = len(row_lower), len(upper)
+        return RowFormLP(
+            cost=template.cost,
+            a_indptr=template.a_indptr,
+            a_indices=template.a_indices,
+            a_data=a_data,
             shape=(nrows, ncols),
             row_lower=row_lower,
             row_upper=row_upper,
-            lower=lower,
+            lower=template.lower,
             upper=upper,
             integrality=np.zeros(ncols, dtype=np.int64),
             maximise=False,
@@ -565,8 +548,7 @@ class RollingDispatcher:
             start_step, load_kw, level_kwh, demand_hat, production_hat,
             capacity_now=capacity_now, wan_factor=wan_factor,
         )
-        self._model.load(self._build_row_form())
-        self._restore_first_step = self._faulted
+        self._model.load(self._window_row_form())
         self.stats["cold_loads"] += 1
         return self._solve()
 
@@ -579,82 +561,21 @@ class RollingDispatcher:
         capacity_now: Optional[np.ndarray] = None,
         wan_factor: float = 1.0,
     ) -> DispatchDecision:
-        """Slide the window one step forward, re-anchor, refresh, solve."""
+        """Slide the window one step forward, re-anchor, refresh, solve warm."""
         if self._start_step is None:
             raise RuntimeError("advance() before start()")
         self._set_window(
             self._start_step + 1, load_kw, level_kwh, demand_hat, production_hat,
             capacity_now=capacity_now, wan_factor=wan_factor,
         )
-        model = self._model
-        # Per-block basis memory: the expiring step's statuses are
-        # transplanted onto the appended step.  The slide is a pure block
-        # swap, and the transplant beats plain projection on it (about 30 %
-        # fewer simplex iterations).
-        captured = model.capture_block_status(0, self._ncols_step, 0, self._nrows_step)
-        # 1. drop the expiring step (its coupling coefficients go with it).
-        model.delete_cols(np.arange(self._ncols_step, dtype=np.int64))
-        model.delete_rows(np.arange(self._nrows_step, dtype=np.int64))
-        # 2. re-anchor the (new) first step to the realized state.  Load
-        #    stranded above the currently available capacity (a site outage)
-        #    is released from the migration anchor — it crashed with the
-        #    site, so it re-enters through the demand row instead.
-        for d in range(self._N):
-            mig_row = 2 + 5 * d + 1
-            anchor_kw = min(float(self._load_kw[d]), float(self._capacity_now[d]))
-            model.change_row_bounds(mig_row, anchor_kw, np.inf)
-            bdyn_row = 2 + 5 * d + 4
-            anchor = float(self._level_kwh[d])
-            model.change_row_bounds(bdyn_row, anchor, anchor)
-        # 3. append the fresh far-end step.
-        t = self._H - 1
-        absolute = self._start_step + t
-        base = t * self._ncols_step
-        cost, lower, upper = self._step_columns(absolute)
-        empty = np.zeros(self._ncols_step + 1, dtype=np.int64)
-        model.add_cols(cost, lower, upper, empty[: self._ncols_step + 1],
-                       np.zeros(0, dtype=np.int64), np.zeros(0))
-        r_lower, r_upper, starts, cols, vals = self._step_rows(
-            absolute,
-            base,
-            (t - 1) * self._ncols_step,
-            self._demand_hat[t],
-            self._production_hat[:, t],
-            None,
-            None,
-        )
-        model.add_rows(r_lower, r_upper, starts, cols, vals)
-        if captured is not None:
-            model.overlay_block_status(base, captured[0],
-                                       t * self._nrows_step, captured[1])
-        # 4. refresh the forecast-dependent right-hand sides of the rest of
-        #    the window (the appended step already carries fresh values).
-        for k in range(t):
-            offset = k * self._nrows_step
-            demand_k = float(self._demand_hat[k])
-            model.change_row_bounds(offset, demand_k, np.inf)
-            for d in range(self._N):
-                model.change_row_bounds(
-                    offset + 2 + 5 * d + 3, -np.inf, float(self._production_hat[d, k])
-                )
-            if self._tiered:
-                for tier in range(self._K):
-                    model.change_row_bounds(
-                        offset + 2 + 5 * self._N + tier,
-                        -np.inf,
-                        self._tiers[tier][0] * demand_k,
-                    )
-        # 5. impose (or lift) realized faults on the first step's bounds.
-        #    Skipped entirely on the nominal path so fault support costs an
-        #    unfaulted replay nothing.
-        faulted = self._faulted
-        if faulted or self._restore_first_step:
-            indices = 1 + 8 * np.arange(self._N, dtype=np.int64) + _C
-            model.change_col_bounds(indices, np.zeros(self._N), self._capacity_now)
-            for d in range(self._N):
-                model.change_row_bounds(2 + 5 * d, -np.inf, float(self._capacity_now[d]))
-            model.change_row_bounds(1, -np.inf, self._wan_upper())
-            self._restore_first_step = faulted
+        # Per-block basis memory: the window is step-major, so the previous
+        # basis rolled by one step keeps every surviving step's statuses and
+        # hands the expiring step's to the appended one.
+        self._model.roll_basis(self._ncols_step, self._nrows_step)
+        basis = self._model.basis_snapshot()
+        self._model.load(self._window_row_form())
+        if basis is not None:
+            self._model.restore_basis(basis)
         self.stats["slides"] += 1
         return self._solve()
 
@@ -671,8 +592,8 @@ class RollingDispatcher:
         if injected or result.status is not SolveStatus.OPTIMAL:
             # Resilience ladder: a failed (or injected-as-failed) warm
             # solve first retries once with the carried basis dropped — a
-            # badly repaired alien basis is the usual culprit — and only
-            # then falls back to a cold rebuild of the window.  Every leg
+            # bad carried basis is the usual culprit — and only then falls
+            # back to a cold reload of the window.  Every leg
             # is counted; a non-optimal status never leaks an objective.
             self.stats["slide_retries"] += 1
             if not injected:
@@ -681,8 +602,7 @@ class RollingDispatcher:
             if injected or result.status is not SolveStatus.OPTIMAL:
                 self.stats["fallback_rebuilds"] += 1
                 self.stats["cold_loads"] += 1
-                self._model.load(self._build_row_form())
-                self._restore_first_step = self._faulted
+                self._model.load(self._window_row_form())
                 result = None if outage else self._model.solve(self.options)
             warm = False
         if warm and result is not None and result.status is SolveStatus.OPTIMAL:
@@ -724,7 +644,7 @@ class RollingDispatcher:
         block = np.asarray(x[: self._ncols_step], dtype=float)
         per_site = block[1 : 1 + 8 * self._N].reshape(self._N, 8)
         if self._tiered:
-            tier_unserved = np.array([block[self._tier_col(0, k)] for k in range(self._K)])
+            tier_unserved = block[self._tier_cols]
             unserved = float(tier_unserved.sum())
         else:
             tier_unserved = None
@@ -744,21 +664,3 @@ class RollingDispatcher:
             iterations=iterations,
             unserved_by_tier=tier_unserved,
         )
-
-    # -- differential oracle ------------------------------------------------------
-    def rebuild_window(self) -> float:
-        """Cold-build and cold-solve the *current* window; returns the objective.
-
-        Does not touch the mutable model or the counters — this is the
-        differential oracle the sliding-horizon tests pin the in-place
-        slides against (same window state, from-scratch assembly).
-        """
-        if self._start_step is None:
-            raise RuntimeError("rebuild_window() before start()")
-        result = highs_backend.solve_row_form(self._build_row_form(), self.options)
-        if result.status is not SolveStatus.OPTIMAL:
-            raise DispatchError(
-                f"rebuilt window LP at step {self._start_step} not optimal: "
-                f"{result.status.value}: {result.message}"
-            )
-        return float(result.objective)

@@ -212,13 +212,9 @@ def _zero_bounds(problem, size_classes=None):
 
 
 @contextlib.contextmanager
-def _filter_stages(screen, batch, cpus=1):
-    """Turn the filter's screen and batching off by patching its bindings.
-
-    ``cpus`` sizes the filter's pricing thread pool.
-    """
+def _filter_stages(screen, batch):
+    """Turn the filter's screen and batching off by patching its bindings."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(heuristic, "available_cpu_count", lambda: cpus)
         if not screen:
             patch.setattr(heuristic, "screen_lower_bounds", _zero_bounds)
         if not batch:
@@ -249,7 +245,7 @@ class TestFilterShortlistInvariance:
         problem, expected = reference_shortlist
         settings = SearchSettings(keep_locations=8, num_chains=1, seed=3)
         solver = HeuristicSolver(problem, settings)
-        with _filter_stages(screen, batch, cpus=2):
+        with _filter_stages(screen, batch):
             assert solver.filter_locations() == expected
         stats = solver._filter_stats
         assert stats["filter_candidates"] == len(problem.profiles)

@@ -1,10 +1,8 @@
-"""Unit tests for the in-place mutable HiGHS model layer.
+"""Unit tests for the persistent HiGHS model layer.
 
-Every mutation (add/delete column and row ranges, column and row bound
-edits) is checked against a from-scratch ``linprog`` solve of an equivalent
-:class:`~repro.lpsolver.RowFormLP` — the mutated model must stay
-bit-compatible with the LP it claims to represent, across warm starts and
-basis projections.
+Loads and solves are checked against a from-scratch ``linprog`` solve of the
+same :class:`~repro.lpsolver.RowFormLP`; the carried basis is checked across
+snapshots, restores and the rolling dispatcher's one-step rotation.
 """
 
 import numpy as np
@@ -58,69 +56,6 @@ class TestMutableHighsModel:
         _assert_matches(mutable, reference)
         assert mutable.num_cols == 3 and mutable.num_rows == 3
 
-    def test_change_col_bounds(self):
-        reference, mutable = _load_base()
-        mutable.solve(SolverOptions())  # establish a basis to carry
-        mutable.change_col_bounds(np.array([1]), np.array([0.5]), np.array([5.0]))
-        new_bounds = [(0.0, np.inf), (0.5, 5.0), (0.0, np.inf)]
-        _assert_matches(mutable, _reference_model(BASE_COST, BASE_ROWS, new_bounds))
-
-    def test_change_row_bounds(self):
-        reference, mutable = _load_base()
-        mutable.solve(SolverOptions())
-        mutable.change_row_bounds(0, 8.0, np.inf)
-        rows = [
-            ([1.0, 1.0, 1.0], ConstraintSense.GREATER_EQUAL, 8.0),
-            ([2.0, 0.0, 1.0], ConstraintSense.LESS_EQUAL, 10.0),
-            ([0.0, 1.0, -1.0], ConstraintSense.GREATER_EQUAL, -1.0),
-        ]
-        _assert_matches(mutable, _reference_model(BASE_COST, rows, BASE_BOUNDS))
-
-    def test_add_cols_and_rows(self):
-        reference, mutable = _load_base()
-        mutable.solve(SolverOptions())
-        # New column x3 with cost 0.25, entering existing row 0 with coeff 1.
-        mutable.add_cols(
-            cost=np.array([0.25]),
-            lower=np.array([0.0]),
-            upper=np.array([4.0]),
-            starts=np.array([0, 1]),
-            row_indices=np.array([0]),
-            values=np.array([1.0]),
-        )
-        # New row: x0 + x3 <= 5.
-        mutable.add_rows(
-            lower=np.array([-np.inf]),
-            upper=np.array([5.0]),
-            starts=np.array([0, 2]),
-            col_indices=np.array([0, 3]),
-            values=np.array([1.0, 1.0]),
-        )
-        assert mutable.num_cols == 4 and mutable.num_rows == 4
-        cost = BASE_COST + [0.25]
-        bounds = BASE_BOUNDS + [(0.0, 4.0)]
-        rows = [
-            ([1.0, 1.0, 1.0, 1.0], ConstraintSense.GREATER_EQUAL, 6.0),
-            ([2.0, 0.0, 1.0, 0.0], ConstraintSense.LESS_EQUAL, 10.0),
-            ([0.0, 1.0, -1.0, 0.0], ConstraintSense.GREATER_EQUAL, -1.0),
-            ([1.0, 0.0, 0.0, 1.0], ConstraintSense.LESS_EQUAL, 5.0),
-        ]
-        _assert_matches(mutable, _reference_model(cost, rows, bounds))
-
-    def test_delete_cols_and_rows(self):
-        reference, mutable = _load_base()
-        mutable.solve(SolverOptions())
-        mutable.delete_cols(np.array([1]))
-        mutable.delete_rows(np.array([2]))
-        assert mutable.num_cols == 2 and mutable.num_rows == 2
-        cost = [1.0, 0.5]
-        bounds = [(0.0, np.inf)] * 2
-        rows = [
-            ([1.0, 1.0], ConstraintSense.GREATER_EQUAL, 6.0),
-            ([2.0, 1.0], ConstraintSense.LESS_EQUAL, 10.0),
-        ]
-        _assert_matches(mutable, _reference_model(cost, rows, bounds))
-
     def test_basis_snapshot_restore(self):
         reference, mutable = _load_base()
         first = mutable.solve(SolverOptions())
@@ -133,9 +68,41 @@ class TestMutableHighsModel:
         warm = other.solve(SolverOptions())
         assert warm.objective == pytest.approx(first.objective, rel=1e-12)
 
-    def test_snapshot_none_while_projection_dirty(self):
-        reference, mutable = _load_base()
+    def test_roll_basis_rotates_statuses(self):
+        # Optimal basis: x0 and x2 basic, x1 and x3 at their lower bounds; the
+        # two covering rows tight, the x0 <= 5 row slack (basic).
+        rows = [
+            ([1.0, 1.0, 0.0, 0.0], ConstraintSense.GREATER_EQUAL, 1.0),
+            ([0.0, 0.0, 1.0, 1.0], ConstraintSense.GREATER_EQUAL, 2.0),
+            ([1.0, 0.0, 0.0, 0.0], ConstraintSense.LESS_EQUAL, 5.0),
+        ]
+        mutable = highs_backend.MutableHighsModel()
+        mutable.load(_reference_model([1.0, 3.0, 1.0, 3.0], rows, [(0.0, np.inf)] * 4))
         mutable.solve(SolverOptions())
-        mutable.delete_cols(np.array([1]))
-        # Structural edit without a re-solve: the native basis is stale.
+        before = mutable.basis_snapshot()
+        cols, rows = list(before.basis.col_status), list(before.basis.row_status)
+        mutable.roll_basis(1, 2)
+        after = mutable.basis_snapshot()
+        assert list(after.basis.col_status) == cols[1:] + cols[:1] != cols
+        assert list(after.basis.row_status) == rows[2:] + rows[:2] != rows
+        assert after.shape == before.shape
+        assert (after.basis.valid, after.basis.alien) == (before.basis.valid, before.basis.alien)
+        # The carried basis is replaced, not edited in place.
+        assert list(before.basis.col_status) == cols
+
+    def test_full_roll_is_identity_and_stays_warm(self):
+        reference, mutable = _load_base()
+        first = mutable.solve(SolverOptions())
+        mutable.roll_basis(mutable.num_cols, mutable.num_rows)
+        rolled = mutable.basis_snapshot()
+        mutable.load(reference)
+        mutable.restore_basis(rolled)
+        warm = mutable.solve(SolverOptions())
+        assert warm.objective == pytest.approx(first.objective, rel=1e-12)
+        assert warm.iterations == 0
+
+    def test_roll_basis_is_noop_when_cold(self):
+        _, mutable = _load_base()
+        mutable.roll_basis(1, 1)
         assert mutable.basis_snapshot() is None
+        _assert_matches(mutable, _reference_model(BASE_COST, BASE_ROWS, BASE_BOUNDS))

@@ -135,7 +135,7 @@ class TestOperateCli:
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "in-place slides" in output
+        assert "window slides" in output
         assert "regret" in output
 
     def test_cli_operate_json(self, capsys):

@@ -35,7 +35,7 @@ class TestScenarioSpecValidation:
 
     @pytest.mark.parametrize("knob", ["incremental", "carry_block_status"])
     def test_retired_dispatch_knobs_rejected(self, knob):
-        # The dispatcher always splices its window in place and carries the
+        # The dispatcher always slides its window warm and carries the
         # expiring step's basis; the knobs that switched that off are gone.
         with pytest.raises(ValueError, match="unknown operate knobs"):
             ScenarioSpec(workflow="operate", operate={knob: False})

@@ -2,7 +2,7 @@
 
 The repository's hardest guarantees are *behavioural*: bit-identical results
 across serial/thread/process executors, content-hash-keyed artifact caches
-that stay valid across processes, warm-started LP splices that reproduce cold
+that stay valid across processes, warm-started LP windows that reproduce cold
 solves.  Differential tests catch violations after the fact; ``reprolint``
 encodes the source-level contracts those guarantees rest on as checkable AST
 rules, so a violation fails CI before it ships:
