@@ -20,31 +20,25 @@ of ``repro sweep``, never a different answer.  A mismatch exits nonzero.
 Usage::
 
     PYTHONPATH=src python benchmarks/serve_load.py [--requests 240]
-        [--distinct 12] [--clients 8] [--executor thread] [--append]
+        [--distinct 12] [--clients 8] [--executor thread]
 
-``--append`` records the result as one entry in ``BENCH_solver.json`` (and
-the repo-root mirror), alongside the solver-benchmark trajectory.
+The throughput trajectory is perfbench's ``serve_mixed`` workload
+(``perfbench/run.py``); this script is the quick replay and bit-identity
+check.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import http.client
 import json
-import os
-import platform
 import sys
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-BENCH_DIR = Path(__file__).resolve().parent
-sys.path.insert(0, str(BENCH_DIR))
-sys.path.insert(0, str(BENCH_DIR.parent / "src"))
-
-from run_benchmarks import git_revision, load_trajectory  # noqa: E402
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.scenarios import ExperimentRunner, ScenarioSpec, get_scenario  # noqa: E402
 from repro.serve import HttpFrontend, PlanServer, ServeConfig  # noqa: E402
@@ -297,11 +291,6 @@ def main() -> int:
         action="store_true",
         help="skip the server-vs-direct bit-identity check (quick smoke runs)",
     )
-    parser.add_argument(
-        "--append",
-        action="store_true",
-        help="append the result to benchmarks/BENCH_solver.json (and the root mirror)",
-    )
     args = parser.parse_args()
 
     result = run_load(
@@ -342,27 +331,6 @@ def main() -> int:
             f"  differential: {result['differential_checked']} distinct specs "
             "bit-identical to direct ExperimentRunner records"
         )
-
-    if args.append:
-        output = BENCH_DIR / "BENCH_solver.json"
-        trajectory = load_trajectory(output)
-        entry = {
-            "revision": git_revision(),
-            "date": datetime.datetime.now(datetime.timezone.utc).strftime(
-                "%Y-%m-%dT%H:%M:%SZ"
-            ),
-            "machine": {
-                "platform": platform.platform(),
-                "python": platform.python_version(),
-                "cpus": os.cpu_count(),
-            },
-            "serve_throughput": result,
-        }
-        trajectory["entries"].append(entry)
-        serialized = json.dumps(trajectory, indent=2) + "\n"
-        output.write_text(serialized)
-        (BENCH_DIR.parent / "BENCH_solver.json").write_text(serialized)
-        print(f"appended serve_throughput entry {len(trajectory['entries'])} to {output}")
     return 0
 
 

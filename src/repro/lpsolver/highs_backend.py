@@ -160,8 +160,8 @@ class MutableHighsModel:
     LPs of the filter and the annealing search), and the rolling dispatcher
     restores it rotated by one window step (:meth:`roll_basis`).
 
-    Instances are not thread-safe: one model per heuristic solver (and so
-    per annealing chain) and one per dispatcher.
+    Instances are not thread-safe: one model per heuristic solver (its
+    sequential annealing chains share it) and one per dispatcher.
     """
 
     def __init__(self) -> None:

@@ -585,7 +585,7 @@ class RollingDispatcher:
         # the ladder; an injected solve failure only fails the warm legs.
         outage = self._start_step in self._outage_steps
         result = None
-        warm = self._model.basis_snapshot() is not None or self.stats["lp_solves"] > 0
+        warm = self._model.basis_snapshot() is not None
         injected = outage or self._start_step in self._fault_steps
         if not injected:
             result = self._model.solve(self.options)

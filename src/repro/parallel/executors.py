@@ -19,8 +19,9 @@ The unit that crosses a process boundary is one *point*: an
     A :class:`SerialExecutor` that runs submissions inline.  The reference
     trajectory every other mode is required to reproduce bit for bit.
 
-A heuristic search always runs in its caller's process; only its filter
-pricing fans out, over threads (:func:`~repro.core.single_site.priced_in_chunks`).
+A heuristic search always runs in its caller's process and thread; its
+filter prices its chunks in turn
+(:func:`~repro.core.single_site.priced_in_chunks`).
 
 Worker sizing honours container CPU quotas: ``os.cpu_count()`` reports the
 host's cores even inside a cgroup-limited container, so

@@ -174,38 +174,18 @@ def evaluate_contingencies(
     sizing: Mapping[str, Sequence[float]],
     options: Optional[SolverOptions] = None,
     unserved_penalty_x: float = 10.0,
-    batched: bool = True,
 ) -> Dict[str, np.ndarray]:
     """Re-price a fixed sizing under the nominal year and every N-1 outage.
 
     No budget rows here — a deterministic plan may well violate epsilon,
     and the point is to *measure* by how much.  Returns arrays of length
     ``S + 1`` (index 0 nominal, index ``c`` with site ``c - 1`` dark):
-    ``costs`` (unserved priced in) and ``unserved_kwh``.
-
-    ``batched=True`` stacks the independent fixed-sizing blocks into one
-    block-diagonal LP; ``batched=False`` is the brute-force differential
-    oracle, one solve per contingency.
+    ``costs`` (unserved priced in) and ``unserved_kwh``.  The independent
+    fixed-sizing blocks are stacked into one block-diagonal LP.
     """
     options = options or SolverOptions()
     S = len(siting)
     cases: List[Optional[int]] = [None] + list(range(S))
-    if not batched:
-        costs = np.empty(S + 1)
-        unserved = np.empty(S + 1)
-        for i, case in enumerate(cases):
-            single = solve_ensemble_lp(
-                [compiler],
-                siting,
-                options=options,
-                sizing_bounds=sizing,
-                unserved_penalty_x=unserved_penalty_x,
-                blocked_sites=[case],
-            )
-            costs[i] = single.per_draw_costs[0]
-            unserved[i] = single.per_draw_unserved_energy[0]
-        return {"costs": costs, "unserved_kwh": unserved}
-
     blocks = []
     layouts = []
     for case in cases:

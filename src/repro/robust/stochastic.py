@@ -399,8 +399,7 @@ def solve_ensemble_lp(
     """Build and solve the stochastic LP over one compiler per draw.
 
     See :func:`build_ensemble_row_form` for the meaning of every knob; this
-    wrapper assembles, solves (HiGHS when available, scipy otherwise) and
-    reads the solution back.
+    wrapper assembles, solves with HiGHS and reads the solution back.
     """
     options = options or SolverOptions()
     row_form, layout = build_ensemble_row_form(

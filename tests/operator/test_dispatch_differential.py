@@ -74,6 +74,28 @@ class TestEveryCaseMatchesReference:
         assert degraded == dispatcher.stats["greedy_fallback_steps"]
         assert degraded == len(setup.get("outages", ()))
 
+    #: Steps whose window solves cold: the first load, every step the ladder
+    #: reloads (an injected failure or outage) and the step after an outage,
+    #: which loads with no carried basis.
+    COLD_STEPS = {
+        "solve-failures": (0, 2, 5),
+        "solver-outages": (0, 3, 4, 5),
+    }
+
+    @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+    def test_warm_solves_count_only_carried_bases(self, case):
+        name, config_kwargs, site_kwargs, setup = case
+        warm_steps = []
+
+        def check(dispatcher, step, decision):
+            if dispatcher.stats["warm_solves"] > len(warm_steps):
+                warm_steps.append(step)
+
+        dispatcher, decisions = replay_case(config_kwargs, site_kwargs, setup, check=check)
+        cold = self.COLD_STEPS.get(name, (0,))
+        assert warm_steps == [step for step in range(len(decisions)) if step not in cold]
+        assert dispatcher.stats["warm_solves"] == len(decisions) - len(cold)
+
 
 class TestDispatchSemantics:
     def test_migration_is_positive_part_of_load_shed(self):

@@ -19,7 +19,7 @@ import numpy as np
 
 from dispatch_oracle import CASES, replay_case
 
-GOLDEN_SHA256 = "4d339831bdaa0157e190e1309e85fc7c6d9c54a07c725af0e8d25f9ad486e4e5"
+GOLDEN_SHA256 = "b62d36d41f891fbca4663aba34d2ffae53d188043b906462e3f8100378e42dc6"
 
 _ARRAYS = (
     "compute_kw", "migrate_kw", "brown_kw", "green_direct_kw",

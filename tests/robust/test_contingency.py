@@ -15,6 +15,7 @@ from repro.robust import (
     solve_contingency_lp,
 )
 from repro.robust.contingency import _annual_budget_kwh
+from repro.robust.stochastic import solve_ensemble_lp
 from repro.robust.stochastic import plan_siting_and_sizing
 
 
@@ -35,6 +36,25 @@ def det_sizing(two_site_problem, siting, solver_options):
     ).plan
     _, sizing = plan_siting_and_sizing(plan)
     return sizing
+
+
+def _evaluate_one_by_one(compiler, siting, sizing, options, unserved_penalty_x=10.0):
+    """Brute-force oracle for ``evaluate_contingencies``: one LP per contingency."""
+    cases = [None] + list(range(len(siting)))
+    costs = np.empty(len(cases))
+    unserved = np.empty(len(cases))
+    for i, case in enumerate(cases):
+        single = solve_ensemble_lp(
+            [compiler],
+            siting,
+            options=options,
+            sizing_bounds=sizing,
+            unserved_penalty_x=unserved_penalty_x,
+            blocked_sites=[case],
+        )
+        costs[i] = single.per_draw_costs[0]
+        unserved[i] = single.per_draw_unserved_energy[0]
+    return {"costs": costs, "unserved_kwh": unserved}
 
 
 class TestContingencyConfig:
@@ -108,12 +128,8 @@ class TestEvaluationDifferential:
     def test_batched_evaluation_matches_brute_force(
         self, compiler, siting, det_sizing, solver_options
     ):
-        batched = evaluate_contingencies(
-            compiler, siting, det_sizing, options=solver_options, batched=True
-        )
-        brute = evaluate_contingencies(
-            compiler, siting, det_sizing, options=solver_options, batched=False
-        )
+        batched = evaluate_contingencies(compiler, siting, det_sizing, options=solver_options)
+        brute = _evaluate_one_by_one(compiler, siting, det_sizing, solver_options)
         assert np.allclose(batched["costs"], brute["costs"], rtol=1e-7)
         assert np.allclose(
             batched["unserved_kwh"], brute["unserved_kwh"], rtol=1e-6, atol=1e-3
