@@ -24,6 +24,11 @@ from repro.energy.wind_plant import WindTurbineModel
 from repro.weather.locations import Location, WorldCatalog
 from repro.weather.records import DAYS_PER_YEAR, HOURS_PER_DAY, HOURS_PER_YEAR
 
+#: Locations per profile block.  A block's weather and plant-model arrays
+#: are (locations x grid hours); a bounded block keeps them, and the peak
+#: memory of a catalogue-wide build, small.
+BLOCK_LOCATIONS = 128
+
 
 def calibrate_series(
     series: np.ndarray,
@@ -103,8 +108,9 @@ class _HourLayout:
                 start += length
         layout = np.array(hours, dtype=np.intp)
         layout.setflags(write=False)
-        # Epochs of one length average as one 2-D ``mean(axis=1)``: the same
-        # pairwise sum per epoch as a 1-D mean, so every grid kind rounds alike.
+        # Epochs of one length average as one ``mean`` over a last axis of
+        # that length: the same pairwise sum per epoch as a 1-D mean, so every
+        # grid kind rounds alike.
         epoch_lengths = np.array(lengths)
         ends = np.cumsum(epoch_lengths)
         groups = []
@@ -120,11 +126,18 @@ class _HourLayout:
         return self._hours
 
     def epoch_means(self, values: np.ndarray) -> np.ndarray:
-        """Per-epoch means of ``values`` given in :attr:`hour_layout` order."""
+        """Per-epoch means of ``values`` given in :attr:`hour_layout` order.
+
+        The last axis is the layout; leading axes (one row per location) are
+        kept, and each row's means equal those of the row on its own.
+        """
         values = np.asarray(values, dtype=float)
-        means = np.empty(sum(len(epochs) for epochs, _ in self._groups))
+        means = np.empty(values.shape[:-1] + (sum(len(epochs) for epochs, _ in self._groups),))
         for epochs, positions in self._groups:
-            means[epochs] = values[positions].mean(axis=1)
+            # ``take`` lays the gathered epochs out C-contiguously; indexing
+            # ``values[..., positions]`` would lay them out transposed and sum
+            # each epoch in another order.
+            means[..., epochs] = np.take(values, positions, axis=-1).mean(axis=-1)
         return means
 
     def aggregate(self, hourly_values: np.ndarray) -> np.ndarray:
@@ -330,12 +343,14 @@ class ProfileBuilder:
     """Build :class:`LocationProfile` objects from a :class:`WorldCatalog`.
 
     A profile reads each location on a few representative days only (96 of
-    8760 hours on a four-day hourly grid), so :meth:`build` asks the catalogue
-    for the weather at exactly the grid's hours, shifted to UTC, runs the
-    solar, wind and PUE models on those values and averages them per epoch.
-    No hourly year is synthesised or kept, and the result is bit-identical
-    to aggregating the full-year series.  Built profiles are cached per
-    ``(location, grid)``.
+    8760 hours on a four-day hourly grid).  Profiles are built a block of
+    :data:`BLOCK_LOCATIONS` locations at a time: the catalogue synthesises the
+    block's weather at exactly the grid's hours, each location's shifted to
+    UTC, as one (locations x hours) array; the solar, wind and PUE models run
+    over that array and it is averaged per epoch along its hour axis.  No
+    hourly year is synthesised or kept, and every profile is bit-identical to
+    aggregating its location's full-year series, whatever else is in its
+    block.  Built profiles are cached per ``(location, grid)``.
     """
 
     def __init__(
@@ -353,9 +368,36 @@ class ProfileBuilder:
 
     def build(self, location: Location, epochs: EpochGrid) -> LocationProfile:
         """Build (and cache) the profile of one location on an epoch grid."""
-        key = (location.name, epochs.representative_days, epochs.hours_per_epoch)
-        if key in self._cache:
-            return self._cache[key]
+        key = _cache_key(location, epochs)
+        if key not in self._cache:
+            self._build_block([location], epochs)
+        return self._cache[key]
+
+    def build_all(
+        self, epochs: EpochGrid, names: Optional[Iterable[str]] = None
+    ) -> List[LocationProfile]:
+        """Profiles for all (or the named subset of) catalogue locations.
+
+        Names may repeat; the locations not cached yet are built once each,
+        in blocks of :data:`BLOCK_LOCATIONS`.
+        """
+        if names is None:
+            locations: Sequence[Location] = self.catalog.locations
+        else:
+            locations = [self.catalog.get(name) for name in names]
+        missing = list(
+            {
+                location.name: location
+                for location in locations
+                if _cache_key(location, epochs) not in self._cache
+            }.values()
+        )
+        for start in range(0, len(missing), BLOCK_LOCATIONS):
+            self._build_block(missing[start : start + BLOCK_LOCATIONS], epochs)
+        return [self._cache[_cache_key(location, epochs)] for location in locations]
+
+    def _build_block(self, locations: Sequence[Location], epochs: EpochGrid) -> None:
+        """Build and cache the profiles of a block of distinct locations."""
         # The TMY channels are in local solar time; the optimiser and the
         # GreenNebula scheduler reason about all locations at the same instant,
         # so the series are shifted to UTC.  This is what makes the sun "move"
@@ -363,50 +405,48 @@ class ProfileBuilder:
         # follow-the-renewables solutions exploit.  UTC hour ``h`` is local
         # hour ``(h + shift) % 8760``, so only the local hours the grid reads
         # are synthesised and run through the plant models.
-        shift = int(round(location.point.longitude / 15.0))
-        tmy = self.catalog.tmy(location, (epochs.hour_layout + shift) % HOURS_PER_YEAR)
-        alpha = epochs.epoch_means(
+        shifts = np.array([int(round(location.point.longitude / 15.0)) for location in locations])
+        tmy = self.catalog.tmy(
+            locations, (epochs.hour_layout + shifts[:, None]) % HOURS_PER_YEAR
+        )
+        alphas = epochs.epoch_means(
             self.solar_model.production_fraction(tmy["ghi_w_m2"], tmy["temperature_c"])
         )
-        beta = epochs.epoch_means(
+        betas = epochs.epoch_means(
             self.wind_model.production_fraction(
                 tmy["wind_speed_m_s"], tmy["pressure_kpa"], tmy["temperature_c"]
             )
         )
-        pue = epochs.epoch_means(self.pue_model.series(tmy["temperature_c"]))
+        pues = epochs.epoch_means(self.pue_model.series(tmy["temperature_c"]))
+        distances_power = self.catalog.distance_to_power_km(locations)
+        distances_network = self.catalog.distance_to_network_km(locations)
+        capacities = self.catalog.near_plant_capacity_kw(locations)
 
-        overrides = location.overrides
-        if overrides.solar_capacity_factor is not None:
-            alpha = calibrate_series(alpha, overrides.solar_capacity_factor)
-        if overrides.wind_capacity_factor is not None:
-            beta = calibrate_series(beta, overrides.wind_capacity_factor)
-        if overrides.max_pue is not None:
-            pue = _calibrate_pue(pue, overrides.max_pue, self.pue_model.min_pue)
+        for row, location in enumerate(locations):
+            alpha, beta, pue = alphas[row], betas[row], pues[row]
+            overrides = location.overrides
+            if overrides.solar_capacity_factor is not None:
+                alpha = calibrate_series(alpha, overrides.solar_capacity_factor)
+            if overrides.wind_capacity_factor is not None:
+                beta = calibrate_series(beta, overrides.wind_capacity_factor)
+            if overrides.max_pue is not None:
+                pue = _calibrate_pue(pue, overrides.max_pue, self.pue_model.min_pue)
+            self._cache[_cache_key(location, epochs)] = LocationProfile(
+                location=location,
+                epochs=epochs,
+                solar_alpha=alpha,
+                wind_beta=beta,
+                pue=pue,
+                land_price_per_m2=self.catalog.land_price_per_m2(location),
+                energy_price_per_kwh=self.catalog.energy_price_per_kwh(location),
+                distance_power_km=distances_power[row],
+                distance_network_km=distances_network[row],
+                near_plant_capacity_kw=capacities[row],
+            )
 
-        profile = LocationProfile(
-            location=location,
-            epochs=epochs,
-            solar_alpha=alpha,
-            wind_beta=beta,
-            pue=pue,
-            land_price_per_m2=self.catalog.land_price_per_m2(location),
-            energy_price_per_kwh=self.catalog.energy_price_per_kwh(location),
-            distance_power_km=self.catalog.distance_to_power_km(location),
-            distance_network_km=self.catalog.distance_to_network_km(location),
-            near_plant_capacity_kw=self.catalog.near_plant_capacity_kw(location),
-        )
-        self._cache[key] = profile
-        return profile
 
-    def build_all(
-        self, epochs: EpochGrid, names: Optional[Iterable[str]] = None
-    ) -> List[LocationProfile]:
-        """Profiles for all (or the named subset of) catalogue locations."""
-        if names is None:
-            locations: Sequence[Location] = self.catalog.locations
-        else:
-            locations = [self.catalog.get(name) for name in names]
-        return [self.build(location, epochs) for location in locations]
+def _cache_key(location: Location, epochs: EpochGrid) -> tuple:
+    return (location.name, epochs.representative_days, epochs.hours_per_epoch)
 
 
 def _calibrate_pue(pue: np.ndarray, target_max: float, floor: float) -> np.ndarray:

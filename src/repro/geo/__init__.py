@@ -9,7 +9,7 @@ same quantities are produced by deterministic regional models plus an
 infrastructure map with nearest-neighbour queries.
 """
 
-from repro.geo.coordinates import GeoPoint, haversine_km, nearest_point
+from repro.geo.coordinates import GeoPoint, haversine_km, nearest_point, nearest_points
 from repro.geo.grid import GridEnergyPricing, RegionalEnergyPrice
 from repro.geo.infrastructure import (
     BackbonePoint,
@@ -29,5 +29,6 @@ __all__ = [
     "RegionalEnergyPrice",
     "haversine_km",
     "nearest_point",
+    "nearest_points",
     "synthesize_infrastructure",
 ]

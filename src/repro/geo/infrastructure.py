@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geo.coordinates import GeoPoint, nearest_point, radian_coordinates
+from repro.geo.coordinates import GeoPoint, nearest_points, radian_coordinates
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,20 @@ class InfrastructureMap:
     """Catalogue of power plants and backbone points with nearest queries.
 
     The plant and backbone lists are fixed at construction, which is when
-    their radian coordinate arrays are built for :func:`nearest_point`.
+    their radian coordinate arrays are built for :func:`nearest_points`.
+    Every query takes a block of points and answers each one.  Since the
+    lists never change, each point's answer is kept per infrastructure kind
+    and a point is searched for at most once: a profile block asks for its
+    plants' distances and their capacities in two calls, and a catalogue
+    built on several epoch grids asks the same points again.
     """
 
     plants: Tuple[PowerPlant, ...] = ()
     backbones: Tuple[BackbonePoint, ...] = ()
     _plant_coordinates: np.ndarray = field(init=False, repr=False, compare=False)
     _backbone_coordinates: np.ndarray = field(init=False, repr=False, compare=False)
+    _plant_answers: Dict[GeoPoint, tuple] = field(init=False, repr=False, compare=False)
+    _backbone_answers: Dict[GeoPoint, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         plants, backbones = tuple(self.plants), tuple(self.backbones)
@@ -72,19 +79,36 @@ class InfrastructureMap:
         object.__setattr__(
             self, "_backbone_coordinates", radian_coordinates(b.point for b in backbones)
         )
+        object.__setattr__(self, "_plant_answers", {})
+        object.__setattr__(self, "_backbone_answers", {})
 
-    def nearest_plant(self, point: GeoPoint) -> Tuple[Optional[PowerPlant], float]:
-        """Nearest brown power plant and its distance in km."""
-        return nearest_point(point, self.plants, coordinates=self._plant_coordinates)
+    def nearest_plants(
+        self, points: Sequence[GeoPoint]
+    ) -> List[Tuple[Optional[PowerPlant], float]]:
+        """Nearest brown power plant and its distance in km, per point."""
+        return _answered(points, self.plants, self._plant_coordinates, self._plant_answers)
 
-    def nearest_backbone(self, point: GeoPoint) -> Tuple[Optional[BackbonePoint], float]:
-        """Nearest backbone connection point and its distance in km."""
-        return nearest_point(point, self.backbones, coordinates=self._backbone_coordinates)
+    def nearest_backbones(
+        self, points: Sequence[GeoPoint]
+    ) -> List[Tuple[Optional[BackbonePoint], float]]:
+        """Nearest backbone connection point and its distance in km, per point."""
+        return _answered(
+            points, self.backbones, self._backbone_coordinates, self._backbone_answers
+        )
 
-    def nearest_plant_capacity_kw(self, point: GeoPoint) -> float:
-        """Capacity of the nearest plant (``nearPlantCap(d)``), 0 if none."""
-        plant, _ = self.nearest_plant(point)
-        return plant.capacity_kw if plant else 0.0
+    def nearest_plant_capacities_kw(self, points: Sequence[GeoPoint]) -> List[float]:
+        """Capacity of each point's nearest plant (``nearPlantCap(d)``), 0 if none."""
+        return [plant.capacity_kw if plant else 0.0 for plant, _ in self.nearest_plants(points)]
+
+
+def _answered(points, candidates, coordinates, answers: Dict[GeoPoint, tuple]) -> List[tuple]:
+    """:func:`nearest_points` over ``candidates``, searching only points not in ``answers``.
+
+    Threads sharing a map may both search a point; both store the same answer.
+    """
+    missing = [point for point in dict.fromkeys(points) if point not in answers]
+    answers.update(zip(missing, nearest_points(missing, candidates, coordinates=coordinates)))
+    return [answers[point] for point in points]
 
 
 # Regions used to modulate infrastructure density.  Each entry is

@@ -105,7 +105,7 @@ async def _dispatch(
             return 405, error_response("method_not_allowed", "use POST /plan")
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as error:
+        except (UnicodeDecodeError, ValueError, RecursionError) as error:
             server.metrics.count_error("bad_request")
             return 400, error_response("bad_request", f"body is not valid JSON: {error}")
         response = await server.handle(payload)

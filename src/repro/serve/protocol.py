@@ -73,7 +73,8 @@ def parse_request(payload: Any) -> PlanRequest:
 
     Raises :class:`SpecError` for anything the server should answer with a
     ``spec_error`` response: non-object payloads, unknown envelope fields,
-    and spec dictionaries :meth:`ScenarioSpec.from_dict` rejects.
+    and spec dictionaries :meth:`ScenarioSpec.from_dict` rejects or whose
+    spec cannot be content-hashed.
     """
     if not isinstance(payload, Mapping):
         raise SpecError("request must be a JSON object")
@@ -93,7 +94,12 @@ def parse_request(payload: Any) -> PlanRequest:
         raise SpecError("spec must be a JSON object")
     try:
         spec = ScenarioSpec.from_dict(dict(spec_payload))
-    except (KeyError, TypeError, ValueError) as error:
+        # The server keys dedup and the artifact cache on the content hash,
+        # so a spec that cannot be hashed is as invalid as one that cannot
+        # be built.  Values nested past the interpreter's recursion limit
+        # fail either way with RecursionError.
+        spec.content_hash()
+    except (KeyError, TypeError, ValueError, RecursionError) as error:
         raise SpecError(f"invalid scenario spec: {error}") from None
     return PlanRequest(id=request_id, spec=spec)
 
@@ -102,7 +108,9 @@ def parse_request_line(line: str) -> PlanRequest:
     """Parse one newline-delimited-JSON request line (the stdin transport)."""
     try:
         payload = json.loads(line)
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
+        # Nesting deeper than the interpreter's recursion limit makes the
+        # decoder raise RecursionError rather than a ValueError.
         raise SpecError(f"invalid JSON: {error}") from None
     return parse_request(payload)
 

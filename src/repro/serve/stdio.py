@@ -49,7 +49,7 @@ async def serve_stdio(
     async def respond(line: str) -> None:
         try:
             payload = json.loads(line)
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:  # too deep to decode
             server.metrics.count_error("bad_request")
             response = error_response("bad_request", f"invalid JSON: {error}")
         else:

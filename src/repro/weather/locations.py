@@ -13,7 +13,7 @@ distances, so that the reproduced tables match the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -208,8 +208,8 @@ class WorldCatalog:
     and the land/grid price models and exposes per-location accessors that
     honour anchor overrides.  It also owns the TMY generator so all weather is
     derived from one seed.  It keeps no weather: :meth:`tmy` synthesises the
-    requested hours on every call (about a millisecond per location), and
-    the profile builder caches what it derives from them.
+    requested hours of a block of locations on every call, and the profile
+    builder caches what it derives from them.
     """
 
     def __init__(
@@ -266,13 +266,16 @@ class WorldCatalog:
         )
 
     # -- per-location attributes ---------------------------------------------------
-    def tmy(self, location: Location, hours) -> Dict[str, np.ndarray]:
-        """The location's TMY channels at the hour-of-year indices ``hours``.
+    def tmy(self, locations: Sequence[Location], hours) -> Dict[str, np.ndarray]:
+        """The TMY channels of a block of locations, one row of ``hours`` each.
 
-        See :meth:`TMYGenerator.sample`; nothing is cached.
+        See :meth:`TMYGenerator.sample_block`; nothing is cached.
         """
-        return self.tmy_generator.sample(
-            location.name, location.point.latitude, location.climate, hours
+        return self.tmy_generator.sample_block(
+            [location.name for location in locations],
+            [location.point.latitude for location in locations],
+            [location.climate for location in locations],
+            hours,
         )
 
     def land_price_per_m2(self, location: Location) -> float:
@@ -285,22 +288,42 @@ class WorldCatalog:
             return location.overrides.energy_price_per_kwh
         return self.grid_prices.price_per_kwh(location.name, location.point)
 
-    def distance_to_power_km(self, location: Location) -> float:
-        if location.overrides.distance_power_km is not None:
-            return location.overrides.distance_power_km
-        _, distance = self.infrastructure.nearest_plant(location.point)
-        return distance
+    # The infrastructure accessors take a block of locations and answer each
+    # one: a published override where there is one, otherwise one
+    # nearest-infrastructure search over the rest of the block.
+    def distance_to_power_km(self, locations: Sequence[Location]) -> List[float]:
+        return _overridden(
+            locations,
+            "distance_power_km",
+            lambda points: [distance for _, distance in self.infrastructure.nearest_plants(points)],
+        )
 
-    def distance_to_network_km(self, location: Location) -> float:
-        if location.overrides.distance_network_km is not None:
-            return location.overrides.distance_network_km
-        _, distance = self.infrastructure.nearest_backbone(location.point)
-        return distance
+    def distance_to_network_km(self, locations: Sequence[Location]) -> List[float]:
+        return _overridden(
+            locations,
+            "distance_network_km",
+            lambda points: [
+                distance for _, distance in self.infrastructure.nearest_backbones(points)
+            ],
+        )
 
-    def near_plant_capacity_kw(self, location: Location) -> float:
-        if location.overrides.near_plant_capacity_kw is not None:
-            return location.overrides.near_plant_capacity_kw
-        return self.infrastructure.nearest_plant_capacity_kw(location.point)
+    def near_plant_capacity_kw(self, locations: Sequence[Location]) -> List[float]:
+        return _overridden(
+            locations, "near_plant_capacity_kw", self.infrastructure.nearest_plant_capacities_kw
+        )
+
+
+def _overridden(
+    locations: Sequence[Location],
+    field_name: str,
+    search: Callable[[List[GeoPoint]], List[float]],
+) -> List[float]:
+    """Each location's ``field_name`` override, or ``search`` over the others' points."""
+    values = [getattr(location.overrides, field_name) for location in locations]
+    missing = [row for row, value in enumerate(values) if value is None]
+    for row, value in zip(missing, search([locations[row].point for row in missing])):
+        values[row] = value
+    return values
 
 
 def build_world_catalog(

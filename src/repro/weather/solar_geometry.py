@@ -26,15 +26,18 @@ def solar_declination_deg(day_of_year: np.ndarray | float) -> np.ndarray | float
 
 
 def solar_elevation_deg(
-    latitude_deg: float,
+    latitude_deg: np.ndarray | float,
     day_of_year: np.ndarray | float,
     hour_of_day: np.ndarray | float,
 ) -> np.ndarray | float:
     """Solar elevation angle in degrees (negative below the horizon).
 
-    ``hour_of_day`` is local solar time; solar noon is at 12.0.
+    ``hour_of_day`` is local solar time; solar noon is at 12.0.  An array of
+    latitudes broadcasts against the day and hour arrays, so a column of
+    latitudes with one row of days and hours per location gives every
+    location's elevations at once.
     """
-    latitude = math.radians(latitude_deg)
+    latitude = np.radians(latitude_deg)
     declination = np.radians(solar_declination_deg(day_of_year))
     hour_angle = np.radians(15.0 * (np.asarray(hour_of_day, dtype=float) - 12.0))
     sin_elevation = (
@@ -48,7 +51,7 @@ def solar_elevation_deg(
 
 
 def clear_sky_irradiance(
-    latitude_deg: float,
+    latitude_deg: np.ndarray | float,
     day_of_year: np.ndarray | float,
     hour_of_day: np.ndarray | float,
     turbidity: float = 0.75,

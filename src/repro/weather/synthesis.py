@@ -5,20 +5,22 @@ Each location is described by a :class:`ClimateProfile`; the
 deterministic for a given ``(seed, location name)`` pair, so every run of the
 test-suite and the benchmarks sees exactly the same "weather".
 
-There is one synthesis path, :meth:`TMYGenerator.sample`, which returns the
-four channels at any set of hour-of-year indices.  The profile build asks
-only for the hours its epoch grid reads (96 of 8760 on a four-day grid), and
+There is one synthesis path, :meth:`TMYGenerator.sample_block`, which
+returns the four channels of a block of locations, each at its own set of
+hour-of-year indices.  The profile build asks only for the hours its epoch
+grid reads (96 of 8760 on a four-day grid), shifted per location to UTC.
+:meth:`TMYGenerator.sample` is a block of one location, and
 :meth:`TMYGenerator.generate` is ``sample`` over the whole year wrapped in a
-:class:`~repro.weather.records.TMYDataset`.  The values do not depend on
-which hours are asked for: a sampled hour equals the same hour of the full
-year bit for bit.
+:class:`~repro.weather.records.TMYDataset`.  The values depend neither on
+which hours are asked for nor on the other locations of the block: a sampled
+hour equals the same hour of the location's full year bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -98,66 +100,139 @@ class TMYGenerator:
     def sample(
         self, name: str, latitude_deg: float, climate: ClimateProfile, hours
     ) -> Dict[str, np.ndarray]:
-        """The four TMY channels at the hour-of-year indices ``hours``.
+        """The four TMY channels of one location at the hour-of-year indices ``hours``.
 
-        ``hours`` may be unsorted and may repeat; entry ``i`` of every channel
-        is the value of hour ``hours[i]`` of the full-year TMY, bit for bit.
-        Every noise array is drawn at full length (365 daily, 8760 hourly
-        values) in a fixed order and then gathered: NumPy's normal sampler
-        consumes a variable amount of the random stream, so no draw can be
-        skipped without changing the ones after it.  Everything else — the
-        seasonal and diurnal cycles, clear-sky geometry and the channel
-        arithmetic — runs only on the requested hours.
+        :meth:`sample_block` with a block of one location.
         """
         hours = np.asarray(hours, dtype=np.intp)
-        if hours.ndim != 1 or np.any(hours < 0) or np.any(hours >= HOURS_PER_YEAR):
-            raise ValueError(f"hours must be a 1-D array of indices in [0, {HOURS_PER_YEAR})")
+        block = self.sample_block([name], [latitude_deg], [climate], hours[None, :])
+        return {channel: values[0] for channel, values in block.items()}
+
+    def sample_block(
+        self,
+        names: Sequence[str],
+        latitudes_deg: Sequence[float],
+        climates: Sequence[ClimateProfile],
+        hours,
+    ) -> Dict[str, np.ndarray]:
+        """The four TMY channels of a block of locations, one row per location.
+
+        ``hours`` is an array of hour-of-year indices with one row per
+        location; row ``i`` may be unsorted and may repeat.  Entry ``[i, j]``
+        of every channel is the value of hour ``hours[i, j]`` of location
+        ``i``'s full-year TMY, bit for bit, whatever else is in the block.
+        Each location draws its own noise arrays at full length (365 daily,
+        8760 hourly values) in a fixed order and gathers its row: NumPy's
+        normal sampler consumes a variable amount of the random stream, so no
+        draw can be skipped without changing the ones after it.  Everything
+        else — the seasonal and diurnal cycles, clear-sky geometry and the
+        channel arithmetic — runs once over the whole (locations x hours)
+        block, with each location's parameters as a column.
+        """
+        hours = np.asarray(hours, dtype=np.intp)
+        if (
+            hours.ndim != 2
+            or hours.shape[0] != len(names)
+            or np.any(hours < 0)
+            or np.any(hours >= HOURS_PER_YEAR)
+        ):
+            raise ValueError(
+                f"hours must be a 2-D array of indices in [0, {HOURS_PER_YEAR}), "
+                "one row per location"
+            )
         day = hours // HOURS_PER_DAY
         hour_of_day = hours % HOURS_PER_DAY
-        rng = self._rng(name)
-        north = latitude_deg >= 0
+        rngs = [self._rng(name) for name in names]
+
+        def drawn(indices: np.ndarray, draw) -> np.ndarray:
+            """Every location's next full-length draw, gathered at its row of ``indices``.
+
+            The channels below call this in a fixed order, so each location's
+            stream is consumed exactly as a block of one would consume it.
+            """
+            rows = np.empty(indices.shape)
+            for row, (rng, climate) in enumerate(zip(rngs, climates)):
+                rows[row] = draw(rng, climate)[indices[row]]
+            return rows
+
+        def column(values) -> np.ndarray:
+            return np.array(list(values), dtype=float).reshape(-1, 1)
+
+        def climate_column(field: str) -> np.ndarray:
+            return column(getattr(climate, field) for climate in climates)
+
+        latitude = column(latitudes_deg)
+        north = latitude >= 0
 
         # Temperature.  The seasonal cycle peaks in mid-summer: around day 200
         # in the northern hemisphere and day 20 in the southern one; the
         # diurnal cycle peaks mid-afternoon (15:00) and bottoms before dawn.
-        seasonal = climate.seasonal_amplitude_c * np.cos(
-            2.0 * math.pi * (day - (200.0 if north else 20.0)) / DAYS_PER_YEAR
+        seasonal = climate_column("seasonal_amplitude_c") * np.cos(
+            2.0 * math.pi * (day - np.where(north, 200.0, 20.0)) / DAYS_PER_YEAR
         )
-        diurnal = climate.diurnal_amplitude_c * np.cos(2.0 * math.pi * (hour_of_day - 15.0) / 24.0)
-        daily_noise = rng.normal(0.0, 1.5, DAYS_PER_YEAR)[day]
-        hourly_noise = rng.normal(0.0, 0.4, HOURS_PER_YEAR)[hours]
-        temperature = climate.mean_temperature_c + seasonal + diurnal + daily_noise + hourly_noise
+        diurnal = climate_column("diurnal_amplitude_c") * np.cos(
+            2.0 * math.pi * (hour_of_day - 15.0) / 24.0
+        )
+        temperature = (
+            climate_column("mean_temperature_c")
+            + seasonal
+            + diurnal
+            + drawn(day, lambda rng, _: rng.normal(0.0, 1.5, DAYS_PER_YEAR))
+            + drawn(hours, lambda rng, _: rng.normal(0.0, 0.4, HOURS_PER_YEAR))
+        )
 
         # Irradiance.  A day-to-day clearness index: cloudy locations lose
         # more energy and see larger swings between overcast and clear days.
-        clear = clear_sky_irradiance(latitude_deg, day, hour_of_day)
-        base_clearness = 1.0 - 0.65 * climate.cloudiness
-        daily_clearness = np.clip(
-            rng.beta(4.0 * (1.0 - climate.cloudiness) + 1.0, 4.0 * climate.cloudiness + 1.0, DAYS_PER_YEAR),
-            0.05,
-            1.0,
-        )[day]
-        clearness = 0.5 * base_clearness + 0.5 * daily_clearness
-        hourly_flicker = np.clip(rng.normal(1.0, 0.05, HOURS_PER_YEAR)[hours], 0.7, 1.2)
+        clear = clear_sky_irradiance(latitude, day, hour_of_day)
+        base_clearness = 1.0 - 0.65 * climate_column("cloudiness")
+        daily_clearness = drawn(
+            day,
+            lambda rng, climate: rng.beta(
+                4.0 * (1.0 - climate.cloudiness) + 1.0,
+                4.0 * climate.cloudiness + 1.0,
+                DAYS_PER_YEAR,
+            ),
+        )
+        clearness = 0.5 * base_clearness + 0.5 * np.clip(daily_clearness, 0.05, 1.0)
+        # Each (locations x hours) temporary is dropped once used: how many
+        # are alive at once sets the block build's peak memory.
+        del daily_clearness
+        hourly_flicker = np.clip(
+            drawn(hours, lambda rng, _: rng.normal(1.0, 0.05, HOURS_PER_YEAR)), 0.7, 1.2
+        )
         ghi = np.maximum(0.0, clear * clearness * hourly_flicker)
+        del clear, clearness, hourly_flicker
 
         # Wind tends to peak in winter, with day-scale lognormal variability
         # approximating a Weibull distribution.
-        seasonal = 1.0 + climate.wind_seasonality * np.cos(
-            2.0 * math.pi * (day - (15.0 if north else 195.0)) / DAYS_PER_YEAR
+        seasonal = 1.0 + climate_column("wind_seasonality") * np.cos(
+            2.0 * math.pi * (day - np.where(north, 15.0, 195.0)) / DAYS_PER_YEAR
         )
         diurnal = 1.0 + 0.15 * np.cos(2.0 * math.pi * (hour_of_day - 14.0) / 24.0)
-        daily = rng.lognormal(
-            mean=-0.5 * climate.wind_variability**2, sigma=climate.wind_variability, size=DAYS_PER_YEAR
-        )[day]
-        hourly = np.clip(rng.normal(1.0, 0.15, HOURS_PER_YEAR)[hours], 0.3, 2.0)
-        wind = np.maximum(0.0, climate.mean_wind_speed_m_s * seasonal * diurnal * daily * hourly)
+        daily = drawn(
+            day,
+            lambda rng, climate: rng.lognormal(
+                mean=-0.5 * climate.wind_variability**2,
+                sigma=climate.wind_variability,
+                size=DAYS_PER_YEAR,
+            ),
+        )
+        hourly = np.clip(drawn(hours, lambda rng, _: rng.normal(1.0, 0.15, HOURS_PER_YEAR)), 0.3, 2.0)
+        wind = np.maximum(
+            0.0, climate_column("mean_wind_speed_m_s") * seasonal * diurnal * daily * hourly
+        )
+        del seasonal, diurnal, daily, hourly
 
         # Pressure: the barometric formula for the mean plus small synoptic noise.
         sea_level_kpa = 101.325
         scale_height_m = 8434.0
-        mean_pressure = sea_level_kpa * math.exp(-max(0.0, climate.altitude_m) / scale_height_m)
-        pressure = np.maximum(50.0, mean_pressure + rng.normal(0.0, 0.6, DAYS_PER_YEAR)[day])
+        mean_pressure = column(
+            sea_level_kpa * math.exp(-max(0.0, climate.altitude_m) / scale_height_m)
+            for climate in climates
+        )
+        pressure = np.maximum(
+            50.0, mean_pressure + drawn(day, lambda rng, _: rng.normal(0.0, 0.6, DAYS_PER_YEAR))
+        )
         return checked_channels(temperature, ghi, wind, pressure)
 
     # -- helpers ----------------------------------------------------------------

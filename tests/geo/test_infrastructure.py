@@ -35,23 +35,25 @@ class TestInfrastructureMap:
         )
 
     def test_nearest_plant(self, small_map):
-        plant, distance = small_map.nearest_plant(GeoPoint(1.0, 1.0))
+        [(plant, distance)] = small_map.nearest_plants([GeoPoint(1.0, 1.0)])
         assert plant.name == "a"
         assert distance > 0
 
     def test_nearest_backbone(self, small_map):
-        backbone, distance = small_map.nearest_backbone(GeoPoint(4.0, 5.0))
+        [(backbone, distance)] = small_map.nearest_backbones([GeoPoint(4.0, 5.0)])
         assert backbone.name == "x"
         assert distance == pytest.approx(111.19, rel=0.02)
 
     def test_nearest_plant_capacity(self, small_map):
-        assert small_map.nearest_plant_capacity_kw(GeoPoint(9.0, 9.0)) == 900_000
+        points = [GeoPoint(9.0, 9.0), GeoPoint(1.0, 1.0), GeoPoint(9.0, 9.0)]
+        assert small_map.nearest_plant_capacities_kw(points) == [900_000, 200_000, 900_000]
 
     def test_empty_map_returns_none(self):
         empty = InfrastructureMap()
-        plant, distance = empty.nearest_plant(GeoPoint(0, 0))
-        assert plant is None and distance == float("inf")
-        assert empty.nearest_plant_capacity_kw(GeoPoint(0, 0)) == 0.0
+        points = [GeoPoint(0, 0), GeoPoint(10, 10)]
+        assert empty.nearest_plants(points) == [(None, float("inf"))] * 2
+        assert empty.nearest_plant_capacities_kw(points) == [0.0, 0.0]
+        assert empty.nearest_backbones([]) == []
 
 
 class TestSynthesizedInfrastructure:
@@ -66,7 +68,7 @@ class TestSynthesizedInfrastructure:
         assert len(infra.plants) > 100
         assert len(infra.backbones) > 80
         # Dense regions should be close to infrastructure.
-        _, distance = infra.nearest_plant(GeoPoint(40.0, -100.0))
+        [(_, distance)] = infra.nearest_plants([GeoPoint(40.0, -100.0)])
         assert distance < 1500
 
     def test_all_plants_at_least_100mw(self):

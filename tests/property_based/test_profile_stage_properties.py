@@ -1,16 +1,22 @@
 """Property-based equivalence of the hour-sliced profile stage.
 
 ``TMYGenerator.sample`` must return exactly the full-year TMY gathered at the
-requested hours, and ``nearest_point`` exactly what a plain scalar scan over
-``haversine_km`` returns.  Both are compared bit for bit (``==``, not
-``approx``).
+requested hours, and ``nearest_point`` and every row of the block search
+``nearest_points`` exactly what a plain scalar scan over ``haversine_km``
+returns.  Both are compared bit for bit (``==``, not ``approx``).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geo import GeoPoint, haversine_km, nearest_point, synthesize_infrastructure
+from repro.geo import (
+    GeoPoint,
+    haversine_km,
+    nearest_point,
+    nearest_points,
+    synthesize_infrastructure,
+)
 from repro.weather import ClimateProfile, TMYGenerator
 from repro.weather.records import HOURS_PER_YEAR
 
@@ -97,6 +103,34 @@ def _scalar_nearest(origin, items):
 points = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
 
 
+def _mirrored(latitude, longitude, offset):
+    """An origin and four candidates mirrored about it: near ties to an ulp or two."""
+    return (latitude, longitude), [
+        (latitude, longitude + offset),
+        (latitude, longitude - offset),
+        (latitude + offset, longitude),
+        (latitude - offset, longitude),
+    ]
+
+
+def _antipodal(latitude, longitude):
+    """An origin and candidates at, beside and slightly off its antipode."""
+    anti_longitude = longitude - 180.0 if longitude > 0 else longitude + 180.0
+    antipode = (-latitude, anti_longitude)
+    return (latitude, longitude), [
+        (-latitude + (1e-7 if latitude > 0 else -1e-7), anti_longitude),
+        antipode,
+        antipode,
+        (-latitude, anti_longitude + (-1e-9 if anti_longitude > 0 else 1e-9)),
+    ]
+
+
+near_ties = st.builds(
+    _mirrored, st.floats(-60.0, 60.0), st.floats(-150.0, 150.0), st.floats(0.001, 5.0)
+)
+antipodes = st.builds(_antipodal, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+
+
 class TestNearestPointEqualsScalarScan:
     @given(origin=points, candidates=st.lists(points, max_size=40))
     @settings(max_examples=200, deadline=None)
@@ -130,14 +164,12 @@ class TestNearestPointEqualsScalarScan:
         """
         rng = np.random.default_rng(0)
         for _ in range(3000):
-            latitude, longitude = rng.uniform(-60, 60), rng.uniform(-150, 150)
-            offset = rng.uniform(0.001, 5.0)
-            origin = GeoPoint(latitude, longitude)
+            origin, near = _mirrored(
+                rng.uniform(-60, 60), rng.uniform(-150, 150), rng.uniform(0.001, 5.0)
+            )
+            origin = GeoPoint(*origin)
             items = [
-                _Item("east", latitude, longitude + offset),
-                _Item("west", latitude, longitude - offset),
-                _Item("north", latitude + offset, longitude),
-                _Item("south", latitude - offset, longitude),
+                _Item(name, *point) for name, point in zip(("east", "west", "north", "south"), near)
             ]
             got = nearest_point(origin, items)
             expected = _scalar_nearest(origin, items)
@@ -145,19 +177,19 @@ class TestNearestPointEqualsScalarScan:
 
     def test_empty_candidates(self):
         assert nearest_point(GeoPoint(10.0, 10.0), []) == (None, float("inf"))
+        origins = [GeoPoint(10.0, 10.0), GeoPoint(-5.0, 3.0)]
+        assert nearest_points(origins, []) == [(None, float("inf"))] * 2
+        assert nearest_points([], [_Item("a", 1.0, 2.0)]) == []
 
     @pytest.mark.parametrize(
         "latitude,longitude", [(0.0, 0.0), (37.5, -122.3), (-89.9, 179.9), (90.0, 0.0)]
     )
     def test_antipodal_points(self, latitude, longitude):
-        origin = GeoPoint(latitude, longitude)
-        anti_longitude = longitude - 180.0 if longitude > 0 else longitude + 180.0
-        antipode = (-latitude, anti_longitude)
+        origin, near = _antipodal(latitude, longitude)
+        origin = GeoPoint(*origin)
         items = [
-            _Item("near-antipode", -latitude + (1e-7 if latitude > 0 else -1e-7), anti_longitude),
-            _Item("antipode", *antipode),
-            _Item("antipode-again", *antipode),
-            _Item("off", -latitude, anti_longitude + (-1e-9 if anti_longitude > 0 else 1e-9)),
+            _Item(name, *point)
+            for name, point in zip(("near-antipode", "antipode", "antipode-again", "off"), near)
         ]
         for candidates in (items, items[1:], items[:0:-1]):
             got = nearest_point(origin, candidates)
@@ -168,11 +200,56 @@ class TestNearestPointEqualsScalarScan:
     def test_infrastructure_map_matches_scalar_scan(self):
         infrastructure = synthesize_infrastructure()
         rng = np.random.default_rng(3)
-        for latitude, longitude in zip(rng.uniform(-90, 90, 200), rng.uniform(-180, 180, 200)):
-            origin = GeoPoint(float(latitude), float(longitude))
-            plant, distance = infrastructure.nearest_plant(origin)
+        origins = [
+            GeoPoint(float(latitude), float(longitude))
+            for latitude, longitude in zip(rng.uniform(-90, 90, 200), rng.uniform(-180, 180, 200))
+        ]
+        plants = infrastructure.nearest_plants(origins)
+        backbones = infrastructure.nearest_backbones(origins)
+        for origin, (plant, distance), (backbone, backbone_distance) in zip(
+            origins, plants, backbones
+        ):
             expected_plant, expected_distance = _scalar_nearest(origin, infrastructure.plants)
             assert plant is expected_plant and distance == expected_distance
-            backbone, distance = infrastructure.nearest_backbone(origin)
             expected_backbone, expected_distance = _scalar_nearest(origin, infrastructure.backbones)
-            assert backbone is expected_backbone and distance == expected_distance
+            assert backbone is expected_backbone and backbone_distance == expected_distance
+        # Points already answered are answered again, in any order, unchanged.
+        again = infrastructure.nearest_plants(origins[::-1] + origins[:3])
+        assert all(a is b for a, b in zip(again, plants[::-1] + plants[:3]))
+
+
+@st.composite
+def blocks(draw):
+    """A block of origins and one shared candidate list.
+
+    Each scenario adds an origin and its own candidates: random points,
+    mirrored near ties or an antipodal set.  Extra random points, repeats of
+    drawn candidates and a shuffle of the whole list follow.
+    """
+    scenarios = draw(
+        st.lists(
+            st.one_of(st.tuples(points, st.lists(points, max_size=5)), near_ties, antipodes),
+            max_size=10,
+        )
+    )
+    origins = [origin for origin, _ in scenarios] + draw(st.lists(points, max_size=5))
+    candidates = [point for _, near in scenarios for point in near]
+    candidates += draw(st.lists(points, max_size=20))
+    if candidates:
+        candidates += draw(st.lists(st.sampled_from(candidates), max_size=5))
+    return origins, draw(st.permutations(candidates))
+
+
+class TestNearestPointsEqualsScalarScan:
+    @given(block=blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_every_row_equals_scalar_scan(self, block):
+        origins, candidates = block
+        items = [_Item(str(index), *point) for index, point in enumerate(candidates)]
+        origin_points = [GeoPoint(*origin) for origin in origins]
+        got = nearest_points(origin_points, items)
+        assert len(got) == len(origin_points)
+        for origin, (item, distance) in zip(origin_points, got):
+            expected_item, expected_distance = _scalar_nearest(origin, items)
+            assert item is expected_item
+            assert distance == expected_distance

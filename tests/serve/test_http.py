@@ -114,6 +114,9 @@ def test_http_error_paths_and_draining():
             results["bad_json"] = await http_request(
                 reader, writer, "POST", "/plan", raw_body=b"{not json"
             )
+            results["deep_json"] = await http_request(
+                reader, writer, "POST", "/plan", raw_body=b"[" * 50_000 + b"]" * 50_000
+            )
             results["bad_spec"] = await http_request(
                 reader, writer, "POST", "/plan", {"id": 9, "spec": 42}
             )
@@ -136,6 +139,8 @@ def test_http_error_paths_and_draining():
     status, body = results["unknown"]
     assert status == 404 and body["error"] == "not_found"
     status, body = results["bad_json"]
+    assert status == 400 and body["error"] == "bad_request"
+    status, body = results["deep_json"]
     assert status == 400 and body["error"] == "bad_request"
     status, body = results["bad_spec"]
     assert status == 400 and body["error"] == "spec_error" and body["id"] == 9

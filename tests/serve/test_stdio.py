@@ -33,6 +33,9 @@ def test_stdio_batch_dedups_and_types_errors():
                 json.dumps({"id": 3, "spec": spec.to_dict()}),
                 "",  # blank lines are skipped, not answered
                 "this is not json",
+                # Nested past the recursion limit: the decoder raises
+                # RecursionError, still answered as a typed bad_request.
+                "[" * 100_000 + "]" * 100_000,
                 json.dumps({"id": 9, "spec": 42}),
             ]
         )
@@ -45,13 +48,13 @@ def test_stdio_batch_dedups_and_types_errors():
 
     assert code == 0
     responses = [json.loads(line) for line in output.getvalue().splitlines()]
-    assert len(responses) == 5
+    assert len(responses) == 6
     by_id = {response["id"]: response for response in responses}
     # Three identical lines collapse onto one solve; ids still match back.
     assert len(solves) == 1
     assert [by_id[i]["status"] for i in (1, 2, 3)] == ["ok"] * 3
     assert sorted(by_id[i]["dedup"] for i in (1, 2, 3)) == [False, True, True]
-    assert by_id[None]["error"] == "bad_request"
+    assert [r["error"] for r in responses if r["id"] is None] == ["bad_request"] * 2
     assert by_id[9]["error"] == "spec_error"
     assert server.metrics.dedup_hits == 2
     assert server.metrics.solves_started == 1

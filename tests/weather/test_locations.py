@@ -125,12 +125,12 @@ class TestWorldCatalog:
 
     def test_tmy_repeatable(self, catalog):
         location = catalog.get("Nairobi, Kenya")
-        hours = np.array([8759, 0, 17, 17, 4380])
-        first = catalog.tmy(location, hours)
-        second = catalog.tmy(location, hours)
+        hours = np.array([[8759, 0, 17, 17, 4380]])
+        first = catalog.tmy([location], hours)
+        second = catalog.tmy([location], hours)
         assert first.keys() == second.keys()
         for channel in first:
-            assert first[channel].shape == (5,)
+            assert first[channel].shape == (1, 5)
             assert np.array_equal(first[channel], second[channel])
 
     def test_profile_build_keeps_no_hourly_weather(self):
@@ -151,16 +151,18 @@ class TestWorldCatalog:
         mount_washington = catalog.get("Mount Washington, NH, USA")
         assert catalog.land_price_per_m2(mount_washington) == pytest.approx(947.0)
         assert catalog.energy_price_per_kwh(mount_washington) == pytest.approx(0.126)
-        assert catalog.distance_to_power_km(mount_washington) == pytest.approx(345.0)
-        assert catalog.distance_to_network_km(mount_washington) == pytest.approx(71.0)
-        assert catalog.near_plant_capacity_kw(mount_washington) == pytest.approx(1_500_000.0)
+        assert catalog.distance_to_power_km([mount_washington]) == [pytest.approx(345.0)]
+        assert catalog.distance_to_network_km([mount_washington]) == [pytest.approx(71.0)]
+        assert catalog.near_plant_capacity_kw([mount_washington]) == [pytest.approx(1_500_000.0)]
 
     def test_synthetic_locations_fall_back_to_models(self, catalog):
         synthetic = next(location for location in catalog if not location.is_anchor)
         assert catalog.land_price_per_m2(synthetic) > 0
         assert catalog.energy_price_per_kwh(synthetic) > 0
-        assert catalog.distance_to_power_km(synthetic) >= 0
-        assert catalog.near_plant_capacity_kw(synthetic) >= 100_000
+        [distance] = catalog.distance_to_power_km([synthetic])
+        [capacity] = catalog.near_plant_capacity_kw([synthetic])
+        assert distance >= 0
+        assert capacity >= 100_000
 
     def test_overrides_dataclass_defaults(self):
         overrides = LocationOverrides()
