@@ -12,6 +12,7 @@ cost model.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -21,6 +22,7 @@ from repro.energy.capacity_factor import capacity_factor
 from repro.energy.pue import PUEModel
 from repro.energy.solar_plant import SolarPanelModel
 from repro.energy.wind_plant import WindTurbineModel
+from repro.parallel.executors import ExecutorFactory
 from repro.weather.locations import Location, WorldCatalog
 from repro.weather.records import DAYS_PER_YEAR, HOURS_PER_DAY, HOURS_PER_YEAR
 
@@ -351,6 +353,13 @@ class ProfileBuilder:
     hourly year is synthesised or kept, and every profile is bit-identical to
     aggregating its location's full-year series, whatever else is in its
     block.  Built profiles are cached per ``(location, grid)``.
+
+    The blocks of one :meth:`build_all` run on a thread pool, one thread per
+    available CPU (inline with one CPU or one block).  Nearly all of a
+    block's time is its locations' full-length noise draws, which NumPy runs
+    with the GIL released, so the blocks overlap.  Each location still draws
+    from its own stream, so every profile is the same bits on any number of
+    threads.
     """
 
     def __init__(
@@ -379,7 +388,7 @@ class ProfileBuilder:
         """Profiles for all (or the named subset of) catalogue locations.
 
         Names may repeat; the locations not cached yet are built once each,
-        in blocks of :data:`BLOCK_LOCATIONS`.
+        in blocks of :data:`BLOCK_LOCATIONS` on a thread pool.
         """
         if names is None:
             locations: Sequence[Location] = self.catalog.locations
@@ -392,8 +401,14 @@ class ProfileBuilder:
                 if _cache_key(location, epochs) not in self._cache
             }.values()
         )
-        for start in range(0, len(missing), BLOCK_LOCATIONS):
-            self._build_block(missing[start : start + BLOCK_LOCATIONS], epochs)
+        blocks = [
+            missing[start : start + BLOCK_LOCATIONS]
+            for start in range(0, len(missing), BLOCK_LOCATIONS)
+        ]
+        # Each block writes its own profiles, so completion order is
+        # irrelevant; the profiles are read back in the caller's order.
+        with ExecutorFactory(kind="thread").create(len(blocks)) as pool:
+            list(pool.map(functools.partial(self._build_block, epochs=epochs), blocks))
         return [self._cache[_cache_key(location, epochs)] for location in locations]
 
     def _build_block(self, locations: Sequence[Location], epochs: EpochGrid) -> None:
@@ -431,7 +446,7 @@ class ProfileBuilder:
                 beta = calibrate_series(beta, overrides.wind_capacity_factor)
             if overrides.max_pue is not None:
                 pue = _calibrate_pue(pue, overrides.max_pue, self.pue_model.min_pue)
-            self._cache[_cache_key(location, epochs)] = LocationProfile(
+            profile = LocationProfile(
                 location=location,
                 epochs=epochs,
                 solar_alpha=alpha,
@@ -443,6 +458,9 @@ class ProfileBuilder:
                 distance_network_km=distances_network[row],
                 near_plant_capacity_kw=capacities[row],
             )
+            # The first profile stored stays: builds racing on one builder
+            # all return the same objects.
+            self._cache.setdefault(_cache_key(location, epochs), profile)
 
 
 def _cache_key(location: Location, epochs: EpochGrid) -> tuple:

@@ -21,7 +21,13 @@ The unit that crosses a process boundary is one *point*: an
 
 A heuristic search always runs in its caller's process and thread; its
 filter prices its chunks in turn
-(:func:`~repro.core.single_site.priced_in_chunks`).
+(:func:`~repro.core.single_site.priced_in_chunks`).  Below the point level
+one fan-out uses threads: ``ProfileBuilder.build_all``
+(:mod:`repro.energy.profiles`) builds its profile blocks on a ``"thread"``
+factory, because a block's time is mostly NumPy noise draws that run with
+the GIL released.  Each block writes its own locations' profiles from their
+own random streams, so the profiles are the same bits on any number of
+threads.
 
 Worker sizing honours container CPU quotas: ``os.cpu_count()`` reports the
 host's cores even inside a cgroup-limited container, so

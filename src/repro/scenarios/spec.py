@@ -19,12 +19,13 @@ not a new script.
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from repro.core.parameters import FrameworkParameters
 from repro.core.problem import EnergySources, GreenEnforcement, StorageMode
@@ -169,6 +170,80 @@ EMULATION_DEFAULTS: Dict[str, Any] = {
 }
 
 
+#: Types of the ``emulate`` workflow's knobs (the keys of EMULATION_DEFAULTS).
+EMULATION_TYPES: Dict[str, Any] = {
+    "sites": Tuple[str, ...],
+    "num_vms": int,
+    "duration_hours": int,
+    "seed": int,
+    "initial_datacenter": Optional[str],
+    "it_factor": float,
+    "solar_factor": float,
+    "wind_factor": float,
+    "battery_kwh_factor": float,
+}
+
+
+def _conforms(value: Any, hint: Any) -> bool:
+    """Whether a JSON-style ``value`` has the type ``hint`` names, without coercion.
+
+    ``bool`` is not an ``int`` here, an ``int`` is a ``float``, and a list
+    is a tuple or sequence.  Hints of other forms accept anything.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is bool:
+        return isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is str:
+        return isinstance(value, str)
+    if hint is type(None):
+        return value is None
+    if origin is Union:
+        return any(_conforms(value, arg) for arg in args)
+    if origin in (tuple, collections.abc.Sequence):
+        return isinstance(value, (tuple, list)) and all(_conforms(item, args[0]) for item in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _conforms(key, args[0]) and _conforms(item, args[1]) for key, item in value.items()
+        )
+    return True
+
+
+def _check_knobs(block: str, values: Mapping[str, Any], hints: Mapping[str, Any]) -> None:
+    """Raise :class:`ValueError` for a name of ``values`` not in ``hints`` or not of its type."""
+    unknown = set(values) - set(hints)
+    if unknown:
+        raise ValueError(f"unknown {block} knobs: {sorted(unknown)}")
+    prefix = f"{block}." if block else ""
+    for name, value in values.items():
+        hint = hints[name]
+        if not _conforms(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+            raise ValueError(f"{prefix}{name} must be {expected}, not {type(value).__name__}")
+
+
+@functools.lru_cache(maxsize=None)
+def _knob_types() -> Dict[str, Dict[str, Any]]:
+    """Field types of the spec (under ``""``, checked first) and of each knob block."""
+    from repro.core.heuristic import SearchSettings
+    from repro.operator.replay import OperateConfig
+    from repro.robust.contingency import ContingencyConfig
+    from repro.robust.ensemble import EnsembleConfig
+
+    return {
+        "": get_type_hints(ScenarioSpec),
+        "param_overrides": get_type_hints(FrameworkParameters),
+        "search": get_type_hints(SearchSettings),
+        "emulation": EMULATION_TYPES,
+        "operate": get_type_hints(OperateConfig),
+        "ensemble": get_type_hints(EnsembleConfig),
+        "contingency": get_type_hints(ContingencyConfig),
+    }
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One reproducible experimental scenario.
@@ -223,6 +298,12 @@ class ScenarioSpec:
     contingency: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Unknown knobs and wrong-typed values fail here, before any range
+        # check compares them; they are rejected, never coerced, so no valid
+        # hash moves.
+        spec_fields = {f.name: getattr(self, f.name) for f in fields(self)}
+        for block, hints in _knob_types().items():
+            _check_knobs(block, spec_fields[block] if block else spec_fields, hints)
         if self.workflow not in WORKFLOWS:
             raise ValueError(f"unknown workflow {self.workflow!r}; expected one of {WORKFLOWS}")
         if self.sources not in _SOURCES_VALUES:
@@ -236,28 +317,29 @@ class ScenarioSpec:
             )
         if self.num_locations < 1:
             raise ValueError("the catalogue needs at least one location")
+        if self.days_per_season < 1:
+            raise ValueError("the epoch grid needs at least one day per season")
+        if self.hours_per_epoch < 1 or 24 % self.hours_per_epoch != 0:
+            raise ValueError("hours_per_epoch must be a positive divisor of 24")
         if self.total_capacity_kw <= 0:
             raise ValueError("total capacity must be positive")
         if not 0.0 <= self.min_green_fraction <= 1.0:
             raise ValueError("the minimum green fraction must lie in [0, 1]")
-        unknown_emulation = set(self.emulation) - set(EMULATION_DEFAULTS)
-        if unknown_emulation:
-            raise ValueError(f"unknown emulation knobs: {sorted(unknown_emulation)}")
-        unknown_operate = set(self.operate) - set(OPERATE_DEFAULTS)
-        if unknown_operate:
-            raise ValueError(f"unknown operate knobs: {sorted(unknown_operate)}")
-        unknown_ensemble = set(self.ensemble) - set(ENSEMBLE_DEFAULTS)
-        if unknown_ensemble:
-            raise ValueError(f"unknown ensemble knobs: {sorted(unknown_ensemble)}")
         unknown_faults = set(self.faults) - set(FAULT_KEYS)
         if unknown_faults:
             raise ValueError(f"unknown fault blocks: {sorted(unknown_faults)}")
-        unknown_contingency = set(self.contingency) - set(CONTINGENCY_DEFAULTS)
-        if unknown_contingency:
-            raise ValueError(f"unknown contingency knobs: {sorted(unknown_contingency)}")
-        # Unknown search knobs and out-of-range values fail here, at
-        # construction, not halfway through a solve.
+        # Out-of-range values fail here, at construction, not halfway
+        # through a solve.
+        from repro.operator.replay import OperateConfig
+
         self.build_search_settings()
+        OperateConfig(**self.operate_knobs())
+        self.ensemble_config()
+        self.contingency_config()
+        try:
+            self.fault_spec()
+        except TypeError as error:  # a fault entry with missing or unknown fields
+            raise ValueError(f"invalid faults block: {error}") from None
         if self.candidate_names is not None:
             object.__setattr__(self, "candidate_names", tuple(self.candidate_names))
         if "sites" in self.emulation:
@@ -399,10 +481,7 @@ class ScenarioSpec:
         unknown = set(payload) - spec_fields
         if unknown:
             raise KeyError(f"unknown scenario fields: {sorted(unknown)}")
-        data = dict(payload)
-        if data.get("candidate_names") is not None:
-            data["candidate_names"] = tuple(data["candidate_names"])
-        return cls(**data)
+        return cls(**payload)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

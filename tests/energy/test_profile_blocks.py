@@ -8,10 +8,17 @@ five scalars, compared as raw float64 bytes — must equal the one a
 one-location ``build`` gives, whatever block the location lands in: in a
 whole-catalogue build, in a build over a shuffled subset with duplicate
 names, and in a build whose cache is already partly filled.
+
+The blocks of one build run on a thread pool sized by the CPUs available.
+A build with one CPU runs them inline; builds on two and four threads must
+equal it byte for byte, and threads building on one shared builder at once
+must all get the same profile objects.
 """
 
 import random
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +26,8 @@ from test_profile_digest import REFINED
 
 from repro.energy import EpochGrid, ProfileBuilder
 from repro.energy.profiles import BLOCK_LOCATIONS
+from repro.parallel import executors
+from repro.parallel.executors import ExecutorFactory
 from repro.weather import build_world_catalog
 
 GRIDS = {
@@ -93,3 +102,56 @@ def test_partly_cached_builder(catalog, grid, one_by_one):
         assert by_name[profile.name] is profile
     for profile in profiles:
         assert _bits(profile) == one_by_one[profile.name], profile.name
+
+
+def _build_on(catalog, grid, monkeypatch, cpus):
+    """``build_all`` with ``cpus`` CPUs available, and the threads its blocks ran on."""
+    monkeypatch.setattr(executors, "available_cpu_count", lambda: cpus)
+    threads = set()
+    build_block = ProfileBuilder._build_block
+
+    def recorded(builder, locations, epochs):
+        threads.add(threading.get_ident())
+        return build_block(builder, locations, epochs)
+
+    monkeypatch.setattr(ProfileBuilder, "_build_block", recorded)
+    return ProfileBuilder(catalog).build_all(grid), threads
+
+
+@pytest.fixture(scope="module")
+def serial_build(catalog, grid):
+    """The whole catalogue built with one CPU available: inline, block after block."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        profiles, threads = _build_on(catalog, grid, monkeypatch, 1)
+    assert threads == {threading.get_ident()}
+    return [_bits(profile) for profile in profiles]
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_threaded_build_equals_serial_build(
+    catalog, grid, one_by_one, serial_build, monkeypatch, cpus
+):
+    assert serial_build == [one_by_one[name] for name in catalog.names]
+    profiles, threads = _build_on(catalog, grid, monkeypatch, cpus)
+    assert threading.get_ident() not in threads and len(threads) > 1
+    assert [_bits(profile) for profile in profiles] == serial_build
+
+
+def test_concurrent_builds_share_one_builder(catalog, grid, serial_build, monkeypatch):
+    # Four builds of two block threads each, more threads than cores, with
+    # frequent thread switches: every build must return the first profile
+    # stored for each location.
+    monkeypatch.setattr(executors, "available_cpu_count", lambda: 2)
+    builder = ProfileBuilder(catalog)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ExecutorFactory(kind="thread", max_workers=4).create(4) as pool:
+            futures = [pool.submit(builder.build_all, grid) for _ in range(4)]
+            builds = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    first = builds[0]
+    for build in builds[1:]:
+        assert len(build) == len(first) and all(a is b for a, b in zip(first, build))
+    assert [_bits(profile) for profile in first] == serial_build

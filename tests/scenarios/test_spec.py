@@ -7,6 +7,7 @@ import pytest
 from repro.core import EnergySources, GreenEnforcement, StorageMode
 from repro.core.heuristic import SearchSettings
 from repro.scenarios import ParameterSweep, ScenarioSpec, build_sweep, get_scenario, scenario_names
+from repro.scenarios.spec import EMULATION_DEFAULTS, EMULATION_TYPES
 
 
 class TestScenarioSpecValidation:
@@ -51,6 +52,24 @@ class TestScenarioSpecValidation:
         with pytest.raises(ValueError, match="unknown search knobs"):
             ScenarioSpec().with_updates(**{f"search.{knob}": 1})
 
+    def test_wrong_typed_values_rejected(self):
+        with pytest.raises(ValueError, match="catalog_seed must be int"):
+            ScenarioSpec(catalog_seed="abc")
+        with pytest.raises(ValueError, match="num_locations must be int, not bool"):
+            ScenarioSpec(num_locations=True)
+        with pytest.raises(ValueError, match="emulation.num_vms must be int"):
+            ScenarioSpec(workflow="emulate", emulation={"num_vms": "x"})
+        with pytest.raises(ValueError, match="unknown param_overrides knobs"):
+            ScenarioSpec(param_overrides={"bogus": 1.0})
+
+    def test_ints_are_accepted_for_floats_without_coercion(self):
+        spec = ScenarioSpec(total_capacity_kw=50_000, search={"cooling": 1})
+        assert type(spec.total_capacity_kw) is int and type(spec.search["cooling"]) is int
+        assert spec.to_dict()["total_capacity_kw"] == 50_000
+
+    def test_emulation_types_cover_every_knob(self):
+        assert sorted(EMULATION_TYPES) == sorted(EMULATION_DEFAULTS)
+
     def test_out_of_range_search_values_rejected(self):
         with pytest.raises(ValueError, match="at least one location"):
             ScenarioSpec(search={"keep_locations": 0})
@@ -88,6 +107,24 @@ class TestScenarioSpecValidation:
             ScenarioSpec(min_green_fraction=1.5)
         with pytest.raises(ValueError):
             ScenarioSpec(num_locations=0)
+        with pytest.raises(ValueError, match="day per season"):
+            ScenarioSpec(days_per_season=0)
+        for hours in (0, -3, 5):
+            with pytest.raises(ValueError, match="divisor of 24"):
+                ScenarioSpec(hours_per_epoch=hours)
+
+    @pytest.mark.parametrize(
+        "block, knobs, message",
+        [
+            ("operate", {"steps": 0}, "at least one step"),
+            ("ensemble", {"draws": 0}, "at least one draw"),
+            ("contingency", {"survivability_epsilon": 2.0}, "survivability_epsilon"),
+            ("faults", {"site_outages": [{"site": "Kiev"}]}, "start_step"),
+        ],
+    )
+    def test_bad_knob_blocks_rejected_at_construction(self, block, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec(workflow="operate", **{block: knobs})
 
 
 class TestRoundTrip:

@@ -7,11 +7,16 @@ an ``internal`` error, or as no response at all.  The inputs are malformed
 JSON text, non-object payloads, unknown envelope keys, bad request ids,
 deeply nested values and wrong-typed values for every spec field.  A spec
 that parses must also content-hash, as the server does first with it.
+
+A value of the wrong type for any spec field or knob (a string seed, a
+fractional location count, a bool where a number goes) is a ``SpecError``
+too: the spec rejects it at construction instead of failing in the solve.
 """
 
 import json
 from dataclasses import fields
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.scenarios.spec import ScenarioSpec
@@ -125,3 +130,45 @@ def test_parse_request_line_raises_only_spec_error(line):
 def test_nesting_deeper_than_the_decoder_allows_is_a_spec_error():
     line = '{"id": 1, "spec": {"name": ' + _deep_text(100_000, "[", "]") + "}}"
     _parses_or_spec_error(parse_request_line, line)
+
+
+#: Wrong-typed values for every spec field, including knobs of each block.
+WRONG_TYPED = {
+    "name": [1, None],
+    "description": [["text"]],
+    "workflow": [1],
+    "num_locations": [2.5, "90", True],
+    "catalog_seed": ["abc", 2014.0, False],
+    "include_anchors": ["no", 1, None],
+    "candidate_names": ["Kiev", [1, 2], {"Kiev": 1}],
+    "days_per_season": ["1", 1.5],
+    "hours_per_epoch": ["3", 3.0],
+    "total_capacity_kw": ["5e4", True, None],
+    "min_green_fraction": ["0.5", False],
+    "sources": [1],
+    "storage": [None],
+    "green_enforcement": [["annual"]],
+    "migration_factor": ["1", True],
+    "net_meter_credit": [None],
+    "min_availability": ["0.9", True],
+    "param_overrides": [5, {"price_server": "x"}, {"servers_per_switch": 32.5}],
+    "search": [5, {"seed": "x"}, {"keep_locations": 2.5}, {"move_weights": {"add": "x"}}],
+    "emulation": ["x", {"num_vms": "x"}, {"sites": "Harare"}, {"initial_datacenter": 3}],
+    "operate": [[1], {"steps": True}, {"shed_tiers": [[0.1, "x"]]}],
+    "ensemble": [{"draws": 2.5}, {"mode": 1}],
+    "faults": [5, "x", {"site_outages": "x"}],
+    "contingency": [{"outage_start_step": "6"}, {"survivability_epsilon": None}],
+}
+
+
+def test_every_spec_field_has_wrong_typed_cases():
+    assert sorted(WRONG_TYPED) == sorted(SPEC_FIELDS)
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [(name, value) for name, values in WRONG_TYPED.items() for value in values],
+)
+def test_wrong_typed_field_is_a_spec_error(field_name, value):
+    with pytest.raises(SpecError, match="invalid scenario spec"):
+        parse_request({"id": 1, "spec": {**VALID_SPEC, field_name: value}})

@@ -241,6 +241,25 @@ class TestErrors:
         assert message in response["message"]
         assert server.metrics.solves_started == 0
 
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [("catalog_seed", "abc"), ("num_locations", 2.5), ("emulation", {"num_vms": "x"})],
+    )
+    def test_wrong_typed_field_is_a_spec_error(self, field_name, value):
+        server = PlanServer(ServeConfig(executor="serial"), solve_fn=instant_solver())
+        spec = ScenarioSpec().to_dict()
+        spec[field_name] = value
+
+        async def scenario():
+            response = await server.handle({"id": "typed", "spec": spec})
+            await server.drain(grace_s=1.0)
+            return response
+
+        response = run(scenario())
+        assert response["error"] == "spec_error"
+        assert field_name in response["message"]
+        assert server.metrics.solves_started == 0
+
     def test_solver_crash_becomes_typed_internal_error(self):
         def solve(spec):
             raise RuntimeError("catalogue imploded")
