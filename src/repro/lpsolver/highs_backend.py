@@ -3,13 +3,15 @@
 SciPy's ``linprog`` wrapper adds several milliseconds of validation and
 conversion overhead per call, which dominates when the siting heuristic
 solves thousands of small provisioning LPs.  SciPy ships the HiGHS python
-bindings it uses internally (``scipy.optimize._highspy``); this module feeds
-a :class:`~repro.lpsolver.model.RowFormLP` straight into a ``HighsLp`` —
-CSC arrays, row bounds and column bounds, no dense intermediates and no
-input re-validation.  Those bindings are a hard requirement, checked once
-when this module is imported (:data:`SCIPY_REQUIREMENT`).  A row form
-with integer columns loads the same way, with its integrality declared, and
-HiGHS's branch-and-bound solves it on the same handle.
+bindings it uses internally (``scipy.optimize._highspy``); this module hands
+the arrays of a :class:`~repro.lpsolver.model.RowFormLP` — CSC matrix, row
+bounds, column bounds and costs — to the bindings' array ``passModel``,
+which copies them in C++: nothing is converted element by element in Python
+and there are no dense intermediates.  Those bindings are a hard
+requirement, checked once when this module is imported
+(:data:`SCIPY_REQUIREMENT`).  A row form with integer columns loads the
+same way, with its integrality declared, and HiGHS's branch-and-bound
+solves it on the same handle.
 
 Warm starts
 -----------
@@ -38,13 +40,13 @@ create one model per worker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional, Tuple
+from typing import Any, NamedTuple, NoReturn, Optional, Tuple
 
 import numpy as np
 
 from repro.lpsolver import validate as _validate
 from repro.lpsolver.model import RowFormLP
-from repro.lpsolver.result import SolveResult, SolveStatus, SolverStatusError  # noqa: F401
+from repro.lpsolver.result import SolveResult, SolveStatus, SolverStatusError
 
 #: The SciPy releases verified to ship the private HiGHS bindings used here.
 SCIPY_REQUIREMENT = "scipy>=1.17.1,<1.18"
@@ -65,6 +67,11 @@ _STATUS_MAP = {
     _core.HighsModelStatus.kTimeLimit: SolveStatus.ITERATION_LIMIT,
     _core.HighsModelStatus.kIterationLimit: SolveStatus.ITERATION_LIMIT,
 }
+
+#: ``passModel``'s integer codes for a column-wise matrix and minimisation.
+_COLWISE = int(_core.MatrixFormat.kColwise)
+_MINIMIZE = int(_core.ObjSense.kMinimize)
+
 
 @dataclass
 class SolverOptions:
@@ -90,30 +97,6 @@ class BasisSnapshot(NamedTuple):
 
     basis: Any
     shape: Tuple[int, int]
-
-
-def _build_lp(row_form: RowFormLP) -> Any:
-    lp = _core.HighsLp()
-    num_row, num_col = row_form.shape
-    lp.num_col_ = num_col
-    lp.num_row_ = num_row
-    lp.col_cost_ = row_form.cost
-    lp.col_lower_ = row_form.lower
-    lp.col_upper_ = row_form.upper
-    lp.row_lower_ = row_form.row_lower
-    lp.row_upper_ = row_form.row_upper
-    lp.a_matrix_.num_col_ = num_col
-    lp.a_matrix_.num_row_ = num_row
-    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = row_form.a_indptr
-    lp.a_matrix_.index_ = row_form.a_indices
-    lp.a_matrix_.value_ = row_form.a_data
-    if np.any(row_form.integrality):
-        lp.integrality_ = [
-            _core.HighsVarType.kInteger if flag else _core.HighsVarType.kContinuous
-            for flag in row_form.integrality
-        ]
-    return lp
 
 
 def solve_row_form(
@@ -179,7 +162,15 @@ class MutableHighsModel:
         return (self.num_cols, self.num_rows)
 
     def load(self, row_form: RowFormLP) -> None:
-        """Replace the loaded model wholesale and drop the carried basis."""
+        """Replace the loaded model wholesale and drop the carried basis.
+
+        The row form's arrays go to HiGHS's array ``passModel`` as they are,
+        cast to the bindings' int32/float64 only where they differ, and
+        HiGHS copies them.  A model HiGHS rejects (``kError``), or one whose
+        array lengths disagree with its shape, raises
+        :class:`~repro.lpsolver.result.SolverStatusError` and leaves the
+        handle empty with no carried basis; a ``kWarning`` load stands.
+        """
         if _validate.validation_enabled():
             # Load checks structure only.  Empty rows and orphan columns are
             # the solver's to classify: an LP that is unbounded or infeasible
@@ -188,9 +179,46 @@ class MutableHighsModel:
             _validate.validate_row_form(
                 row_form, "MutableHighsModel.load", check_empty_rows=False
             )
-        self._highs.passModel(_build_lp(row_form))
-        self.num_rows, self.num_cols = row_form.shape
+        num_row, num_col = row_form.shape
+        columns = [
+            np.ascontiguousarray(row_form.cost, dtype=np.float64),
+            np.ascontiguousarray(row_form.lower, dtype=np.float64),
+            np.ascontiguousarray(row_form.upper, dtype=np.float64),
+        ]
+        rows = [
+            np.ascontiguousarray(row_form.row_lower, dtype=np.float64),
+            np.ascontiguousarray(row_form.row_upper, dtype=np.float64),
+        ]
+        start = np.ascontiguousarray(row_form.a_indptr[:-1], dtype=np.int32)
+        index = np.ascontiguousarray(row_form.a_indices, dtype=np.int32)
+        value = np.ascontiguousarray(row_form.a_data, dtype=np.float64)
+        integrality = (np.asarray(row_form.integrality) != 0).astype(np.int32)
         self._native = None
+        # The bindings read each buffer as far as these counts say without
+        # checking its length, so a short array must never reach them.
+        if not (
+            all(len(array) == num_col for array in (*columns, start, integrality))
+            and all(len(array) == num_row for array in rows)
+            and len(value) == len(index)
+        ):
+            self._reject(f"array lengths do not match the shape {row_form.shape}")
+        status = self._highs.passModel(
+            num_col, num_row, len(index), _COLWISE, _MINIMIZE, 0.0,
+            *columns, *rows, start, index, value, integrality,
+        )
+        if status == _core.HighsStatus.kError:
+            self._reject("HiGHS rejected the model")
+        self.num_rows, self.num_cols = num_row, num_col
+
+    def _reject(self, detail: str) -> NoReturn:
+        """Empty the handle and raise :class:`SolverStatusError` for a bad load.
+
+        HiGHS may keep a rejected model half-loaded, and running it crashes
+        the interpreter, so nothing of it may stay for a later solve.
+        """
+        self._highs.clearModel()
+        self.num_cols = self.num_rows = 0
+        raise SolverStatusError(SolveStatus.ERROR, message=detail, solver="highs-load")
 
     # -- basis transfer ----------------------------------------------------------
     def roll_basis(self, cols: int, rows: int) -> None:
@@ -290,7 +318,7 @@ class MutableHighsModel:
         raw_status = self._highs.getModelStatus()
         status = _STATUS_MAP.get(raw_status, SolveStatus.ERROR)
         message = self._highs.modelStatusToString(raw_status)
-        iterations = int(self._highs.getInfo().simplex_iteration_count)
+        iterations = int(self._highs.getInfoValue("simplex_iteration_count")[1])
         if status is SolveStatus.OPTIMAL:
             x = np.asarray(self._highs.getSolution().col_value, dtype=float)
             objective = float(self._highs.getObjectiveValue())

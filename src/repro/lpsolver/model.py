@@ -32,9 +32,10 @@ class RowFormLP:
 
     The native HiGHS input form: the constraint matrix is carried as raw CSC
     arrays (``a_indptr``/``a_indices``/``a_data`` with ``shape = (rows,
-    cols)``) so they can be handed to ``HighsLp`` without conversion or
-    re-validation.  ``cost`` is already negated for maximisation problems;
-    a nonzero ``integrality`` entry marks an integer column.
+    cols)``) so HiGHS's array ``passModel`` copies them as they are
+    (:meth:`~repro.lpsolver.highs_backend.MutableHighsModel.load`).
+    ``cost`` is already negated for maximisation problems; a nonzero
+    ``integrality`` entry marks an integer column.
     """
 
     cost: np.ndarray

@@ -5,10 +5,12 @@ same :class:`~repro.lpsolver.RowFormLP`; the carried basis is checked across
 snapshots, restores and the rolling dispatcher's one-step rotation.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.lpsolver import ConstraintSense, SolverOptions
+from repro.lpsolver import ConstraintSense, SolverOptions, SolverStatusError, SolveStatus
 from repro.lpsolver import highs_backend
 
 from lp_oracles import linprog_solve
@@ -106,3 +108,59 @@ class TestMutableHighsModel:
         mutable.roll_basis(1, 1)
         assert mutable.basis_snapshot() is None
         _assert_matches(mutable, _reference_model(BASE_COST, BASE_ROWS, BASE_BOUNDS))
+
+
+def _with_entry(row_form, position, *, row=None, value=None):
+    """A copy of ``row_form`` with one matrix entry's row or value replaced."""
+    indices, data = row_form.a_indices.copy(), row_form.a_data.copy()
+    if row is not None:
+        indices[position] = row
+    if value is not None:
+        data[position] = value
+    return dataclasses.replace(row_form, a_indices=indices, a_data=data)
+
+
+class TestRejectedLoads:
+    """A model HiGHS rejects raises at ``load`` and never reaches a solve."""
+
+    @pytest.fixture(autouse=True)
+    def _unvalidated(self, monkeypatch):
+        # The structural validator would reject these row forms first; the
+        # point here is what HiGHS's own status does.
+        monkeypatch.delenv("REPRO_VALIDATE", raising=False)
+
+    def test_row_index_out_of_range_raises_and_the_handle_recovers(self):
+        reference, mutable = _load_base()
+        first = mutable.solve(SolverOptions())
+        assert mutable.basis_snapshot() is not None
+        bad = _with_entry(reference, 0, row=reference.num_rows)
+        with pytest.raises(SolverStatusError, match="HiGHS rejected the model") as caught:
+            mutable.load(bad)
+        assert caught.value.status is SolveStatus.ERROR
+        assert mutable.shape == (0, 0)
+        assert mutable.basis_snapshot() is None
+        assert mutable._highs.getNumCol() == 0 and mutable._highs.getNumRow() == 0
+        # The same handle loads and solves a good LP, cold and correct.
+        mutable.load(reference)
+        again = mutable.solve(SolverOptions())
+        assert again.objective == pytest.approx(first.objective, rel=1e-12)
+        _assert_matches(mutable, reference)
+
+    def test_short_arrays_never_reach_highs(self):
+        reference, mutable = _load_base()
+        short = dataclasses.replace(reference, cost=reference.cost[:-1])
+        with pytest.raises(SolverStatusError, match="array lengths"):
+            mutable.load(short)
+        assert mutable.shape == (0, 0)
+        mutable.load(reference)
+        _assert_matches(mutable, reference)
+
+    def test_warning_load_stands(self):
+        # An entry below HiGHS's small_matrix_value is dropped with a warning.
+        reference = _reference_model(BASE_COST, BASE_ROWS, BASE_BOUNDS)
+        tiny = _with_entry(reference, 0, value=1e-12)
+        mutable = highs_backend.MutableHighsModel()
+        mutable.load(tiny)
+        assert mutable.shape == (3, 3)
+        assert len(mutable._highs.getLp().a_matrix_.value_) == len(tiny.a_data) - 1
+        _assert_matches(mutable, tiny)

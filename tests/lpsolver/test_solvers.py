@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.lpsolver import MutableHighsModel, SolveStatus, SolverOptions
-from repro.lpsolver.highs_backend import SCIPY_REQUIREMENT, _build_lp, solve_row_form
+from repro.lpsolver.highs_backend import SCIPY_REQUIREMENT, solve_row_form
 
 from lp_oracles import assert_feasible, linprog_solve
 from row_collector import RowCollector
@@ -113,6 +113,11 @@ def _integer_floor():
     return rows, n
 
 
+def _declared(highs):
+    """The variable type of each column of the model HiGHS holds."""
+    return [kind.name for kind in highs._highs.getLp().integrality_]
+
+
 class TestMixedIntegerPrograms:
     def test_knapsack_milp(self):
         rows = RowCollector(maximise=True)
@@ -151,11 +156,11 @@ class TestMixedIntegerPrograms:
         continuous, _ = _two_var()
         mixed, _ = _integer_floor()
         mixed.add_variable()
-        assert _build_lp(continuous.row_form()).integrality_ == []
-        assert [kind.name for kind in _build_lp(mixed.row_form()).integrality_] == [
-            "kInteger",
-            "kContinuous",
-        ]
+        highs = MutableHighsModel()
+        highs.load(continuous.row_form())
+        assert _declared(highs) == ["kContinuous", "kContinuous"]
+        highs.load(mixed.row_form())
+        assert _declared(highs) == ["kInteger", "kContinuous"]
 
     def test_mip_gap_is_reset_on_every_solve(self):
         """One handle solves MILPs and LPs; no option leaks between solves."""
