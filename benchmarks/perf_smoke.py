@@ -39,8 +39,8 @@ FILTER_CANDIDATES = 1373
 FILTER_PRICED_FRACTION_CEILING = 0.25
 
 #: Generous ceiling on the filter stage's wall-clock at 1373 candidates
-#: (currently ~0.15 s threaded / ~0.35 s serial; the ceiling only catches
-#: order-of-magnitude regressions such as losing the screen entirely).
+#: (currently ~0.1 s in one thread on a 2-vCPU x86-64 VM; the ceiling only
+#: catches order-of-magnitude regressions such as losing the screen entirely).
 FILTER_SECONDS_CEILING = 2.0
 
 

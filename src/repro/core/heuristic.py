@@ -18,8 +18,7 @@ boundaries (:mod:`repro.parallel`):
 
 * the *filter* prices candidate locations in chunks through
   :func:`~repro.core.single_site.priced_in_chunks`, one chunk after another,
-  each chunk solved as one block-diagonal stack or through one warm-started
-  HiGHS model;
+  each chunk's sites solved in turn on one warm-started HiGHS model;
 * the *search* runs its annealing chains sequentially, each chain starting
   from the best siting found so far — the role of the paper's periodic
   synchronisation — with its own RNG and move mix, so the outcome is
@@ -48,8 +47,9 @@ from repro.core.provisioning import (
     ProvisioningResult,
     solve_provisioning,
 )
-# ``price_per_site`` is bound here beside ``price_batch`` (its fallback) so a
-# profiler or test patching this module's pricers can reach both.
+# ``price_per_site`` is bound here beside ``price_batch`` (the chunk pricer
+# that calls it) so a profiler or test patching this module's pricers can
+# reach both.
 from repro.core.screening import price_batch, price_per_site, screen_lower_bounds  # noqa: F401
 from repro.core.single_site import (
     priced_in_chunks,
@@ -203,10 +203,9 @@ class HeuristicSolver:
         longitude band: such a candidate provably cannot enter the shortlist
         (its exact cost is at least its bound), so the pruning never changes
         the result, only the work.  Exact pricing solves each size-capped
-        chunk as one block-diagonal mega-LP (per-site warm-started solves
-        only when the stack is infeasible), one chunk after another; both
-        the chunk split and the round schedule depend only on the candidate
-        data.
+        chunk's sites in turn on one warm-started HiGHS model, one chunk
+        after another; both the chunk split and the round schedule depend
+        only on the candidate data.
 
         Like the paper's filter, similar locations are not all kept: the
         survivors are spread across time zones (the paper removes "subsets of

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -163,30 +163,6 @@ class _SkeletonTemplate:
     #: block label -> start offset into tri_vals; slot layout is fixed per block.
     slots: Dict[str, int]
     brown_cols: np.ndarray
-
-
-@dataclass
-class BatchCompiledLP:
-    """A block-diagonal stack of independent single-site pricing LPs.
-
-    Produced by :meth:`ProvisioningCompiler.compile_batch`: one solve of
-    ``row_form`` prices every site at once, and :meth:`site_costs` maps the
-    stacked solution vector back to per-site monthly costs (each site's slice
-    of the objective plus its fixed cost).  The blocks share no variables or
-    rows, so the per-site costs equal the optima of the individual pricing
-    LPs.
-    """
-
-    row_form: RowFormLP
-    names: List[str]
-    col_offsets: np.ndarray
-    row_offsets: np.ndarray
-    constants: np.ndarray
-
-    def site_costs(self, x: np.ndarray) -> np.ndarray:
-        """Per-site objective values of a stacked solution vector."""
-        contributions = self.row_form.cost * np.asarray(x, dtype=float)
-        return np.add.reduceat(contributions, self.col_offsets[:-1]) + self.constants
 
 
 @dataclass
@@ -770,37 +746,6 @@ class ProvisioningCompiler:
             for index, (name, size_class) in enumerate(siting.items())
         ]
         return row_form, layouts
-
-    def compile_batch(
-        self,
-        sitings: Sequence[Tuple[str, str]],
-        enforce_spread: bool = False,
-    ) -> BatchCompiledLP:
-        """Stack independent single-site LPs into one block-diagonal mega-LP.
-
-        ``sitings`` lists ``(location, size_class)`` pairs; each becomes its
-        own complete pricing LP — including its total-capacity and green
-        coupling rows, exactly as :meth:`compile_row_form` builds them for a
-        one-site siting — and the blocks are concatenated block-diagonally in
-        the given order.  One solve of the result prices every location at
-        once; :meth:`BatchCompiledLP.site_costs` recovers the per-site costs.
-        An empty ``sitings`` raises ``ValueError``.
-        """
-        from repro.lpsolver.batch import stack_block_diagonal
-
-        blocks = [
-            self.compile_row_form({name: size_class}, enforce_spread)[0]
-            for name, size_class in sitings
-        ]
-        names = [name for name, _ in sitings]
-        stacked, col_offsets, row_offsets = stack_block_diagonal(blocks)
-        return BatchCompiledLP(
-            row_form=stacked,
-            names=names,
-            col_offsets=col_offsets,
-            row_offsets=row_offsets,
-            constants=np.array([block.objective_constant for block in blocks]),
-        )
 
     def _build_template(
         self,

@@ -1,4 +1,4 @@
-"""Vectorized admissible screening and batched exact pricing of candidates.
+"""Vectorized admissible screening and exact pricing of candidates.
 
 The location filter (and the Fig. 6 single-site sweep) price every candidate
 with its own single-site provisioning LP.  At catalogue scale that pass
@@ -41,13 +41,13 @@ required; no green buildable and the brown cap below peak demand; no storage
 and a dead epoch whose demand exceeds the brown cap) are sound: a certified
 candidate's LP is infeasible, so it can be dropped without pricing.
 
-**Stage 2 — batched exact pricing** (:func:`price_batch`).  Survivors are
-priced exactly by stacking many independent single-site LPs into one
-block-diagonal mega-LP per chunk
-(:meth:`~repro.core.provisioning.ProvisioningCompiler.compile_batch`), so one
-HiGHS solve replaces k warm-started solves.  If the stacked solve fails —
-one infeasible site makes the whole stack infeasible — the chunk falls back
-to the per-site warm-started path, which classifies each site individually.
+**Stage 2 — exact pricing** (:func:`price_batch`).  Survivors are priced
+exactly, one chunk at a time: one fresh HiGHS handle per chunk solves the
+chunk's single-site LPs in turn and carries each optimal basis to the next
+site.  Sites of one size class have LPs of one shape, so the dual simplex
+starts warm and re-converges in a few iterations (:func:`price_per_site`).
+Each site is solved on its own, so an infeasible site is classified
+individually.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ import numpy as np
 from repro.core.costs import CostModel
 from repro.core.problem import SitingProblem, StorageMode
 from repro.lpsolver import MutableHighsModel, SolverOptions
-from repro.lpsolver import highs_backend
 
 __all__ = ["ScreenResult", "screen_lower_bounds", "price_batch", "price_per_site"]
 
@@ -200,25 +199,14 @@ def price_batch(
     options: SolverOptions,
     compiler=None,
 ) -> List[Tuple[str, float, bool]]:
-    """Price ``(location, size_class)`` pairs with one block-diagonal solve.
+    """Price one chunk of ``(location, size_class)`` pairs.
 
-    Returns ``(location, monthly_cost, feasible)`` rows in ``sitings`` order —
-    the same rows :func:`price_per_site` produces, and ``[]`` for an empty
-    chunk.  When the stack does not solve to optimality (a single infeasible
-    site makes the whole stack infeasible), the chunk falls back to per-site
-    warm-started solves, which classify each site individually.
+    Returns ``(location, monthly_cost, feasible)`` rows in ``sitings`` order,
+    and ``[]`` for an empty chunk.  The chunk is priced by
+    :func:`price_per_site`: one warm-started HiGHS handle, site by site.
     """
-    from repro.core.provisioning import ProvisioningCompiler
-
     if not sitings:
         return []
-    if compiler is None:
-        compiler = ProvisioningCompiler(problem)
-    compiled = compiler.compile_batch(sitings, enforce_spread=False)
-    result = highs_backend.solve_row_form(compiled.row_form, options)
-    if result.is_optimal:
-        costs = compiled.site_costs(result.x)
-        return [(name, float(cost), True) for name, cost in zip(compiled.names, costs)]
     return price_per_site(problem, sitings, options, compiler)
 
 
@@ -228,12 +216,14 @@ def price_per_site(
     options: SolverOptions,
     compiler=None,
 ) -> List[Tuple[str, float, bool]]:
-    """Per-site warm-started pricing, the fallback of :func:`price_batch`.
+    """Price ``sitings`` one site at a time on one warm-started handle.
 
     One fresh :class:`~repro.lpsolver.MutableHighsModel` carries the optimal
-    basis across the structurally identical single-site LPs of the chunk.
-    Each site is solved on its own, so an infeasible site that makes a
-    stacked solve fail is classified individually.
+    basis from site to site; it warm-starts every LP of the carried basis's
+    shape (one size class), so the order of ``sitings`` fixes the warm-start
+    sequence and with it the costs, bit for bit.  Each site is solved on
+    its own, so an infeasible site is classified individually and leaves
+    the carried basis as it was.
     """
     from repro.core.provisioning import ProvisioningCompiler, solve_provisioning
 

@@ -61,14 +61,13 @@ def single_site_size_class(
     return "small" if total_power <= params.small_dc_threshold_kw else "large"
 
 
-#: Row budget of one pricing chunk: chunks are sized so the LP rows one
-#: chunk holds (one warm-start sequence, or one block-diagonal stack) stay
-#: bounded no matter how large the candidate catalogue grows.
+#: Row budget of one pricing chunk: chunks are sized so the LP rows of one
+#: chunk's warm-start sequence stay bounded no matter how large the
+#: candidate catalogue grows.
 PRICING_CHUNK_ROW_CAP = 20_000
 
-#: Floor on the chunk count (the pre-batching filter always used 8 fixed
-#: chunks); the split fixes which LPs share a stack, and so the priced costs
-#: bit for bit.
+#: Floor on the chunk count; the split fixes which LPs share a warm-start
+#: sequence, and so the priced costs bit for bit.
 MIN_PRICING_CHUNKS = 8
 
 
@@ -101,7 +100,7 @@ def pricing_chunk_count(
     """Size-aware chunk count for a pricing sweep of ``num_items`` LPs.
 
     Chunks are capped at ``row_cap`` LP rows each so very large catalogues
-    never stack thousands of sites into one LP, with at least
+    never chain thousands of sites on one handle, with at least
     ``min_chunks`` chunks.  The count depends only on the sweep size, which
     fixes the per-chunk pricing sequences (and therefore scores, bit for
     bit).
@@ -139,9 +138,8 @@ def priced_in_chunks(
     The one pricing path behind the heuristic's filter and
     :meth:`SingleSiteAnalyzer.cost_distribution`.  The pairs are split into
     :func:`pricing_chunk_count` contiguous chunks and each chunk is priced in
-    the caller, in turn, as one block-diagonal stack
-    (:func:`~repro.core.screening.price_batch`, which falls back to per-site
-    warm-started solves when the stack is infeasible); every chunk shares
+    the caller, in turn, site by site on its own warm-started HiGHS handle
+    (:func:`~repro.core.screening.price_batch`); every chunk shares
     ``compiler``.  ``price`` replaces the pricer, so a caller can route the
     chunks through its own module's binding of ``price_batch``.
 
@@ -273,7 +271,7 @@ class SingleSiteAnalyzer:
         fan out across processes one level up, in the
         :class:`~repro.scenarios.runner.ExperimentRunner`.
 
-        Each chunk is priced as one block-diagonal mega-LP
+        Each chunk is priced site by site on one warm-started handle
         (:func:`~repro.core.screening.price_batch`).  The returned costs are
         slim (``result`` is ``None``); use :meth:`cost_at` when a plan is
         needed.

@@ -1,13 +1,13 @@
 """Block-diagonal assembly of independent row-form LPs.
 
-Many pricing passes solve *structurally independent* LPs — one per candidate
-location — whose per-call overhead (model pass, presolve, simplex start-up)
-dominates once the individual problems are small.  Stacking k independent
-blocks into one block-diagonal :class:`~repro.lpsolver.model.RowFormLP` lets
-a single HiGHS solve replace k solves; because the blocks share no variables
-or rows, the stacked optimum decomposes exactly into the per-block optima and
-each block's objective can be read back from its slice of the solution
-vector.
+The robust evaluations solve *structurally independent* LPs — one per
+contingency or draw — whose per-call overhead (model pass, presolve, simplex
+start-up) dominates once the individual problems are small.  Stacking k
+independent blocks into one block-diagonal
+:class:`~repro.lpsolver.model.RowFormLP` lets a single HiGHS solve replace k
+solves; because the blocks share no variables or rows, the stacked optimum
+decomposes exactly into the per-block optima and each block's objective can
+be read back from its slice of the solution vector.
 
 The stacker is pure array concatenation: CSC blocks are already
 column-contiguous, so the stacked matrix is the data arrays appended with row

@@ -166,10 +166,12 @@ class MutableHighsModel:
 
         The row form's arrays go to HiGHS's array ``passModel`` as they are,
         cast to the bindings' int32/float64 only where they differ, and
-        HiGHS copies them.  A model HiGHS rejects (``kError``), or one whose
-        array lengths disagree with its shape, raises
-        :class:`~repro.lpsolver.result.SolverStatusError` and leaves the
-        handle empty with no carried basis; a ``kWarning`` load stands.
+        HiGHS copies them.  A model HiGHS rejects (``kError``), one whose
+        array lengths disagree with its shape, or one with a NaN cost, bound
+        or matrix value (HiGHS would drop a NaN entry without an error)
+        raises :class:`~repro.lpsolver.result.SolverStatusError` and leaves
+        the handle empty with no carried basis; a ``kWarning`` load stands.
+        Infinite bounds are legal.
         """
         if _validate.validation_enabled():
             # Load checks structure only.  Empty rows and orphan columns are
@@ -202,6 +204,8 @@ class MutableHighsModel:
             and len(value) == len(index)
         ):
             self._reject(f"array lengths do not match the shape {row_form.shape}")
+        if np.isnan(np.concatenate((*columns, *rows, value))).any():
+            self._reject("NaN in the costs, bounds or matrix values")
         status = self._highs.passModel(
             num_col, num_row, len(index), _COLWISE, _MINIMIZE, 0.0,
             *columns, *rows, start, index, value, integrality,
@@ -274,9 +278,21 @@ class MutableHighsModel:
 
     # -- solving ----------------------------------------------------------------
     def install_basis(self) -> None:
-        """Hand the carried basis to HiGHS when its shape matches the model."""
+        """Hand the carried basis to HiGHS when its shape matches the model.
+
+        HiGHS rejects a basis it cannot use (``kError``, e.g. one with too
+        few basic variables) and the solve then starts cold.  Under
+        ``REPRO_VALIDATE=1`` the rejection raises
+        :class:`~repro.lpsolver.result.SolverStatusError` instead.
+        """
         if self._native is not None and self._native.shape == self.shape:
-            self._highs.setBasis(self._native.basis)
+            status = self._highs.setBasis(self._native.basis)
+            if status == _core.HighsStatus.kError and _validate.validation_enabled():
+                raise SolverStatusError(
+                    SolveStatus.ERROR,
+                    message="HiGHS rejected the carried basis",
+                    solver="highs-basis",
+                )
 
     def solve(self, options: SolverOptions, check: bool = False) -> SolveResult:
         """Solve the currently loaded model, warm-starting when possible.

@@ -18,9 +18,8 @@ the budget *constraints*, not through an expectation over outages.
 
 Fixed-sizing evaluation of a plan against every contingency batches the
 per-contingency row forms into one block-diagonal mega-LP via
-:func:`repro.lpsolver.batch.stack_block_diagonal` — the same pricing trick
-the two-stage filter uses — and is differential-tested against brute-force
-per-contingency solves.
+:func:`repro.lpsolver.batch.stack_block_diagonal` and is differential-tested
+against brute-force per-contingency solves.
 
 N-1 sizing can cross the small-datacenter class threshold that the siting
 fixed for the deterministic plan; when the contingency LP is infeasible

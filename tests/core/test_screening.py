@@ -8,12 +8,11 @@ the LP ground truth:
   on LPs that really are infeasible, across the scenario matrix the
   experiments use (Fig. 6 brown/solar/wind sweeps, the Table II storage
   modes, the Section III-D search configuration);
-* **batching** — the block-diagonal stacked solve returns the same per-site
-  costs as the per-site warm-started solves it replaces, and the filter
-  shortlist is bit-identical whichever stage combination (screen on/off,
-  batch on/off) produced it, priced on one thread or several.  The filter
-  always screens and batches; the other combinations are reached by
-  patching the heuristic module's pricer bindings.
+* **warm pricing** — a chunk priced on one warm-started handle returns the
+  same rows as a fresh solve of each siting, infeasible sites included, and
+  the filter shortlist is bit-identical with the screen on or off.  The
+  filter always screens; the unscreened run is reached by patching the
+  heuristic module's screen binding.
 """
 
 import contextlib
@@ -34,7 +33,6 @@ from repro.core.provisioning import ProvisioningCompiler, solve_provisioning
 from repro.core.screening import (
     ScreenResult,
     price_batch,
-    price_per_site,
     screen_lower_bounds,
 )
 from repro.core.single_site import (
@@ -178,27 +176,51 @@ class TestBatchPricing:
             stack_block_diagonal([])
 
     @pytest.mark.parametrize("capacity,green,sources,storage", SCENARIOS)
-    def test_batch_matches_per_site(
+    def test_batch_matches_fresh_solves(
         self, all_profiles, params, solver_options, capacity, green, sources, storage
     ):
         problem = _network_problem(
             all_profiles, params, capacity, green, sources, storage
         )
         pricing, share_kw = _pricing_problem(problem)
-        sitings = [
-            (
-                profile.name,
-                single_site_size_class(share_kw, profile, pricing.params),
-            )
-            for profile in pricing.profiles
-        ]
-        batched = price_batch(pricing, sitings, solver_options)
-        unbatched = price_per_site(pricing, sitings, solver_options)
-        assert [row[0] for row in batched] == [row[0] for row in unbatched]
-        assert [row[2] for row in batched] == [row[2] for row in unbatched]
-        for (_, batch_cost, feasible), (_, site_cost, _) in zip(batched, unbatched):
-            if feasible:
-                assert batch_cost == pytest.approx(site_cost, rel=1e-7)
+        _assert_rows_match_fresh_solves(pricing, share_kw, solver_options)
+
+    def test_chunk_with_an_infeasible_site(self, all_profiles, params, solver_options):
+        # Without storage and with the brown draw capped at 5 % of the
+        # nearest plant, a site near a small plant cannot cover its dark
+        # epochs; the sites priced after it must still price exactly.
+        problem = _network_problem(
+            all_profiles,
+            params.with_updates(brown_plant_cap_fraction=0.05),
+            50_000.0,
+            0.3,
+            EnergySources.SOLAR_AND_WIND,
+            StorageMode.NONE,
+        )
+        pricing, share_kw = _pricing_problem(problem)
+        rows = _assert_rows_match_fresh_solves(pricing, share_kw, solver_options)
+        feasible = [row[2] for row in rows]
+        assert any(feasible[feasible.index(False):])
+
+    def test_empty_chunk(self, two_site_problem, solver_options):
+        assert price_batch(two_site_problem, [], solver_options) == []
+
+
+def _assert_rows_match_fresh_solves(pricing, share_kw, options):
+    """``price_batch`` on one chunk of every candidate equals fresh solves."""
+    sitings = [
+        (profile.name, single_site_size_class(share_kw, profile, pricing.params))
+        for profile in pricing.profiles
+    ]
+    rows = price_batch(pricing, sitings, options)
+    exact = _exact_rows(pricing, share_kw, options)
+    assert [row[0] for row in rows] == [name for name, _ in sitings]
+    for name, cost, feasible in rows:
+        fresh_cost, fresh_feasible = exact[name]
+        assert feasible == fresh_feasible, name
+        if feasible:
+            assert cost == pytest.approx(fresh_cost, rel=1e-9), name
+    return rows
 
 
 def _zero_bounds(problem, size_classes=None):
@@ -212,18 +234,16 @@ def _zero_bounds(problem, size_classes=None):
 
 
 @contextlib.contextmanager
-def _filter_stages(screen, batch):
-    """Turn the filter's screen and batching off by patching its bindings."""
+def _filter_screen(screen):
+    """Turn the filter's screen off by patching its binding."""
     with pytest.MonkeyPatch.context() as patch:
         if not screen:
             patch.setattr(heuristic, "screen_lower_bounds", _zero_bounds)
-        if not batch:
-            patch.setattr(heuristic, "price_batch", price_per_site)
         yield
 
 
 class TestFilterShortlistInvariance:
-    """The shortlist is identical for every stage combination."""
+    """The shortlist is identical with the screen on or off."""
 
     @pytest.fixture(scope="class")
     def reference_shortlist(self, all_profiles, params):
@@ -236,16 +256,15 @@ class TestFilterShortlistInvariance:
             StorageMode.NET_METERING,
         )
         settings = SearchSettings(keep_locations=8, num_chains=1, seed=3)
-        with _filter_stages(screen=False, batch=False):
+        with _filter_screen(screen=False):
             return problem, HeuristicSolver(problem, settings).filter_locations()
 
     @pytest.mark.parametrize("screen", [True, False], ids=["screen", "noscreen"])
-    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "persite"])
-    def test_stage_invariance(self, reference_shortlist, screen, batch):
+    def test_stage_invariance(self, reference_shortlist, screen):
         problem, expected = reference_shortlist
         settings = SearchSettings(keep_locations=8, num_chains=1, seed=3)
         solver = HeuristicSolver(problem, settings)
-        with _filter_stages(screen, batch):
+        with _filter_screen(screen):
             assert solver.filter_locations() == expected
         stats = solver._filter_stats
         assert stats["filter_candidates"] == len(problem.profiles)
@@ -270,4 +289,4 @@ class TestCostDistributionTwoStage:
                 assert slim.monthly_cost == pytest.approx(
                     full.monthly_cost, rel=1e-7
                 )
-            assert slim.result is None  # batched sweeps are slim
+            assert slim.result is None  # chunked sweeps are slim

@@ -4,7 +4,7 @@
 arrays to HiGHS's array ``passModel``.  After each load the model HiGHS
 holds (``getLp()``) must carry the row form's cost, column and row bounds,
 column-wise ``start``/``index``/``value`` and integrality value for value:
-the provisioning LP of one site and a ``compile_batch`` stack, the Fig. 1
+the provisioning LP of one site and a block-diagonal stack of two, the Fig. 1
 siting MILP, a compiled dispatch window and the edge shapes (no rows, no
 nonzeros, 64-bit column starts).  The only change HiGHS makes on the way
 in is its own: it drops matrix entries no larger than its
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import build_full_milp
 from repro.core.provisioning import ProvisioningCompiler
-from repro.lpsolver import MutableHighsModel, RowFormLP, SolverOptions
+from repro.lpsolver import MutableHighsModel, RowFormLP, SolverOptions, stack_block_diagonal
 from repro.lpsolver.highs_backend import _core
 from repro.operator.dispatch import DispatchConfig, RollingDispatcher, SiteAsset
 
@@ -119,10 +119,14 @@ def test_single_site_provisioning_lp(compiler, two_site_problem):
     assert_loads_exactly(row_form)
 
 
-def test_compile_batch_stack(compiler, two_site_problem):
-    sitings = [(profile.name, size) for profile in two_site_problem.profiles
-               for size in ("small", "large")]
-    assert_loads_exactly(compiler.compile_batch(sitings).row_form)
+def test_block_diagonal_stack(compiler, two_site_problem):
+    # The robust evaluations load stacks like this one.
+    blocks = [
+        compiler.compile_row_form({profile.name: "large"}, enforce_spread=False)[0]
+        for profile in two_site_problem.profiles
+    ]
+    stacked, _, _ = stack_block_diagonal(blocks)
+    assert_loads_exactly(stacked)
 
 
 def test_siting_milp(two_site_problem):

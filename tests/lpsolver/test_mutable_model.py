@@ -155,6 +155,30 @@ class TestRejectedLoads:
         mutable.load(reference)
         _assert_matches(mutable, reference)
 
+    @pytest.mark.parametrize(
+        "field", ["cost", "lower", "upper", "row_lower", "row_upper", "a_data"]
+    )
+    def test_nan_is_rejected(self, field):
+        # HiGHS itself drops a NaN matrix value without an error and solves
+        # the LP without that entry (objective 6.75 here instead of 17/3).
+        reference, mutable = _load_base()
+        values = np.array(getattr(reference, field), dtype=float)
+        values[0] = np.nan
+        with pytest.raises(SolverStatusError, match="NaN") as caught:
+            mutable.load(dataclasses.replace(reference, **{field: values}))
+        assert caught.value.status is SolveStatus.ERROR
+        assert mutable.shape == (0, 0)
+        assert mutable.basis_snapshot() is None
+        assert mutable._highs.getNumCol() == 0 and mutable._highs.getNumRow() == 0
+
+    def test_handle_solves_a_good_lp_after_a_nan_load(self):
+        reference, mutable = _load_base()
+        with pytest.raises(SolverStatusError, match="NaN"):
+            mutable.load(_with_entry(reference, 0, value=np.nan))
+        mutable.load(reference)
+        assert mutable.solve(SolverOptions()).objective == pytest.approx(17.0 / 3.0, rel=1e-12)
+        _assert_matches(mutable, reference)
+
     def test_warning_load_stands(self):
         # An entry below HiGHS's small_matrix_value is dropped with a warning.
         reference = _reference_model(BASE_COST, BASE_ROWS, BASE_BOUNDS)
@@ -164,3 +188,45 @@ class TestRejectedLoads:
         assert mutable.shape == (3, 3)
         assert len(mutable._highs.getLp().a_matrix_.value_) == len(tiny.a_data) - 1
         _assert_matches(mutable, tiny)
+
+
+def _short_of_one_basic_column(snapshot):
+    """``snapshot``'s basis with one basic column made nonbasic (not square)."""
+    col_status = list(snapshot.basis.col_status)
+    col_status[col_status.index(highs_backend._core.HighsBasisStatus.kBasic)] = (
+        highs_backend._core.HighsBasisStatus.kLower
+    )
+    basis = highs_backend._core.HighsBasis()
+    basis.col_status = col_status
+    basis.row_status = list(snapshot.basis.row_status)
+    basis.valid = True
+    basis.alien = False
+    return highs_backend.BasisSnapshot(basis, snapshot.shape)
+
+
+class TestRejectedBasis:
+    """HiGHS rejects a basis with too few basic variables (``alien=False``).
+
+    The LP is reloaded before the solve, as in every warm solve, so HiGHS
+    holds no basis of its own to fall back on.
+    """
+
+    def _carrying_rejected_basis(self):
+        reference, mutable = _load_base()
+        mutable.solve(SolverOptions())
+        mutable.restore_basis(_short_of_one_basic_column(mutable.basis_snapshot()))
+        return reference, mutable
+
+    def test_raises_under_validation(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VALIDATE", "1")
+        reference, mutable = self._carrying_rejected_basis()
+        with pytest.raises(SolverStatusError, match="rejected the carried basis") as caught:
+            highs_backend.solve_row_form(reference, SolverOptions(), model=mutable)
+        assert caught.value.status is SolveStatus.ERROR
+
+    def test_solves_cold_without_validation(self, monkeypatch):
+        monkeypatch.delenv("REPRO_VALIDATE", raising=False)
+        reference, mutable = self._carrying_rejected_basis()
+        result = highs_backend.solve_row_form(reference, SolverOptions(), model=mutable)
+        assert result.is_optimal and result.iterations > 0
+        assert result.objective == pytest.approx(17.0 / 3.0, rel=1e-12)
