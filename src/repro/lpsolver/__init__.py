@@ -35,7 +35,6 @@ Typical usage (``min x + y`` subject to ``x + 2 y >= 4``)::
 Setting ``integrality=np.ones(2, dtype=np.int64)`` makes the same call a MILP.
 """
 
-from repro.lpsolver.batch import stack_block_diagonal
 from repro.lpsolver.highs_backend import MutableHighsModel, SolverOptions
 from repro.lpsolver.model import ConstraintSense, RowFormLP
 from repro.lpsolver.result import SolveResult, SolveStatus, SolverStatusError
@@ -54,7 +53,6 @@ __all__ = [
     "SolveStatus",
     "SolverOptions",
     "SolverStatusError",
-    "stack_block_diagonal",
     "validate_row_form",
     "validation_enabled",
 ]

@@ -19,10 +19,13 @@ Warm starts
 Given a long-lived model, the optimal basis of its previous solve is
 re-installed whenever the new LP has the same shape — e.g. the location
 filter pricing the *same* single-site model structure at every candidate
-location, or an annealing swap move that keeps the siting's site count and
-size classes — and the dual simplex typically re-converges in a handful of
-iterations (~2x faster end-to-end on the pricing sweep).  Without a model
-the solve is one-shot and cold.
+location, an annealing swap move that keeps the siting's site count and
+size classes, or the robust package re-pricing one sizing under each
+outage or ensemble draw in turn — and the dual simplex typically
+re-converges in a handful of iterations (~2x faster end-to-end on the
+pricing sweep).  Independent LPs are solved this way, one after another on
+one model, never stacked into one.  Without a model the solve is one-shot
+and cold.
 
 Rolling windows
 ---------------

@@ -1,21 +1,19 @@
 """Structural LP validation behind the ``REPRO_VALIDATE=1`` environment knob.
 
 The incremental machinery (compiled dispatch-window templates,
-block-diagonal stacking, compiled-skeleton instantiation) trades re-validation
-for speed: HiGHS is handed raw CSC arrays with no checking, so a malformed
-model — a NaN cost smuggled in by an uninitialised profile, a crossed bound
-after a slot fill, duplicate COO coordinates from a buggy skeleton rewrite —
-produces silently-wrong optima rather than errors.
+compiled-skeleton instantiation) trades re-validation for speed: HiGHS is
+handed raw CSC arrays with no checking, so a malformed model — a NaN cost
+smuggled in by an uninitialised profile, a crossed bound after a slot fill,
+duplicate COO coordinates from a buggy skeleton rewrite — produces
+silently-wrong optima rather than errors.
 
 This module makes every such hand-off auditable.  With ``REPRO_VALIDATE=1``
-in the environment the three structural hand-off points validate their
+in the environment the two structural hand-off points validate their
 models and raise :class:`LPValidationError` listing *all* violations:
 
 * :meth:`MutableHighsModel.load` / :meth:`MutableHighsModel.solve` — the
   row-form load, and the dimension bookkeeping against the LP HiGHS holds
   when it is solved;
-* :func:`repro.lpsolver.batch.stack_block_diagonal` — the stacked mega-LP and
-  its block boundary offsets;
 * :meth:`ProvisioningCompiler.compile_row_form` — every compiled-skeleton
   instantiation, i.e. every provisioning LP.  Skeleton triplets are never
   checked on the way in, so this is their audit.
@@ -23,7 +21,7 @@ models and raise :class:`LPValidationError` listing *all* violations:
 Validation is O(nnz) numpy per call and entirely skipped (one dict lookup)
 when the knob is off, so production paths pay nothing; the differential test
 suite run under ``REPRO_VALIDATE=1`` doubles as an invariant audit of every
-load and stack it exercises.
+load it exercises.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "LPValidationError",
     "validation_enabled",
     "validate_row_form",
-    "validate_block_offsets",
     "validate_mutable_model",
 ]
 
@@ -250,57 +247,6 @@ def validate_row_form(
 ) -> None:
     """Raise :class:`LPValidationError` when ``row_form`` is malformed."""
     violations = row_form_violations(row_form, check_empty_rows=check_empty_rows)
-    if violations:
-        raise LPValidationError(label, violations)
-
-
-def validate_block_offsets(
-    stacked: "RowFormLP",
-    col_offsets: np.ndarray,
-    row_offsets: np.ndarray,
-    num_blocks: int,
-    label: str = "block-diagonal stack",
-) -> None:
-    """Validate a stacked LP plus its block boundaries.
-
-    Beyond per-model soundness this asserts the block-diagonal contract that
-    lets per-block objectives be read back from solution slices: boundary
-    offsets are monotone, cover the stacked dimensions exactly, and no matrix
-    entry of a block's columns escapes the block's row range.
-    """
-    violations = row_form_violations(stacked)
-    col_offsets = np.asarray(col_offsets)
-    row_offsets = np.asarray(row_offsets)
-    if len(col_offsets) != num_blocks + 1 or len(row_offsets) != num_blocks + 1:
-        violations.append(
-            f"offset arrays must have {num_blocks + 1} entries, got "
-            f"{len(col_offsets)}/{len(row_offsets)}"
-        )
-    else:
-        if col_offsets[0] != 0 or col_offsets[-1] != stacked.shape[1]:
-            violations.append("col_offsets do not cover the stacked columns")
-        if row_offsets[0] != 0 or row_offsets[-1] != stacked.shape[0]:
-            violations.append("row_offsets do not cover the stacked rows")
-        if np.any(np.diff(col_offsets) < 0) or np.any(np.diff(row_offsets) < 0):
-            violations.append("block offsets are not monotone")
-        elif len(stacked.a_indices):
-            indptr = np.asarray(stacked.a_indptr)
-            indices = np.asarray(stacked.a_indices)
-            if len(indptr) == stacked.shape[1] + 1 and indptr[-1] == len(indices):
-                entry_cols = np.repeat(
-                    np.arange(stacked.shape[1], dtype=np.int64), np.diff(indptr)
-                )
-                # Block index of each entry's column and row; they must agree.
-                col_block = np.searchsorted(col_offsets, entry_cols, side="right") - 1
-                row_block = np.searchsorted(row_offsets, indices, side="right") - 1
-                escaped = col_block != row_block
-                if escaped.any():
-                    where = int(np.flatnonzero(escaped)[0])
-                    violations.append(
-                        f"matrix entry at (row {int(indices[where])}, col "
-                        f"{int(entry_cols[where])}) crosses block boundaries — "
-                        "the stack is not block-diagonal"
-                    )
     if violations:
         raise LPValidationError(label, violations)
 

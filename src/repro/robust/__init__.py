@@ -15,7 +15,7 @@ package quantifies (and optionally hardens against) that fragility:
   years.
 * :mod:`repro.robust.contingency` applies the N-1 criterion: one shared
   sizing whose unserved energy stays within a ``survivability_epsilon``
-  budget under every single-site outage, with batched block-diagonal
+  budget under every single-site outage, with a warm-started case-by-case
   evaluation of fixed sizings and a criticality-ranked contingency report.
 
 Scenario integration: a non-empty ``ensemble`` block on a

@@ -1,4 +1,4 @@
-"""N-1 survivable provisioning: contingency LP, batched evaluation, report.
+"""N-1 survivable provisioning: contingency LP, fixed-sizing evaluation, report.
 
 Power-systems planning sizes a grid so it survives the loss of any single
 component (the *N-1 criterion*).  Applied to a green-datacenter federation:
@@ -6,7 +6,7 @@ one shared first-stage sizing must keep unserved demand within a
 ``survivability_epsilon`` energy budget under every single-site outage.
 
 The LP reuses the joint-stochastic block machinery
-(:func:`repro.robust.stochastic.build_ensemble_row_form`): ``S + 1``
+(:func:`repro.robust.stochastic.solve_ensemble_lp`): ``S + 1``
 "draws" over one unperturbed compiler — draw 0 is the nominal year at
 weight 1.0, draw ``c`` (``c >= 1``) is the year with site ``c - 1`` dark
 (its whole epoch block forced to zero via ``blocked_sites``) and its
@@ -16,10 +16,10 @@ at a small ``contingency_weight`` (unnormalized, so the nominal cost trade
 against sizing is undistorted): the sizing pays for survivability through
 the budget *constraints*, not through an expectation over outages.
 
-Fixed-sizing evaluation of a plan against every contingency batches the
-per-contingency row forms into one block-diagonal mega-LP via
-:func:`repro.lpsolver.batch.stack_block_diagonal` and is differential-tested
-against brute-force per-contingency solves.
+Fixed-sizing evaluation of a plan solves the nominal case and each outage
+as its own single-draw LP, in turn on one HiGHS handle: the cases share a
+shape, so each warm-starts from the previous optimum.  It is
+differential-tested against cold one-by-one solves.
 
 N-1 sizing can cross the small-datacenter class threshold that the siting
 fixed for the deterministic plan; when the contingency LP is infeasible
@@ -36,14 +36,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.provisioning import ProvisioningCompiler
-from repro.lpsolver import SolverOptions, SolverStatusError, highs_backend
-from repro.lpsolver.batch import stack_block_diagonal
-from repro.robust.stochastic import (
-    _sizing_tuples,
-    build_ensemble_row_form,
-    extract_ensemble_solution,
-    solve_ensemble_lp,
-)
+from repro.lpsolver import MutableHighsModel, SolverOptions, SolverStatusError
+from repro.robust.stochastic import _sizing_tuples, solve_ensemble_lp
 
 #: Unserved-energy slack below this fraction of the budget counts as zero
 #: when deciding whether a contingency violates its epsilon bound.
@@ -179,35 +173,40 @@ def evaluate_contingencies(
     No budget rows here — a deterministic plan may well violate epsilon,
     and the point is to *measure* by how much.  Returns arrays of length
     ``S + 1`` (index 0 nominal, index ``c`` with site ``c - 1`` dark):
-    ``costs`` (unserved priced in) and ``unserved_kwh``.  The independent
-    fixed-sizing blocks are stacked into one block-diagonal LP.
+    ``costs`` (unserved priced in) and ``unserved_kwh``.  The cases are
+    solved in turn on one handle, each warm-started from the previous one.
     """
     options = options or SolverOptions()
-    S = len(siting)
-    cases: List[Optional[int]] = [None] + list(range(S))
-    blocks = []
-    layouts = []
-    for case in cases:
-        row_form, layout = build_ensemble_row_form(
+    handle = MutableHighsModel()
+    cases: List[Optional[int]] = [None] + list(range(len(siting)))
+    costs = np.empty(len(cases))
+    unserved = np.empty(len(cases))
+    for i, case in enumerate(cases):
+        sol = solve_ensemble_lp(
             [compiler],
             siting,
+            options=options,
             sizing_bounds=sizing,
             unserved_penalty_x=unserved_penalty_x,
             blocked_sites=[case],
+            highs=handle,
         )
-        blocks.append(row_form)
-        layouts.append(layout)
-    stacked, col_offsets, _ = stack_block_diagonal(blocks)
-    result = highs_backend.solve_row_form(stacked, options, check=True)
-    costs = np.empty(S + 1)
-    unserved = np.empty(S + 1)
-    for i, (block, layout) in enumerate(zip(blocks, layouts)):
-        x = result.x[col_offsets[i] : col_offsets[i + 1]]
-        objective = float(np.dot(block.cost, x)) + block.objective_constant
-        sol = extract_ensemble_solution(x, layout, objective=objective, solver=result.solver)
         costs[i] = sol.per_draw_costs[0]
         unserved[i] = sol.per_draw_unserved_energy[0]
     return {"costs": costs, "unserved_kwh": unserved}
+
+
+def _worst_case(
+    names: Sequence[str], costs: np.ndarray, unserved: np.ndarray, tol: float
+) -> int:
+    """Index of the worst outage: most unserved energy, up to ``tol``.
+
+    Outages within ``tol`` kWh of the maximum tie (an N-1 sizing puts
+    several exactly on their budget row, apart only by LP round-off); the
+    costliest of them wins, then the first site name.
+    """
+    tied = np.flatnonzero(unserved >= unserved.max() - tol)
+    return int(min(tied, key=lambda s: (-costs[s], names[s])))
 
 
 def contingency_report(
@@ -220,9 +219,9 @@ def contingency_report(
     """Compare a deterministic sizing against the N-1 survivable sizing.
 
     Solves the joint contingency LP for the survivable sizing, then
-    re-prices both sizings under every single-site outage (batched
-    block-diagonal evaluation, no budget) to report worst-case contingency
-    cost, a per-site criticality ranking and unserved-vs-epsilon margins.
+    re-prices both sizings under every single-site outage (fixed-sizing
+    evaluation, no budget) to report worst-case contingency cost, a
+    per-site criticality ranking and unserved-vs-epsilon margins.
     JSON-ready.
     """
     config = config or ContingencyConfig()
@@ -262,8 +261,8 @@ def contingency_report(
         }
         for s in order
     ]
-    worst_det = int(np.argmax(det_unserved))
-    worst_n1 = int(np.argmax(n1_unserved))
+    worst_det = _worst_case(names, det_costs, det_unserved, tol)
+    worst_n1 = _worst_case(names, n1_costs, n1_unserved, tol)
     return {
         "epsilon": float(config.survivability_epsilon),
         "budget_unserved_kwh": float(budget),

@@ -24,10 +24,12 @@ The same block machinery carries the N-1 contingency LP
 outage instead of an off-nominal year, in which case ``blocked_sites``
 forces the faulted site's entire epoch block to zero and
 ``unserved_energy_budget`` caps that draw's unserved energy (kWh over the
-year) instead of merely pricing it.  ``build_ensemble_row_form`` exposes the
-assembled row form without solving so contingency evaluation can stack many
-fixed-sizing blocks into one mega-LP via
-:func:`repro.lpsolver.batch.stack_block_diagonal`.
+year) instead of merely pricing it.  Every solve goes through
+:func:`solve_ensemble_lp`; callers that price many same-shape cases in turn
+(the contingency evaluation, the per-draw repricing of
+:func:`ensemble_report`) pass one
+:class:`~repro.lpsolver.highs_backend.MutableHighsModel` so each case
+warm-starts from the previous optimum.
 
 All robust LPs relax the capacity-spread constraint (``enforce_spread`` in
 the deterministic path): a spread floor that scales with perturbed demand
@@ -77,13 +79,11 @@ class StochasticSolution:
 
 
 @dataclass
-class EnsembleLayout:
+class _EnsembleLayout:
     """Column/row layout of one assembled ensemble row form.
 
-    Carries everything :func:`extract_ensemble_solution` needs to read a
-    solution vector back into a :class:`StochasticSolution` — which makes a
-    block solved inside a larger stacked LP (``stack_block_diagonal``)
-    readable from its column slice alone.
+    Carries everything :func:`_extract_ensemble_solution` needs to read a
+    solution vector back into a :class:`StochasticSolution`.
     """
 
     names: Tuple[str, ...]
@@ -121,7 +121,7 @@ def _unserved_cost(site_costs: Sequence[np.ndarray], num_epochs: int, penalty_x:
     return per_epoch
 
 
-def build_ensemble_row_form(
+def _build_ensemble_row_form(
     compilers: Sequence[ProvisioningCompiler],
     siting: Mapping[str, str],
     weights: Optional[Sequence[float]] = None,
@@ -130,7 +130,7 @@ def build_ensemble_row_form(
     blocked_sites: Optional[Sequence[Optional[int]]] = None,
     unserved_energy_budget: Optional[Sequence[Optional[float]]] = None,
     normalize_weights: bool = True,
-) -> Tuple[RowFormLP, EnsembleLayout]:
+) -> Tuple[RowFormLP, _EnsembleLayout]:
     """Assemble the (stochastic or contingency) ensemble LP without solving.
 
     ``sizing_bounds`` clamps the shared sizing columns to a given plan
@@ -319,7 +319,7 @@ def build_ensemble_row_form(
         maximise=False,
         objective_constant=fixed_cost,
     )
-    layout = EnsembleLayout(
+    layout = _EnsembleLayout(
         names=tuple(names),
         num_draws=D,
         num_epochs=T,
@@ -336,14 +336,14 @@ def build_ensemble_row_form(
     return row_form, layout
 
 
-def extract_ensemble_solution(
+def _extract_ensemble_solution(
     x: np.ndarray,
-    layout: EnsembleLayout,
+    layout: _EnsembleLayout,
     objective: float,
     iterations: int = 0,
     solver: str = "",
 ) -> StochasticSolution:
-    """Read a solved column vector back through an :class:`EnsembleLayout`."""
+    """Read a solved column vector back through an :class:`_EnsembleLayout`."""
     S, D, T, E = layout.num_sites, layout.num_draws, layout.num_epochs, layout.epoch_width
     sizing: Dict[str, Dict[str, float]] = {}
     sizing_cost = 0.0
@@ -395,14 +395,19 @@ def solve_ensemble_lp(
     blocked_sites: Optional[Sequence[Optional[int]]] = None,
     unserved_energy_budget: Optional[Sequence[Optional[float]]] = None,
     normalize_weights: bool = True,
+    highs: Optional[highs_backend.MutableHighsModel] = None,
 ) -> StochasticSolution:
     """Build and solve the stochastic LP over one compiler per draw.
 
-    See :func:`build_ensemble_row_form` for the meaning of every knob; this
+    See :func:`_build_ensemble_row_form` for the meaning of every knob; this
     wrapper assembles, solves with HiGHS and reads the solution back.
+    ``highs`` (a long-lived
+    :class:`~repro.lpsolver.highs_backend.MutableHighsModel`) warm-starts
+    this solve from the handle's last same-shape optimum; without one the
+    solve is cold.
     """
     options = options or SolverOptions()
-    row_form, layout = build_ensemble_row_form(
+    row_form, layout = _build_ensemble_row_form(
         compilers,
         siting,
         weights=weights,
@@ -412,8 +417,8 @@ def solve_ensemble_lp(
         unserved_energy_budget=unserved_energy_budget,
         normalize_weights=normalize_weights,
     )
-    result = highs_backend.solve_row_form(row_form, options, check=True)
-    return extract_ensemble_solution(
+    result = highs_backend.solve_row_form(row_form, options, highs, check=True)
+    return _extract_ensemble_solution(
         result.x,
         layout,
         objective=float(result.objective),
@@ -470,6 +475,11 @@ def ensemble_report(
         ProvisioningCompiler(perturbed_problem(problem, config, draw))
         for draw in range(config.draws)
     ]
+    # Fixed and free solves keep a handle each: a draw's solve starts
+    # closer to the previous draw's optimum of its own kind than to the
+    # other kind's.
+    fixed_handle = highs_backend.MutableHighsModel()
+    free_handle = highs_backend.MutableHighsModel()
     plan_costs = np.empty(config.draws)
     plan_unserved = np.empty(config.draws)
     optimum_costs = np.empty(config.draws)
@@ -480,12 +490,14 @@ def ensemble_report(
             options=options,
             sizing_bounds=sizing,
             unserved_penalty_x=config.unserved_penalty_x,
+            highs=fixed_handle,
         )
         free = solve_ensemble_lp(
             [compiler],
             siting,
             options=options,
             unserved_penalty_x=config.unserved_penalty_x,
+            highs=free_handle,
         )
         plan_costs[d] = fixed.per_draw_costs[0]
         plan_unserved[d] = fixed.per_draw_unserved_cost[0]

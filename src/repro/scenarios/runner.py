@@ -492,8 +492,8 @@ class ExperimentRunner:
     ) -> None:
         """Attach the N-1 contingency report when the spec asks for one.
 
-        Planner-level: the joint survivable LP plus batched per-outage
-        repricing of both sizings (``record["contingency"]``).  On operate
+        Planner-level: the joint survivable LP plus per-outage repricing of
+        both sizings (``record["contingency"]``).  On operate
         runs (``operate_config`` given) the replay-level survivability study
         is attached too — both sizings operated through every single-site
         outage window over one shared trace.

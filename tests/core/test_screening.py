@@ -41,7 +41,6 @@ from repro.core.single_site import (
     scoring_sources,
     single_site_size_class,
 )
-from repro.lpsolver import stack_block_diagonal
 
 
 def _pricing_problem(problem):
@@ -143,38 +142,6 @@ class TestScreenAdmissibility:
 
 
 class TestBatchPricing:
-    def test_stack_block_diagonal_shapes(self, two_site_problem):
-        compiler = ProvisioningCompiler(two_site_problem)
-        names = [profile.name for profile in two_site_problem.profiles]
-        compiled = [
-            compiler.compile_row_form({name: "large"}, enforce_spread=False)
-            for name in names
-        ]
-        assert all(entry is not None for entry in compiled)
-        blocks = [entry[0] for entry in compiled]
-        stacked, col_offsets, row_offsets = stack_block_diagonal(blocks)
-        assert stacked.shape == (
-            sum(block.shape[0] for block in blocks),
-            sum(block.shape[1] for block in blocks),
-        )
-        assert list(col_offsets) == [0, blocks[0].shape[1], stacked.shape[1]]
-        assert list(row_offsets) == [0, blocks[0].shape[0], stacked.shape[0]]
-        # Each block's columns only touch its own rows.
-        for i, block in enumerate(blocks):
-            for col in range(col_offsets[i], col_offsets[i + 1]):
-                touched = stacked.a_indices[
-                    stacked.a_indptr[col] : stacked.a_indptr[col + 1]
-                ]
-                assert np.all(touched >= row_offsets[i])
-                assert np.all(touched < row_offsets[i + 1])
-        assert stacked.objective_constant == pytest.approx(
-            sum(block.objective_constant for block in blocks)
-        )
-
-    def test_stack_rejects_empty(self):
-        with pytest.raises(ValueError):
-            stack_block_diagonal([])
-
     @pytest.mark.parametrize("capacity,green,sources,storage", SCENARIOS)
     def test_batch_matches_fresh_solves(
         self, all_profiles, params, solver_options, capacity, green, sources, storage

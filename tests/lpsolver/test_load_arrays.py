@@ -4,10 +4,10 @@
 arrays to HiGHS's array ``passModel``.  After each load the model HiGHS
 holds (``getLp()``) must carry the row form's cost, column and row bounds,
 column-wise ``start``/``index``/``value`` and integrality value for value:
-the provisioning LP of one site and a block-diagonal stack of two, the Fig. 1
-siting MILP, a compiled dispatch window and the edge shapes (no rows, no
-nonzeros, 64-bit column starts).  The only change HiGHS makes on the way
-in is its own: it drops matrix entries no larger than its
+the provisioning LP of one site, the joint N-1 contingency LP of two, the
+Fig. 1 siting MILP, a compiled dispatch window and the edge shapes (no
+rows, no nonzeros, 64-bit column starts).  The only change HiGHS makes on
+the way in is its own: it drops matrix entries no larger than its
 ``small_matrix_value`` (the compiled templates keep explicit zeros).  As a
 second oracle the same row form is loaded the long way, through a
 ``HighsLp`` filled property by property, and both handles must hold the
@@ -19,9 +19,11 @@ import pytest
 
 from repro.core import build_full_milp
 from repro.core.provisioning import ProvisioningCompiler
-from repro.lpsolver import MutableHighsModel, RowFormLP, SolverOptions, stack_block_diagonal
+from repro.lpsolver import MutableHighsModel, RowFormLP, SolverOptions
 from repro.lpsolver.highs_backend import _core
 from repro.operator.dispatch import DispatchConfig, RollingDispatcher, SiteAsset
+from repro.robust.contingency import ContingencyConfig, _annual_budget_kwh
+from repro.robust.stochastic import _build_ensemble_row_form
 
 
 def _held(highs):
@@ -119,14 +121,26 @@ def test_single_site_provisioning_lp(compiler, two_site_problem):
     assert_loads_exactly(row_form)
 
 
-def test_block_diagonal_stack(compiler, two_site_problem):
-    # The robust evaluations load stacks like this one.
-    blocks = [
-        compiler.compile_row_form({profile.name: "large"}, enforce_spread=False)[0]
-        for profile in two_site_problem.profiles
-    ]
-    stacked, _, _ = stack_block_diagonal(blocks)
-    assert_loads_exactly(stacked)
+def test_joint_contingency_lp(compiler, two_site_problem):
+    # The N-1 LP of solve_contingency_lp: S + 1 draws over shared sizing
+    # columns, one site dark in each outage draw, and an unserved-energy
+    # budget row per outage, appended last.
+    config = ContingencyConfig()
+    siting = {profile.name: "large" for profile in two_site_problem.profiles}
+    S = len(siting)
+    budget = _annual_budget_kwh(compiler, config.survivability_epsilon)
+    row_form, layout = _build_ensemble_row_form(
+        [compiler] * (S + 1),
+        siting,
+        weights=[1.0] + [config.contingency_weight / S] * S,
+        normalize_weights=False,
+        blocked_sites=[None] + list(range(S)),
+        unserved_energy_budget=[None] + [budget] * S,
+    )
+    assert layout.num_draws == S + 1
+    assert np.all(row_form.row_upper[-S:] == budget)
+    assert np.all(np.isneginf(row_form.row_lower[-S:]))
+    assert_loads_exactly(row_form)
 
 
 def test_siting_milp(two_site_problem):

@@ -9,19 +9,15 @@ paths legitimately produce.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from repro.lpsolver.batch import stack_block_diagonal
 from repro.lpsolver.highs_backend import MutableHighsModel
 from repro.lpsolver.model import RowFormLP
 from repro.lpsolver.highs_backend import SolverOptions
 from repro.lpsolver.validate import (
     LPValidationError,
     row_form_violations,
-    validate_block_offsets,
     validate_mutable_model,
     validate_row_form,
     validation_enabled,
@@ -204,41 +200,6 @@ class TestEmptyRowsAndOrphans:
             integrality=np.zeros(3, dtype=np.int64),
         )
         assert "orphan column 2" in sole_violation(lp)
-
-
-class TestBlockOffsets:
-    def test_real_stack_passes(self):
-        stacked, col_offsets, row_offsets = stack_block_diagonal([make_lp(), make_lp()])
-        validate_block_offsets(stacked, col_offsets, row_offsets, 2)
-
-    def test_wrong_offset_count(self):
-        stacked, col_offsets, row_offsets = stack_block_diagonal([make_lp(), make_lp()])
-        with pytest.raises(LPValidationError, match="must have 4 entries"):
-            validate_block_offsets(stacked, col_offsets, row_offsets, 3)
-
-    def test_offsets_must_cover_dimensions(self):
-        stacked, col_offsets, row_offsets = stack_block_diagonal([make_lp(), make_lp()])
-        short = col_offsets.copy()
-        short[-1] -= 1
-        with pytest.raises(LPValidationError, match="do not cover the stacked columns"):
-            validate_block_offsets(stacked, short, row_offsets, 2)
-
-    def test_offsets_must_be_monotone(self):
-        stacked, col_offsets, row_offsets = stack_block_diagonal([make_lp(), make_lp()])
-        bad = row_offsets.copy()
-        bad[1], bad[2] = bad[2], bad[1]
-        with pytest.raises(LPValidationError, match="not monotone"):
-            validate_block_offsets(stacked, col_offsets, bad, 2)
-
-    def test_entry_crossing_block_boundary(self):
-        stacked, col_offsets, row_offsets = stack_block_diagonal([make_lp(), make_lp()])
-        # Move the last block's final entry into the first block's row range.
-        indices = np.asarray(stacked.a_indices).copy()
-        indices[-1] = 0
-        leaky = dataclasses.replace(stacked, a_indices=indices)
-        with pytest.raises(LPValidationError) as excinfo:
-            validate_block_offsets(leaky, col_offsets, row_offsets, 2)
-        assert any("crosses block boundaries" in v for v in excinfo.value.violations)
 
 
 class TestValidationKnob:

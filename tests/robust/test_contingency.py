@@ -14,7 +14,8 @@ from repro.robust import (
     plan_with_sizing,
     solve_contingency_lp,
 )
-from repro.robust.contingency import _annual_budget_kwh
+from repro.robust import contingency
+from repro.robust.contingency import _annual_budget_kwh, _worst_case
 from repro.robust.stochastic import solve_ensemble_lp
 from repro.robust.stochastic import plan_siting_and_sizing
 
@@ -125,15 +126,49 @@ class TestJointSolve:
 
 
 class TestEvaluationDifferential:
-    def test_batched_evaluation_matches_brute_force(
+    def test_warm_evaluation_matches_cold_one_by_one(
         self, compiler, siting, det_sizing, solver_options
     ):
-        batched = evaluate_contingencies(compiler, siting, det_sizing, options=solver_options)
-        brute = _evaluate_one_by_one(compiler, siting, det_sizing, solver_options)
-        assert np.allclose(batched["costs"], brute["costs"], rtol=1e-7)
+        warm = evaluate_contingencies(compiler, siting, det_sizing, options=solver_options)
+        cold = _evaluate_one_by_one(compiler, siting, det_sizing, solver_options)
+        assert np.allclose(warm["costs"], cold["costs"], rtol=1e-7)
         assert np.allclose(
-            batched["unserved_kwh"], brute["unserved_kwh"], rtol=1e-6, atol=1e-3
+            warm["unserved_kwh"], cold["unserved_kwh"], rtol=1e-6, atol=1e-3
         )
+
+    def test_evaluation_is_bit_identical_across_calls(
+        self, compiler, siting, det_sizing, solver_options
+    ):
+        # Each call warm-starts on its own fresh handle, so no state leaks
+        # from one call into the next.
+        first = evaluate_contingencies(compiler, siting, det_sizing, options=solver_options)
+        second = evaluate_contingencies(compiler, siting, det_sizing, options=solver_options)
+        for key in ("costs", "unserved_kwh"):
+            assert first[key].tobytes() == second[key].tobytes()
+
+    def test_an_outage_never_lowers_the_cost(
+        self, compiler, siting, det_sizing, solver_options
+    ):
+        # A dark site only restricts the nominal LP (its epoch block is
+        # forced to zero), so no outage can beat the nominal year.
+        evaluation = evaluate_contingencies(
+            compiler, siting, det_sizing, options=solver_options
+        )
+        costs = evaluation["costs"]
+        assert costs.shape == evaluation["unserved_kwh"].shape == (len(siting) + 1,)
+        assert np.all(costs[1:] >= costs[0] * (1.0 - 1e-9))
+
+    def test_dearer_unserved_never_lowers_the_cost(
+        self, compiler, siting, det_sizing, solver_options
+    ):
+        cheap, dear = (
+            evaluate_contingencies(
+                compiler, siting, det_sizing, options=solver_options,
+                unserved_penalty_x=penalty,
+            )["costs"]
+            for penalty in (5.0, 20.0)
+        )
+        assert np.all(dear >= cheap * (1.0 - 1e-9))
 
     def test_joint_unserved_matches_fixed_sizing_repricing(
         self, compiler, siting, solver_options
@@ -201,6 +236,42 @@ class TestContingencyReport:
         damages = [entry["det_unserved_kwh"] for entry in report["criticality"]]
         assert damages == sorted(damages, reverse=True)
         assert set(report["n1_sizing"]) == set(siting)
+
+    def test_worst_case_ignores_round_off_on_the_budget(
+        self, compiler, siting, det_sizing, solver_options, monkeypatch
+    ):
+        """Two outages on the budget row, 3e-8 kWh apart: the gap is LP
+        round-off, so the costlier outage is the worst case."""
+        config = ContingencyConfig(survivability_epsilon=0.05)
+        budget = _annual_budget_kwh(compiler, config.survivability_epsilon)
+        first, second = list(siting)
+
+        def on_the_budget(compiler, siting, sizing, options=None, unserved_penalty_x=10.0):
+            return {
+                "costs": np.array([1.0e6, 2.0e6, 3.0e6]),
+                "unserved_kwh": np.array([0.0, budget + 3e-8, budget]),
+            }
+
+        monkeypatch.setattr(contingency, "evaluate_contingencies", on_the_budget)
+        report = contingency_report(
+            compiler, siting, det_sizing, config=config, options=solver_options
+        )
+        for plan in ("det", "n1"):
+            assert report["worst_case"][plan] == {
+                "site": second,
+                "cost": 3.0e6,
+                "unserved_kwh": budget,
+            }
+        assert report["criticality"][0]["site"] == first
+
+    def test_worst_case_ties_break_by_cost_then_name(self):
+        names = ["b", "a", "c"]
+        unserved = np.array([10.0, 10.0, 5.0])
+        assert _worst_case(names, np.array([2.0, 1.0, 9.0]), unserved, 1e-3) == 0
+        assert _worst_case(names, np.array([1.0, 1.0, 9.0]), unserved, 1e-3) == 1
+        # Outside the tolerance the most unserved energy wins, whatever it costs.
+        assert _worst_case(names, np.array([1.0, 1.0, 9.0]), unserved, 4.0) == 1
+        assert _worst_case(names, np.array([1.0, 1.0, 9.0]), unserved, 5.0) == 2
 
 
 class TestPlanWithSizing:

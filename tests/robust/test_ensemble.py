@@ -171,6 +171,36 @@ class TestEnsembleReport:
         assert report["stochastic_expected_cost"] <= report["expected_cost"] + 1e-6
         json.dumps(report)
 
+    def test_warm_repricing_matches_cold_solves_per_draw(
+        self, two_site_problem, siting, solver_options
+    ):
+        plan = solve_provisioning(
+            two_site_problem, siting, options=solver_options, enforce_spread=False
+        ).plan
+        plan_siting, sizing = plan_siting_and_sizing(plan)
+        config = EnsembleConfig(draws=4, seed=5)
+        report = ensemble_report(
+            two_site_problem, plan_siting, sizing, config, options=solver_options
+        )
+        for draw in range(config.draws):
+            compiler = ProvisioningCompiler(perturbed_problem(two_site_problem, config, draw))
+            fixed, free = (
+                solve_ensemble_lp(
+                    [compiler],
+                    plan_siting,
+                    options=solver_options,
+                    sizing_bounds=bounds,
+                    unserved_penalty_x=config.unserved_penalty_x,
+                )
+                for bounds in (sizing, None)
+            )
+            assert report["per_draw_cost"][draw] == pytest.approx(
+                fixed.per_draw_costs[0], rel=1e-9
+            )
+            assert report["per_draw_optimum"][draw] == pytest.approx(
+                free.per_draw_costs[0], rel=1e-9
+            )
+
 
 class TestExecutorDeterminism:
     @pytest.fixture(scope="class")
