@@ -69,8 +69,8 @@ def build_full_milp(problem: SitingProblem) -> FullMilp:
     num_sites = len(names)
     site = np.arange(num_sites, dtype=np.int64)
     capacity = np.array([layout.capacity for layout in layouts], dtype=np.int64)
-    solar = capacity + 1
-    wind = capacity + 2
+    solar = np.array([layout.solar for layout in layouts], dtype=np.int64)
+    wind = np.array([layout.wind for layout in layouts], dtype=np.int64)
     at_small, at_large, cap_small, cap_large = (
         num_cols + 4 * site + offset for offset in (_AT_SMALL, _AT_LARGE, _CAP_SMALL, _CAP_LARGE)
     )

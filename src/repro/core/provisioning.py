@@ -16,14 +16,20 @@ charge/discharge could inflate the green numerator, and matches the intent
 described in Sections II-B and IV.
 
 The compiler emits each per-epoch constraint family — power balance, battery
-dynamics, net-metering bank, migration coupling — as COO triplets of a cached
-per-``(location, size class)`` skeleton, and instantiates a siting's LP
+dynamics, net-metering bank, migration coupling — as COO triplets of a
+per-site skeleton, made in one way: the profile-free structure of the site's
+size class (index arrays, sense masks, right-hand sides, bounds and every
+location-independent value), built once per class, with the location's
+values — PUE and production series, the brown-plant cap, prices and the
+green-coupling demand terms — written into its value slots.  Skeletons are
+cached per ``(location, size class)``, and a siting's LP is instantiated
 directly in HiGHS row form through a per-shape CSC pattern cache, so the
 annealing search pays assembly costs only once per pair it visits.  That
 templated row form is the only assembly route, on every epoch grid; the
-Fig. 1 MILP (:mod:`repro.core.formulation`) is built on it too.  A readable
-row-by-row construction of the same LP lives in the test suite, where the
-differential tests pin this builder against it.
+Fig. 1 MILP (:mod:`repro.core.formulation`) is built on it too.  A site's
+column layout has one owner, :class:`_SiteLayout`.  A readable row-by-row
+construction of the same LP lives in the test suite, where the differential
+tests pin this builder against it, and a golden digest pins every skeleton.
 
 Plan extraction is lazy: :class:`ProvisioningResult` materialises the
 :class:`NetworkPlan` on first access of ``.plan``, so the thousands of
@@ -33,8 +39,8 @@ intermediate LPs the annealing search discards never pay extraction costs.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -87,16 +93,21 @@ def _sum_duplicates(
 class _SiteLayout:
     """Index layout of one site's variables inside the model's vector.
 
-    Sites register their variables in a fixed order, so the layout is
-    fully determined by the site's base offset and the number of epochs:
-    ``[capacity, solar, wind, battery]`` followed by the ten per-epoch
-    families of ``_EPOCH_FAMILIES``.
+    The one owner of the site's column layout: the ``NUM_SIZING`` scalar
+    sizing columns ``[capacity, solar, wind, battery]``, then the ten
+    per-epoch families of ``_EPOCH_FAMILIES``, ``num_epochs`` columns each.
+    The layout is fully determined by the site's base offset and the number
+    of epochs; at base 0 (``_SiteLayout(num_epochs=T)``) it gives the
+    site-local indices the skeletons are written in.  Plan extraction also
+    carries the site's profile and size class.
     """
 
-    profile: LocationProfile
-    size_class: str
-    base: int
+    NUM_SIZING: ClassVar[int] = 4
+
     num_epochs: int
+    base: int = 0
+    profile: Optional[LocationProfile] = None
+    size_class: str = ""
 
     def __post_init__(self) -> None:
         t = np.arange(self.num_epochs, dtype=np.int64)
@@ -105,16 +116,16 @@ class _SiteLayout:
         self.wind = self.base + 2
         self.battery = self.base + 3
         for k, family in enumerate(_EPOCH_FAMILIES):
-            setattr(self, family, self.base + 4 + k * self.num_epochs + t)
+            setattr(self, family, self.base + self.NUM_SIZING + k * self.num_epochs + t)
 
     @property
     def num_variables(self) -> int:
-        return 4 + len(_EPOCH_FAMILIES) * self.num_epochs
+        return self.NUM_SIZING + len(_EPOCH_FAMILIES) * self.num_epochs
 
 
 @dataclass
 class _SiteSkeleton:
-    """Cached constraint/objective skeleton of one ``(location, size class)``.
+    """Constraint/objective skeleton of one ``(location, size class)``.
 
     Everything is expressed in site-local variable indices ``0..n-1``; the
     compiler offsets rows and columns when stitching sites into an LP.  The
@@ -147,20 +158,18 @@ class _SiteSkeleton:
 
 
 @dataclass
-class _SkeletonTemplate:
-    """Location-independent structure of a site skeleton (one per class).
+class _ClassStructure:
+    """Profile-free skeleton of one size class, shared by all its locations.
 
-    All candidate locations of a problem share every index array, sense mask
-    and right-hand side of their skeletons — only a handful of value slots
-    (PUE and production series, the brown-plant cap, objective prices) differ.
-    The template keeps a donor skeleton plus the slot positions inside its
-    ``tri_vals``/``green_vals`` concatenations, so deriving the skeleton of a
-    new location is a couple of array copies and slice writes instead of a
-    full rebuild — the dominant cost of pricing large candidate sets.
+    ``skeleton`` holds every index array, sense mask, right-hand side, bound
+    and location-independent value; the location slots (PUE and production
+    values, the brown-plant cap, objective prices and the green-coupling
+    demand terms) hold zeros.  ``slots`` maps each constraint block to the
+    offset where its values start in ``tri_vals``, and ``brown_cols`` are
+    the columns the brown-plant cap bounds.
     """
 
-    donor: "_SiteSkeleton"
-    #: block label -> start offset into tri_vals; slot layout is fixed per block.
+    skeleton: _SiteSkeleton
     slots: Dict[str, int]
     brown_cols: np.ndarray
 
@@ -236,15 +245,17 @@ class ProvisioningResult:
 class ProvisioningCompiler:
     """Compiles siting decisions of one problem into row-form provisioning LPs.
 
-    The compiler caches the per-site constraint skeleton (COO triplets,
-    bounds, objective coefficients) keyed by ``(location, size class)``.
-    The annealing moves — add, remove, swap, resize, merge — revisit the same
-    pairs constantly, so after warm-up a model assembly is little more than
-    concatenating cached arrays and adding the cross-site coupling rows.
-    Thread-safe: the runner's thread executor shares one compiler across
-    the sweep points that define the same LP (and ``repro serve``'s thread
-    executor shares one runner), so concurrent points read and fill the
-    skeleton cache together.
+    A site's skeleton (COO triplets, bounds, objective coefficients) is made
+    in one way: the profile-free structure of its size class, built once per
+    class (:meth:`_class_structure`), with the location's values written into
+    its value slots (:meth:`_fill_site_skeleton`).  Skeletons are cached by
+    ``(location, size class)``.  The annealing moves — add, remove, swap,
+    resize, merge — revisit the same pairs constantly, so after warm-up a
+    model assembly is little more than concatenating cached arrays and
+    adding the cross-site coupling rows.  Thread-safe: the runner's thread
+    executor shares one compiler across the sweep points that define the
+    same LP (and ``repro serve``'s thread executor shares one runner), so
+    concurrent points read and fill the skeleton cache together.
     """
 
     def __init__(self, problem: SitingProblem) -> None:
@@ -254,14 +265,12 @@ class ProvisioningCompiler:
         self._skeletons: Dict[Tuple[str, str], _SiteSkeleton] = {}
         # Per-shape CSC pattern cache, keyed by (size classes, spread).
         self._templates: Dict[Tuple, _ModelTemplate] = {}
-        # Location-independent skeleton structure per size class; once built,
-        # new locations' skeletons are derived by slot rewrites.
-        self._skeleton_templates: Dict[str, _SkeletonTemplate] = {}
+        self._structures: Dict[str, _ClassStructure] = {}
         self._lock = threading.Lock()
-        # Warm-vs-cold skeleton accounting: hits reuse a compiled skeleton,
-        # derives rewrite a class template's value slots, builds pay full
-        # assembly.  Reported through ExperimentRunner.cache_stats() and the
-        # serve daemon's /metrics.
+        # Warm-vs-cold skeleton accounting: hits reuse a cached skeleton,
+        # derives fill a cached class structure, builds first build the
+        # structure of their class.  Reported through
+        # ExperimentRunner.cache_stats() and the serve daemon's /metrics.
         self.skeleton_hits = 0
         self.skeleton_derives = 0
         self.skeleton_builds = 0
@@ -271,22 +280,23 @@ class ProvisioningCompiler:
         key = (name, size_class)
         with self._lock:
             skeleton = self._skeletons.get(key)
-            template = self._skeleton_templates.get(size_class)
+            structure = self._structures.get(size_class)
             if skeleton is not None:
                 self.skeleton_hits += 1
                 return skeleton
-        if template is not None:
-            # Fast path: every location shares the structure; only the
-            # profile-dependent value slots are rewritten.
-            skeleton = self._derive_site_skeleton(template, name, size_class)
-            with self._lock:
-                self.skeleton_derives += 1
-        else:
-            skeleton, template = self._build_site_skeleton(name, size_class)
-            with self._lock:
-                self.skeleton_builds += 1
-                self._skeleton_templates.setdefault(size_class, template)
+        profile = self._profiles.get(name)
+        if profile is None:
+            raise KeyError(f"siting refers to unknown location {name!r}")
+        built = structure is None
+        if structure is None:
+            structure = self._class_structure(size_class)
+        skeleton = self._fill_site_skeleton(structure, profile, size_class)
         with self._lock:
+            if built:
+                self.skeleton_builds += 1
+                self._structures.setdefault(size_class, structure)
+            else:
+                self.skeleton_derives += 1
             skeleton = self._skeletons.setdefault(key, skeleton)
         return skeleton
 
@@ -299,29 +309,25 @@ class ProvisioningCompiler:
                 "skeleton_builds": self.skeleton_builds,
             }
 
-    def _derive_site_skeleton(
-        self, template: _SkeletonTemplate, name: str, size_class: str
+    def _fill_site_skeleton(
+        self, structure: _ClassStructure, profile: LocationProfile, size_class: str
     ) -> _SiteSkeleton:
-        """Skeleton of a new location derived from the class's template.
+        """One location's skeleton: its class structure with the value slots written.
 
-        Mirrors :meth:`_build_site_skeleton` exactly (the differential tests
-        pin this): only the PUE/production value slots, the brown-plant cap
-        bound, the objective prices and the green-coupling demand slots
-        depend on the profile.
+        Only the PUE/production value slots, the brown-plant cap bound, the
+        objective prices and the green-coupling demand slots depend on the
+        location; index arrays, right-hand sides and sense masks are shared.
         """
         problem = self.problem
         params = problem.params
-        profile = self._profiles.get(name)
-        if profile is None:
-            raise KeyError(f"siting refers to unknown location {name!r}")
-        donor = template.donor
-        T = donor.num_epochs
+        shared = structure.skeleton
+        T = shared.num_epochs
         weights = problem.epochs.epoch_weights_hours()
         pue = profile.pue
         mf_pue = params.migration_factor * pue
 
-        tri_vals = donor.tri_vals.copy()
-        slots = template.slots
+        tri_vals = shared.tri_vals.copy()
+        slots = structure.slots
         if "small_dc" in slots:
             tri_vals[slots["small_dc"]] = profile.max_pue
         o = slots["power_balance"]
@@ -334,9 +340,9 @@ class ProvisioningCompiler:
         tri_vals[o : o + T] = profile.solar_alpha
         tri_vals[o + T : o + 2 * T] = profile.wind_beta
 
-        upper = donor.upper.copy()
+        upper = shared.upper.copy()
         brown_cap = params.brown_plant_cap_fraction * profile.near_plant_capacity_kw
-        upper[template.brown_cols] = max(0.0, brown_cap)
+        upper[structure.brown_cols] = max(0.0, brown_cap)
 
         coefficients = self.cost_model.linear_coefficients(profile, size_class)
         obj_vals = [
@@ -354,45 +360,30 @@ class ProvisioningCompiler:
             obj_vals.append(coefficients["net_discharge_kwh_year"] * weights)
             obj_vals.append(coefficients["net_charge_kwh_year"] * weights)
 
+        green_vals = shared.green_vals
         if params.min_green_fraction > 0:
             frac = params.min_green_fraction
-            green_vals = donor.green_vals.copy()
+            green_vals = green_vals.copy()
             if problem.green_enforcement is GreenEnforcement.PER_EPOCH:
                 green_vals[3 * T : 4 * T] = -(pue * frac)
                 green_vals[4 * T : 5 * T] = -(mf_pue * frac)
             else:
                 green_vals[3 * T : 4 * T] = -((pue * weights) * frac)
                 green_vals[4 * T : 5 * T] = -((mf_pue * weights) * frac)
-        else:
-            green_vals = donor.green_vals
 
-        # Index arrays, right-hand sides and sense masks are shared.
-        return _SiteSkeleton(
-            num_epochs=T,
-            lower=donor.lower,
+        return replace(
+            shared,
             upper=upper,
-            objective_cols=donor.objective_cols,
             objective_vals=np.concatenate(obj_vals),
             fixed_cost=coefficients["fixed"],
-            tri_rows=donor.tri_rows,
-            tri_cols=donor.tri_cols,
             tri_vals=tri_vals,
-            rhs=donor.rhs,
-            le_mask=donor.le_mask,
-            ge_mask=donor.ge_mask,
-            green_rows=donor.green_rows,
-            green_cols=donor.green_cols,
             green_vals=green_vals,
         )
 
-    def _build_site_skeleton(
-        self, name: str, size_class: str
-    ) -> Tuple[_SiteSkeleton, _SkeletonTemplate]:
+    def _class_structure(self, size_class: str) -> _ClassStructure:
+        """The profile-free skeleton of ``size_class``, with zeros in its location slots."""
         problem = self.problem
         params = problem.params
-        profile = self._profiles.get(name)
-        if profile is None:
-            raise KeyError(f"siting refers to unknown location {name!r}")
         epochs = problem.epochs
         T = epochs.num_epochs
         weights = epochs.epoch_weights_hours()
@@ -401,6 +392,7 @@ class ProvisioningCompiler:
         t = np.arange(T, dtype=np.int64)
         prev = (t - 1) % T
         ones = np.ones(T)
+        slot = np.zeros(T)  # a location's values, written by _fill_site_skeleton
 
         allow_solar = problem.sources.allows_solar
         allow_wind = problem.sources.allows_wind
@@ -408,30 +400,23 @@ class ProvisioningCompiler:
         use_net_metering = problem.storage is StorageMode.NET_METERING
         inf = float("inf")
 
-        # Local variable layout mirrors _SiteLayout.
-        cap, sol, wnd, bat = 0, 1, 2, 3
-        fam = {
-            family: 4 + k * T + t for k, family in enumerate(_EPOCH_FAMILIES)
-        }
-        n_vars = 4 + len(_EPOCH_FAMILIES) * T
+        site = _SiteLayout(num_epochs=T)
+        cap, sol, wnd, bat = site.capacity, site.solar, site.wind, site.battery
+        n_vars = site.num_variables
         lower = np.zeros(n_vars)
         upper = np.full(n_vars, inf)
         upper[sol] = inf if allow_solar else 0.0
         upper[wnd] = inf if allow_wind else 0.0
         upper[bat] = inf if use_batteries else 0.0
-        brown_cap = params.brown_plant_cap_fraction * profile.near_plant_capacity_kw
-        upper[fam["brown"]] = max(0.0, brown_cap)
+        upper[site.brown] = 0.0  # the brown-plant cap is a location slot
         storage_upper = inf if use_batteries else 0.0
-        upper[fam["battery_charge"]] = storage_upper
-        upper[fam["battery_discharge"]] = storage_upper
-        upper[fam["battery_level"]] = storage_upper
+        upper[site.battery_charge] = storage_upper
+        upper[site.battery_discharge] = storage_upper
+        upper[site.battery_level] = storage_upper
         net_upper = inf if use_net_metering else 0.0
-        upper[fam["net_charge"]] = net_upper
-        upper[fam["net_discharge"]] = net_upper
-        upper[fam["net_level"]] = net_upper
-
-        pue = profile.pue
-        mf_pue = params.migration_factor * pue
+        upper[site.net_charge] = net_upper
+        upper[site.net_discharge] = net_upper
+        upper[site.net_level] = net_upper
 
         # Each block's triplets land in the pre-concatenated skeleton arrays
         # (block-local rows offset by the rows emitted so far); ``slots``
@@ -466,12 +451,13 @@ class ProvisioningCompiler:
             row_offset += n_rows
 
         # Size-class consistency: the construction price per kW assumed in the
-        # objective is only valid within the class's power range.
+        # objective is only valid within the class's power range
+        # (max_pue * capacity <= threshold; max_pue is a location slot).
         if size_class == "small":
             block(
                 [np.zeros(1, dtype=np.int64)],
                 [np.array([cap], dtype=np.int64)],
-                [np.array([profile.max_pue])],
+                [np.zeros(1)],
                 ConstraintSense.LESS_EQUAL,
                 [params.small_dc_threshold_kw],
                 "small_dc",
@@ -480,7 +466,7 @@ class ProvisioningCompiler:
         # still consumes energy here during this epoch.
         block(
             [t, t, t],
-            [fam["migrate"], fam["compute"][prev], fam["compute"]],
+            [site.migrate, site.compute[prev], site.compute],
             [ones, -ones, ones],
             ConstraintSense.GREATER_EQUAL,
             np.zeros(T),
@@ -489,57 +475,60 @@ class ProvisioningCompiler:
         # Constraint 1: provisioned capacity covers compute plus incoming load.
         block(
             [t, t, t],
-            [np.full(T, cap, dtype=np.int64), fam["compute"], fam["migrate"]],
+            [np.full(T, cap, dtype=np.int64), site.compute, site.migrate],
             [ones, -ones, -ones],
             ConstraintSense.GREATER_EQUAL,
             np.zeros(T),
             "capacity_cover",
         )
-        # Constraint 5: demand is met by direct green, storage draws and brown.
+        # Constraint 5: demand (-pue * compute - mf_pue * migrate, location
+        # slots) is met by direct green, storage draws and brown.
         block(
             [t, t, t, t, t, t],
             [
-                fam["green_direct"],
-                fam["battery_discharge"],
-                fam["net_discharge"],
-                fam["brown"],
-                fam["compute"],
-                fam["migrate"],
+                site.green_direct,
+                site.battery_discharge,
+                site.net_discharge,
+                site.brown,
+                site.compute,
+                site.migrate,
             ],
-            [ones, ones, ones, ones, -pue, -mf_pue],
+            [ones, ones, ones, ones, slot, slot],
             ConstraintSense.GREATER_EQUAL,
             np.zeros(T),
             "power_balance",
         )
         # Green energy only counts toward the requirement when it actually
         # serves load: what is delivered (directly or from storage) in an epoch
-        # cannot exceed that epoch's demand.  Surplus production is curtailed
-        # (or, with net metering, banked for later).
+        # cannot exceed that epoch's demand (pue * compute + mf_pue * migrate).
+        # Surplus production is curtailed (or, with net metering, banked for
+        # later).
         block(
             [t, t, t, t, t],
             [
-                fam["compute"],
-                fam["migrate"],
-                fam["green_direct"],
-                fam["battery_discharge"],
-                fam["net_discharge"],
+                site.compute,
+                site.migrate,
+                site.green_direct,
+                site.battery_discharge,
+                site.net_discharge,
             ],
-            [pue, mf_pue, -ones, -ones, -ones],
+            [slot, slot, -ones, -ones, -ones],
             ConstraintSense.GREATER_EQUAL,
             np.zeros(T),
             "green_delivery_cap",
         )
-        # Green allocation: direct use plus storage charging cannot exceed production.
+        # Green allocation: direct use plus storage charging cannot exceed
+        # production (solar alpha and wind beta per epoch, location slots).
         block(
             [t, t, t, t, t],
             [
                 np.full(T, sol, dtype=np.int64),
                 np.full(T, wnd, dtype=np.int64),
-                fam["green_direct"],
-                fam["battery_charge"],
-                fam["net_charge"],
+                site.green_direct,
+                site.battery_charge,
+                site.net_charge,
             ],
-            [profile.solar_alpha, profile.wind_beta, -ones, -ones, -ones],
+            [slot, slot, -ones, -ones, -ones],
             ConstraintSense.GREATER_EQUAL,
             np.zeros(T),
             "green_allocation",
@@ -550,10 +539,10 @@ class ProvisioningCompiler:
             block(
                 [t, t, t, t],
                 [
-                    fam["battery_level"],
-                    fam["battery_level"][prev],
-                    fam["battery_charge"],
-                    fam["battery_discharge"],
+                    site.battery_level,
+                    site.battery_level[prev],
+                    site.battery_charge,
+                    site.battery_discharge,
                 ],
                 [ones, -ones, -eff_hours, hours],
                 ConstraintSense.EQUAL,
@@ -562,7 +551,7 @@ class ProvisioningCompiler:
             )
             block(
                 [t, t],
-                [fam["battery_level"], np.full(T, bat, dtype=np.int64)],
+                [site.battery_level, np.full(T, bat, dtype=np.int64)],
                 [ones, -ones],
                 ConstraintSense.LESS_EQUAL,
                 np.zeros(T),
@@ -573,10 +562,10 @@ class ProvisioningCompiler:
             block(
                 [t, t, t, t],
                 [
-                    fam["net_level"],
-                    fam["net_level"][prev],
-                    fam["net_charge"],
-                    fam["net_discharge"],
+                    site.net_level,
+                    site.net_level[prev],
+                    site.net_charge,
+                    site.net_discharge,
                 ],
                 [ones, -ones, -hours, hours],
                 ConstraintSense.EQUAL,
@@ -584,54 +573,34 @@ class ProvisioningCompiler:
                 "net_dynamics",
             )
 
-        # Objective contribution of this site.
-        coefficients = self.cost_model.linear_coefficients(profile, size_class)
-        obj_cols = [np.array([cap, sol, wnd, bat], dtype=np.int64), fam["brown"]]
-        obj_vals = [
-            np.array(
-                [
-                    coefficients["capacity_kw"],
-                    coefficients["solar_kw"],
-                    coefficients["wind_kw"],
-                    coefficients["battery_kwh"],
-                ]
-            ),
-            coefficients["brown_kwh_year"] * weights,
-        ]
+        # Objective columns of this site; every price is a location slot.
+        obj_cols = [np.array([cap, sol, wnd, bat], dtype=np.int64), site.brown]
         if use_net_metering:
-            obj_cols.append(fam["net_discharge"])
-            obj_vals.append(coefficients["net_discharge_kwh_year"] * weights)
-            obj_cols.append(fam["net_charge"])
-            obj_vals.append(coefficients["net_charge_kwh_year"] * weights)
+            obj_cols.append(site.net_discharge)
+            obj_cols.append(site.net_charge)
+        objective_cols = np.concatenate(obj_cols)
 
         # This site's slice of the cross-site minimum-green coupling row(s):
         # delivered green counts positive, a ``frac`` share of the demand
-        # counts negative (annual form weights epochs by their hours).
+        # counts negative (annual form weights epochs by their hours); the
+        # demand terms are location slots.
         if params.min_green_fraction > 0:
-            frac = params.min_green_fraction
-            per_epoch = problem.green_enforcement is GreenEnforcement.PER_EPOCH
-            if per_epoch:
+            if problem.green_enforcement is GreenEnforcement.PER_EPOCH:
                 green_val = np.ones(T)
-                compute_val = -(pue * frac)
-                migrate_val = -(mf_pue * frac)
                 green_rows = np.concatenate([t] * 5)
             else:
                 green_val = weights.astype(float)
-                compute_val = -((pue * weights) * frac)
-                migrate_val = -((mf_pue * weights) * frac)
                 green_rows = np.zeros(5 * T, dtype=np.int64)
             green_cols = np.concatenate(
                 [
-                    fam["green_direct"],
-                    fam["battery_discharge"],
-                    fam["net_discharge"],
-                    fam["compute"],
-                    fam["migrate"],
+                    site.green_direct,
+                    site.battery_discharge,
+                    site.net_discharge,
+                    site.compute,
+                    site.migrate,
                 ]
             )
-            green_vals = np.concatenate(
-                [green_val, green_val, green_val, compute_val, migrate_val]
-            )
+            green_vals = np.concatenate([green_val, green_val, green_val, slot, slot])
         else:
             green_rows = np.empty(0, dtype=np.int64)
             green_cols = np.empty(0, dtype=np.int64)
@@ -641,9 +610,9 @@ class ProvisioningCompiler:
             num_epochs=T,
             lower=lower,
             upper=upper,
-            objective_cols=np.concatenate(obj_cols),
-            objective_vals=np.concatenate(obj_vals),
-            fixed_cost=coefficients["fixed"],
+            objective_cols=objective_cols,
+            objective_vals=np.zeros(len(objective_cols)),
+            fixed_cost=0.0,
             tri_rows=np.concatenate(row_parts),
             tri_cols=np.concatenate(col_parts),
             tri_vals=np.concatenate(val_parts),
@@ -654,10 +623,7 @@ class ProvisioningCompiler:
             green_cols=green_cols,
             green_vals=green_vals,
         )
-        template = _SkeletonTemplate(
-            donor=skeleton, slots=slots, brown_cols=fam["brown"]
-        )
-        return skeleton, template
+        return _ClassStructure(skeleton=skeleton, slots=slots, brown_cols=site.brown)
 
     # -- templated row-form assembly ------------------------------------------------
     def compile_row_form(
@@ -760,43 +726,37 @@ class ProvisioningCompiler:
         num_sites = len(skeletons)
         nvars_site = len(skeletons[0].lower)
         num_cols = num_sites * nvars_site
-        compute_local = 4 + t  # compute is the first per-epoch family
-        capacity_local = 0
+        sites = [
+            _SiteLayout(num_epochs=T, base=index * nvars_site) for index in range(num_sites)
+        ]
 
         rows_parts: List[np.ndarray] = []
         cols_parts: List[np.ndarray] = []
         le_parts: List[np.ndarray] = []
         ge_parts: List[np.ndarray] = []
         row_offset = 0
-        for index, skeleton in enumerate(skeletons):
+        for skeleton, site in zip(skeletons, sites):
             rows_parts.append(skeleton.tri_rows + row_offset)
-            cols_parts.append(skeleton.tri_cols + index * nvars_site)
+            cols_parts.append(skeleton.tri_cols + site.base)
             le_parts.append(skeleton.le_mask)
             ge_parts.append(skeleton.ge_mask)
             row_offset += skeleton.num_rows
         rows_parts.append(np.tile(t, num_sites) + row_offset)
-        cols_parts.append(
-            np.concatenate([compute_local + index * nvars_site for index in range(num_sites)])
-        )
+        cols_parts.append(np.concatenate([site.compute for site in sites]))
         le_parts.append(np.zeros(T, dtype=bool))
         ge_parts.append(np.ones(T, dtype=bool))
         row_offset += T
         if has_green:
             green_rows = T if per_epoch else 1
-            for index, skeleton in enumerate(skeletons):
+            for skeleton, site in zip(skeletons, sites):
                 rows_parts.append(skeleton.green_rows + row_offset)
-                cols_parts.append(skeleton.green_cols + index * nvars_site)
+                cols_parts.append(skeleton.green_cols + site.base)
             le_parts.append(np.zeros(green_rows, dtype=bool))
             ge_parts.append(np.ones(green_rows, dtype=bool))
             row_offset += green_rows
         if enforce_spread:
             rows_parts.append(np.arange(num_sites, dtype=np.int64) + row_offset)
-            cols_parts.append(
-                np.array(
-                    [capacity_local + index * nvars_site for index in range(num_sites)],
-                    dtype=np.int64,
-                )
-            )
+            cols_parts.append(np.array([site.capacity for site in sites], dtype=np.int64))
             le_parts.append(np.zeros(num_sites, dtype=bool))
             ge_parts.append(np.ones(num_sites, dtype=bool))
             row_offset += num_sites

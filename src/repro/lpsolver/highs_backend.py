@@ -15,25 +15,28 @@ solves it on the same handle.
 
 Warm starts
 -----------
-:func:`solve_row_form` loads a row form into a :class:`MutableHighsModel`.
-Given a long-lived model, the optimal basis of its previous solve is
-re-installed whenever the new LP has the same shape — e.g. the location
-filter pricing the *same* single-site model structure at every candidate
-location, an annealing swap move that keeps the siting's site count and
-size classes, or the robust package re-pricing one sizing under each
-outage or ensemble draw in turn — and the dual simplex typically
+There is one warm-start mechanism: a :class:`MutableHighsModel` carries the
+native basis of its last optimal solve across :meth:`~MutableHighsModel.load`
+and installs it at the next solve whenever the loaded LP has the same shape.
+:func:`solve_row_form` loads each row form into a long-lived model this way
+— e.g. the location filter pricing the *same* single-site model structure at
+every candidate location, an annealing swap move that keeps the siting's site
+count and size classes, or the robust package re-pricing one sizing under
+each outage or ensemble draw in turn — and the dual simplex typically
 re-converges in a handful of iterations (~2x faster end-to-end on the
 pricing sweep).  Independent LPs are solved this way, one after another on
 one model, never stacked into one.  Without a model the solve is one-shot
-and cold.
+and cold; a cold load on a long-lived model calls
+:meth:`~MutableHighsModel.clear_basis`.
 
 Rolling windows
 ---------------
 The rolling dispatcher (:mod:`repro.operator.dispatch`) reloads its
-look-ahead window into one persistent model every step and re-installs the
-previous optimal basis rotated by one window step
+look-ahead window into one persistent model every step through the same
+mechanism, after rotating the carried basis by one window step
 (:meth:`MutableHighsModel.roll_basis`), so the expiring step's statuses stand
-in for the appended one.  Every LP, cold or warm, enters HiGHS through one
+in for the appended one.  Its first window and the resilience ladder's
+rebuild load cold.  Every LP, cold or warm, enters HiGHS through one
 ``passModel`` and every warm start is a native basis.
 
 A model must only ever be used from one thread at a time; concurrent sweeps
@@ -129,10 +132,7 @@ def solve_row_form(
         model = MutableHighsModel()
         model.load(row_form)
         return model._run(options, "highs-direct", check, row_form, keep_basis=False)
-    warm = model.basis_snapshot()
     model.load(row_form)
-    if warm is not None:
-        model.restore_basis(warm)
     return model._run(options, "highs-direct", check, row_form)
 
 
@@ -141,10 +141,12 @@ class MutableHighsModel:
 
     Every LP enters through :meth:`load` (a ``passModel``).  The native
     basis of the last optimal solve is carried as a :class:`BasisSnapshot`
-    and installed at the next solve when its shape matches the loaded model:
-    :func:`solve_row_form` restores it after each reload (the provisioning
-    LPs of the filter and the annealing search), and the rolling dispatcher
-    restores it rotated by one window step (:meth:`roll_basis`).
+    across loads and installed at the next solve when its shape matches the
+    loaded model: that is the one warm-start mechanism, used by
+    :func:`solve_row_form` (the provisioning LPs of the filter and the
+    annealing search, the robust package's repricing) and by the rolling
+    dispatcher, which rotates it by one window step first
+    (:meth:`roll_basis`).  A cold load calls :meth:`clear_basis`.
 
     Instances are not thread-safe: one model per heuristic solver (its
     sequential annealing chains share it) and one per dispatcher.
@@ -165,11 +167,13 @@ class MutableHighsModel:
         return (self.num_cols, self.num_rows)
 
     def load(self, row_form: RowFormLP) -> None:
-        """Replace the loaded model wholesale and drop the carried basis.
+        """Replace the loaded model wholesale, keeping the carried basis.
 
-        The row form's arrays go to HiGHS's array ``passModel`` as they are,
-        cast to the bindings' int32/float64 only where they differ, and
-        HiGHS copies them.  A model HiGHS rejects (``kError``), one whose
+        The carried basis is installed at the next solve only when its shape
+        matches the new model's.  The row form's arrays go to HiGHS's array
+        ``passModel`` as they are, cast to the bindings' int32/float64 only
+        where they differ, and HiGHS copies them.  A model HiGHS rejects
+        (``kError``), one whose
         array lengths disagree with its shape, or one with a NaN cost, bound
         or matrix value (HiGHS would drop a NaN entry without an error)
         raises :class:`~repro.lpsolver.result.SolverStatusError` and leaves
@@ -198,7 +202,6 @@ class MutableHighsModel:
         index = np.ascontiguousarray(row_form.a_indices, dtype=np.int32)
         value = np.ascontiguousarray(row_form.a_data, dtype=np.float64)
         integrality = (np.asarray(row_form.integrality) != 0).astype(np.int32)
-        self._native = None
         # The bindings read each buffer as far as these counts say without
         # checking its length, so a short array must never reach them.
         if not (
@@ -221,9 +224,11 @@ class MutableHighsModel:
         """Empty the handle and raise :class:`SolverStatusError` for a bad load.
 
         HiGHS may keep a rejected model half-loaded, and running it crashes
-        the interpreter, so nothing of it may stay for a later solve.
+        the interpreter, so nothing of it, and no carried basis, may stay for
+        a later solve.
         """
         self._highs.clearModel()
+        self._native = None
         self.num_cols = self.num_rows = 0
         raise SolverStatusError(SolveStatus.ERROR, message=detail, solver="highs-load")
 
@@ -256,25 +261,23 @@ class MutableHighsModel:
         return self._native
 
     def restore_basis(self, snapshot: BasisSnapshot) -> None:
-        """Adopt a stored native basis (e.g. from before a :meth:`load`).
+        """Adopt a stored native basis as the carried one.
 
-        :func:`solve_row_form` takes the snapshot before reloading the model
-        and restores it afterwards.  The snapshot is installed at the next
-        solve only when its shape matches the model's dimensions then;
-        otherwise that solve starts cold.  It stays the carried basis until a
-        solve is optimal, so a failed solve in between does not lose it.
-        Provisioning site blocks are structurally identical, so a same-shape
-        basis transfers across different location mixes.
+        The snapshot is installed at the next solve only when its shape
+        matches the model's dimensions then; otherwise that solve starts
+        cold.  It stays the carried basis until a solve is optimal, so a
+        failed solve in between does not lose it.
         """
         self._native = snapshot
 
     def clear_basis(self) -> None:
         """Drop every carried basis so the next solve starts cold.
 
-        The resilience ladder uses this between a failed warm solve and its
-        retry: a bad carried basis is the most likely culprit for a spurious
-        non-optimal status, and clearing it is far cheaper than reloading the
-        whole model.
+        Cold loads (the dispatcher's first window and the resilience
+        ladder's rebuild) call this, and so does the ladder between a failed
+        warm solve and its retry: a bad carried basis is the most likely
+        culprit for a spurious non-optimal status, and clearing it is far
+        cheaper than reloading the whole model.
         """
         self._native = None
         self._highs.clearSolver()

@@ -548,6 +548,7 @@ class RollingDispatcher:
             start_step, load_kw, level_kwh, demand_hat, production_hat,
             capacity_now=capacity_now, wan_factor=wan_factor,
         )
+        self._model.clear_basis()
         self._model.load(self._window_row_form())
         self.stats["cold_loads"] += 1
         return self._solve()
@@ -572,10 +573,7 @@ class RollingDispatcher:
         # basis rolled by one step keeps every surviving step's statuses and
         # hands the expiring step's to the appended one.
         self._model.roll_basis(self._ncols_step, self._nrows_step)
-        basis = self._model.basis_snapshot()
         self._model.load(self._window_row_form())
-        if basis is not None:
-            self._model.restore_basis(basis)
         self.stats["slides"] += 1
         return self._solve()
 
@@ -602,6 +600,7 @@ class RollingDispatcher:
             if injected or result.status is not SolveStatus.OPTIMAL:
                 self.stats["fallback_rebuilds"] += 1
                 self.stats["cold_loads"] += 1
+                self._model.clear_basis()
                 self._model.load(self._window_row_form())
                 result = None if outage else self._model.solve(self.options)
             warm = False

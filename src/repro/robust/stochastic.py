@@ -46,17 +46,10 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.problem import GreenEnforcement, SitingProblem
-from repro.core.provisioning import ProvisioningCompiler
+from repro.core.provisioning import ProvisioningCompiler, _SiteLayout
 from repro.lpsolver import SolverOptions, highs_backend
 from repro.lpsolver.model import RowFormLP
 from repro.robust.ensemble import EnsembleConfig, cvar, perturbed_problem
-
-#: Site-local index ranges: columns 0..3 are sizing, the rest per-epoch.
-_NUM_SIZING = 4
-#: The brown-energy family is the third per-epoch family of the site layout
-#: (compute, migrate, brown, ...); its objective coefficients anchor the
-#: unserved-recourse price to the cost model's scaling.
-_BROWN_FAMILY = 2
 
 
 @dataclass
@@ -112,9 +105,13 @@ def _site_cost_vector(skeleton) -> np.ndarray:
 
 
 def _unserved_cost(site_costs: Sequence[np.ndarray], num_epochs: int, penalty_x: float) -> np.ndarray:
-    """Per-epoch unserved-demand price: penalty_x times the dearest brown coeff."""
-    start = _NUM_SIZING + _BROWN_FAMILY * num_epochs
-    brown = np.stack([cost[start : start + num_epochs] for cost in site_costs])
+    """Per-epoch unserved-demand price: penalty_x times the dearest brown coeff.
+
+    The brown-energy prices anchor the unserved-recourse price to the cost
+    model's scaling.
+    """
+    brown_cols = _SiteLayout(num_epochs=num_epochs).brown
+    brown = np.stack([cost[brown_cols] for cost in site_costs])
     per_epoch = penalty_x * brown.max(axis=0)
     if not np.any(per_epoch > 0):
         per_epoch = np.full(num_epochs, penalty_x)
@@ -183,20 +180,21 @@ def _build_ensemble_row_form(
         [compiler.site_skeleton(name, size_class) for name, size_class in siting.items()]
         for compiler in compilers
     ]
-    nvars_site = len(skeletons[0][0].lower)
-    E = nvars_site - _NUM_SIZING
-    epoch_base = _NUM_SIZING * S          # first epoch column
+    local = _SiteLayout(num_epochs=T)
+    num_sizing = local.NUM_SIZING  # site-local columns 0..3 are sizing, the rest per-epoch
+    E = local.num_variables - num_sizing
+    epoch_base = num_sizing * S           # first epoch column
     unserved_base = epoch_base + D * S * E  # first unserved column
     ncols = unserved_base + D * T
     site_costs = [[_site_cost_vector(sk) for sk in draw] for draw in skeletons]
     unserved_cost = _unserved_cost(site_costs[0], T, unserved_penalty_x)
 
     def remap(local_cols: np.ndarray, d: int, s: int) -> np.ndarray:
-        sizing = local_cols < _NUM_SIZING
+        sizing = local_cols < num_sizing
         return np.where(
             sizing,
-            _NUM_SIZING * s + local_cols,
-            epoch_base + (d * S + s) * E + (local_cols - _NUM_SIZING),
+            num_sizing * s + local_cols,
+            epoch_base + (d * S + s) * E + (local_cols - num_sizing),
         )
 
     rows_parts: List[np.ndarray] = []
@@ -206,7 +204,6 @@ def _build_ensemble_row_form(
     le_parts: List[np.ndarray] = []
     ge_parts: List[np.ndarray] = []
     t_idx = np.arange(T, dtype=np.int64)
-    compute_local = _NUM_SIZING + t_idx  # compute is the first per-epoch family
     row_offset = 0
     for d in range(D):
         for s, skeleton in enumerate(skeletons[d]):
@@ -220,7 +217,7 @@ def _build_ensemble_row_form(
         # total capacity per epoch: sum(compute) + unserved >= demand_d
         for s in range(S):
             rows_parts.append(t_idx + row_offset)
-            cols_parts.append(remap(compute_local, d, s))
+            cols_parts.append(remap(local.compute, d, s))
             vals_parts.append(np.ones(T))
         rows_parts.append(t_idx + row_offset)
         cols_parts.append(unserved_base + d * T + t_idx)
@@ -270,26 +267,26 @@ def _build_ensemble_row_form(
     fixed_cost = 0.0
     for s, name in enumerate(names):
         skeleton0 = skeletons[0][s]
-        sizing_slice = slice(_NUM_SIZING * s, _NUM_SIZING * (s + 1))
+        sizing_slice = slice(num_sizing * s, num_sizing * (s + 1))
         if sizing_bounds is not None:
             fixed = np.asarray(sizing_bounds[name], dtype=float)
-            if fixed.shape != (_NUM_SIZING,):
-                raise ValueError(f"sizing bounds for {name!r} need 4 values")
+            if fixed.shape != (num_sizing,):
+                raise ValueError(f"sizing bounds for {name!r} need {num_sizing} values")
             lower[sizing_slice] = fixed
             upper[sizing_slice] = fixed
         else:
-            lower[sizing_slice] = skeleton0.lower[:_NUM_SIZING]
-            upper[sizing_slice] = skeleton0.upper[:_NUM_SIZING]
+            lower[sizing_slice] = skeleton0.lower[:num_sizing]
+            upper[sizing_slice] = skeleton0.upper[:num_sizing]
         # Sizing is a first-stage cost, paid once (identical across draws —
         # only weather/demand are perturbed, never prices).
-        cost[sizing_slice] = site_costs[0][s][:_NUM_SIZING]
+        cost[sizing_slice] = site_costs[0][s][:num_sizing]
         fixed_cost += skeletons[0][s].fixed_cost
         for d in range(D):
             start = epoch_base + (d * S + s) * E
             epoch_slice = slice(start, start + E)
-            lower[epoch_slice] = skeletons[d][s].lower[_NUM_SIZING:]
-            upper[epoch_slice] = skeletons[d][s].upper[_NUM_SIZING:]
-            cost[epoch_slice] = w[d] * site_costs[d][s][_NUM_SIZING:]
+            lower[epoch_slice] = skeletons[d][s].lower[num_sizing:]
+            upper[epoch_slice] = skeletons[d][s].upper[num_sizing:]
+            cost[epoch_slice] = w[d] * site_costs[d][s][num_sizing:]
     if blocked_sites is not None:
         # A faulted site's whole epoch block goes dark: no compute, no brown
         # burn, no battery cycling, no export revenue.  Epoch lower bounds
@@ -345,17 +342,18 @@ def _extract_ensemble_solution(
 ) -> StochasticSolution:
     """Read a solved column vector back through an :class:`_EnsembleLayout`."""
     S, D, T, E = layout.num_sites, layout.num_draws, layout.num_epochs, layout.epoch_width
+    num_sizing = _SiteLayout.NUM_SIZING
     sizing: Dict[str, Dict[str, float]] = {}
     sizing_cost = 0.0
     for s, name in enumerate(layout.names):
-        block = x[_NUM_SIZING * s : _NUM_SIZING * (s + 1)]
+        block = x[num_sizing * s : num_sizing * (s + 1)]
         sizing[name] = {
             "capacity_kw": float(block[0]),
             "solar_kw": float(block[1]),
             "wind_kw": float(block[2]),
             "battery_kwh": float(block[3]),
         }
-        sizing_cost += float(np.dot(layout.site_costs[0][s][:_NUM_SIZING], block))
+        sizing_cost += float(np.dot(layout.site_costs[0][s][:num_sizing], block))
     per_draw = np.empty(D)
     per_draw_unserved = np.empty(D)
     per_draw_energy = np.empty(D)
@@ -364,7 +362,7 @@ def _extract_ensemble_solution(
         for s in range(S):
             start = layout.epoch_base + (d * S + s) * E
             epoch_cost += float(
-                np.dot(layout.site_costs[d][s][_NUM_SIZING:], x[start : start + E])
+                np.dot(layout.site_costs[d][s][num_sizing:], x[start : start + E])
             )
         u_slice = slice(layout.unserved_base + d * T, layout.unserved_base + (d + 1) * T)
         unserved_d = float(np.dot(layout.unserved_cost, x[u_slice]))
@@ -471,8 +469,11 @@ def ensemble_report(
     it achieves.  Returns a JSON-ready record.
     """
     options = options or SolverOptions()
+    # The noise is keyed by profile name, so perturbing only the sited
+    # profiles gives them the same draws as perturbing every candidate.
+    sited = problem.restricted_to(list(siting))
     compilers = [
-        ProvisioningCompiler(perturbed_problem(problem, config, draw))
+        ProvisioningCompiler(perturbed_problem(sited, config, draw))
         for draw in range(config.draws)
     ]
     # Fixed and free solves keep a handle each: a draw's solve starts

@@ -78,9 +78,10 @@ class ServerMetrics:
     def worker_cache_summary(self) -> Dict[str, Any]:
         """Warm-vs-cold hit rates summed over all reporting workers.
 
-        ``skeleton_warm_rate`` counts template *derives* as warm: deriving a
-        new location's skeleton from the size class's template is the fast
-        path the caches exist for, full builds are the cold starts.
+        ``skeleton_warm_rate`` counts *derives* as warm: filling a new
+        location's values into its size class's cached structure is the
+        fast path the caches exist for; *builds*, the misses that first had
+        to build their class's structure, are the cold starts.
         """
         totals: Dict[str, int] = {}
         for stats in self._worker_stats.values():

@@ -70,6 +70,29 @@ class TestMutableHighsModel:
         warm = other.solve(SolverOptions())
         assert warm.objective == pytest.approx(first.objective, rel=1e-12)
 
+    def test_same_shape_reload_resolves_warm(self):
+        # Without presolve the cold solve takes simplex iterations; the
+        # basis carried across the reload makes the re-solve take none.
+        reference, mutable = _load_base()
+        options = SolverOptions(presolve=False)
+        first = mutable.solve(options)
+        assert first.iterations > 0
+        moved = dataclasses.replace(reference, cost=np.asarray(reference.cost) * 1.5)
+        mutable.load(moved)
+        assert mutable.basis_snapshot() is not None
+        again = mutable.solve(options)
+        assert again.iterations == 0
+        assert again.objective == pytest.approx(1.5 * first.objective, rel=1e-12)
+
+    def test_clear_basis_makes_the_next_solve_cold(self):
+        reference, mutable = _load_base()
+        options = SolverOptions(presolve=False)
+        first = mutable.solve(options)
+        mutable.clear_basis()
+        mutable.load(reference)
+        assert mutable.basis_snapshot() is None
+        assert mutable.solve(options).iterations == first.iterations
+
     def test_roll_basis_rotates_statuses(self):
         # Optimal basis: x0 and x2 basic, x1 and x3 at their lower bounds; the
         # two covering rows tight, the x0 <= 5 row slack (basic).

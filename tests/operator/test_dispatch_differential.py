@@ -58,6 +58,34 @@ class TestSlideVsColdRebuild:
         assert dispatcher.stats["warm_solves"] == steps - 1
 
 
+    def test_start_after_a_finished_week_solves_cold(self):
+        steps, horizon = 12, 6
+        sites = two_sites(steps + horizon)
+        demand = np.asarray(
+            TrafficModel(seed=3).synthesize(steps + horizon, total_capacity_kw=1000.0).demand_kw
+        )
+        production = np.stack([site.production_kw for site in sites])
+        decisions = []
+        dispatcher = RollingDispatcher(sites, DispatchConfig(horizon=horizon))
+        replay(
+            dispatcher, sites, demand, production, steps, horizon,
+            check=lambda step, decision: decisions.append(decision),
+        )
+        warm_solves = dispatcher.stats["warm_solves"]
+        assert dispatcher._model.basis_snapshot() is not None
+        # The first window again, on the handle that just finished the week:
+        # a cold load, so the very same simplex path as the first start.
+        replay(
+            dispatcher, sites, demand, production, 1, horizon,
+            check=lambda step, decision: decisions.append(decision),
+        )
+        assert dispatcher.stats["warm_solves"] == warm_solves
+        assert dispatcher.stats["cold_loads"] == 2
+        assert decisions[0].iterations > 0
+        assert decisions[-1].iterations == decisions[0].iterations
+        assert decisions[-1].objective == decisions[0].objective
+
+
 class TestEveryCaseMatchesReference:
     @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
     def test_window_objectives_match_reference(self, case):

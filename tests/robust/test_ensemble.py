@@ -1,5 +1,7 @@
 """Ensemble determinism, the stochastic LP's differential oracles, CVaR."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.robust import (
     solve_ensemble_lp,
     weather_factors,
 )
+from repro.robust import stochastic
 from repro.robust.stochastic import plan_siting_and_sizing
 from repro.scenarios import ExperimentRunner, ScenarioSpec
 
@@ -201,6 +204,34 @@ class TestEnsembleReport:
                 free.per_draw_costs[0], rel=1e-9
             )
 
+
+    def test_only_sited_profiles_are_perturbed(
+        self, two_site_problem, anchor_profiles, siting, solver_options, monkeypatch
+    ):
+        plan = solve_provisioning(
+            two_site_problem, siting, options=solver_options, enforce_spread=False
+        ).plan
+        plan_siting, sizing = plan_siting_and_sizing(plan)
+        config = EnsembleConfig(draws=3, mode="stochastic", seed=4)
+        narrow = ensemble_report(
+            two_site_problem, plan_siting, sizing, config, options=solver_options
+        )
+        sited = {profile.name for profile in two_site_problem.profiles}
+        extras = [profile for name, profile in anchor_profiles.items() if name not in sited]
+        assert extras
+        wide = dataclasses.replace(
+            two_site_problem, profiles=extras + list(two_site_problem.profiles)
+        )
+        seen = []
+
+        def recording(problem, config, draw):
+            seen.append(sorted(profile.name for profile in problem.profiles))
+            return perturbed_problem(problem, config, draw)
+
+        monkeypatch.setattr(stochastic, "perturbed_problem", recording)
+        report = ensemble_report(wide, plan_siting, sizing, config, options=solver_options)
+        assert seen == [sorted(plan_siting)] * config.draws
+        assert report == narrow
 
 class TestExecutorDeterminism:
     @pytest.fixture(scope="class")

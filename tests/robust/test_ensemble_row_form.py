@@ -11,13 +11,12 @@ solves give, across case changes, shape changes and a failed solve.
 import numpy as np
 import pytest
 
-from repro.core.provisioning import ProvisioningCompiler
+from repro.core.provisioning import ProvisioningCompiler, _SiteLayout
 from repro.lpsolver import MutableHighsModel, SolverStatusError
 from repro.lpsolver.validate import row_form_violations
 from repro.robust.contingency import _annual_budget_kwh
 from repro.robust.ensemble import EnsembleConfig, perturbed_problem
 from repro.robust.stochastic import (
-    _NUM_SIZING,
     _build_ensemble_row_form,
     _extract_ensemble_solution,
     solve_ensemble_lp,
@@ -66,7 +65,7 @@ def _unserved_block(layout, d):
 
 
 def _sizing_block(s):
-    return slice(_NUM_SIZING * s, _NUM_SIZING * (s + 1))
+    return slice(_SiteLayout.NUM_SIZING * s, _SiteLayout.NUM_SIZING * (s + 1))
 
 
 class TestLayout:
@@ -75,9 +74,9 @@ class TestLayout:
         row_form, layout = _build_ensemble_row_form([compiler] * num_draws, siting)
         S, T, E = len(siting), layout.num_epochs, layout.epoch_width
         skeleton = compiler.site_skeleton(*next(iter(siting.items())))
-        assert E == len(skeleton.lower) - _NUM_SIZING
+        assert E == len(skeleton.lower) - _SiteLayout.NUM_SIZING
         assert layout.num_draws == num_draws
-        assert layout.num_cols == _NUM_SIZING * S + num_draws * (S * E + T)
+        assert layout.num_cols == _SiteLayout.NUM_SIZING * S + num_draws * (S * E + T)
         assert row_form.shape == (layout.num_rows, layout.num_cols)
         # Draws replicate the recourse rows; sizing adds none of its own.
         single, _ = _build_ensemble_row_form([compiler], siting)
