@@ -33,10 +33,11 @@ Rolling windows
 ---------------
 The rolling dispatcher (:mod:`repro.operator.dispatch`) reloads its
 look-ahead window into one persistent model every step through the same
-mechanism, after rotating the carried basis by one window step
-(:meth:`MutableHighsModel.roll_basis`), so the expiring step's statuses stand
-in for the appended one.  Its first window and the resilience ladder's
-rebuild load cold.  Every LP, cold or warm, enters HiGHS through one
+mechanism.  It keeps the window's steps in a ring of step blocks, so the
+appended step takes the expiring step's columns and rows and the carried
+basis goes back to HiGHS as it is, the expiring step's statuses standing in
+for the appended one.  Its first window and the resilience ladder's rebuild
+load cold.  Every LP, cold or warm, enters HiGHS through one
 ``passModel`` and every warm start is a native basis.
 
 A model must only ever be used from one thread at a time; concurrent sweeps
@@ -145,8 +146,8 @@ class MutableHighsModel:
     loaded model: that is the one warm-start mechanism, used by
     :func:`solve_row_form` (the provisioning LPs of the filter and the
     annealing search, the robust package's repricing) and by the rolling
-    dispatcher, which rotates it by one window step first
-    (:meth:`roll_basis`).  A cold load calls :meth:`clear_basis`.
+    dispatcher, whose ring-ordered windows take it as it is.  A cold load
+    calls :meth:`clear_basis`.
 
     Instances are not thread-safe: one model per heuristic solver (its
     sequential annealing chains share it) and one per dispatcher.
@@ -233,29 +234,6 @@ class MutableHighsModel:
         raise SolverStatusError(SolveStatus.ERROR, message=detail, solver="highs-load")
 
     # -- basis transfer ----------------------------------------------------------
-    def roll_basis(self, cols: int, rows: int) -> None:
-        """Rotate the carried basis by ``cols`` columns and ``rows`` rows.
-
-        The first ``cols`` column and ``rows`` row statuses move to the end.
-        The rolling dispatcher lays its window out step-major, so after the
-        window slides one step this rotation maps every surviving step's
-        statuses onto its new position and hands the expiring step's
-        statuses to the appended one.  A rotation keeps the number of basic
-        variables, so the rotated basis is as valid (and as square) as the
-        carried one.  A no-op when no basis is carried.
-        """
-        if self._native is None:
-            return
-        basis = self._native.basis
-        col_status = list(basis.col_status)
-        row_status = list(basis.row_status)
-        rolled = _core.HighsBasis()
-        rolled.col_status = col_status[cols:] + col_status[:cols]
-        rolled.row_status = row_status[rows:] + row_status[:rows]
-        rolled.valid = basis.valid
-        rolled.alien = basis.alien
-        self._native = BasisSnapshot(rolled, self._native.shape)
-
     def basis_snapshot(self) -> Optional[BasisSnapshot]:
         """The native basis of the last optimal solve (None when cold)."""
         return self._native

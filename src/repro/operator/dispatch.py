@@ -11,24 +11,28 @@ window — plus an explicit unserved-demand slack whose penalty turns
 capacity shortfalls (flash crowds) into a measurable SLA violation instead
 of an infeasible LP.
 
-Every window has the same sparsity: the columns and rows are laid out
-step-major, step 0 is anchored to the realized load and battery levels, and
-only a few values move from one window to the next — the PUE coefficients of
-the power balances, the forecast demand and production right-hand sides, the
-tier caps and the step-0 anchors.  The dispatcher therefore compiles one
-window template per replay (:class:`_WindowTemplate`) and fills its slots with
-NumPy gathers for each window.  Every window is loaded into one persistent
-:class:`~repro.lpsolver.highs_backend.MutableHighsModel`; advancing the
-horizon re-installs the previous optimal basis rolled by one step block, so
-the surviving steps keep their statuses and the appended step inherits the
-expiring step's (per-block basis memory).  ``stats`` counts cold loads,
-slides and solves so tests can assert that a replay of *n* steps performs
-exactly one cold load and ``n - 1`` warm slides.
+The window's steps live in a ring of ``H`` step blocks of columns and rows:
+window step ``k`` occupies slot ``(head + k) % H``, and the head moves one
+slot per slide, so the expiring step's slot takes the appended step.  The
+head counts the steps since the last cold load, which loads the window
+step-major (head 0).  Step 0 is anchored to the realized load and battery
+levels, and only a few values move from one window to the next — the PUE
+coefficients of the power balances, the forecast demand and production
+right-hand sides, the tier caps and the step-0 anchors.  The dispatcher
+therefore compiles one window template per head (:class:`_WindowTemplate`,
+each rotated from the step-major one the first time its head comes up) and
+fills its slots with NumPy gathers for each window.  Every window is loaded
+into one persistent :class:`~repro.lpsolver.highs_backend.MutableHighsModel`;
+the previous optimal basis already has every surviving step's statuses in
+that step's slot and the expiring step's in the appended step's, so a slide
+hands it back to HiGHS as it is (per-block basis memory).  ``stats`` counts
+cold loads, slides and solves so tests can assert that a replay of *n* steps
+performs exactly one cold load and ``n - 1`` warm slides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -186,12 +190,13 @@ class DispatchDecision:
 
 @dataclass(frozen=True)
 class _WindowTemplate:
-    """The fixed part of every dispatch window and the slots each one fills.
+    """The fixed part of every dispatch window at one ring head, and the slots each one fills.
 
     Column costs and bounds, the CSC structure and every constant matrix
-    value and row bound are compiled once.  The slot arrays index the entries
-    that change per window; those shaped ``(H, N)`` or ``(H, K)`` are
-    step-major, those shaped ``(N,)`` belong to the anchored step 0.
+    value and row bound are compiled once per head.  The slot arrays index
+    the entries that change per window; those shaped ``(H, N)`` or ``(H, K)``
+    are ordered by window step, those shaped ``(N,)`` belong to the anchored
+    step 0.
     """
 
     cost: np.ndarray
@@ -212,6 +217,18 @@ class _WindowTemplate:
     battery_rows: np.ndarray       #: step-0 battery anchors, both bounds (N,)
 
 
+def _csc_order(
+    rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC column pointers of COO entries, their CSC order and each entry's CSC position."""
+    order = np.argsort(cols * np.int64(nrows) + rows, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    indptr = np.zeros(ncols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
+    return indptr.astype(np.int32), order, position
+
+
 class DispatchError(RuntimeError):
     """Raised when a window LP fails to solve to optimality."""
 
@@ -220,9 +237,10 @@ class RollingDispatcher:
     """Sliding-window dispatcher over one persistent HiGHS model.
 
     Not thread-safe; one dispatcher per replay.  :meth:`start` cold-loads
-    the first window and every :meth:`advance` loads the next one warm,
-    with the previous basis rolled one step; ``stats["cold_loads"]`` counts
-    the start plus every cold reload of the resilience ladder.
+    the first window step-major and every :meth:`advance` moves the ring's
+    head one slot and loads the next window warm, with the previous basis as
+    it is; ``stats["cold_loads"]`` counts the start plus every cold reload of
+    the resilience ladder, each of which also puts the head back to slot 0.
     """
 
     def __init__(
@@ -256,6 +274,9 @@ class RollingDispatcher:
         # Current window state (the template's slot values and the ladder's
         # cold reloads read it).
         self._start_step: Optional[int] = None
+        #: Step of the last cold load: window step 0 lives in ring slot
+        #: ``(start_step - origin) % H``.
+        self._origin = 0
         self._load_kw: Optional[np.ndarray] = None
         self._level_kwh: Optional[np.ndarray] = None
         self._demand_hat: Optional[np.ndarray] = None
@@ -267,7 +288,8 @@ class RollingDispatcher:
         self._capacity_nominal = np.array([site.capacity_kw for site in self.sites])
         self._capacity_now = self._capacity_nominal.copy()
         self._wan_factor = 1.0
-        self._template = self._compile_window()
+        #: Compiled window templates by ring head (head 0 is step-major).
+        self._templates: Dict[int, _WindowTemplate] = {0: self._compile_window()}
         self._fault_steps: frozenset = frozenset()
         self._outage_steps: frozenset = frozenset()
         self._greedy = None
@@ -332,13 +354,14 @@ class RollingDispatcher:
         return cost, lower, upper
 
     def _compile_window(self) -> _WindowTemplate:
-        """Compile the H-step window with step 0 anchored.
+        """Compile the H-step window with step 0 anchored, step-major (head 0).
 
         Per step and site the rows are capacity, migration, power balance,
         green allocation and battery dynamics, after the step's demand and
         WAN rows and before its tier caps.  Step ``t > 0`` couples to step
         ``t - 1`` through the migration and battery rows; step 0 carries
-        those terms in its anchor bounds instead.
+        those terms in its anchor bounds instead.  The column and row bounds
+        are the same in every step block.
         """
         cfg = self.config
         H, N = self._H, self._N
@@ -394,11 +417,7 @@ class RollingDispatcher:
 
         ncols, nrows = H * nc, H * nr
         rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-        order = np.argsort(cols * np.int64(nrows) + rows, kind="stable")
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
-        indptr = np.zeros(ncols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
+        indptr, order, position = _csc_order(rows, cols, nrows, ncols)
 
         row_lower = np.zeros(nrows)
         row_upper = np.full(nrows, np.inf)
@@ -412,7 +431,7 @@ class RollingDispatcher:
             cost=np.tile(cost, H),
             lower=np.tile(lower, H),
             upper=np.tile(upper, H),
-            a_indptr=indptr.astype(np.int32),
+            a_indptr=indptr,
             a_indices=rows[order].astype(np.int32),
             a_data=vals[order],
             row_lower=row_lower,
@@ -427,9 +446,51 @@ class RollingDispatcher:
             battery_rows=row[0] + 4,
         )
 
+    def _template(self, head: int) -> _WindowTemplate:
+        """The window template with step 0 in ring slot ``head``, compiled once."""
+        template = self._templates.get(head)
+        if template is None:
+            template = self._templates[head] = self._rotate(self._templates[0], head)
+        return template
+
+    def _rotate(self, template: _WindowTemplate, head: int) -> _WindowTemplate:
+        """The step-major ``template`` with window step ``k`` moved to slot ``(head + k) % H``.
+
+        Every matrix entry and slot row moves ``head`` step blocks round the
+        ring and the entries are re-sorted into CSC order.  The column and
+        row bounds repeat every step block, so they stay as they are.
+        """
+        nc, nr = self._ncols_step, self._nrows_step
+        ncols, nrows = self._H * nc, self._H * nr
+
+        def slot(rows: np.ndarray) -> np.ndarray:
+            return (rows + head * nr) % nrows
+
+        cols = (np.repeat(np.arange(ncols), np.diff(template.a_indptr)) + head * nc) % ncols
+        rows = slot(template.a_indices.astype(np.int64))
+        indptr, order, position = _csc_order(rows, cols, nrows, ncols)
+        return replace(
+            template,
+            a_indptr=indptr,
+            a_indices=rows[order].astype(np.int32),
+            a_data=template.a_data[order],
+            pue_slots=position[template.pue_slots],
+            pue_mf_slots=position[template.pue_mf_slots],
+            demand_rows=slot(template.demand_rows),
+            green_rows=slot(template.green_rows),
+            tier_rows=slot(template.tier_rows),
+            migration_rows=slot(template.migration_rows),
+            battery_rows=slot(template.battery_rows),
+        )
+
+    @property
+    def _head(self) -> int:
+        """Ring slot of the current window's step 0."""
+        return (self._start_step - self._origin) % self._H
+
     def _window_row_form(self) -> RowFormLP:
-        """The current window: the template with its slots filled."""
-        template = self._template
+        """The current window: its head's template with the slots filled."""
+        template = self._template(self._head)
         steps = np.arange(self._start_step, self._start_step + self._H)
         pue = np.stack([site.pue[steps] for site in self.sites], axis=1)
         a_data = template.a_data.copy()
@@ -489,14 +550,17 @@ class RollingDispatcher:
         Compute is capped at the capacity actually available, the capacity
         row follows, and load stranded above the cap is released from the
         migration anchor (it crashed with the site — charging it as WAN
-        migration would make a hard outage infeasible).
+        migration would make a hard outage infeasible).  The first step's
+        blocks sit in the head's slot.
         """
+        col_base = self._head * self._ncols_step
+        row_base = self._head * self._nrows_step
         for d in range(self._N):
             cap = float(self._capacity_now[d])
-            upper[1 + 8 * d + _C] = cap
-            row_upper[2 + 5 * d] = cap
-            row_lower[2 + 5 * d + 1] = min(float(self._load_kw[d]), cap)
-        row_upper[1] = self._wan_upper()
+            upper[col_base + 1 + 8 * d + _C] = cap
+            row_upper[row_base + 2 + 5 * d] = cap
+            row_lower[row_base + 2 + 5 * d + 1] = min(float(self._load_kw[d]), cap)
+        row_upper[row_base + 1] = self._wan_upper()
 
     # -- window lifecycle --------------------------------------------------------
     def _set_window(
@@ -543,11 +607,12 @@ class RollingDispatcher:
         capacity_now: Optional[np.ndarray] = None,
         wan_factor: float = 1.0,
     ) -> DispatchDecision:
-        """Cold-load the first window and solve it."""
+        """Cold-load the first window, step-major, and solve it."""
         self._set_window(
             start_step, load_kw, level_kwh, demand_hat, production_hat,
             capacity_now=capacity_now, wan_factor=wan_factor,
         )
+        self._origin = start_step
         self._model.clear_basis()
         self._model.load(self._window_row_form())
         self.stats["cold_loads"] += 1
@@ -569,10 +634,9 @@ class RollingDispatcher:
             self._start_step + 1, load_kw, level_kwh, demand_hat, production_hat,
             capacity_now=capacity_now, wan_factor=wan_factor,
         )
-        # Per-block basis memory: the window is step-major, so the previous
-        # basis rolled by one step keeps every surviving step's statuses and
-        # hands the expiring step's to the appended one.
-        self._model.roll_basis(self._ncols_step, self._nrows_step)
+        # Per-block basis memory: the head moved one slot, so every surviving
+        # step keeps its slot and its statuses in the carried basis, and the
+        # appended step takes the expiring step's slot and statuses.
         self._model.load(self._window_row_form())
         self.stats["slides"] += 1
         return self._solve()
@@ -600,6 +664,7 @@ class RollingDispatcher:
             if injected or result.status is not SolveStatus.OPTIMAL:
                 self.stats["fallback_rebuilds"] += 1
                 self.stats["cold_loads"] += 1
+                self._origin = self._start_step
                 self._model.clear_basis()
                 self._model.load(self._window_row_form())
                 result = None if outage else self._model.solve(self.options)
@@ -640,7 +705,8 @@ class RollingDispatcher:
         )
 
     def _extract_decision(self, x: np.ndarray, objective: float, iterations: int) -> DispatchDecision:
-        block = np.asarray(x[: self._ncols_step], dtype=float)
+        first = self._head * self._ncols_step
+        block = np.asarray(x[first : first + self._ncols_step], dtype=float)
         per_site = block[1 : 1 + 8 * self._N].reshape(self._N, 8)
         if self._tiered:
             tier_unserved = block[self._tier_cols]

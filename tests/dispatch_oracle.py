@@ -261,28 +261,38 @@ def _step_rows(
 
 def _override_first_step(
     dispatcher: RollingDispatcher,
+    head: int,
     row_lower: np.ndarray,
     row_upper: np.ndarray,
     upper: np.ndarray,
 ) -> None:
-    """Impose the realized (faulted) state on the window's first step."""
+    """Impose the realized (faulted) state on the window's first step (slot ``head``)."""
+    col_base = head * dispatcher._ncols_step
+    row_base = head * dispatcher._nrows_step
     for d in range(dispatcher._N):
         cap = float(dispatcher._capacity_now[d])
-        upper[1 + 8 * d + _C] = cap
-        row_upper[2 + 5 * d] = cap
-        row_lower[2 + 5 * d + 1] = min(float(dispatcher._load_kw[d]), cap)
-    row_upper[1] = dispatcher._wan_upper()
+        upper[col_base + 1 + 8 * d + _C] = cap
+        row_upper[row_base + 2 + 5 * d] = cap
+        row_lower[row_base + 2 + 5 * d + 1] = min(float(dispatcher._load_kw[d]), cap)
+    row_upper[row_base + 1] = dispatcher._wan_upper()
 
 
-def reference_row_form(dispatcher: RollingDispatcher) -> RowFormLP:
-    """The dispatcher's current window as one RowFormLP, built step by step."""
+def reference_row_form(dispatcher: RollingDispatcher, head: Optional[int] = None) -> RowFormLP:
+    """The dispatcher's current window as one RowFormLP, built step by step.
+
+    Window step ``k`` goes to slot ``(head + k) % H``; ``head`` defaults to
+    the dispatcher's own, and ``head=0`` gives the step-major window.
+    """
     if dispatcher._start_step is None:
         raise RuntimeError("no window before start()")
     H = dispatcher._H
+    head = dispatcher._head if head is None else head
     ncols_step, nrows_step = dispatcher._ncols_step, dispatcher._nrows_step
     ncols = H * ncols_step
     nrows = H * nrows_step
-    cost_parts, lower_parts, upper_parts = [], [], []
+    cost = np.empty(ncols)
+    lower = np.empty(ncols)
+    upper = np.empty(ncols)
     row_lower = np.empty(nrows)
     row_upper = np.empty(nrows)
     coo_rows: List[np.ndarray] = []
@@ -290,12 +300,11 @@ def reference_row_form(dispatcher: RollingDispatcher) -> RowFormLP:
     coo_vals: List[np.ndarray] = []
     for t in range(H):
         absolute = dispatcher._start_step + t
-        base = t * ncols_step
-        prev_base = None if t == 0 else (t - 1) * ncols_step
-        cost, lower, upper = _step_columns(dispatcher)
-        cost_parts.append(cost)
-        lower_parts.append(lower)
-        upper_parts.append(upper)
+        slot = (head + t) % H
+        base = slot * ncols_step
+        prev_base = None if t == 0 else ((slot - 1) % H) * ncols_step
+        block = slice(base, base + ncols_step)
+        cost[block], lower[block], upper[block] = _step_columns(dispatcher)
         r_lower, r_upper, starts, cols, vals = _step_rows(
             dispatcher,
             absolute,
@@ -306,7 +315,7 @@ def reference_row_form(dispatcher: RollingDispatcher) -> RowFormLP:
             dispatcher._load_kw if t == 0 else None,
             dispatcher._level_kwh if t == 0 else None,
         )
-        offset = t * nrows_step
+        offset = slot * nrows_step
         row_lower[offset : offset + nrows_step] = r_lower
         row_upper[offset : offset + nrows_step] = r_upper
         lengths = np.diff(starts)
@@ -320,12 +329,10 @@ def reference_row_form(dispatcher: RollingDispatcher) -> RowFormLP:
     order = np.argsort(cols * np.int64(nrows) + rows, kind="stable")
     indptr = np.zeros(ncols + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
-    lower = np.concatenate(lower_parts)
-    upper = np.concatenate(upper_parts)
     if dispatcher._faulted:
-        _override_first_step(dispatcher, row_lower, row_upper, upper)
+        _override_first_step(dispatcher, head, row_lower, row_upper, upper)
     return RowFormLP(
-        cost=np.concatenate(cost_parts),
+        cost=cost,
         a_indptr=indptr.astype(np.int32),
         a_indices=rows[order].astype(np.int32),
         a_data=vals[order],
@@ -338,6 +345,22 @@ def reference_row_form(dispatcher: RollingDispatcher) -> RowFormLP:
         maximise=False,
         objective_constant=0.0,
     )
+
+
+_FIELDS = (
+    "cost", "a_indptr", "a_indices", "a_data", "row_lower", "row_upper",
+    "lower", "upper", "integrality",
+)
+
+
+def assert_row_forms_identical(got: RowFormLP, expected: RowFormLP) -> None:
+    """Every array of the two row forms matches in dtype and bytes."""
+    assert got.shape == expected.shape
+    assert (got.maximise, got.objective_constant) == (expected.maximise, expected.objective_constant)
+    for field in _FIELDS:
+        a, b = getattr(got, field), getattr(expected, field)
+        assert a.dtype == b.dtype, field
+        assert a.tobytes() == b.tobytes(), field
 
 
 def rebuild_window(dispatcher: RollingDispatcher) -> float:

@@ -2,7 +2,7 @@
 
 Loads and solves are checked against a from-scratch ``linprog`` solve of the
 same :class:`~repro.lpsolver.RowFormLP`; the carried basis is checked across
-snapshots, restores and the rolling dispatcher's one-step rotation.
+reloads, snapshots, restores and clears.
 """
 
 import dataclasses
@@ -93,44 +93,16 @@ class TestMutableHighsModel:
         assert mutable.basis_snapshot() is None
         assert mutable.solve(options).iterations == first.iterations
 
-    def test_roll_basis_rotates_statuses(self):
-        # Optimal basis: x0 and x2 basic, x1 and x3 at their lower bounds; the
-        # two covering rows tight, the x0 <= 5 row slack (basic).
-        rows = [
-            ([1.0, 1.0, 0.0, 0.0], ConstraintSense.GREATER_EQUAL, 1.0),
-            ([0.0, 0.0, 1.0, 1.0], ConstraintSense.GREATER_EQUAL, 2.0),
-            ([1.0, 0.0, 0.0, 0.0], ConstraintSense.LESS_EQUAL, 5.0),
-        ]
-        mutable = highs_backend.MutableHighsModel()
-        mutable.load(_reference_model([1.0, 3.0, 1.0, 3.0], rows, [(0.0, np.inf)] * 4))
-        mutable.solve(SolverOptions())
-        before = mutable.basis_snapshot()
-        cols, rows = list(before.basis.col_status), list(before.basis.row_status)
-        mutable.roll_basis(1, 2)
-        after = mutable.basis_snapshot()
-        assert list(after.basis.col_status) == cols[1:] + cols[:1] != cols
-        assert list(after.basis.row_status) == rows[2:] + rows[:2] != rows
-        assert after.shape == before.shape
-        assert (after.basis.valid, after.basis.alien) == (before.basis.valid, before.basis.alien)
-        # The carried basis is replaced, not edited in place.
-        assert list(before.basis.col_status) == cols
-
-    def test_full_roll_is_identity_and_stays_warm(self):
+    def test_restored_basis_reloads_warm(self):
         reference, mutable = _load_base()
         first = mutable.solve(SolverOptions())
-        mutable.roll_basis(mutable.num_cols, mutable.num_rows)
-        rolled = mutable.basis_snapshot()
+        snapshot = mutable.basis_snapshot()
+        mutable.clear_basis()
         mutable.load(reference)
-        mutable.restore_basis(rolled)
+        mutable.restore_basis(snapshot)
         warm = mutable.solve(SolverOptions())
         assert warm.objective == pytest.approx(first.objective, rel=1e-12)
         assert warm.iterations == 0
-
-    def test_roll_basis_is_noop_when_cold(self):
-        _, mutable = _load_base()
-        mutable.roll_basis(1, 1)
-        assert mutable.basis_snapshot() is None
-        _assert_matches(mutable, _reference_model(BASE_COST, BASE_ROWS, BASE_BOUNDS))
 
 
 def _with_entry(row_form, position, *, row=None, value=None):

@@ -1,11 +1,12 @@
 """Differential tests for the sliding-horizon dispatch core.
 
-The dispatcher's warm-started windows, loaded from its compiled template
-with the previous basis rolled one step, must produce the same window
-objectives as a cold solve of the step-by-step reference window
+The dispatcher's warm-started windows, loaded from the compiled template of
+their ring head with the previous basis as it is, must produce the same
+window objectives as a cold solve of the step-by-step reference window
 (``dispatch_oracle.rebuild_window``), for every storage/export
 configuration — and only the first window may load cold, which the
-load/slide counters pin down.
+load/slide counters pin down.  Every cold load puts the ring's head back to
+slot 0, so the window it loads is the step-major reference window.
 """
 
 import numpy as np
@@ -14,7 +15,15 @@ import pytest
 from repro.operator.dispatch import DispatchConfig, RollingDispatcher
 from repro.operator.traffic import TrafficModel
 
-from dispatch_oracle import CASES, rebuild_window, replay, replay_case, two_sites
+from dispatch_oracle import (
+    CASES,
+    assert_row_forms_identical,
+    rebuild_window,
+    reference_row_form,
+    replay,
+    replay_case,
+    two_sites,
+)
 
 CONFIGS = [
     {"allow_export": True},                      # net metering
@@ -84,6 +93,82 @@ class TestSlideVsColdRebuild:
         assert decisions[0].iterations > 0
         assert decisions[-1].iterations == decisions[0].iterations
         assert decisions[-1].objective == decisions[0].objective
+
+
+    def test_advance_hands_back_the_carried_basis_unchanged(self):
+        steps, horizon = 8, 4
+        sites = two_sites(steps + horizon)
+        demand = np.asarray(
+            TrafficModel(seed=3).synthesize(steps + horizon, total_capacity_kw=1000.0).demand_kw
+        )
+        production = np.stack([site.production_kw for site in sites])
+        dispatcher = RollingDispatcher(sites, DispatchConfig(horizon=horizon))
+        model = dispatcher._model
+        installed, carried = [], []
+        solve = model.solve
+
+        def spy_solve(options):
+            installed.append(model.basis_snapshot())
+            return solve(options)
+
+        model.solve = spy_solve
+        replay(
+            dispatcher, sites, demand, production, steps, horizon,
+            check=lambda step, decision: carried.append(model.basis_snapshot()),
+        )
+        assert installed[0] is None
+        # Each slide solves with the very basis object the last solve left.
+        assert all(now is before for now, before in zip(installed[1:], carried))
+
+
+class TestRingWraps:
+    def test_wrap_with_cold_loads_away_from_head_zero(self):
+        """A replay over two laps of the ring with a solve failure at head 3,
+        a site outage over heads 4, 5 and 0, and a solve failure at head 2."""
+        steps, horizon = 14, 6
+        needed = steps + horizon
+        sites = two_sites(needed)
+        demand = np.asarray(TrafficModel(seed=3).synthesize(needed, total_capacity_kw=1000.0).demand_kw)
+        production = np.stack([site.production_kw for site in sites])
+        capacities = np.array([site.capacity_kw for site in sites])
+        dispatcher = RollingDispatcher(sites, DispatchConfig(horizon=horizon))
+        dispatcher.inject_solve_failures((3, 11))
+
+        def faults(step):
+            return (capacities * np.array([0.0, 1.0]) if 7 <= step <= 9 else None), 1.0
+
+        model = dispatcher._model
+        cleared = {"last": False}
+        cold_heads, heads = [], []
+        clear_basis, load, solve = model.clear_basis, model.load, model.solve
+
+        def spy_clear_basis():
+            cleared["last"] = True
+            clear_basis()
+
+        def spy_load(row_form):
+            if cleared["last"]:  # a load straight after a clear is a cold load
+                cold_heads.append(dispatcher._head)
+                assert_row_forms_identical(row_form, reference_row_form(dispatcher, head=0))
+            cleared["last"] = False
+            load(row_form)
+
+        def spy_solve(options):
+            cleared["last"] = False
+            heads.append(dispatcher._head)
+            return solve(options)
+
+        model.clear_basis, model.load, model.solve = spy_clear_basis, spy_load, spy_solve
+
+        def check(step, decision):
+            cold = rebuild_window(dispatcher)
+            assert decision.objective == pytest.approx(cold, rel=1e-7, abs=1e-5), step
+
+        replay(dispatcher, sites, demand, production, steps, horizon, check=check, faults=faults)
+        assert dispatcher.stats["cold_loads"] == 3
+        assert cold_heads == [0, 0, 0]
+        assert heads == [0, 1, 2, 0, 1, 2, 3, 4, 5, 0, 1, 0, 1, 2]
+        assert len(dispatcher._templates) <= horizon
 
 
 class TestEveryCaseMatchesReference:

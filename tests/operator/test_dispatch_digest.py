@@ -19,7 +19,7 @@ import numpy as np
 
 from dispatch_oracle import CASES, replay_case
 
-GOLDEN_SHA256 = "b62d36d41f891fbca4663aba34d2ffae53d188043b906462e3f8100378e42dc6"
+GOLDEN_SHA256 = "2f04229f55cb413253ca1c7465450216a30f6b41e83b8068a0c2ae6c8c9f5f59"
 
 _ARRAYS = (
     "compute_kw", "migrate_kw", "brown_kw", "green_direct_kw",
