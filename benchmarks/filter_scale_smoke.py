@@ -25,10 +25,10 @@ from bench_sec3d_solver_scaling import run_heuristic  # noqa: E402
 #: Catalogue size of the smoke point.
 NUM_CANDIDATES = 5000
 
-#: Ceiling on exactly-priced filter candidates (currently ~192, independent
-#: of the catalogue size: a galloping round schedule prices the bound-sorted
-#: head until the shortlist thresholds prune the tail).
-FILTER_PRICED_CEILING = 600
+#: Ceiling on exactly-priced filter candidates (currently 13, as at 1373 and
+#: 20 000 candidates: walking the candidates in ascending-bound order, the
+#: filter prices one only while its bound is within the shortlist thresholds).
+FILTER_PRICED_CEILING = 60
 
 
 def main() -> int:

@@ -35,11 +35,12 @@ LPS_SOLVED_CEILING = 16
 FILTER_CANDIDATES = 1373
 
 #: Ceiling on the fraction of the catalogue the filter may price exactly
-#: (currently ~11 %: the screen's admissible bound prunes the rest).
-FILTER_PRICED_FRACTION_CEILING = 0.25
+#: (currently 13 of 1373, 0.9 %: the filter prices a candidate only while
+#: its admissible bound can still reach the shortlist).
+FILTER_PRICED_FRACTION_CEILING = 0.05
 
 #: Generous ceiling on the filter stage's wall-clock at 1373 candidates
-#: (currently ~0.1 s in one thread on a 2-vCPU x86-64 VM; the ceiling only
+#: (currently ~0.025 s in one thread on a 2-vCPU x86-64 VM; the ceiling only
 #: catches order-of-magnitude regressions such as losing the screen entirely).
 FILTER_SECONDS_CEILING = 2.0
 

@@ -16,9 +16,11 @@ The implementation mirrors those steps.  A search runs in its caller's
 process — sweep points and serve requests are what cross process
 boundaries (:mod:`repro.parallel`):
 
-* the *filter* prices candidate locations in chunks through
-  :func:`~repro.core.single_site.priced_in_chunks`, one chunk after another,
-  each chunk's sites solved in turn on one warm-started HiGHS model;
+* the *filter* walks the candidates best first by an admissible lower
+  bound on their single-site cost and prices, through
+  :func:`~repro.core.single_site.priced_in_chunks`, only those that can
+  still make the shortlist, one after another on one warm-started HiGHS
+  model (a best-first bound-and-prune in the manner of branch and bound);
 * the *search* runs its annealing chains sequentially, each chain starting
   from the best siting found so far — the role of the paper's periodic
   synchronisation — with its own RNG and move mix, so the outcome is
@@ -35,6 +37,7 @@ whenever a move keeps the LP's shape (a swap, say).
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import time
@@ -46,6 +49,7 @@ from repro.core.provisioning import (
     ProvisioningCompiler,
     ProvisioningResult,
     solve_provisioning,
+    summed_skeleton_stats,
 )
 # ``price_per_site`` is bound here beside ``price_batch`` (the chunk pricer
 # that calls it) so a profiler or test patching this module's pricers can
@@ -147,9 +151,15 @@ class HeuristicSolver:
         self.problem = problem
         self.settings = settings or SearchSettings()
         self.solver_options = solver_options or SolverOptions()
+        # Skeleton counters of the compilers this solver made and is done
+        # with (one per filter pass, the coarse sub-solver's, one per
+        # refinement solve), kept as counts so the compilers can go.
+        self._finished_skeletons: List[Dict[str, int]] = []
         # An externally shared compiler must have been built for an equivalent
         # problem (same profiles, parameters and scenario switches); the
         # ExperimentRunner keys its shared compilers by that problem signature.
+        # A compiler passed in is its owner's to count.
+        self._owns_compiler = compiler is None
         self._compiler = compiler or ProvisioningCompiler(problem)
         # The memo key is the canonical sorted (location, class) tuple, so
         # any move order that reaches the same siting hits the same entry.
@@ -183,6 +193,16 @@ class HeuristicSolver:
         """Memo hits on entries that a *different* chain computed."""
         return self._cross_chain_hits
 
+    def skeleton_stats(self) -> Dict[str, int]:
+        """Skeleton counters summed over every compiler this solver made.
+
+        That is its own compiler unless one was passed in, one pricing
+        compiler per filter pass and, on the adaptive path, the coarse
+        sub-solver's compilers and one per refinement solve.
+        """
+        own = [self._compiler.skeleton_stats()] if self._owns_compiler else []
+        return summed_skeleton_stats(self._finished_skeletons + own)
+
     # -- step 1: filtering ---------------------------------------------------------
     def filter_locations(self) -> List[str]:
         """Rank candidates by single-site cost and keep the cheapest ones.
@@ -196,16 +216,16 @@ class HeuristicSolver:
         The pricing pass runs in two stages.  Stage 1 computes a vectorized
         *admissible* lower bound on every candidate's score
         (:func:`~repro.core.screening.screen_lower_bounds`) — pure numpy over
-        the stacked epoch profiles, no LPs.  Stage 2 prices candidates
-        exactly in ascending-bound rounds, after each round dropping every
-        still-unpriced candidate whose bound exceeds both the current
-        ``keep``-th cheapest feasible cost and the cheapest cost of its
-        longitude band: such a candidate provably cannot enter the shortlist
-        (its exact cost is at least its bound), so the pruning never changes
-        the result, only the work.  Exact pricing solves each size-capped
-        chunk's sites in turn on one warm-started HiGHS model, one chunk
-        after another; both the chunk split and the round schedule depend
-        only on the candidate data.
+        the stacked epoch profiles, no LPs.  Stage 2 walks the candidates in
+        ascending-bound order, skipping certified-infeasible ones, and prices
+        a candidate exactly only if, at its turn, its bound is within the
+        current ``keep``-th cheapest feasible cost or within the cheapest
+        cost of its longitude band.  Otherwise it is skipped for good: its
+        exact cost is at least its bound and both thresholds only ever fall,
+        so it could never enter the shortlist, and the pruning changes only
+        the work, never the result.  Every pricing runs on one warm-started
+        HiGHS model, so the warm-start sequence, and with it every priced
+        cost, depends only on the candidate data.
 
         Like the paper's filter, similar locations are not all kept: the
         survivors are spread across time zones (the paper removes "subsets of
@@ -240,58 +260,53 @@ class HeuristicSolver:
         bands = [int((longitude + 180.0) // 45.0) for longitude in longitudes]
         keep = max(settings.keep_locations, problem.min_datacenters)
         pricing_compiler = ProvisioningCompiler(pricing_problem)
+        # One handle prices every candidate, carrying the optimal basis
+        # from site to site, so the warm sequence is the walk's order.
+        highs = highs_backend.MutableHighsModel()
 
         screen = screen_lower_bounds(pricing_problem, dict(sitings))
         bounds = screen.lower_bounds
-        # Ascending-bound order prices the likely shortlist first, which
-        # makes the pruning thresholds tight after the very first round;
-        # certified-infeasible candidates are never priced at all.
-        pending = [int(i) for i in screen.order if not screen.certified_infeasible[i]]
-
         inf = float("inf")
         scored: List[Tuple[float, str, float]] = []
-        feasible_costs: List[float] = []
+        # The keep cheapest feasible costs, negated: cheapest[0] is minus
+        # the keep-th cheapest once the heap is full.
+        cheapest: List[float] = []
         band_best: Dict[int, float] = {}
         priced = 0
-        # Galloping rounds: small first round (the shortlist is usually found
-        # there), doubling so the no-pruning worst case stays a handful of
-        # rounds.
-        round_size = max(4 * keep, 64)
-        while pending:
-            take, pending = pending[:round_size], pending[round_size:]
+        # Best first: the likely shortlist comes first in ascending-bound
+        # order, so the two thresholds tighten after a few pricings.
+        for index in screen.order.tolist():
+            if screen.certified_infeasible[index]:
+                continue
+            # A candidate can only make the shortlist as its band's cheapest
+            # or as one of the keep globally cheapest, and its exact cost is
+            # at least its bound.  Both thresholds only ever fall, so a
+            # candidate skipped here could never have entered the shortlist.
+            global_cut = -cheapest[0] if len(cheapest) == keep else inf
+            band = bands[index]
+            if bounds[index] > global_cut and bounds[index] > band_best.get(band, inf):
+                continue
             # The pricers are this module's bindings, so profilers that
-            # patch them here see every chunk.
-            rows = priced_in_chunks(
+            # patch them here see every pricing.
+            ((name, cost, feasible),) = priced_in_chunks(
                 pricing_problem,
-                [sitings[i] for i in take],
+                [sitings[index]],
                 self.solver_options,
                 compiler=pricing_compiler,
                 price=price_batch,
+                highs=highs,
             )
-            priced += len(take)
-            for index, (name, cost, feasible) in zip(take, rows):
-                if not feasible:
-                    continue
-                scored.append((cost, name, longitudes[index]))
-                feasible_costs.append(cost)
-                if cost < band_best.get(bands[index], inf):
-                    band_best[bands[index]] = cost
-            if pending:
-                # A candidate can only make the shortlist as its band's
-                # cheapest or as one of the keep globally cheapest; both
-                # thresholds only ever decrease, so the drops are permanent.
-                global_cut = (
-                    sorted(feasible_costs)[keep - 1]
-                    if len(feasible_costs) >= keep
-                    else inf
-                )
-                pending = [
-                    i
-                    for i in pending
-                    if bounds[i] <= global_cut
-                    or bounds[i] <= band_best.get(bands[i], inf)
-                ]
-            round_size *= 2
+            priced += 1
+            if not feasible:
+                continue
+            scored.append((cost, name, longitudes[index]))
+            if len(cheapest) < keep:
+                heapq.heappush(cheapest, -cost)
+            elif cost < -cheapest[0]:
+                heapq.heapreplace(cheapest, -cost)
+            if cost < band_best.get(band, inf):
+                band_best[band] = cost
+        self._finished_skeletons.append(pricing_compiler.skeleton_stats())
 
         self._filter_stats = {
             "filter_candidates": float(len(profiles)),
@@ -462,6 +477,7 @@ class HeuristicSolver:
         self._evaluations += sub._evaluations
         self._cache_hits += sub._cache_hits
         self._cross_chain_hits += sub._cross_chain_hits
+        self._finished_skeletons.append(sub.skeleton_stats())
         coarse.stats["coarse_epoch_factor"] = float(factor)
         coarse.stats["coarse_epochs"] = float(coarse_problem.num_epochs)
         coarse.stats["fine_epochs"] = float(self.problem.num_epochs)
@@ -477,6 +493,7 @@ class HeuristicSolver:
             options=self.solver_options,
         )
         final, report = refiner.refine(siting)
+        self._finished_skeletons.extend(refiner.skeleton_stats)
         self._evaluations += report.rounds  # the refinement LPs count too
         if not final.feasible:  # pragma: no cover - refinement keeps feasibility
             final = solve_provisioning(

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -777,6 +777,15 @@ class ProvisioningCompiler:
             le_mask=np.concatenate(le_parts),
             ge_mask=np.concatenate(ge_parts),
         )
+
+
+def summed_skeleton_stats(stats: Iterable[Mapping[str, int]]) -> Dict[str, int]:
+    """Skeleton counters (:meth:`ProvisioningCompiler.skeleton_stats`), summed."""
+    totals = {"skeleton_hits": 0, "skeleton_derives": 0, "skeleton_builds": 0}
+    for counters in stats:
+        for name, value in counters.items():
+            totals[name] += value
+    return totals
 
 
 def _extract_network_plan(

@@ -42,12 +42,12 @@ and a dead epoch whose demand exceeds the brown cap) are sound: a certified
 candidate's LP is infeasible, so it can be dropped without pricing.
 
 **Stage 2 — exact pricing** (:func:`price_batch`).  Survivors are priced
-exactly, one chunk at a time: one fresh HiGHS handle per chunk solves the
-chunk's single-site LPs in turn and carries each optimal basis to the next
-site.  Sites of one size class have LPs of one shape, so the dual simplex
-starts warm and re-converges in a few iterations (:func:`price_per_site`).
-Each site is solved on its own, so an infeasible site is classified
-individually.
+exactly, one chunk at a time: one HiGHS handle per chunk (or the caller's
+one handle) solves the chunk's single-site LPs in turn and carries each
+optimal basis to the next site.  Sites of one size class have LPs of one
+shape, so the dual simplex starts warm and re-converges in a few
+iterations (:func:`price_per_site`).  Each site is solved on its own, so
+an infeasible site is classified individually.
 """
 
 from __future__ import annotations
@@ -198,16 +198,18 @@ def price_batch(
     sitings: Sequence[Tuple[str, str]],
     options: SolverOptions,
     compiler=None,
+    highs: Optional[MutableHighsModel] = None,
 ) -> List[Tuple[str, float, bool]]:
     """Price one chunk of ``(location, size_class)`` pairs.
 
     Returns ``(location, monthly_cost, feasible)`` rows in ``sitings`` order,
     and ``[]`` for an empty chunk.  The chunk is priced by
-    :func:`price_per_site`: one warm-started HiGHS handle, site by site.
+    :func:`price_per_site`: one warm-started HiGHS handle, site by site —
+    ``highs`` when given, a fresh one otherwise.
     """
     if not sitings:
         return []
-    return price_per_site(problem, sitings, options, compiler)
+    return price_per_site(problem, sitings, options, compiler, highs=highs)
 
 
 def price_per_site(
@@ -215,21 +217,25 @@ def price_per_site(
     sitings: Sequence[Tuple[str, str]],
     options: SolverOptions,
     compiler=None,
+    highs: Optional[MutableHighsModel] = None,
 ) -> List[Tuple[str, float, bool]]:
     """Price ``sitings`` one site at a time on one warm-started handle.
 
-    One fresh :class:`~repro.lpsolver.MutableHighsModel` carries the optimal
-    basis from site to site; it warm-starts every LP of the carried basis's
-    shape (one size class), so the order of ``sitings`` fixes the warm-start
-    sequence and with it the costs, bit for bit.  Each site is solved on
-    its own, so an infeasible site is classified individually and leaves
-    the carried basis as it was.
+    The handle is ``highs`` when given — it then starts from the basis its
+    previous solve left — and a fresh
+    :class:`~repro.lpsolver.MutableHighsModel` otherwise.  It carries the
+    optimal basis from site to site and warm-starts every LP of the carried
+    basis's shape (one size class), so the handle's solve sequence fixes
+    the costs, bit for bit.  Each site is solved on its own, so an
+    infeasible site is classified individually and leaves the carried basis
+    as it was.
     """
     from repro.core.provisioning import ProvisioningCompiler, solve_provisioning
 
     if compiler is None:
         compiler = ProvisioningCompiler(problem)
-    highs = MutableHighsModel()
+    if highs is None:
+        highs = MutableHighsModel()
     rows: List[Tuple[str, float, bool]] = []
     for name, size_class in sitings:
         result = solve_provisioning(

@@ -132,27 +132,36 @@ def priced_in_chunks(
     options: SolverOptions,
     compiler: Optional[ProvisioningCompiler] = None,
     price: Optional[Callable[..., List[Tuple[str, float, bool]]]] = None,
+    highs: Optional[MutableHighsModel] = None,
 ) -> List[Tuple[str, float, bool]]:
     """Exactly price ``(location, size_class)`` pairs of ``problem`` in chunks.
 
     The one pricing path behind the heuristic's filter and
     :meth:`SingleSiteAnalyzer.cost_distribution`.  The pairs are split into
     :func:`pricing_chunk_count` contiguous chunks and each chunk is priced in
-    the caller, in turn, site by site on its own warm-started HiGHS handle
+    the caller, in turn, site by site on a warm-started HiGHS handle
     (:func:`~repro.core.screening.price_batch`); every chunk shares
     ``compiler``.  ``price`` replaces the pricer, so a caller can route the
     chunks through its own module's binding of ``price_batch``.
 
+    Without ``highs`` each chunk gets its own fresh handle, and the chunk
+    split, which depends only on the sweep size, fixes the warm-start
+    sequences.  With ``highs`` every chunk is priced on that one handle,
+    carrying on from its previous solve, so the sequence is the caller's
+    order of solves whatever the split.
+
     Rows come back as ``(location, monthly_cost, feasible)`` in ``sitings``
-    order.  The chunk split depends only on the sweep size.
+    order.
     """
     num_chunks = pricing_chunk_count(len(sitings), single_site_row_estimate(problem))
     chunks = split_chunks(sitings, num_chunks)
     shared = compiler or ProvisioningCompiler(problem)
     pricer = price or price_batch
+    # A replacement pricer need not take ``highs`` unless a handle is given.
+    handle = {} if highs is None else {"highs": highs}
     rows: List[Tuple[str, float, bool]] = []
     for chunk in chunks:
-        rows.extend(pricer(problem, chunk, options, shared))
+        rows.extend(pricer(problem, chunk, options, shared, **handle))
     return rows
 
 

@@ -20,7 +20,7 @@ The unit that crosses a process boundary is one *point*: an
     trajectory every other mode is required to reproduce bit for bit.
 
 A heuristic search always runs in its caller's process and thread; its
-filter prices its chunks in turn
+filter prices its candidates in turn on one HiGHS handle
 (:func:`~repro.core.single_site.priced_in_chunks`).  Below the point level
 one fan-out uses threads: ``ProfileBuilder.build_all``
 (:mod:`repro.energy.profiles`) builds its profile blocks on a ``"thread"``

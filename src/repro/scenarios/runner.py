@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.heuristic import HeuristicSolver
 from repro.core.parameters import FrameworkParameters
-from repro.core.provisioning import ProvisioningCompiler
+from repro.core.provisioning import ProvisioningCompiler, summed_skeleton_stats
 from repro.core.single_site import SingleSiteAnalyzer
 from repro.core.tool import PlacementTool
 from repro.lpsolver import SolverOptions
@@ -224,17 +224,31 @@ class ExperimentRunner:
             "artifact_hits": 0,
             "artifact_misses": 0,
             "memo_hits": 0,
+            # Skeleton counters of the compilers the solves made themselves;
+            # cache_stats() adds the shared compilers' on top.
+            "skeleton_hits": 0,
+            "skeleton_derives": 0,
+            "skeleton_builds": 0,
         }
 
     def _count(self, counter: str, amount: int = 1) -> None:
         with self._lock:
             self.cache_counters[counter] += amount
 
+    def _count_skeletons(self, solver: HeuristicSolver) -> None:
+        """Add the skeleton counters of the compilers ``solver`` made itself."""
+        with self._lock:
+            for name, value in solver.skeleton_stats().items():
+                self.cache_counters[name] += value
+
     def cache_stats(self) -> Dict[str, int]:
         """Warm-vs-cold counters for this runner's in-memory and disk caches.
 
-        Includes the per-compiler skeleton counters summed over every problem
-        signature this runner has compiled.  For process-executor sweeps the
+        Includes the skeleton counters of every compiler a solve used: the
+        shared compiler of each problem signature this runner has compiled,
+        plus the compilers each heuristic solve made itself (added once per
+        solve, see :meth:`HeuristicSolver.skeleton_stats`).  For
+        process-executor sweeps the
         interesting counters live in the *workers*; those cross back in the
         stats payload of :func:`repro.parallel.work.run_point_task`.
         """
@@ -243,11 +257,9 @@ class ExperimentRunner:
             compilers = [
                 future.result()[1] for future in self._problems.values() if future.done()
             ]
-        totals = {"skeleton_hits": 0, "skeleton_derives": 0, "skeleton_builds": 0}
-        for compiler in compilers:
-            for name, value in compiler.skeleton_stats().items():
-                totals[name] += value
-        stats.update(totals)
+        shared = summed_skeleton_stats(compiler.skeleton_stats() for compiler in compilers)
+        for name, value in shared.items():
+            stats[name] += value
         return stats
 
     # -- public API -----------------------------------------------------------
@@ -404,6 +416,7 @@ class ExperimentRunner:
             compiler=compiler,
         )
         solution = solver.solve()
+        self._count_skeletons(solver)
         record: Dict[str, Any] = {
             "workflow": "plan",
             "feasible": bool(solution.feasible),
@@ -606,6 +619,7 @@ class ExperimentRunner:
             compiler=compiler,
         )
         solution = solver.solve()
+        self._count_skeletons(solver)
         record: Dict[str, Any] = {
             "workflow": "operate",
             "feasible": bool(solution.feasible),

@@ -20,7 +20,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.core import heuristic
+from repro.core import heuristic, screening
 from repro.core import (
     EnergySources,
     HeuristicSolver,
@@ -41,6 +41,9 @@ from repro.core.single_site import (
     scoring_sources,
     single_site_size_class,
 )
+from repro.energy import ProfileBuilder
+from repro.lpsolver import MutableHighsModel
+from repro.weather import build_world_catalog
 
 
 def _pricing_problem(problem):
@@ -238,6 +241,102 @@ class TestFilterShortlistInvariance:
         assert stats["filter_priced"] <= stats["filter_candidates"]
         if not screen:
             assert stats["filter_priced"] == stats["filter_candidates"]
+
+
+@pytest.fixture(scope="module")
+def wide_problem(epoch_grid, params):
+    """A 90-candidate Sec. III-D problem: more candidates than the 64 a
+    round-based filter priced before pruning anything."""
+    profiles = ProfileBuilder(build_world_catalog(num_locations=90, seed=7)).build_all(
+        epoch_grid
+    )
+    return _network_problem(
+        profiles,
+        params,
+        50_000.0,
+        0.5,
+        EnergySources.SOLAR_AND_WIND,
+        StorageMode.NET_METERING,
+    )
+
+
+@contextlib.contextmanager
+def _priced_rows():
+    """Record every ``(location, monthly_cost, feasible)`` row the pricers return."""
+    rows = []
+    price = screening.price_per_site
+
+    def spy(*args, **kwargs):
+        result = price(*args, **kwargs)
+        rows.extend(result)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(screening, "price_per_site", spy)
+        yield rows
+
+
+class TestLazyFilter:
+    """The filter prices exactly the candidates that can still make the shortlist."""
+
+    SETTINGS = SearchSettings(keep_locations=4, num_chains=1, seed=3)
+
+    def test_prices_exactly_the_lazy_set(self, wide_problem):
+        keep = max(self.SETTINGS.keep_locations, wide_problem.min_datacenters)
+        assert len(wide_problem.profiles) > max(4 * keep, 64)
+        # Oracle: every candidate's exact cost, priced with the screen off.
+        with _filter_screen(screen=False), _priced_rows() as oracle_rows:
+            HeuristicSolver(wide_problem, self.SETTINGS).filter_locations()
+        oracle = {name: (cost, feasible) for name, cost, feasible in oracle_rows}
+        assert len(oracle) == len(wide_problem.profiles)
+
+        # Walk the screen order and apply the two pruning thresholds.
+        pricing, share_kw = _pricing_problem(wide_problem)
+        size_classes = {
+            profile.name: single_site_size_class(share_kw, profile, pricing.params)
+            for profile in pricing.profiles
+        }
+        screen = screen_lower_bounds(pricing, size_classes)
+        bands = {
+            profile.name: int((profile.location.point.longitude + 180.0) // 45.0)
+            for profile in pricing.profiles
+        }
+        expected, costs, band_best = set(), [], {}
+        for index in screen.order:
+            if screen.certified_infeasible[index]:
+                continue
+            name, bound = screen.names[index], screen.lower_bounds[index]
+            cut = sorted(costs)[keep - 1] if len(costs) >= keep else np.inf
+            if bound > cut and bound > band_best.get(bands[name], np.inf):
+                continue
+            expected.add(name)
+            cost, feasible = oracle[name]
+            if feasible:
+                costs.append(cost)
+                band_best[bands[name]] = min(cost, band_best.get(bands[name], np.inf))
+
+        solver = HeuristicSolver(wide_problem, self.SETTINGS)
+        with _priced_rows() as rows:
+            solver.filter_locations()
+        priced = [name for name, _, _ in rows]
+        assert len(priced) == len(set(priced))
+        assert set(priced) == expected
+        assert solver._filter_stats["filter_priced"] == len(expected)
+        assert len(expected) < len(wide_problem.profiles)
+
+    def test_one_handle_prices_the_whole_filter(self, wide_problem, monkeypatch):
+        solver = HeuristicSolver(wide_problem, self.SETTINGS)
+        handles = []
+        init = MutableHighsModel.__init__
+
+        def recording_init(model, *args, **kwargs):
+            init(model, *args, **kwargs)
+            handles.append(model)
+
+        monkeypatch.setattr(MutableHighsModel, "__init__", recording_init)
+        solver.filter_locations()
+        assert solver._filter_stats["filter_priced"] > 1
+        assert len(handles) == 1
 
 
 class TestCostDistributionTwoStage:

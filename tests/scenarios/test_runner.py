@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.core.provisioning import ProvisioningCompiler
 from repro.scenarios import ExperimentRunner, ParameterSweep, ResultSet, ScenarioSpec
 
 #: A deliberately tiny plan scenario so each point solves in well under a second.
@@ -221,6 +222,31 @@ class TestRunnerSharedCaches:
         assert len(runner._problems) == 1
         runner.run_point(tiny_spec(storage="none", min_green_fraction=1.0))
         assert len(runner._problems) == 2
+
+    @pytest.mark.parametrize("coarse", [1, 2], ids=["fine", "adaptive"])
+    def test_skeleton_counters_cover_every_compiler(self, monkeypatch, coarse):
+        # Beside the shared compiler: the filter's pricing compiler and, on
+        # the adaptive path, the coarse sub-solver's and the refinement
+        # solves' compilers.
+        made = []
+        init = ProvisioningCompiler.__init__
+
+        def recording_init(compiler, *args, **kwargs):
+            init(compiler, *args, **kwargs)
+            made.append(compiler)
+
+        monkeypatch.setattr(ProvisioningCompiler, "__init__", recording_init)
+        runner = ExperimentRunner()
+        runner.run_point(tiny_spec(search=dict(TINY_SEARCH, coarse_epoch_factor=coarse)))
+        names = ("skeleton_hits", "skeleton_derives", "skeleton_builds")
+        expected = {
+            name: sum(compiler.skeleton_stats()[name] for compiler in made)
+            for name in names
+        }
+        stats = runner.cache_stats()
+        assert len(made) > 1
+        assert expected["skeleton_builds"] > 0
+        assert {name: stats[name] for name in names} == expected
 
     @staticmethod
     def _race(runner, spec, count=2):
