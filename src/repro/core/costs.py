@@ -157,25 +157,6 @@ class CostModel:
         capital = battery_kwh * self.params.price_battery_per_kwh
         return self.financing.monthly_cost(capital, self.params.battery_lifetime_years)
 
-    def capex_dependent_monthly(
-        self,
-        profile: LocationProfile,
-        capacity_kw: float,
-        solar_kw: float,
-        wind_kw: float,
-        battery_kwh: float,
-        size_class: str = "auto",
-    ) -> float:
-        """``CAP_dep(d)``: size-dependent CAPEX, $/month."""
-        return (
-            self.land_monthly(profile, capacity_kw, solar_kw, wind_kw)
-            + self.building_dc_monthly(profile, capacity_kw, size_class)
-            + self.building_solar_monthly(solar_kw)
-            + self.building_wind_monthly(wind_kw)
-            + self.it_equipment_monthly(capacity_kw)
-            + self.battery_monthly(battery_kwh)
-        )
-
     # -- OPEX ---------------------------------------------------------------------------
     def network_bandwidth_monthly(self, capacity_kw: float) -> float:
         """``networkCost(d)``: external bandwidth, $/month."""

@@ -1,8 +1,8 @@
 """Replay harness: oracle vs forecast-driven operation of a provisioned plan.
 
 A replay runs the rolling-horizon dispatcher over a synthesized traffic
-trace, one policy at a time, against the *same* demand and production
-actuals:
+trace under one policy, against the *same* demand and production actuals
+as every other replay of its record:
 
 * the **oracle** policy sees the actual series over its whole look-ahead
   window (perfect forecasts — the paper's assumption), and
@@ -16,12 +16,17 @@ deterministic for a fixed spec — traffic, forecasts and LP solves all derive
 from seeds and counters, never from wall-clock or process identity — which
 is what lets the experiment runner cache replay records by content hash and
 the determinism tests compare records bit for bit across executors.
+
+The replays of one record are independent (each has its own dispatcher,
+HiGHS handle and forecasters), so :func:`run_replays` runs them at the same
+time on a thread pool: HiGHS releases the GIL while it solves.  A record is
+the same bits on any number of threads, inline included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from repro.operator.dispatch import (
 from repro.operator.faults import FaultSpec, SiteOutage
 from repro.operator.forecast import RollingForecast, make_forecaster
 from repro.operator.traffic import TrafficModel, TrafficTrace, default_regions
+from repro.parallel.executors import ExecutorFactory
 from repro.simulation.workload import VMSpec, migration_state_mb
 
 #: Operating policies a replay can run.
@@ -422,6 +428,46 @@ def sites_from_plan(plan, hours: np.ndarray) -> List[SiteAsset]:
     ]
 
 
+def run_replays(jobs: Sequence[Tuple[ReplayHarness, str]]) -> List[ReplayResult]:
+    """Run independent ``(harness, policy)`` replays; results in job order.
+
+    The pool takes ``jobs[1:]`` while the caller's thread runs ``jobs[0]``,
+    so two replays start one new thread; with one CPU all run inline.
+    """
+    with ExecutorFactory(kind="thread").create(len(jobs)) as pool:
+        rest = [pool.submit(harness.run, policy) for harness, policy in jobs[1:]]
+        harness, policy = jobs[0]
+        first = harness.run(policy)
+        return [first] + [future.result() for future in rest]
+
+
+def _operating_trace(
+    config: OperateConfig, service_kw: float
+) -> Tuple[np.ndarray, TrafficTrace]:
+    """The hours and the synthesized traffic trace every replay of a record reads."""
+    needed = config.steps + config.horizon_steps + config.reforecast_every
+    traffic = TrafficModel(
+        regions=default_regions(config.num_regions),
+        seed=config.traffic_seed,
+        base_utilization=config.base_utilization,
+        peak_utilization=config.peak_utilization,
+        noise_std=config.traffic_noise,
+        flash_crowds_per_week=config.flash_crowds_per_week,
+        outages_per_week=config.outages_per_week,
+    )
+    trace = traffic.synthesize(
+        steps=needed,
+        step_hours=config.step_hours,
+        start_hour=config.start_hour,
+        total_capacity_kw=service_kw,
+        # The horizon/cadence padding must not change the operating period's
+        # actuals: normalisation and events reference only the replayed steps.
+        reference_steps=config.steps,
+    )
+    hours = config.start_hour + config.step_hours * np.arange(needed, dtype=float)
+    return hours, trace
+
+
 def fragility(faulted: ReplayResult, nominal: ReplayResult) -> Dict[str, float]:
     """Fragility score of a plan: the faulted replay against its nominal twin.
 
@@ -467,30 +513,13 @@ def operate_plan(
     unfaulted forecast replay.
     """
     service_kw = float(total_capacity_kw or plan.total_capacity_kw)
-    needed = config.steps + config.horizon_steps + config.reforecast_every
-    hours = config.start_hour + config.step_hours * np.arange(needed, dtype=float)
+    hours, trace = _operating_trace(config, service_kw)
     sites = sites_from_plan(plan, hours)
-    traffic = TrafficModel(
-        regions=default_regions(config.num_regions),
-        seed=config.traffic_seed,
-        base_utilization=config.base_utilization,
-        peak_utilization=config.peak_utilization,
-        noise_std=config.traffic_noise,
-        flash_crowds_per_week=config.flash_crowds_per_week,
-        outages_per_week=config.outages_per_week,
-    )
-    trace = traffic.synthesize(
-        steps=needed,
-        step_hours=config.step_hours,
-        start_hour=config.start_hour,
-        total_capacity_kw=service_kw,
-        # The horizon/cadence padding must not change the operating period's
-        # actuals: normalisation and events reference only the replayed steps.
-        reference_steps=config.steps,
-    )
     harness = ReplayHarness(sites, trace, config, total_capacity_kw=service_kw)
-    forecast = harness.run("forecast")
-    oracle = harness.run("oracle")
+    jobs = [(harness, "forecast"), (harness, "oracle")]
+    if faults is not None and not faults.is_empty:
+        jobs.append((ReplayHarness(sites, trace, config, service_kw, faults=faults), "forecast"))
+    forecast, oracle, *stressed = run_replays(jobs)
     record: Dict[str, Any] = {
         "steps": config.steps,
         "step_hours": config.step_hours,
@@ -524,14 +553,11 @@ def operate_plan(
             "warm_start_rate": float(forecast.warm_start_rate),
         }
     )
-    if faults is not None and not faults.is_empty:
-        stressed = ReplayHarness(
-            sites, trace, config, total_capacity_kw=service_kw, faults=faults
-        ).run("forecast")
-        score = fragility(stressed, forecast)
+    if faults is not None and stressed:
+        score = fragility(stressed[0], forecast)
         record["stress"] = {
             "faults": faults.to_dict(),
-            "replay": stressed.to_record(),
+            "replay": stressed[0].to_record(),
             "fragility": score,
         }
         # Flattened headline fragility metrics, same convention as above.
@@ -574,50 +600,27 @@ def survivability_study(
     from repro.robust.contingency import plan_with_sizing
 
     service_kw = float(total_capacity_kw or plan.total_capacity_kw)
-    needed = config.steps + config.horizon_steps + config.reforecast_every
-    hours = config.start_hour + config.step_hours * np.arange(needed, dtype=float)
-    traffic = TrafficModel(
-        regions=default_regions(config.num_regions),
-        seed=config.traffic_seed,
-        base_utilization=config.base_utilization,
-        peak_utilization=config.peak_utilization,
-        noise_std=config.traffic_noise,
-        flash_crowds_per_week=config.flash_crowds_per_week,
-        outages_per_week=config.outages_per_week,
-    )
-    trace = traffic.synthesize(
-        steps=needed,
-        step_hours=config.step_hours,
-        start_hour=config.start_hour,
-        total_capacity_kw=service_kw,
-        reference_steps=config.steps,
-    )
+    hours, trace = _operating_trace(config, service_kw)
     demand_kwh = float(np.sum(trace.demand_kw[: config.steps])) * config.step_hours
     budget_kwh = survivability_epsilon * demand_kwh
     tolerance = 1e-9 * max(budget_kwh, 1.0)
     site_names = [dc.name for dc in sorted(plan.datacenters, key=lambda d: d.name)]
+    outages = [
+        FaultSpec(site_outages=(SiteOutage(site, outage_start_step, outage_duration_steps),))
+        for site in range(len(site_names))
+    ]
 
     plans = {"deterministic": plan, "n1": plan_with_sizing(plan, n1_sizing)}
     summaries: Dict[str, Dict[str, Any]] = {}
     for label, candidate in plans.items():
         sites = sites_from_plan(candidate, hours)
-        nominal = ReplayHarness(
-            sites, trace, config, total_capacity_kw=service_kw
-        ).run("forecast")
+        harnesses = [
+            ReplayHarness(sites, trace, config, total_capacity_kw=service_kw, faults=faults)
+            for faults in [None, *outages]
+        ]
+        nominal, *faulted_runs = run_replays([(harness, "forecast") for harness in harnesses])
         per_site: Dict[str, Dict[str, Any]] = {}
-        for index, name in enumerate(site_names):
-            faults = FaultSpec(
-                site_outages=(
-                    SiteOutage(
-                        site=index,
-                        start_step=outage_start_step,
-                        duration_steps=outage_duration_steps,
-                    ),
-                )
-            )
-            faulted = ReplayHarness(
-                sites, trace, config, total_capacity_kw=service_kw, faults=faults
-            ).run("forecast")
+        for name, faulted in zip(site_names, faulted_runs):
             delta_kwh = faulted.unserved_kwh - nominal.unserved_kwh
             per_site[name] = {
                 "unserved_kwh": float(faulted.unserved_kwh),

@@ -22,12 +22,18 @@ The unit that crosses a process boundary is one *point*: an
 A heuristic search always runs in its caller's process and thread; its
 filter prices its candidates in turn on one HiGHS handle
 (:func:`~repro.core.single_site.priced_in_chunks`).  Below the point level
-one fan-out uses threads: ``ProfileBuilder.build_all``
-(:mod:`repro.energy.profiles`) builds its profile blocks on a ``"thread"``
-factory, because a block's time is mostly NumPy noise draws that run with
-the GIL released.  Each block writes its own locations' profiles from their
-own random streams, so the profiles are the same bits on any number of
-threads.
+two fan-outs use a ``"thread"`` factory, because their work runs mostly with
+the GIL released:
+
+* ``ProfileBuilder.build_all`` (:mod:`repro.energy.profiles`) builds its
+  profile blocks, whose time is mostly NumPy noise draws.  Each block writes
+  its own locations' profiles from their own random streams.
+* :func:`~repro.operator.replay.run_replays` runs the independent operating
+  replays of one record (forecast, oracle, stressed, per-site outages), whose
+  time is mostly HiGHS solves.  Each replay has its own dispatcher, HiGHS
+  handle and forecasters.
+
+Either way the results are the same bits on any number of threads.
 
 Worker sizing honours container CPU quotas: ``os.cpu_count()`` reports the
 host's cores even inside a cgroup-limited container, so

@@ -604,9 +604,10 @@ class ExperimentRunner:
         problem/compiler caches as the ``plan`` workflow (operations knobs do
         not change the problem signature), so operate points sweeping only
         forecast or traffic knobs share compiled LP skeletons; the replay
-        itself is the :mod:`repro.operator` rolling-horizon harness, run once
-        under the forecast-driven policy and once under the oracle over the
-        same synthesized trace.
+        itself is the :mod:`repro.operator` rolling-horizon harness, run under
+        the forecast-driven policy and under the oracle over the same
+        synthesized trace, the two replays at the same time
+        (:func:`~repro.operator.replay.run_replays`).
         """
         from repro.operator.replay import OperateConfig, operate_plan
 
