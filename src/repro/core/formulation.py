@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.problem import GreenEnforcement, SitingProblem
 from repro.core.provisioning import (
@@ -34,6 +33,7 @@ from repro.core.provisioning import (
     solve_provisioning,
 )
 from repro.lpsolver import RowFormLP, SolverOptions, highs_backend
+from repro.lpsolver.model import coo_to_csc
 
 #: Siting columns appended per site, in this order.
 _AT_SMALL, _AT_LARGE, _CAP_SMALL, _CAP_LARGE = range(4)
@@ -122,14 +122,13 @@ def build_full_milp(problem: SitingProblem) -> FullMilp:
     cols = [columns for _, columns, _ in terms] + [np.concatenate([at_small, at_large])]
     vals = [coefficients for _, _, coefficients in terms] + [np.ones(2 * num_sites)]
 
-    base = lp.matrix.tocoo()
+    base_cols = np.repeat(np.arange(num_cols, dtype=np.int64), np.diff(lp.a_indptr))
     shape = (availability_row + 1, num_cols + 4 * num_sites)
-    matrix = sparse.csc_matrix(
-        (
-            np.concatenate([base.data, *vals]),
-            (np.concatenate([base.row, *rows]), np.concatenate([base.col, *cols])),
-        ),
-        shape=shape,
+    indptr, indices, data = coo_to_csc(
+        np.concatenate([lp.a_indices, *rows]),
+        np.concatenate([base_cols, *cols]),
+        np.concatenate([lp.a_data, *vals]),
+        shape,
     )
     integer = np.zeros((num_sites, 4), dtype=np.int64)
     integer[:, [_AT_SMALL, _AT_LARGE]] = 1
@@ -137,9 +136,9 @@ def build_full_milp(problem: SitingProblem) -> FullMilp:
     siting_upper[:, [_AT_SMALL, _AT_LARGE]] = 1.0
     row_form = RowFormLP(
         cost=cost,
-        a_indptr=matrix.indptr,
-        a_indices=matrix.indices,
-        a_data=matrix.data,
+        a_indptr=indptr,
+        a_indices=indices,
+        a_data=data,
         shape=shape,
         row_lower=np.concatenate(
             [lp.row_lower, np.tile(site_lower, num_sites), [float(problem.min_datacenters)]]

@@ -51,6 +51,7 @@ from repro.energy.profiles import LocationProfile
 from repro.lpsolver import ConstraintSense, RowFormLP, SolverOptions
 from repro.lpsolver import highs_backend
 from repro.lpsolver import validate as lp_validate
+from repro.lpsolver.model import csc_order
 
 #: Per-epoch variable families of one site, in registration order (after the
 #: four scalar sizing variables capacity/solar/wind/battery).
@@ -764,16 +765,14 @@ class ProvisioningCompiler:
         rows = np.concatenate(rows_parts)
         cols = np.concatenate(cols_parts)
         num_rows = row_offset
-        # CSC order: sort entries by (column, row).  Skeletons hold no
-        # duplicate coordinates; REPRO_VALIDATE=1 checks every instantiation.
-        perm = np.argsort(cols * np.int64(num_rows) + rows, kind="stable")
-        indptr = np.zeros(num_cols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=num_cols), out=indptr[1:])
+        # Skeletons hold no duplicate coordinates; REPRO_VALIDATE=1 checks
+        # every instantiation.
+        indptr, perm = csc_order(rows, cols, (num_rows, num_cols))
         return _ModelTemplate(
             shape=(num_rows, num_cols),
             perm=perm,
             indices=rows[perm].astype(np.int32),
-            indptr=indptr.astype(np.int32),
+            indptr=indptr,
             le_mask=np.concatenate(le_parts),
             ge_mask=np.concatenate(ge_parts),
         )

@@ -18,6 +18,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# np.unique imports numpy.ma on its first call, and a plan's first call is
+# the epoch grid below: import it with this module, outside any timed plan.
+import numpy.ma  # noqa: F401
+
 from repro.energy.capacity_factor import capacity_factor
 from repro.energy.pue import PUEModel
 from repro.energy.solar_plant import SolarPanelModel

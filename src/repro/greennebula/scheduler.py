@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.greennebula.datacenter import GreenDatacenter
 from repro.greennebula.migration import MigrationPlanner, MigrationRequest
 from repro.greennebula.prediction import GreenEnergyPredictor
 from repro.lpsolver import ConstraintSense, RowFormLP, SolverOptions, highs_backend
+from repro.lpsolver.model import coo_to_csc
 
 
 @dataclass
@@ -160,19 +160,18 @@ class GreenNebulaScheduler:
             np.full(horizon, total_load_kw),
         )
         num_rows = horizon * len(rhs_parts)
-        matrix = sparse.csc_matrix(
-            (
-                np.concatenate(val_parts),
-                (np.concatenate(row_parts), np.concatenate(col_parts)),
-            ),
-            shape=(num_rows, num_cols),
+        indptr, indices, data = coo_to_csc(
+            np.concatenate(row_parts),
+            np.concatenate(col_parts),
+            np.concatenate(val_parts),
+            (num_rows, num_cols),
         )
         rhs = np.concatenate(rhs_parts)
         row_form = RowFormLP(
             cost=cost,
-            a_indptr=matrix.indptr,
-            a_indices=matrix.indices,
-            a_data=matrix.data,
+            a_indptr=indptr,
+            a_indices=indices,
+            a_data=data,
             shape=(num_rows, num_cols),
             row_lower=np.where(np.concatenate(le_parts), -np.inf, rhs),
             row_upper=np.where(np.concatenate(ge_parts), np.inf, rhs),

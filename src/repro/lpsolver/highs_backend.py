@@ -9,7 +9,10 @@ bounds, column bounds and costs — to the bindings' array ``passModel``,
 which copies them in C++: nothing is converted element by element in Python
 and there are no dense intermediates.  Those bindings are a hard
 requirement, checked once when this module is imported
-(:data:`SCIPY_REQUIREMENT`).  A row form with integer columns loads the
+(:data:`SCIPY_REQUIREMENT`).  They are loaded straight from their file,
+``optimize/_highspy/_core*`` inside the installed SciPy, without importing
+the ``scipy.optimize`` package (:func:`_load_core`): the loader depends on
+the pinned SciPy keeping the extension there.  A row form with integer columns loads the
 same way, with its integrality declared, and HiGHS's branch-and-bound
 solves it on the same handle.
 
@@ -46,7 +49,12 @@ create one model per worker.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
+from types import ModuleType
 from typing import Any, NamedTuple, NoReturn, Optional, Tuple
 
 import numpy as np
@@ -58,12 +66,60 @@ from repro.lpsolver.result import SolveResult, SolveStatus, SolverStatusError
 #: The SciPy releases verified to ship the private HiGHS bindings used here.
 SCIPY_REQUIREMENT = "scipy>=1.17.1,<1.18"
 
+#: The bindings' module name; :func:`_load_core` loads it from its file.
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_core() -> ModuleType:
+    """SciPy's HiGHS extension, without running ``scipy/optimize/__init__``.
+
+    Importing ``scipy.optimize._highspy._core`` the usual way runs
+    ``scipy.optimize``'s package ``__init__``, which imports linprog, linalg,
+    sparse, fft and special: about half a second and 35-45 MB of memory per
+    process that no solve here uses.  So the extension is loaded straight from its file,
+    ``optimize/_highspy/_core<suffix>`` inside the installed SciPy; that
+    location is part of :data:`SCIPY_REQUIREMENT`.  The module goes into
+    ``sys.modules`` under its real name before it runs, so a later
+    ``import scipy.optimize`` reuses it (pybind11 cannot load one extension
+    twice), and a module already there is reused.  A ``None`` entry (the
+    import system's "known missing") or no such file raises
+    :class:`ImportError`.
+    """
+    if _CORE in sys.modules:
+        module = sys.modules[_CORE]
+        if module is None:
+            raise ImportError(f"import of {_CORE} halted; None in sys.modules")
+        return module
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("No module named 'scipy'")
+    folder = Path(spec.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no {_CORE} extension in {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(_CORE, str(path))
+    core_spec = importlib.util.spec_from_file_location(_CORE, path, loader=loader)
+    if core_spec is None:
+        raise ImportError(f"cannot load {path}")
+    module = importlib.util.module_from_spec(core_spec)
+    sys.modules[_CORE] = module
+    try:
+        loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_CORE]
+        raise
+    return module
+
+
 try:
-    import scipy.optimize._highspy._core as _core
+    _core = _load_core()
 except ImportError as error:  # pragma: no cover - exercised by a subprocess test
     raise ImportError(
         "repro solves every LP through SciPy's bundled HiGHS bindings "
-        f"(scipy.optimize._highspy._core), which this SciPy lacks; install {SCIPY_REQUIREMENT}"
+        f"({_CORE}), which this SciPy lacks; install {SCIPY_REQUIREMENT}"
     ) from error
 
 _STATUS_MAP = {

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.lpsolver import SolverOptions
 from repro.lpsolver import highs_backend
-from repro.lpsolver.model import RowFormLP
+from repro.lpsolver.model import RowFormLP, csc_order
 from repro.lpsolver.result import SolveStatus
 
 #: Per-site variables of one window step, in column order.
@@ -221,12 +221,10 @@ def _csc_order(
     rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSC column pointers of COO entries, their CSC order and each entry's CSC position."""
-    order = np.argsort(cols * np.int64(nrows) + rows, kind="stable")
+    indptr, order = csc_order(rows, cols, (nrows, ncols))
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
-    indptr = np.zeros(ncols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
-    return indptr.astype(np.int32), order, position
+    return indptr, order, position
 
 
 class DispatchError(RuntimeError):

@@ -30,12 +30,12 @@ job.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 #: Registered forecaster kinds, in documentation order.
 FORECASTER_KINDS = ("oracle", "noisy-oracle", "persistence", "seasonal-naive")
@@ -77,7 +77,19 @@ def deterministic_noise(
     # Top 53 bits -> uniform in (0, 1), offset half a ulp so ndtri never
     # sees an exact 0 or 1.
     uniform = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
-    return np.clip(1.0 + std * special.ndtri(uniform), 0.0, None)
+    return np.clip(1.0 + std * _ndtri()(uniform), 0.0, None)
+
+
+@functools.lru_cache(maxsize=None)
+def _ndtri() -> Callable[[np.ndarray], np.ndarray]:
+    """``scipy.special.ndtri``, imported on the first noisy draw and bound once.
+
+    ``scipy.special`` takes 0.1-0.2 s to import; only noisy replays need
+    it, so a process that plans without operating never loads it.
+    """
+    from scipy.special import ndtri
+
+    return ndtri
 
 
 @dataclass(frozen=True)

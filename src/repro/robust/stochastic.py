@@ -43,12 +43,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.problem import GreenEnforcement, SitingProblem
 from repro.core.provisioning import ProvisioningCompiler, _SiteLayout
 from repro.lpsolver import SolverOptions, highs_backend
-from repro.lpsolver.model import RowFormLP
+from repro.lpsolver.model import RowFormLP, coo_to_csc
 from repro.robust.ensemble import EnsembleConfig, cvar, perturbed_problem
 
 
@@ -249,14 +248,12 @@ def _build_ensemble_row_form(
             row_offset += 1
     nrows = row_offset
 
-    matrix = sparse.coo_matrix(
-        (
-            np.concatenate(vals_parts),
-            (np.concatenate(rows_parts), np.concatenate(cols_parts)),
-        ),
-        shape=(nrows, ncols),
-    ).tocsc()
-    matrix.sort_indices()
+    indptr, indices, data = coo_to_csc(
+        np.concatenate(rows_parts),
+        np.concatenate(cols_parts),
+        np.concatenate(vals_parts),
+        (nrows, ncols),
+    )
     rhs = np.concatenate(rhs_parts)
     le_mask = np.concatenate(le_parts)
     ge_mask = np.concatenate(ge_parts)
@@ -304,9 +301,9 @@ def _build_ensemble_row_form(
 
     row_form = RowFormLP(
         cost=cost,
-        a_indptr=matrix.indptr,
-        a_indices=matrix.indices,
-        a_data=matrix.data,
+        a_indptr=indptr,
+        a_indices=indices,
+        a_data=data,
         shape=(nrows, ncols),
         row_lower=np.where(le_mask, -np.inf, rhs),
         row_upper=np.where(ge_mask, np.inf, rhs),
@@ -458,6 +455,7 @@ def ensemble_report(
     sizing: Mapping[str, Sequence[float]],
     config: EnsembleConfig,
     options: Optional[SolverOptions] = None,
+    skeletons: Optional[List[Dict[str, int]]] = None,
 ) -> Dict[str, object]:
     """Evaluate a deterministic plan against an ensemble of off-nominal years.
 
@@ -467,6 +465,10 @@ def ensemble_report(
     mode the joint scenario LP is solved as well, giving the sizing a
     clairvoyant-of-the-distribution planner would pick and the expected cost
     it achieves.  Returns a JSON-ready record.
+
+    ``skeletons``, when given, receives the skeleton counters of the
+    per-draw compilers (:meth:`ProvisioningCompiler.skeleton_stats`) once
+    every solve is done; they stay out of the record.
     """
     options = options or SolverOptions()
     # The noise is keyed by profile name, so perturbing only the sited
@@ -547,4 +549,6 @@ def ensemble_report(
             if expected_det > 0
             else 0.0
         )
+    if skeletons is not None:
+        skeletons.extend(compiler.skeleton_stats() for compiler in compilers)
     return report

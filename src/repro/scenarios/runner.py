@@ -235,19 +235,22 @@ class ExperimentRunner:
         with self._lock:
             self.cache_counters[counter] += amount
 
-    def _count_skeletons(self, solver: HeuristicSolver) -> None:
-        """Add the skeleton counters of the compilers ``solver`` made itself."""
+    def _count_skeletons(self, stats: Mapping[str, int]) -> None:
+        """Add the skeleton counters of compilers a solve made itself."""
         with self._lock:
-            for name, value in solver.skeleton_stats().items():
+            for name, value in stats.items():
                 self.cache_counters[name] += value
 
     def cache_stats(self) -> Dict[str, int]:
         """Warm-vs-cold counters for this runner's in-memory and disk caches.
 
-        Includes the skeleton counters of every compiler a solve used: the
+        Includes the skeleton counters of every compiler a point used: the
         shared compiler of each problem signature this runner has compiled,
-        plus the compilers each heuristic solve made itself (added once per
-        solve, see :meth:`HeuristicSolver.skeleton_stats`).  For
+        plus the compilers each point made itself, added once per point: a
+        heuristic solve's (:meth:`HeuristicSolver.skeleton_stats`), a
+        single-site sweep's pricing compiler
+        (:meth:`SingleSiteAnalyzer.skeleton_stats`) and an ensemble report's
+        per-draw compilers.  For
         process-executor sweeps the
         interesting counters live in the *workers*; those cross back in the
         stats payload of :func:`repro.parallel.work.run_point_task`.
@@ -416,7 +419,7 @@ class ExperimentRunner:
             compiler=compiler,
         )
         solution = solver.solve()
-        self._count_skeletons(solver)
+        self._count_skeletons(solver.skeleton_stats())
         record: Dict[str, Any] = {
             "workflow": "plan",
             "feasible": bool(solution.feasible),
@@ -483,9 +486,11 @@ class ExperimentRunner:
         from repro.robust.stochastic import ensemble_report, plan_siting_and_sizing
 
         siting, sizing = plan_siting_and_sizing(plan)
+        skeletons: List[Dict[str, int]] = []
         report = ensemble_report(
-            problem, siting, sizing, config, options=self.solver_options
+            problem, siting, sizing, config, options=self.solver_options, skeletons=skeletons
         )
+        self._count_skeletons(summed_skeleton_stats(skeletons))
         record["robustness"] = report
         record["ensemble_expected_cost"] = report["expected_cost"]
         record["ensemble_cvar_cost"] = report["cvar_cost"]
@@ -556,6 +561,7 @@ class ExperimentRunner:
             sources=spec.sources_enum,
             storage=spec.storage_enum,
         )
+        self._count_skeletons(analyzer.skeleton_stats())
         feasible_costs = sorted(c.monthly_cost for c in costs if c.feasible)
         record: Dict[str, Any] = {
             "workflow": "single_site",
@@ -620,7 +626,7 @@ class ExperimentRunner:
             compiler=compiler,
         )
         solution = solver.solve()
-        self._count_skeletons(solver)
+        self._count_skeletons(solver.skeleton_stats())
         record: Dict[str, Any] = {
             "workflow": "operate",
             "feasible": bool(solution.feasible),

@@ -17,6 +17,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+# NumPy 2 imports numpy.random on first use, and a plan's first use is the
+# catalogue below: import it with this module, outside any timed plan.
+import numpy.random  # noqa: F401
+
 from repro.geo.coordinates import GeoPoint
 from repro.geo.grid import GridEnergyPricing
 from repro.geo.infrastructure import InfrastructureMap, synthesize_infrastructure

@@ -15,6 +15,8 @@ from repro.core import (
 from repro.lpsolver import SolverOptions, highs_backend
 from repro.lpsolver.validate import row_form_violations
 
+from lp_oracles import csc_matrix
+
 KIEV, GRISSOM = "Kiev, Ukraine", "Grissom, IN, USA"
 
 
@@ -60,7 +62,7 @@ class TestBuildFullMilp:
             sources=EnergySources.NONE,
         )
         milp = build_full_milp(problem)
-        row = milp.row_form.matrix.tocsr()[milp.availability_row]
+        row = csc_matrix(milp.row_form).tocsr()[milp.availability_row]
         assert sorted(row.indices) == sorted(np.concatenate([milp.small_cols, milp.large_cols]))
         np.testing.assert_array_equal(row.data, 1.0)
         assert milp.row_form.row_lower[milp.availability_row] == problem.min_datacenters
@@ -85,7 +87,7 @@ class TestBuildFullMilp:
             # ``sum(delivered green) - frac * sum(demand) >= 0``.
             np.testing.assert_array_equal(milp.row_form.row_lower[milp.green_rows], 0.0)
             np.testing.assert_array_equal(milp.row_form.row_upper[milp.green_rows], np.inf)
-            green_block = milp.row_form.matrix.tocsr()[milp.green_rows]
+            green_block = csc_matrix(milp.row_form).tocsr()[milp.green_rows]
             assert (green_block.data > 0).any() and (green_block.data < 0).any()
 
     @pytest.mark.parametrize("enforcement", list(GreenEnforcement))

@@ -15,6 +15,7 @@ from repro.greennebula import (
 from repro.lpsolver.validate import row_form_violations
 from repro.simulation import VMSpec
 
+from lp_oracles import csc_matrix
 from row_collector import RowCollector
 
 
@@ -321,7 +322,9 @@ class TestGreenNebulaScheduler:
             rows.add_row([(columns[dc.name][0][t], 1.0) for dc in three_dcs], ">=", total_load)
         reference = rows.row_form()
 
-        np.testing.assert_array_equal(row_form.matrix.toarray(), reference.matrix.toarray())
+        np.testing.assert_array_equal(
+            csc_matrix(row_form).toarray(), csc_matrix(reference).toarray()
+        )
         for field in ("row_lower", "row_upper", "lower", "upper", "cost", "integrality"):
             np.testing.assert_array_equal(getattr(row_form, field), getattr(reference, field))
         for dc in three_dcs:

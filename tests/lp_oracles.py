@@ -43,10 +43,17 @@ _LINPROG_STATUS = {
 }
 
 
+def csc_matrix(row_form: RowFormLP) -> sparse.csc_matrix:
+    """The constraint matrix of ``row_form`` as a SciPy CSC matrix."""
+    return sparse.csc_matrix(
+        (row_form.a_data, row_form.a_indices, row_form.a_indptr), shape=row_form.shape
+    )
+
+
 def linprog_solve(row_form: RowFormLP, options: Optional[SolverOptions] = None) -> SolveResult:
     """Solve ``row_lower <= A x <= row_upper`` with ``scipy.optimize.linprog``."""
     options = options or SolverOptions()
-    matrix = row_form.matrix.tocsr()
+    matrix = csc_matrix(row_form).tocsr()
     lower, upper = row_form.row_lower, row_form.row_upper
     eq = np.isfinite(lower) & (lower == upper)
     ub = np.isfinite(upper) & ~eq
@@ -370,7 +377,7 @@ class ScalarProvisioningBuilder:
 def _canonical_rows(row_form: RowFormLP) -> np.ndarray:
     """Dense [A | row_lower | row_upper] with rows sorted canonically."""
     dense = np.column_stack(
-        [row_form.matrix.toarray(), row_form.row_lower, row_form.row_upper]
+        [csc_matrix(row_form).toarray(), row_form.row_lower, row_form.row_upper]
     )
     dense = np.nan_to_num(dense, posinf=1e300, neginf=-1e300)
     return dense[np.lexsort(dense.T[::-1])]
@@ -409,7 +416,7 @@ def assert_compiled_matches_scalar(
 
 def assert_feasible(row_form: RowFormLP, x: np.ndarray, tolerance: float = 1e-6) -> None:
     """``x`` satisfies every row and column bound of ``row_form``."""
-    activity = row_form.matrix @ x
+    activity = csc_matrix(row_form) @ x
     assert np.all(activity >= row_form.row_lower - tolerance), "a row lower bound is violated"
     assert np.all(activity <= row_form.row_upper + tolerance), "a row upper bound is violated"
     assert np.all(x >= row_form.lower - tolerance), "a column lower bound is violated"

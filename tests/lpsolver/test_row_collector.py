@@ -5,6 +5,7 @@ import pytest
 
 from repro.lpsolver import ConstraintSense
 
+from lp_oracles import csc_matrix
 from row_collector import RowCollector
 
 
@@ -30,7 +31,7 @@ class TestRowCollector:
         rows = RowCollector()
         x, y = rows.add_variable(), rows.add_variable()
         rows.add_row([(x, 1.0), (y, 2.0), (x, -1.0), (y, 0.5)], "==", 0.0)
-        np.testing.assert_array_equal(rows.row_form().matrix.toarray(), [[0.0, 2.5]])
+        np.testing.assert_array_equal(csc_matrix(rows.row_form()).toarray(), [[0.0, 2.5]])
 
     def test_objective_terms_and_constants_accumulate(self):
         rows = RowCollector()

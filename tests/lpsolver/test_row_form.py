@@ -6,6 +6,7 @@ from scipy import sparse
 
 from repro.lpsolver import ConstraintSense, SolveResult, SolveStatus, SolverStatusError
 
+from lp_oracles import csc_matrix
 from row_collector import RowCollector
 
 
@@ -32,7 +33,7 @@ def _coupled(a, b):
 class TestRowFormLP:
     def test_matrix_round_trips_the_csc_arrays(self):
         row_form = _coupled(3.0, 1.0)
-        matrix = row_form.matrix
+        matrix = csc_matrix(row_form)
         assert isinstance(matrix, sparse.csc_matrix)
         np.testing.assert_array_equal(matrix.toarray(), [[1.0, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(matrix.indptr, row_form.a_indptr)

@@ -22,6 +22,8 @@ from repro.robust.stochastic import (
     solve_ensemble_lp,
 )
 
+from lp_oracles import csc_matrix
+
 
 @pytest.fixture(scope="module")
 def siting(two_site_problem):
@@ -90,7 +92,7 @@ class TestLayout:
         assert row_form.shape[0] == plain.shape[0] + 2
         assert np.array_equal(row_form.row_upper[-2:], [5.0, 7.0])
         assert np.all(np.isneginf(row_form.row_lower[-2:]))
-        rows = row_form.matrix.tocsr()
+        rows = csc_matrix(row_form).tocsr()
         for offset, d in ((2, 1), (1, 2)):
             row = rows.getrow(row_form.shape[0] - offset)
             # The row sums the draw's unserved columns by epoch hours, nothing else.

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.core.provisioning import ProvisioningCompiler
-from repro.scenarios import ExperimentRunner, ParameterSweep, ResultSet, ScenarioSpec
+from repro.scenarios import ExperimentRunner, ParameterSweep, ResultSet, ScenarioSpec, get_scenario
 
 #: A deliberately tiny plan scenario so each point solves in well under a second.
 TINY_SEARCH = {
@@ -223,11 +223,9 @@ class TestRunnerSharedCaches:
         runner.run_point(tiny_spec(storage="none", min_green_fraction=1.0))
         assert len(runner._problems) == 2
 
-    @pytest.mark.parametrize("coarse", [1, 2], ids=["fine", "adaptive"])
-    def test_skeleton_counters_cover_every_compiler(self, monkeypatch, coarse):
-        # Beside the shared compiler: the filter's pricing compiler and, on
-        # the adaptive path, the coarse sub-solver's and the refinement
-        # solves' compilers.
+    @staticmethod
+    def _assert_every_compiler_counted(monkeypatch, spec):
+        """``cache_stats()`` after one point sums every compiler the point made."""
         made = []
         init = ProvisioningCompiler.__init__
 
@@ -237,16 +235,33 @@ class TestRunnerSharedCaches:
 
         monkeypatch.setattr(ProvisioningCompiler, "__init__", recording_init)
         runner = ExperimentRunner()
-        runner.run_point(tiny_spec(search=dict(TINY_SEARCH, coarse_epoch_factor=coarse)))
+        runner.run_point(spec)
         names = ("skeleton_hits", "skeleton_derives", "skeleton_builds")
         expected = {
             name: sum(compiler.skeleton_stats()[name] for compiler in made)
             for name in names
         }
         stats = runner.cache_stats()
-        assert len(made) > 1
         assert expected["skeleton_builds"] > 0
         assert {name: stats[name] for name in names} == expected
+        return made
+
+    @pytest.mark.parametrize("coarse", [1, 2], ids=["fine", "adaptive"])
+    def test_skeleton_counters_cover_every_compiler(self, monkeypatch, coarse):
+        # Beside the shared compiler: the filter's pricing compiler and, on
+        # the adaptive path, the coarse sub-solver's and the refinement
+        # solves' compilers.
+        spec = tiny_spec(search=dict(TINY_SEARCH, coarse_epoch_factor=coarse))
+        assert len(self._assert_every_compiler_counted(monkeypatch, spec)) > 1
+
+    @pytest.mark.parametrize("scenario", ["table2", "robust-smoke"])
+    def test_skeleton_counters_cover_pricing_and_ensemble_compilers(
+        self, monkeypatch, scenario
+    ):
+        # table2: the pricing compiler of SingleSiteAnalyzer.cost_distribution.
+        # robust-smoke: the per-draw compilers of the ensemble report.
+        spec = get_scenario(scenario).build().points()[0].spec
+        self._assert_every_compiler_counted(monkeypatch, spec)
 
     @staticmethod
     def _race(runner, spec, count=2):

@@ -22,8 +22,11 @@ from tools.reprolint.config import DEFAULT_DESCRIPTOR_CLASSES, config_from_table
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Config for fixture linting: no excludes (the repo config excludes the
-#: fixture directory on purpose) and FLT001 active on the fixture path.
-FIXTURE_CONFIG = Config(exclude=(), float_paths=("tests/tools/fixtures",))
+#: fixture directory on purpose) and FLT001 and IMP001 active on the fixture
+#: path.
+FIXTURE_CONFIG = Config(
+    exclude=(), float_paths=("tests/tools/fixtures",), import_paths=("tests/tools/fixtures",)
+)
 
 
 def findings_for(name: str, config: Config = FIXTURE_CONFIG):
@@ -70,6 +73,17 @@ class TestRuleTruePositives:
         found = codes_and_lines(findings_for("flt001_true_positive.py"))
         assert found == {("FLT001", 5), ("FLT001", 7)}
 
+    def test_imp001_catches_module_level_heavy_scipy_imports(self):
+        found = codes_and_lines(findings_for("imp001_true_positive.py"))
+        assert found == {
+            ("IMP001", 3),   # import scipy.sparse
+            ("IMP001", 4),   # import scipy.sparse.linalg as ...
+            ("IMP001", 5),   # from scipy import optimize, special
+            ("IMP001", 6),   # from scipy.stats import ...
+            ("IMP001", 9),   # module level inside try
+            ("IMP001", 15),  # class body
+        }
+
     def test_set001_catches_order_leaks(self):
         found = codes_and_lines(findings_for("set001_true_positive.py"))
         assert found == {
@@ -91,6 +105,7 @@ class TestRuleFalsePositives:
             "pkl001_false_positive.py",
             "flt001_false_positive.py",
             "set001_false_positive.py",
+            "imp001_false_positive.py",
             "clean_module.py",
         ],
     )
@@ -132,6 +147,14 @@ class TestConfig:
         assert config.float_rule_applies("src/repro/operator/dispatch.py")
         assert not config.float_rule_applies("src/repro/geo/grid.py")
 
+    def test_import_rule_scoping(self):
+        config = Config()
+        assert config.import_rule_applies("src/repro/lpsolver/model.py")
+        assert not config.import_rule_applies("tests/lp_oracles.py")
+        assert not config.import_rule_applies("tools/reprolint/rules.py")
+        found = codes_and_lines(findings_for("imp001_true_positive.py", Config(exclude=())))
+        assert found == set()
+
     def test_select_restricts_rules(self):
         config = Config(
             select=("DET002",), exclude=(), float_paths=("tests/tools/fixtures",)
@@ -169,10 +192,9 @@ class TestConfig:
 
 class TestDirectoryLinting:
     def test_lint_paths_walks_and_respects_excludes(self):
-        config = Config(exclude=(), float_paths=("tests/tools/fixtures",))
-        findings = lint_paths([str(FIXTURES)], config)
+        findings = lint_paths([str(FIXTURES)], FIXTURE_CONFIG)
         assert {f.code for f in findings if not f.suppressed} >= {
-            "DET001", "DET002", "DET003", "DET004", "PKL001", "FLT001", "SET001",
+            "DET001", "DET002", "DET003", "DET004", "PKL001", "FLT001", "SET001", "IMP001",
         }
         excluded = Config(
             exclude=(os.path.relpath(FIXTURES).replace(os.sep, "/"),)

@@ -35,6 +35,10 @@ FLT001    No exact ``==``/``!=`` float comparisons in solver-tolerance code
 SET001    No ``set`` iteration flowing into ordered outputs (lists, arrays,
           joins, dict comprehensions): string-hash randomisation makes set
           order differ across processes.  Sort first.
+IMP001    No module-level import of ``scipy.optimize``, ``scipy.sparse``,
+          ``scipy.linalg``, ``scipy.special`` or ``scipy.stats`` in ``src/``:
+          every ``repro`` process would pay for it before planning anything.
+          Import them inside the function that runs them.
 ========  =====================================================================
 
 Findings are suppressed line-by-line with ``# reprolint: ok(<RULE>)`` (comma

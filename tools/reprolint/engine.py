@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import os
 import re
 import sys
@@ -79,7 +80,12 @@ def lint_file(
         findings.append(
             Finding(rel, line, 0, "RLERR", f"pragma names unknown rule {code!r}", False)
         )
-    for raw in check_module(tree, config, float_rule_active=config.float_rule_applies(rel)):
+    for raw in check_module(
+        tree,
+        config,
+        float_rule_active=config.float_rule_applies(rel),
+        import_rule_active=config.import_rule_applies(rel),
+    ):
         suppressed = raw.code in pragmas.get(raw.line, set())
         findings.append(Finding(rel, raw.line, raw.col, raw.code, raw.message, suppressed))
     return findings
@@ -162,13 +168,7 @@ def main(argv: Optional[Sequence[str]] = None, stream: TextIO = sys.stdout) -> i
         if unknown:
             print(f"reprolint: unknown rule codes: {', '.join(unknown)}", file=sys.stderr)
             return 2
-        config = Config(
-            select=codes,
-            exclude=config.exclude,
-            descriptor_classes=config.descriptor_classes,
-            float_paths=config.float_paths,
-            paths=config.paths,
-        )
+        config = dataclasses.replace(config, select=codes)
 
     paths = list(options.paths) or list(config.paths)
     if not paths:

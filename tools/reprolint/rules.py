@@ -30,6 +30,7 @@ RULES: Tuple[Rule, ...] = (
     Rule("PKL001", "unpicklable callable reaches the executor boundary"),
     Rule("FLT001", "exact float ==/!= in solver-tolerance code; compare with epsilon"),
     Rule("SET001", "set iteration order flows into an ordered output; sort first"),
+    Rule("IMP001", "module-level import of a heavy SciPy package; import it where it runs"),
 )
 
 RULE_CODES: Tuple[str, ...] = tuple(rule.code for rule in RULES)
@@ -116,6 +117,19 @@ _TIME_WALLCLOCK_FUNCS = frozenset(
 )
 _DATETIME_CLASS_WALLCLOCK = frozenset({"now", "utcnow", "today"})
 
+# -- IMP001: heavy SciPy packages imported with the module ----------------------
+
+#: SciPy packages whose import costs a fresh process tens to hundreds of
+#: milliseconds; library code imports them inside the function that runs them.
+_LAZY_SCIPY = frozenset({"optimize", "sparse", "linalg", "special", "stats"})
+
+
+def _heavy_scipy(module: str) -> bool:
+    """Whether importing ``module`` runs one of the ``_LAZY_SCIPY`` packages."""
+    parts = module.split(".")
+    return len(parts) > 1 and parts[0] == "scipy" and parts[1] in _LAZY_SCIPY
+
+
 # -- SET001: order-sensitive consumers of sets ---------------------------------
 
 #: Callables for which argument order is observable in the output.
@@ -133,9 +147,14 @@ def _call_name(node: ast.Call) -> Optional[str]:
 class ContractVisitor(ast.NodeVisitor):
     """Single-pass visitor emitting findings for all enabled rules."""
 
-    def __init__(self, config: Config, *, float_rule_active: bool) -> None:
+    def __init__(
+        self, config: Config, *, float_rule_active: bool, import_rule_active: bool = False
+    ) -> None:
         self.config = config
         self.float_rule_active = float_rule_active
+        self.import_rule_active = import_rule_active
+        # Depth of ``if TYPE_CHECKING:`` blocks (their imports never run).
+        self._type_checking = 0
         self.findings: List[RawFinding] = []
 
         # Import alias tracking (module-level and function-level lumped
@@ -174,7 +193,38 @@ class ContractVisitor(ast.NodeVisitor):
 
     # -- imports ----------------------------------------------------------------
 
+    def _check_module_level_import(self, node: ast.AST, modules: Sequence[str]) -> None:
+        """IMP001: a heavy SciPy package imported when the module is."""
+        if not self.import_rule_active or self._function_stack or self._type_checking:
+            return
+        for module in modules:
+            if _heavy_scipy(module):
+                self._emit(
+                    "IMP001",
+                    node,
+                    f"{module} is imported with the module and every process pays for it; "
+                    "import it inside the function that runs it",
+                )
+                return
+
+    def visit_If(self, node: ast.If) -> None:
+        test = node.test
+        guarded = (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+            isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+        )
+        if not guarded:
+            self.generic_visit(node)
+            return
+        self.visit(test)
+        self._type_checking += 1
+        for child in node.body:
+            self.visit(child)
+        self._type_checking -= 1
+        for child in node.orelse:
+            self.visit(child)
+
     def visit_Import(self, node: ast.Import) -> None:
+        self._check_module_level_import(node, [alias.name for alias in node.names])
         for alias in node.names:
             bound = alias.asname or alias.name.split(".")[0]
             self._import_names.add(bound)
@@ -195,6 +245,10 @@ class ContractVisitor(ast.NodeVisitor):
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
+        if not node.level:
+            self._check_module_level_import(
+                node, [module] + [f"{module}.{alias.name}" for alias in node.names]
+            )
         for alias in node.names:
             bound = alias.asname or alias.name
             self._import_names.add(bound)
@@ -556,10 +610,16 @@ class ContractVisitor(ast.NodeVisitor):
 
 
 def check_module(
-    tree: ast.Module, config: Config, *, float_rule_active: bool
+    tree: ast.Module,
+    config: Config,
+    *,
+    float_rule_active: bool,
+    import_rule_active: bool = False,
 ) -> List[RawFinding]:
     """All raw findings for one parsed module, in source order."""
-    visitor = ContractVisitor(config, float_rule_active=float_rule_active)
+    visitor = ContractVisitor(
+        config, float_rule_active=float_rule_active, import_rule_active=import_rule_active
+    )
     visitor.visit(tree)
     return sorted(visitor.findings, key=lambda f: (f.line, f.col, f.code))
 
