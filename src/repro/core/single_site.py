@@ -131,7 +131,7 @@ def priced_in_chunks(
     problem: SitingProblem,
     sitings: Sequence[Tuple[str, str]],
     options: SolverOptions,
-    compiler: Optional[ProvisioningCompiler] = None,
+    compiler: ProvisioningCompiler,
     price: Optional[Callable[..., List[Tuple[str, float, bool]]]] = None,
     highs: Optional[MutableHighsModel] = None,
 ) -> List[Tuple[str, float, bool]]:
@@ -156,13 +156,12 @@ def priced_in_chunks(
     """
     num_chunks = pricing_chunk_count(len(sitings), single_site_row_estimate(problem))
     chunks = split_chunks(sitings, num_chunks)
-    shared = compiler or ProvisioningCompiler(problem)
     pricer = price or price_batch
     # A replacement pricer need not take ``highs`` unless a handle is given.
     handle = {} if highs is None else {"highs": highs}
     rows: List[Tuple[str, float, bool]] = []
     for chunk in chunks:
-        rows.extend(pricer(problem, chunk, options, shared, **handle))
+        rows.extend(pricer(problem, chunk, options, compiler, **handle))
     return rows
 
 

@@ -483,14 +483,18 @@ class ExperimentRunner:
         config = spec.ensemble_config()
         if config is None or plan is None:
             return
-        from repro.robust.stochastic import ensemble_report, plan_siting_and_sizing
+        from repro.robust.stochastic import (
+            draw_compilers,
+            ensemble_report,
+            plan_siting_and_sizing,
+        )
 
         siting, sizing = plan_siting_and_sizing(plan)
-        skeletons: List[Dict[str, int]] = []
-        report = ensemble_report(
-            problem, siting, sizing, config, options=self.solver_options, skeletons=skeletons
+        compilers = draw_compilers(problem, siting, config)
+        report = ensemble_report(compilers, siting, sizing, config, options=self.solver_options)
+        self._count_skeletons(
+            summed_skeleton_stats(compiler.skeleton_stats() for compiler in compilers)
         )
-        self._count_skeletons(summed_skeleton_stats(skeletons))
         record["robustness"] = report
         record["ensemble_expected_cost"] = report["expected_cost"]
         record["ensemble_cvar_cost"] = report["cvar_cost"]

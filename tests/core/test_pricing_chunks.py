@@ -49,12 +49,15 @@ class TestPricedInChunks:
             (c.name, c.monthly_cost, c.feasible)
             for c in SingleSiteAnalyzer().cost_distribution(all_profiles, min_green_fraction=0.5)
         ]
-        assert priced_in_chunks(problem, sitings, SolverOptions()) == reference
+        rows = priced_in_chunks(problem, sitings, SolverOptions(), ProvisioningCompiler(problem))
+        assert rows == reference
 
     def test_sweep_is_split_into_several_chunks(self, pricing_problem):
         problem, sitings = pricing_problem
         pricer = RecordingPricer()
-        priced_in_chunks(problem, sitings, SolverOptions(), price=pricer)
+        priced_in_chunks(
+            problem, sitings, SolverOptions(), ProvisioningCompiler(problem), price=pricer
+        )
         expected = pricing_chunk_count(len(sitings), single_site_row_estimate(problem))
         assert expected > 1
         assert len(pricer.chunks) == expected
@@ -63,7 +66,9 @@ class TestPricedInChunks:
     def test_chunks_are_priced_in_the_caller_in_order(self, pricing_problem):
         problem, sitings = pricing_problem
         pricer = RecordingPricer()
-        rows = priced_in_chunks(problem, sitings, SolverOptions(), price=pricer)
+        rows = priced_in_chunks(
+            problem, sitings, SolverOptions(), ProvisioningCompiler(problem), price=pricer
+        )
         assert set(pricer.threads) == {threading.current_thread()}
         assert sum(pricer.chunks, []) == list(sitings)
         assert [name for name, _, _ in rows] == [location for location, _ in sitings]

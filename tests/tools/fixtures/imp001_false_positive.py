@@ -4,7 +4,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy
-from scipy import constants
+from scipy import __version__
 
 if TYPE_CHECKING:
     from scipy.sparse import csc_matrix
@@ -19,7 +19,7 @@ def noise(uniform: np.ndarray) -> np.ndarray:
 def version() -> str:
     import scipy.optimize
 
-    return scipy.__version__ + scipy.optimize.__name__ + str(constants.pi)
+    return scipy.__version__ + scipy.optimize.__name__ + __version__
 
 
 def matrix() -> "csc_matrix":

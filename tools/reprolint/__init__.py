@@ -35,10 +35,11 @@ FLT001    No exact ``==``/``!=`` float comparisons in solver-tolerance code
 SET001    No ``set`` iteration flowing into ordered outputs (lists, arrays,
           joins, dict comprehensions): string-hash randomisation makes set
           order differ across processes.  Sort first.
-IMP001    No module-level import of ``scipy.optimize``, ``scipy.sparse``,
-          ``scipy.linalg``, ``scipy.special`` or ``scipy.stats`` in ``src/``:
-          every ``repro`` process would pay for it before planning anything.
-          Import them inside the function that runs them.
+IMP001    No module-level import of a SciPy subpackage (``scipy.<name>``;
+          the top-level ``scipy`` package is fine) in ``src/``: every
+          ``repro`` process would pay for it before planning anything, and
+          even the light-looking subpackages import ``linalg``, ``sparse`` or
+          ``special``.  Import it inside the function that runs it.
 ========  =====================================================================
 
 Findings are suppressed line-by-line with ``# reprolint: ok(<RULE>)`` (comma

@@ -27,9 +27,6 @@ DEFAULT_FLOAT_PATHS: Tuple[str, ...] = (
     "src/repro/operator",
 )
 
-#: Path prefixes where IMP001 applies: library code every process imports.
-DEFAULT_IMPORT_PATHS: Tuple[str, ...] = ("src",)
-
 #: Paths never linted (the self-test fixtures contain violations on purpose).
 DEFAULT_EXCLUDE: Tuple[str, ...] = ("tests/tools/fixtures",)
 
@@ -42,7 +39,6 @@ class Config:
     exclude: Tuple[str, ...] = DEFAULT_EXCLUDE
     descriptor_classes: Tuple[str, ...] = DEFAULT_DESCRIPTOR_CLASSES
     float_paths: Tuple[str, ...] = DEFAULT_FLOAT_PATHS
-    import_paths: Tuple[str, ...] = DEFAULT_IMPORT_PATHS
     paths: Tuple[str, ...] = ()  # default lint targets when CLI gives none
 
     def rule_enabled(self, code: str) -> bool:
@@ -56,17 +52,11 @@ class Config:
         )
 
     def float_rule_applies(self, relpath: str) -> bool:
-        return _under_any(relpath, self.float_paths)
-
-    def import_rule_applies(self, relpath: str) -> bool:
-        return _under_any(relpath, self.import_paths)
-
-
-def _under_any(relpath: str, prefixes: Sequence[str]) -> bool:
-    posix = relpath.replace(os.sep, "/")
-    return any(
-        posix == prefix or posix.startswith(prefix.rstrip("/") + "/") for prefix in prefixes
-    )
+        posix = relpath.replace(os.sep, "/")
+        return any(
+            posix == prefix or posix.startswith(prefix.rstrip("/") + "/")
+            for prefix in self.float_paths
+        )
 
 
 def _str_tuple(table: Mapping[str, Any], key: str, default: Sequence[str]) -> Tuple[str, ...]:
@@ -80,7 +70,7 @@ def _str_tuple(table: Mapping[str, Any], key: str, default: Sequence[str]) -> Tu
 
 def config_from_table(table: Mapping[str, Any]) -> Config:
     """Build a :class:`Config` from a ``[tool.reprolint]`` mapping."""
-    known = {"select", "exclude", "descriptor-classes", "float-paths", "import-paths", "paths"}
+    known = {"select", "exclude", "descriptor-classes", "float-paths", "paths"}
     unknown = sorted(set(table) - known)
     if unknown:
         raise ValueError(f"unknown [tool.reprolint] keys: {', '.join(unknown)}")
@@ -89,7 +79,6 @@ def config_from_table(table: Mapping[str, Any]) -> Config:
         exclude=_str_tuple(table, "exclude", DEFAULT_EXCLUDE),
         descriptor_classes=_str_tuple(table, "descriptor-classes", DEFAULT_DESCRIPTOR_CLASSES),
         float_paths=_str_tuple(table, "float-paths", DEFAULT_FLOAT_PATHS),
-        import_paths=_str_tuple(table, "import-paths", DEFAULT_IMPORT_PATHS),
         paths=_str_tuple(table, "paths", ()),
     )
 

@@ -25,6 +25,10 @@ from tools.reprolint.rules import RULE_CODES, check_module, rule_summaries
 _PRAGMA = re.compile(r"#\s*reprolint:\s*ok\(\s*([A-Za-z0-9_,\s]+?)\s*\)")
 _SKIP_FILE = re.compile(r"#\s*reprolint:\s*skip-file")
 
+#: IMP001 applies to the library every ``repro`` process imports; tests,
+#: tools and benchmarks import SciPy freely.
+_IMPORT_RULE_ROOT = "src/"
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -84,7 +88,7 @@ def lint_file(
         tree,
         config,
         float_rule_active=config.float_rule_applies(rel),
-        import_rule_active=config.import_rule_applies(rel),
+        import_rule_active=rel.replace(os.sep, "/").startswith(_IMPORT_RULE_ROOT),
     ):
         suppressed = raw.code in pragmas.get(raw.line, set())
         findings.append(Finding(rel, raw.line, raw.col, raw.code, raw.message, suppressed))

@@ -30,7 +30,7 @@ RULES: Tuple[Rule, ...] = (
     Rule("PKL001", "unpicklable callable reaches the executor boundary"),
     Rule("FLT001", "exact float ==/!= in solver-tolerance code; compare with epsilon"),
     Rule("SET001", "set iteration order flows into an ordered output; sort first"),
-    Rule("IMP001", "module-level import of a heavy SciPy package; import it where it runs"),
+    Rule("IMP001", "module-level import of a SciPy subpackage; import it where it runs"),
 )
 
 RULE_CODES: Tuple[str, ...] = tuple(rule.code for rule in RULES)
@@ -117,17 +117,19 @@ _TIME_WALLCLOCK_FUNCS = frozenset(
 )
 _DATETIME_CLASS_WALLCLOCK = frozenset({"now", "utcnow", "today"})
 
-# -- IMP001: heavy SciPy packages imported with the module ----------------------
-
-#: SciPy packages whose import costs a fresh process tens to hundreds of
-#: milliseconds; library code imports them inside the function that runs them.
-_LAZY_SCIPY = frozenset({"optimize", "sparse", "linalg", "special", "stats"})
+# -- IMP001: SciPy subpackages imported with the module -------------------------
 
 
-def _heavy_scipy(module: str) -> bool:
-    """Whether importing ``module`` runs one of the ``_LAZY_SCIPY`` packages."""
-    parts = module.split(".")
-    return len(parts) > 1 and parts[0] == "scipy" and parts[1] in _LAZY_SCIPY
+def _scipy_subpackage(module: str) -> bool:
+    """Whether importing ``module`` runs a SciPy subpackage, not just ``scipy``.
+
+    Every subpackage counts: the light-looking ones (``interpolate``,
+    ``signal``, ``integrate``, ``spatial``, ``ndimage``, ``fft``) import
+    ``linalg``, ``sparse`` or ``special`` as they load.  Dunder attributes of
+    the top-level package (``from scipy import __version__``) do not.
+    """
+    top, _, sub = module.partition(".")
+    return top == "scipy" and bool(sub) and not sub.startswith("__")
 
 
 # -- SET001: order-sensitive consumers of sets ---------------------------------
@@ -194,11 +196,11 @@ class ContractVisitor(ast.NodeVisitor):
     # -- imports ----------------------------------------------------------------
 
     def _check_module_level_import(self, node: ast.AST, modules: Sequence[str]) -> None:
-        """IMP001: a heavy SciPy package imported when the module is."""
+        """IMP001: a SciPy subpackage imported when the module is."""
         if not self.import_rule_active or self._function_stack or self._type_checking:
             return
         for module in modules:
-            if _heavy_scipy(module):
+            if _scipy_subpackage(module):
                 self._emit(
                     "IMP001",
                     node,
