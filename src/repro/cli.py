@@ -63,7 +63,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.analysis import case_study_breakdown, format_table
 from repro.core import EnergySources, GreenEnforcement, StorageMode
@@ -376,6 +376,8 @@ def run_emulate(args: argparse.Namespace, stream) -> int:
         _print([f"unknown emulation site: {error}"], stream)
         return 1
     record = point.record
+    # A wall-clock reading, so it is not in the record: the live cloud has it.
+    summary = point.solution.summary()
     _print(
         [
             f"emulated {args.hours} hours over {len(record['sites'])} datacenters "
@@ -383,7 +385,7 @@ def run_emulate(args: argparse.Namespace, stream) -> int:
             f"migrations          : {record['total_migrations']}",
             f"migrated state      : {record['migrated_state_mb']:.0f} MB",
             f"green fraction      : {100 * record['green_fraction']:.1f} %",
-            f"mean scheduling time: {1000 * record['mean_schedule_time_s']:.0f} ms",
+            f"mean scheduling time: {1000 * summary.mean_schedule_time_s:.0f} ms",
         ],
         stream,
     )
@@ -421,6 +423,57 @@ def _parse_axes(pairs: Sequence[str]) -> dict:
     return axes
 
 
+def _load_sweep(
+    args: argparse.Namespace, flags: Dict[str, Any], stream
+) -> Union[ParameterSweep, int]:
+    """The ``--spec`` or ``--scenario`` sweep with its overrides applied, or an exit code.
+
+    ``flags`` maps spec fields to a subcommand's own override flags (``None``
+    when unset); ``--set`` assignments apply after them and ``--axis`` values
+    (``sweep`` only) widen the axes.  Every point is resolved here, so a bad
+    field or value fails cleanly: 1 for a sweep that cannot be loaded, 2 for
+    an invalid override.
+    """
+    if args.spec:
+        try:
+            with open(args.spec, "r", encoding="utf-8") as handle:
+                base = ScenarioSpec.from_json(handle.read())
+        except (OSError, ValueError, KeyError) as error:
+            _print([f"cannot load spec {args.spec!r}: {error}"], stream)
+            return 1
+        sweep = ParameterSweep(base=base)
+    else:
+        try:
+            sweep = get_scenario(args.scenario).build()
+        except KeyError as error:
+            _print([str(error.args[0])], stream)
+            return 1
+    try:
+        overrides = {name: value for name, value in flags.items() if value is not None}
+        overrides.update(_parse_assignments(args.set))
+        axes = _parse_axes(getattr(args, "axis", []))
+        if overrides or axes:
+            sweep = ParameterSweep(
+                base=sweep.base.with_updates(**overrides),
+                axes={**sweep.axes, **axes},
+                mode=sweep.mode,
+                name=sweep.name,
+            )
+        sweep.points()  # resolve every override now, so bad fields/values fail cleanly
+    except (ValueError, KeyError) as error:
+        _print([f"invalid scenario override: {error}"], stream)
+        return 2
+    return sweep
+
+
+def _runner(args: argparse.Namespace) -> ExperimentRunner:
+    return ExperimentRunner(
+        cache_dir=None if args.no_cache else args.cache_dir,
+        workers=args.workers,
+        executor=args.executor,
+    )
+
+
 def run_sweep(args: argparse.Namespace, stream) -> int:
     if args.list:
         rows = []
@@ -440,47 +493,10 @@ def run_sweep(args: argparse.Namespace, stream) -> int:
     if bool(args.scenario) == bool(args.spec):
         _print(["exactly one of --scenario or --spec is required (or --list)"], stream)
         return 2
-
-    if args.scenario:
-        try:
-            sweep = get_scenario(args.scenario).build()
-        except KeyError as error:
-            _print([str(error.args[0])], stream)
-            return 1
-    else:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                base = ScenarioSpec.from_json(handle.read())
-        except (OSError, ValueError, KeyError) as error:
-            _print([f"cannot load spec {args.spec!r}: {error}"], stream)
-            return 1
-        sweep = ParameterSweep(base=base)
-
-    try:
-        overrides = _parse_assignments(args.set)
-        axes = _parse_axes(args.axis)
-        if overrides:
-            sweep = ParameterSweep(
-                base=sweep.base.with_updates(**overrides),
-                axes=sweep.axes,
-                mode=sweep.mode,
-                name=sweep.name,
-            )
-        if axes:
-            merged = dict(sweep.axes)
-            merged.update(axes)
-            sweep = ParameterSweep(base=sweep.base, axes=merged, mode=sweep.mode, name=sweep.name)
-        sweep.points()  # resolve every override now, so bad fields/values fail cleanly
-    except (ValueError, KeyError) as error:
-        _print([f"invalid scenario override: {error}"], stream)
-        return 2
-
-    runner = ExperimentRunner(
-        cache_dir=None if args.no_cache else args.cache_dir,
-        workers=args.workers,
-        executor=args.executor,
-    )
-    results = runner.run(sweep)
+    sweep = _load_sweep(args, {}, stream)
+    if isinstance(sweep, int):
+        return sweep
+    results = _runner(args).run(sweep)
 
     if args.json:
         _print([results.to_json()], stream)
@@ -499,52 +515,20 @@ def run_sweep(args: argparse.Namespace, stream) -> int:
 
 
 def run_operate(args: argparse.Namespace, stream) -> int:
-    if args.spec:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                base = ScenarioSpec.from_json(handle.read())
-        except (OSError, ValueError, KeyError) as error:
-            _print([f"cannot load spec {args.spec!r}: {error}"], stream)
-            return 1
-        sweep = ParameterSweep(base=base)
-    else:
-        try:
-            sweep = get_scenario(args.scenario).build()
-        except KeyError as error:
-            _print([str(error.args[0])], stream)
-            return 1
-    overrides = {}
-    if args.steps is not None:
-        overrides["operate.steps"] = args.steps
-    if args.horizon is not None:
-        overrides["operate.horizon_hours"] = args.horizon
-    if args.forecast_error is not None:
-        overrides["operate.forecast_error"] = args.forecast_error
-    try:
-        overrides.update(_parse_assignments(args.set))
-        if overrides:
-            sweep = ParameterSweep(
-                base=sweep.base.with_updates(**overrides),
-                axes=sweep.axes,
-                mode=sweep.mode,
-                name=sweep.name,
-            )
-        sweep.points()
-    except (ValueError, KeyError) as error:
-        _print([f"invalid scenario override: {error}"], stream)
-        return 2
+    flags = {
+        "operate.steps": args.steps,
+        "operate.horizon_hours": args.horizon,
+        "operate.forecast_error": args.forecast_error,
+    }
+    sweep = _load_sweep(args, flags, stream)
+    if isinstance(sweep, int):
+        return sweep
     # Checked after --set overrides: `--set workflow=plan` must be rejected
     # too, not just a non-operate --scenario.
     if sweep.base.workflow != "operate":
         _print([f"scenario {sweep.name!r} is not an operate-workflow scenario"], stream)
         return 2
-
-    runner = ExperimentRunner(
-        cache_dir=None if args.no_cache else args.cache_dir,
-        workers=args.workers,
-        executor=args.executor,
-    )
-    results = runner.run(sweep)
+    results = _runner(args).run(sweep)
     if args.json:
         _print([results.to_json()], stream)
         return 0
@@ -588,40 +572,10 @@ def run_operate(args: argparse.Namespace, stream) -> int:
 
 
 def run_stress(args: argparse.Namespace, stream) -> int:
-    if args.spec:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                base = ScenarioSpec.from_json(handle.read())
-        except (OSError, ValueError, KeyError) as error:
-            _print([f"cannot load spec {args.spec!r}: {error}"], stream)
-            return 1
-        sweep = ParameterSweep(base=base)
-    else:
-        try:
-            sweep = get_scenario(args.scenario).build()
-        except KeyError as error:
-            _print([str(error.args[0])], stream)
-            return 1
-    overrides = {}
-    if args.draws is not None:
-        overrides["ensemble.draws"] = args.draws
-    if args.alpha is not None:
-        overrides["ensemble.alpha"] = args.alpha
-    if args.mode is not None:
-        overrides["ensemble.mode"] = args.mode
-    try:
-        overrides.update(_parse_assignments(args.set))
-        if overrides:
-            sweep = ParameterSweep(
-                base=sweep.base.with_updates(**overrides),
-                axes=sweep.axes,
-                mode=sweep.mode,
-                name=sweep.name,
-            )
-        sweep.points()
-    except (ValueError, KeyError) as error:
-        _print([f"invalid scenario override: {error}"], stream)
-        return 2
+    flags = {"ensemble.draws": args.draws, "ensemble.alpha": args.alpha, "ensemble.mode": args.mode}
+    sweep = _load_sweep(args, flags, stream)
+    if isinstance(sweep, int):
+        return sweep
     if not sweep.base.ensemble and not sweep.base.faults:
         _print(
             [
@@ -631,13 +585,7 @@ def run_stress(args: argparse.Namespace, stream) -> int:
             stream,
         )
         return 2
-
-    runner = ExperimentRunner(
-        cache_dir=None if args.no_cache else args.cache_dir,
-        workers=args.workers,
-        executor=args.executor,
-    )
-    results = runner.run(sweep)
+    results = _runner(args).run(sweep)
     if args.json:
         _print([results.to_json()], stream)
         # Gates still apply (the output stays pure JSON; only the exit code

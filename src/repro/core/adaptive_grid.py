@@ -23,16 +23,12 @@ objectives converge to the fine-grid objective as groups split.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.problem import SitingProblem
-from repro.core.provisioning import (
-    ProvisioningCompiler,
-    ProvisioningResult,
-    solve_provisioning,
-)
+from repro.core.provisioning import ProvisioningResult, solve_provisioning
 from repro.energy.profiles import EpochGrid, LocationProfile, RefinedEpochGrid
 from repro.lpsolver import SolverOptions
 
@@ -145,8 +141,6 @@ class AdaptiveGridRefiner:
             [factor] * (fine.epochs_per_day // factor)
             for _ in fine.representative_days
         ]
-        #: Skeleton counters of each refinement solve's compiler.
-        self.skeleton_stats: List[Dict[str, int]] = []
 
     # -- partition helpers --------------------------------------------------------
     def _is_fine(self) -> bool:
@@ -205,20 +199,6 @@ class AdaptiveGridRefiner:
         for day, groups in enumerate(self._partition):
             self._partition[day] = [1] * sum(groups)
 
-    def _solve(
-        self, problem: SitingProblem, siting: Mapping[str, str], enforce_spread: bool
-    ) -> ProvisioningResult:
-        compiler = ProvisioningCompiler(problem)
-        result = solve_provisioning(
-            problem,
-            siting,
-            options=self.options,
-            enforce_spread=enforce_spread,
-            compiler=compiler,
-        )
-        self.skeleton_stats.append(compiler.skeleton_stats())
-        return result
-
     # -- driver -------------------------------------------------------------------
     def refine(
         self, siting: Mapping[str, str], enforce_spread: bool = True
@@ -235,7 +215,9 @@ class AdaptiveGridRefiner:
         base = self.problem.restricted_to(list(siting))
         while rounds < self.max_rounds:
             problem = self._partition_problem(base)
-            result = self._solve(problem, siting, enforce_spread)
+            result = solve_provisioning(
+                problem, siting, options=self.options, enforce_spread=enforce_spread
+            )
             rounds += 1
             num_epochs_trace.append(problem.num_epochs)
             objective_trace.append(result.monthly_cost)
@@ -263,7 +245,12 @@ class AdaptiveGridRefiner:
             # cost must still be the fine-grid one, so pay one full-resolution
             # solve rather than returning a partially refined approximation.
             self._split_all()
-            result = self._solve(self._partition_problem(base), siting, enforce_spread)
+            result = solve_provisioning(
+                self._partition_problem(base),
+                siting,
+                options=self.options,
+                enforce_spread=enforce_spread,
+            )
             rounds += 1
             num_epochs_trace.append(base.num_epochs)
             objective_trace.append(result.monthly_cost)

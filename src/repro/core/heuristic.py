@@ -49,7 +49,6 @@ from repro.core.provisioning import (
     ProvisioningCompiler,
     ProvisioningResult,
     solve_provisioning,
-    summed_skeleton_stats,
 )
 # ``price_per_site`` is bound here beside ``price_batch`` (the chunk pricer
 # that calls it) so a profiler or test patching this module's pricers can
@@ -151,15 +150,9 @@ class HeuristicSolver:
         self.problem = problem
         self.settings = settings or SearchSettings()
         self.solver_options = solver_options or SolverOptions()
-        # Skeleton counters of the compilers this solver made and is done
-        # with (one per filter pass, the coarse sub-solver's, one per
-        # refinement solve), kept as counts so the compilers can go.
-        self._finished_skeletons: List[Dict[str, int]] = []
         # An externally shared compiler must have been built for an equivalent
         # problem (same profiles, parameters and scenario switches); the
         # ExperimentRunner keys its shared compilers by that problem signature.
-        # A compiler passed in is its owner's to count.
-        self._owns_compiler = compiler is None
         self._compiler = compiler or ProvisioningCompiler(problem)
         # The memo key is the canonical sorted (location, class) tuple, so
         # any move order that reaches the same siting hits the same entry.
@@ -192,16 +185,6 @@ class HeuristicSolver:
     def cross_chain_hits(self) -> int:
         """Memo hits on entries that a *different* chain computed."""
         return self._cross_chain_hits
-
-    def skeleton_stats(self) -> Dict[str, int]:
-        """Skeleton counters summed over every compiler this solver made.
-
-        That is its own compiler unless one was passed in, one pricing
-        compiler per filter pass and, on the adaptive path, the coarse
-        sub-solver's compilers and one per refinement solve.
-        """
-        own = [self._compiler.skeleton_stats()] if self._owns_compiler else []
-        return summed_skeleton_stats(self._finished_skeletons + own)
 
     # -- step 1: filtering ---------------------------------------------------------
     def filter_locations(self) -> List[str]:
@@ -306,7 +289,6 @@ class HeuristicSolver:
                 heapq.heapreplace(cheapest, -cost)
             if cost < band_best.get(band, inf):
                 band_best[band] = cost
-        self._finished_skeletons.append(pricing_compiler.skeleton_stats())
 
         self._filter_stats = {
             "filter_candidates": float(len(profiles)),
@@ -477,7 +459,6 @@ class HeuristicSolver:
         self._evaluations += sub._evaluations
         self._cache_hits += sub._cache_hits
         self._cross_chain_hits += sub._cross_chain_hits
-        self._finished_skeletons.append(sub.skeleton_stats())
         coarse.stats["coarse_epoch_factor"] = float(factor)
         coarse.stats["coarse_epochs"] = float(coarse_problem.num_epochs)
         coarse.stats["fine_epochs"] = float(self.problem.num_epochs)
@@ -493,7 +474,6 @@ class HeuristicSolver:
             options=self.solver_options,
         )
         final, report = refiner.refine(siting)
-        self._finished_skeletons.extend(refiner.skeleton_stats)
         self._evaluations += report.rounds  # the refinement LPs count too
         if not final.feasible:  # pragma: no cover - refinement keeps feasibility
             final = solve_provisioning(

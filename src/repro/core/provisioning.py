@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.core.costs import CostModel
 from repro.core.problem import GreenEnforcement, SitingProblem, StorageMode
 from repro.core.solution import DatacenterPlan, NetworkPlan
@@ -268,23 +269,24 @@ class ProvisioningCompiler:
         self._templates: Dict[Tuple, _ModelTemplate] = {}
         self._structures: Dict[str, _ClassStructure] = {}
         self._lock = threading.Lock()
-        # Warm-vs-cold skeleton accounting: hits reuse a cached skeleton,
-        # derives fill a cached class structure, builds first build the
-        # structure of their class.  Reported through
-        # ExperimentRunner.cache_stats() and the serve daemon's /metrics.
-        self.skeleton_hits = 0
-        self.skeleton_derives = 0
-        self.skeleton_builds = 0
 
     # -- per-site skeleton -------------------------------------------------------
     def site_skeleton(self, name: str, size_class: str) -> _SiteSkeleton:
+        """The cached skeleton of ``(name, size_class)``, made on first use.
+
+        Counts warm-vs-cold into the open :mod:`repro.obs` tally (the
+        ``ExperimentRunner``'s point, reported by its ``cache_stats()`` and
+        the serve daemon's ``/metrics``): a hit reuses a cached skeleton, a
+        derive fills a cached class structure, a build first builds the
+        structure of its class.
+        """
         key = (name, size_class)
         with self._lock:
             skeleton = self._skeletons.get(key)
             structure = self._structures.get(size_class)
-            if skeleton is not None:
-                self.skeleton_hits += 1
-                return skeleton
+        if skeleton is not None:
+            obs.count("skeleton_hits")
+            return skeleton
         profile = self._profiles.get(name)
         if profile is None:
             raise KeyError(f"siting refers to unknown location {name!r}")
@@ -294,21 +296,10 @@ class ProvisioningCompiler:
         skeleton = self._fill_site_skeleton(structure, profile, size_class)
         with self._lock:
             if built:
-                self.skeleton_builds += 1
                 self._structures.setdefault(size_class, structure)
-            else:
-                self.skeleton_derives += 1
             skeleton = self._skeletons.setdefault(key, skeleton)
+        obs.count("skeleton_builds" if built else "skeleton_derives")
         return skeleton
-
-    def skeleton_stats(self) -> Dict[str, int]:
-        """Cumulative warm-vs-cold skeleton counters for this compiler."""
-        with self._lock:
-            return {
-                "skeleton_hits": self.skeleton_hits,
-                "skeleton_derives": self.skeleton_derives,
-                "skeleton_builds": self.skeleton_builds,
-            }
 
     def _fill_site_skeleton(
         self, structure: _ClassStructure, profile: LocationProfile, size_class: str
@@ -776,15 +767,6 @@ class ProvisioningCompiler:
             le_mask=np.concatenate(le_parts),
             ge_mask=np.concatenate(ge_parts),
         )
-
-
-def summed_skeleton_stats(stats: Iterable[Mapping[str, int]]) -> Dict[str, int]:
-    """Skeleton counters (:meth:`ProvisioningCompiler.skeleton_stats`), summed."""
-    totals = {"skeleton_hits": 0, "skeleton_derives": 0, "skeleton_builds": 0}
-    for counters in stats:
-        for name, value in counters.items():
-            totals[name] += value
-    return totals
 
 
 def _extract_network_plan(

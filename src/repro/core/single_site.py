@@ -25,7 +25,6 @@ from repro.core.provisioning import (
     ProvisioningCompiler,
     ProvisioningResult,
     solve_provisioning,
-    summed_skeleton_stats,
 )
 from repro.core.screening import price_batch
 from repro.core.solution import NetworkPlan
@@ -214,13 +213,6 @@ class SingleSiteAnalyzer:
     ) -> None:
         self.params = params or FrameworkParameters()
         self.solver_options = solver_options or SolverOptions()
-        # Skeleton counters of the pricing compiler of every
-        # cost_distribution call, kept as counts so the compilers can go.
-        self._finished_skeletons: List[Dict[str, int]] = []
-
-    def skeleton_stats(self) -> Dict[str, int]:
-        """Skeleton counters summed over the pricing compilers of :meth:`cost_distribution`."""
-        return summed_skeleton_stats(self._finished_skeletons)
 
     @classmethod
     def from_spec(
@@ -298,9 +290,9 @@ class SingleSiteAnalyzer:
         problem, sitings = self._pricing_problem(
             profiles, capacity_kw, min_green_fraction, sources, storage
         )
-        compiler = ProvisioningCompiler(problem)
-        rows = priced_in_chunks(problem, sitings, self.solver_options, compiler)
-        self._finished_skeletons.append(compiler.skeleton_stats())
+        rows = priced_in_chunks(
+            problem, sitings, self.solver_options, ProvisioningCompiler(problem)
+        )
         configuration = self._configuration_label(min_green_fraction, problem.sources)
         return [
             SingleSiteCost(

@@ -42,7 +42,6 @@ from repro.robust.ensemble import (
 )
 from repro.robust.stochastic import (
     StochasticSolution,
-    draw_compilers,
     ensemble_report,
     solve_ensemble_lp,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "contingency_report",
     "cvar",
     "demand_factor",
-    "draw_compilers",
     "ensemble_report",
     "evaluate_contingencies",
     "perturbed_problem",

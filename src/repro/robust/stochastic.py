@@ -449,23 +449,8 @@ def plan_siting_and_sizing(plan) -> Tuple[Dict[str, str], Dict[str, Tuple[float,
     return siting, sizing
 
 
-def draw_compilers(
-    problem: SitingProblem, siting: Mapping[str, str], config: EnsembleConfig
-) -> List[ProvisioningCompiler]:
-    """One compiler per draw of ``config``, over the sited profiles only.
-
-    The noise is keyed by profile name, so perturbing only the sited
-    profiles gives them the same draws as perturbing every candidate.
-    """
-    sited = problem.restricted_to(list(siting))
-    return [
-        ProvisioningCompiler(perturbed_problem(sited, config, draw))
-        for draw in range(config.draws)
-    ]
-
-
 def ensemble_report(
-    compilers: Sequence[ProvisioningCompiler],
+    problem: SitingProblem,
     siting: Mapping[str, str],
     sizing: Mapping[str, Sequence[float]],
     config: EnsembleConfig,
@@ -473,18 +458,21 @@ def ensemble_report(
 ) -> Dict[str, object]:
     """Evaluate a deterministic plan against an ensemble of off-nominal years.
 
-    ``compilers`` holds one compiler per draw, from :func:`draw_compilers`;
-    the caller keeps them, and with them their skeleton counters.  Per draw
-    the plan's sizing is re-priced on the perturbed year (fixed first
-    stage, free recourse) and compared with that year's free-sizing
+    Per draw the plan's sizing is re-priced on the perturbed year (fixed
+    first stage, free recourse) and compared with that year's free-sizing
     optimum; the gap is the plan's regret on that year.  In ``stochastic``
     mode the joint scenario LP is solved as well, giving the sizing a
     clairvoyant-of-the-distribution planner would pick and the expected cost
     it achieves.  Returns a JSON-ready record.
     """
-    if len(compilers) != config.draws:
-        raise ValueError(f"{len(compilers)} compilers for {config.draws} draws")
     options = options or SolverOptions()
+    # The noise is keyed by profile name, so perturbing only the sited
+    # profiles gives them the same draws as perturbing every candidate.
+    sited = problem.restricted_to(list(siting))
+    compilers = [
+        ProvisioningCompiler(perturbed_problem(sited, config, draw))
+        for draw in range(config.draws)
+    ]
     # Fixed and free solves keep a handle each: a draw's solve starts
     # closer to the previous draw's optimum of its own kind than to the
     # other kind's.

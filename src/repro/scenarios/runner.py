@@ -31,15 +31,17 @@ import json
 import os
 import tempfile
 import threading
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
+from repro import obs
 from repro.core.heuristic import HeuristicSolver
 from repro.core.parameters import FrameworkParameters
-from repro.core.provisioning import ProvisioningCompiler, summed_skeleton_stats
+from repro.core.provisioning import ProvisioningCompiler
 from repro.core.single_site import SingleSiteAnalyzer
 from repro.core.tool import PlacementTool
 from repro.lpsolver import SolverOptions
@@ -212,9 +214,10 @@ class ExperimentRunner:
         #: Points recovered by re-running serially after a dead process pool.
         self.process_fallbacks = 0
         #: Warm-vs-cold cache accounting (catalogue/profile/problem rebuilds,
-        #: on-disk artifact hits, futures-memo dedup hits); see
-        #: :meth:`cache_stats`.  Guarded by ``self._lock``.
-        self.cache_counters: Dict[str, int] = {
+        #: on-disk artifact hits, futures-memo dedup hits and the skeleton
+        #: counts of every point's compilers); see :meth:`cache_stats`.
+        #: Guarded by ``self._lock``.
+        self.cache_counters: Counter[str] = Counter({
             "catalog_hits": 0,
             "catalog_builds": 0,
             "profile_hits": 0,
@@ -224,46 +227,28 @@ class ExperimentRunner:
             "artifact_hits": 0,
             "artifact_misses": 0,
             "memo_hits": 0,
-            # Skeleton counters of the compilers the solves made themselves;
-            # cache_stats() adds the shared compilers' on top.
             "skeleton_hits": 0,
             "skeleton_derives": 0,
             "skeleton_builds": 0,
-        }
+        })
 
     def _count(self, counter: str, amount: int = 1) -> None:
         with self._lock:
             self.cache_counters[counter] += amount
 
-    def _count_skeletons(self, stats: Mapping[str, int]) -> None:
-        """Add the skeleton counters of compilers a solve made itself."""
-        with self._lock:
-            for name, value in stats.items():
-                self.cache_counters[name] += value
-
     def cache_stats(self) -> Dict[str, int]:
         """Warm-vs-cold counters for this runner's in-memory and disk caches.
 
-        Includes the skeleton counters of every compiler a point used: the
-        shared compiler of each problem signature this runner has compiled,
-        plus the compilers each point made itself, added once per point: a
-        heuristic solve's (:meth:`HeuristicSolver.skeleton_stats`), a
-        single-site sweep's pricing compiler
-        (:meth:`SingleSiteAnalyzer.skeleton_stats`) and an ensemble report's
-        per-draw compilers.  For
-        process-executor sweeps the
+        The skeleton counters (``skeleton_hits``/``derives``/``builds``)
+        cover every compiler a point ran, shared or its own: each point is
+        evaluated inside a :func:`repro.obs.counting` tally, added here when
+        the point finishes, failed points included.  Keys are fixed; a
+        counter nothing touched reads 0.  For process-executor sweeps the
         interesting counters live in the *workers*; those cross back in the
         stats payload of :func:`repro.parallel.work.run_point_task`.
         """
         with self._lock:
-            stats = dict(self.cache_counters)
-            compilers = [
-                future.result()[1] for future in self._problems.values() if future.done()
-            ]
-        shared = summed_skeleton_stats(compiler.skeleton_stats() for compiler in compilers)
-        for name, value in shared.items():
-            stats[name] += value
-        return stats
+            return dict(self.cache_counters)
 
     # -- public API -----------------------------------------------------------
     def run(self, experiment: Union[ScenarioSpec, ParameterSweep]) -> ResultSet:
@@ -394,16 +379,21 @@ class ExperimentRunner:
         if cached is not None:
             return cached
         spec = spec.canonical()
-        if spec.workflow == "plan":
-            record, solution = self._run_plan(spec)
-        elif spec.workflow == "single_site":
-            record, solution = self._run_single_site(spec)
-        elif spec.workflow == "emulate":
-            record, solution = self._run_emulate(spec)
-        elif spec.workflow == "operate":
-            record, solution = self._run_operate(spec)
-        else:  # pragma: no cover - __post_init__ rejects unknown workflows
-            raise ValueError(f"unknown workflow {spec.workflow!r}")
+        with obs.counting() as counts:
+            try:
+                if spec.workflow == "plan":
+                    record, solution = self._run_plan(spec)
+                elif spec.workflow == "single_site":
+                    record, solution = self._run_single_site(spec)
+                elif spec.workflow == "emulate":
+                    record, solution = self._run_emulate(spec)
+                elif spec.workflow == "operate":
+                    record, solution = self._run_operate(spec)
+                else:  # pragma: no cover - __post_init__ rejects unknown workflows
+                    raise ValueError(f"unknown workflow {spec.workflow!r}")
+            finally:
+                with self._lock:
+                    self.cache_counters.update(counts)
         result = PointResult(spec=spec, record=record, solution=solution)
         self._store_artifact(key, result)
         return result
@@ -419,7 +409,6 @@ class ExperimentRunner:
             compiler=compiler,
         )
         solution = solver.solve()
-        self._count_skeletons(solver.skeleton_stats())
         record: Dict[str, Any] = {
             "workflow": "plan",
             "feasible": bool(solution.feasible),
@@ -483,18 +472,10 @@ class ExperimentRunner:
         config = spec.ensemble_config()
         if config is None or plan is None:
             return
-        from repro.robust.stochastic import (
-            draw_compilers,
-            ensemble_report,
-            plan_siting_and_sizing,
-        )
+        from repro.robust.stochastic import ensemble_report, plan_siting_and_sizing
 
         siting, sizing = plan_siting_and_sizing(plan)
-        compilers = draw_compilers(problem, siting, config)
-        report = ensemble_report(compilers, siting, sizing, config, options=self.solver_options)
-        self._count_skeletons(
-            summed_skeleton_stats(compiler.skeleton_stats() for compiler in compilers)
-        )
+        report = ensemble_report(problem, siting, sizing, config, options=self.solver_options)
         record["robustness"] = report
         record["ensemble_expected_cost"] = report["expected_cost"]
         record["ensemble_cvar_cost"] = report["cvar_cost"]
@@ -565,7 +546,6 @@ class ExperimentRunner:
             sources=spec.sources_enum,
             storage=spec.storage_enum,
         )
-        self._count_skeletons(analyzer.skeleton_stats())
         feasible_costs = sorted(c.monthly_cost for c in costs if c.feasible)
         record: Dict[str, Any] = {
             "workflow": "single_site",
@@ -598,7 +578,6 @@ class ExperimentRunner:
             "migrated_state_mb": float(summary.migrated_state_mb),
             "total_green_used_kwh": float(summary.total_green_used_kwh),
             "total_brown_kwh": float(summary.total_brown_kwh),
-            "mean_schedule_time_s": float(summary.mean_schedule_time_s),
             "green_fraction": float(summary.green_fraction),
             "load_series": {
                 dc.name: [float(value) for value in cloud.load_series(dc.name)]
@@ -630,7 +609,6 @@ class ExperimentRunner:
             compiler=compiler,
         )
         solution = solver.solve()
-        self._count_skeletons(solver.skeleton_stats())
         record: Dict[str, Any] = {
             "workflow": "operate",
             "feasible": bool(solution.feasible),

@@ -13,9 +13,9 @@ first location of each class differs from one configuration to the next.
 Every skeleton contributes its name, class, raw array bytes (with dtype and
 shape) and ``fixed_cost``.  The digest also covers the row forms of a few
 1-3-site sitings, with and without the availability spread, and the
-compilers' summed skeleton counters.  Any bit that moves anywhere in the
-skeleton assembly, the row-form stitching or the cache accounting changes
-the digest.  The same variants pin the pricing chunks' row estimate to the
+compilers' skeleton counters, summed in one ``repro.obs`` tally.  Any bit
+that moves anywhere in the skeleton assembly, the row-form stitching or
+the cache accounting changes the digest.  The same variants pin the pricing chunks' row estimate to the
 compiled one-site LP.
 """
 
@@ -27,6 +27,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import EnergySources, FrameworkParameters, SitingProblem, StorageMode
 from repro.core.problem import GreenEnforcement
 from repro.core.provisioning import ProvisioningCompiler
@@ -116,41 +117,39 @@ def _problem(profiles, storage, enforcement, sources, green) -> SitingProblem:
 
 def _skeleton_digest():
     digest = hashlib.sha256()
-    counters = np.zeros(3, dtype=np.int64)
     order = random.Random(2014)
-    for grid_index in range(len(GRIDS)):
-        profiles = _grid_profiles(grid_index)
-        names = [profile.name for profile in profiles]
-        for variant in _variants():
-            compiler = ProvisioningCompiler(_problem(profiles, *variant))
-            pairs = [(name, size) for name in names for size in ("small", "large")]
-            order.shuffle(pairs)
-            skeletons = {pair: compiler.site_skeleton(*pair) for pair in pairs}
-            for (name, size), skeleton in sorted(skeletons.items()):
-                digest.update(f"{name}|{size}|{skeleton.num_epochs}".encode())
-                for field in SKELETON_ARRAYS:
-                    _update_array(digest, getattr(skeleton, field))
-                digest.update(struct.pack("<d", skeleton.fixed_cost))
-            picks = order.sample(names, 6)
-            sitings = (
-                {picks[0]: "large"},
-                {picks[1]: "small", picks[2]: "large"},
-                {picks[3]: "large", picks[4]: "small", picks[5]: "large"},
-            )
-            for siting in sitings:
-                for spread in (False, True):
-                    row_form, layouts = compiler.compile_row_form(siting, spread)
-                    digest.update(str(row_form.shape).encode())
-                    for field in ROW_FORM_ARRAYS:
-                        _update_array(digest, getattr(row_form, field))
-                    digest.update(struct.pack("<d", row_form.objective_constant))
-                    digest.update(str([layout.base for layout in layouts]).encode())
-            stats = compiler.skeleton_stats()
-            counters += [
-                stats["skeleton_builds"],
-                stats["skeleton_derives"],
-                stats["skeleton_hits"],
-            ]
+    with obs.counting() as stats:
+        for grid_index in range(len(GRIDS)):
+            profiles = _grid_profiles(grid_index)
+            names = [profile.name for profile in profiles]
+            for variant in _variants():
+                compiler = ProvisioningCompiler(_problem(profiles, *variant))
+                pairs = [(name, size) for name in names for size in ("small", "large")]
+                order.shuffle(pairs)
+                skeletons = {pair: compiler.site_skeleton(*pair) for pair in pairs}
+                for (name, size), skeleton in sorted(skeletons.items()):
+                    digest.update(f"{name}|{size}|{skeleton.num_epochs}".encode())
+                    for field in SKELETON_ARRAYS:
+                        _update_array(digest, getattr(skeleton, field))
+                    digest.update(struct.pack("<d", skeleton.fixed_cost))
+                picks = order.sample(names, 6)
+                sitings = (
+                    {picks[0]: "large"},
+                    {picks[1]: "small", picks[2]: "large"},
+                    {picks[3]: "large", picks[4]: "small", picks[5]: "large"},
+                )
+                for siting in sitings:
+                    for spread in (False, True):
+                        row_form, layouts = compiler.compile_row_form(siting, spread)
+                        digest.update(str(row_form.shape).encode())
+                        for field in ROW_FORM_ARRAYS:
+                            _update_array(digest, getattr(row_form, field))
+                        digest.update(struct.pack("<d", row_form.objective_constant))
+                        digest.update(str([layout.base for layout in layouts]).encode())
+    counters = np.array(
+        [stats["skeleton_builds"], stats["skeleton_derives"], stats["skeleton_hits"]],
+        dtype=np.int64,
+    )
     digest.update(counters.astype("<i8").tobytes())
     return digest.hexdigest(), tuple(int(count) for count in counters)
 

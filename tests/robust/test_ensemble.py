@@ -10,7 +10,6 @@ from repro.robust import (
     EnsembleConfig,
     cvar,
     demand_factor,
-    draw_compilers,
     ensemble_report,
     perturbed_problem,
     solve_ensemble_lp,
@@ -166,11 +165,7 @@ class TestEnsembleReport:
         plan_siting, sizing = plan_siting_and_sizing(plan)
         config = EnsembleConfig(draws=3, mode="stochastic", seed=2)
         report = ensemble_report(
-            draw_compilers(two_site_problem, plan_siting, config),
-            plan_siting,
-            sizing,
-            config,
-            options=solver_options,
+            two_site_problem, plan_siting, sizing, config, options=solver_options
         )
         assert report["draws"] == 3
         assert min(report["per_draw_regret"]) >= -1e-6
@@ -188,11 +183,7 @@ class TestEnsembleReport:
         plan_siting, sizing = plan_siting_and_sizing(plan)
         config = EnsembleConfig(draws=4, seed=5)
         report = ensemble_report(
-            draw_compilers(two_site_problem, plan_siting, config),
-            plan_siting,
-            sizing,
-            config,
-            options=solver_options,
+            two_site_problem, plan_siting, sizing, config, options=solver_options
         )
         for draw in range(config.draws):
             compiler = ProvisioningCompiler(perturbed_problem(two_site_problem, config, draw))
@@ -214,13 +205,6 @@ class TestEnsembleReport:
             )
 
 
-    def test_one_compiler_per_draw_is_required(self, two_site_problem, siting):
-        config = EnsembleConfig(draws=3, seed=2)
-        compilers = draw_compilers(two_site_problem, siting, config)
-        assert len(compilers) == config.draws
-        with pytest.raises(ValueError, match="2 compilers for 3 draws"):
-            ensemble_report(compilers[:2], siting, {}, config)
-
     def test_only_sited_profiles_are_perturbed(
         self, two_site_problem, anchor_profiles, siting, solver_options, monkeypatch
     ):
@@ -230,11 +214,7 @@ class TestEnsembleReport:
         plan_siting, sizing = plan_siting_and_sizing(plan)
         config = EnsembleConfig(draws=3, mode="stochastic", seed=4)
         narrow = ensemble_report(
-            draw_compilers(two_site_problem, plan_siting, config),
-            plan_siting,
-            sizing,
-            config,
-            options=solver_options,
+            two_site_problem, plan_siting, sizing, config, options=solver_options
         )
         sited = {profile.name for profile in two_site_problem.profiles}
         extras = [profile for name, profile in anchor_profiles.items() if name not in sited]
@@ -249,13 +229,7 @@ class TestEnsembleReport:
             return perturbed_problem(problem, config, draw)
 
         monkeypatch.setattr(stochastic, "perturbed_problem", recording)
-        report = ensemble_report(
-            draw_compilers(wide, plan_siting, config),
-            plan_siting,
-            sizing,
-            config,
-            options=solver_options,
-        )
+        report = ensemble_report(wide, plan_siting, sizing, config, options=solver_options)
         assert seen == [sorted(plan_siting)] * config.draws
         assert report == narrow
 

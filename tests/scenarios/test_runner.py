@@ -207,6 +207,19 @@ class TestEmulateWorkflow:
         assert point.solution is not None
         assert sum(dc.num_vms for dc in point.solution.datacenters) == 4
 
+    def test_records_hold_no_wall_clock_reading(self):
+        # Two serial runs of one scenario give the same record bytes, so a
+        # record (and the artifact cache storing it) holds results only.
+        spec = _scenario_point("sec5b")
+        records = [
+            json.dumps(
+                ExperimentRunner(workers=1, executor="serial").run_point(spec).record,
+                sort_keys=True,
+            )
+            for _ in range(2)
+        ]
+        assert records[0] == records[1]
+
 
 class TestRunnerSharedCaches:
     def test_profiles_shared_between_points(self):
@@ -222,46 +235,6 @@ class TestRunnerSharedCaches:
         assert len(runner._problems) == 1
         runner.run_point(tiny_spec(storage="none", min_green_fraction=1.0))
         assert len(runner._problems) == 2
-
-    @staticmethod
-    def _assert_every_compiler_counted(monkeypatch, spec):
-        """``cache_stats()`` after one point sums every compiler the point made."""
-        made = []
-        init = ProvisioningCompiler.__init__
-
-        def recording_init(compiler, *args, **kwargs):
-            init(compiler, *args, **kwargs)
-            made.append(compiler)
-
-        monkeypatch.setattr(ProvisioningCompiler, "__init__", recording_init)
-        runner = ExperimentRunner()
-        runner.run_point(spec)
-        names = ("skeleton_hits", "skeleton_derives", "skeleton_builds")
-        expected = {
-            name: sum(compiler.skeleton_stats()[name] for compiler in made)
-            for name in names
-        }
-        stats = runner.cache_stats()
-        assert expected["skeleton_builds"] > 0
-        assert {name: stats[name] for name in names} == expected
-        return made
-
-    @pytest.mark.parametrize("coarse", [1, 2], ids=["fine", "adaptive"])
-    def test_skeleton_counters_cover_every_compiler(self, monkeypatch, coarse):
-        # Beside the shared compiler: the filter's pricing compiler and, on
-        # the adaptive path, the coarse sub-solver's and the refinement
-        # solves' compilers.
-        spec = tiny_spec(search=dict(TINY_SEARCH, coarse_epoch_factor=coarse))
-        assert len(self._assert_every_compiler_counted(monkeypatch, spec)) > 1
-
-    @pytest.mark.parametrize("scenario", ["table2", "robust-smoke"])
-    def test_skeleton_counters_cover_pricing_and_ensemble_compilers(
-        self, monkeypatch, scenario
-    ):
-        # table2: the pricing compiler of SingleSiteAnalyzer.cost_distribution.
-        # robust-smoke: the per-draw compilers of the ensemble report.
-        spec = get_scenario(scenario).build().points()[0].spec
-        self._assert_every_compiler_counted(monkeypatch, spec)
 
     @staticmethod
     def _race(runner, spec, count=2):
@@ -345,3 +318,66 @@ class TestRunnerSharedCaches:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             ExperimentRunner(workers=0)
+
+
+def _scenario_point(name, index=0):
+    return get_scenario(name).build().points()[index].spec
+
+
+class TestSkeletonCounting:
+    """``cache_stats()`` skeleton counters against spies on the compilers themselves.
+
+    Every ``site_skeleton`` call of any compiler counts exactly one hit,
+    derive or build, and every build makes one class structure, whichever
+    code owns the compiler.
+    """
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"site_skeleton": 0, "_class_structure": 0}
+        lock = threading.Lock()
+        for name in calls:
+            original = getattr(ProvisioningCompiler, name)
+
+            def spy(compiler, *args, _original=original, _name=name):
+                with lock:
+                    calls[_name] += 1
+                return _original(compiler, *args)
+
+            monkeypatch.setattr(ProvisioningCompiler, name, spy)
+        return calls
+
+    @staticmethod
+    def _assert_counted(runner, calls):
+        stats = runner.cache_stats()
+        assert calls["_class_structure"] > 0
+        assert (
+            stats["skeleton_hits"] + stats["skeleton_derives"] + stats["skeleton_builds"]
+            == calls["site_skeleton"]
+        )
+        assert stats["skeleton_builds"] == calls["_class_structure"]
+
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lambda: tiny_spec(),
+            lambda: tiny_spec(search=dict(TINY_SEARCH, coarse_epoch_factor=2)),
+            lambda: _scenario_point("table2"),
+            lambda: _scenario_point("robust-smoke"),
+            lambda: _scenario_point("operate-smoke"),
+        ],
+        ids=["plan-fine", "plan-adaptive", "table2", "robust-smoke", "operate"],
+    )
+    def test_one_point_counts_every_skeleton_request(self, monkeypatch, make_spec):
+        spec = make_spec()
+        calls = self._spy(monkeypatch)
+        runner = ExperimentRunner(workers=1, executor="serial")
+        runner.run_point(spec)
+        self._assert_counted(runner, calls)
+
+    def test_thread_points_sharing_a_compiler_count_every_request(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        runner = ExperimentRunner(workers=2, executor="thread")
+        runner.run(tiny_sweep(**{"search.seed": (3, 5)}))
+        assert len(runner._problems) == 1
+        self._assert_counted(runner, calls)
